@@ -467,6 +467,13 @@ def write_instance(inst: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_int(token: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError as exc:
+        raise ParseError(f"bad {what} {token!r}") from exc
+
+
 def read_instance(text: str) -> Instance:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -489,9 +496,9 @@ def read_instance(text: str) -> Instance:
                     raise ParseError(f"row {r} has {len(entries)} entries, want {m}")
                 rows.append(entries)
         elif key == "n":
-            n = int(rest)
+            n = _parse_int(rest, "agent count")
         elif key == "m":
-            m = int(rest)
+            m = _parse_int(rest, "good count")
         elif key in ("dummy_goods", "dummy_agents", "agent_labels", "good_labels"):
             fields[key] = rest
         else:
@@ -499,13 +506,17 @@ def read_instance(text: str) -> Instance:
         i += 1
     if n is None or m is None or len(rows) != n:
         raise ParseError("incomplete instance file")
-    dummy_goods = [int(t) for t in fields.get("dummy_goods", "").split()]
+    dummy_goods = [
+        _parse_int(t, "dummy good") for t in fields.get("dummy_goods", "").split()
+    ]
     dummy_agents = []
     for tok in fields.get("dummy_agents", "").split():
         a, _, src = tok.partition(":")
         if not src:
             raise ParseError(f"dummy agent entry {tok!r} needs index:source")
-        dummy_agents.append((int(a), int(src)))
+        dummy_agents.append(
+            (_parse_int(a, "dummy agent"), _parse_int(src, "dummy agent source"))
+        )
     return Instance.from_rows(
         rows,
         agent_labels=tuple(fields["agent_labels"].split()) if "agent_labels" in fields else (),
@@ -536,7 +547,7 @@ def read_allocation(text: str) -> Allocation:
         ln = lines[i]
         key, _, rest = ln.partition(" ")
         if key == "agents":
-            n = int(rest)
+            n = _parse_int(rest, "agent count")
         elif key == "bundles":
             if n is None:
                 raise ParseError("bundles before agents count")
@@ -545,11 +556,11 @@ def read_allocation(text: str) -> Allocation:
                 if i >= len(lines):
                     raise ParseError("truncated bundle list")
                 head, _, goods = lines[i].partition(":")
-                if int(head) != r:
+                if _parse_int(head, "bundle index") != r:
                     raise ParseError(f"expected bundle {r}, got {head!r}")
-                bundles.append(frozenset(int(t) for t in goods.split()))
+                bundles.append(frozenset(_parse_int(t, "good") for t in goods.split()))
         elif key == "pool":
-            pool = frozenset(int(t) for t in rest.split())
+            pool = frozenset(_parse_int(t, "good") for t in rest.split())
         else:
             raise ParseError(f"unknown allocation field {key!r}")
         i += 1

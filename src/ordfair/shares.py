@@ -3,13 +3,31 @@
 ``mms_bruteforce`` is the test oracle: plain enumeration of set partitions.
 ``mms_exact`` is the production solver: it clears denominators, binary-searches
 the (integer) share value and decides feasibility with a branch-and-bound bin
-covering check.  Both return a witness partition achieving the optimum.
+covering check, ``_cover``.  Both return a witness partition achieving the
+optimum.
+
+The witness ``mms_exact`` returns is canonical: it is the first covering
+``_cover`` finds at the optimum, and it depends on nothing but the sorted
+values, d and the optimum.  The search is kept small without changing it:
+
+- the binary search starts at the greedy cover value (each good, largest
+  first, joins the least-loaded bundle), which is feasible, and stops at
+  min over k < d of (total - k largest goods) // (d - k), since the k
+  largest goods lie in at most k bundles.  Neither bound moves the optimum;
+- the last feasible probe is the covering at the optimum, so it is kept
+  rather than searched for again;
+- ``_cover`` prunes only subtrees that hold no covering (its docstring says
+  which), so the first covering it finds is the same with or without them;
+- ``thresholds`` solves each distinct value row once; a share depends on
+  nothing else.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapreplace
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -116,37 +134,62 @@ def _cover(vals: list[int], d: int, target: int) -> list[int] | None:
     """Partition all of vals (sorted desc) into d bundles, each >= target.
 
     Returns the bundle index per good, or None.  Branching: goods by
-    descending value, bundles by ascending index with equal-load symmetry
-    breaking.  Pruning is impossibility-based only (covering contributions
-    capped at `target`; every empty bundle needs a good), so the first
-    partition found is a canonical witness independent of the pruning.
+    descending value, bundles by ascending index; among uncovered bundles
+    only the first of each load is tried, among covered ones only the first.
+    The first partition found in this order is the canonical witness.  Every
+    prune below only cuts a subtree that holds no covering, so none of them
+    changes which partition is found first:
+
+    - the goods left cannot close the total deficit even if each one counts
+      for at most the largest uncovered deficit, the most it can close in
+      any one bundle;
+    - the uncovered bundles need more goods than are left, counting for
+      each bundle the fewest of the largest goods left that close its
+      deficit (at least one, since goods go to one bundle each);
+    - a (good index, sorted uncovered loads) state that failed once: its
+      outcome depends on nothing else.
+
+    Once every bundle is covered the search would put each remaining good in
+    bundle 0 (the first covered one), so that is done directly.
     """
     k = len(vals)
     if target == 0:
-        return [0] * k if k else []
+        return [0] * k
     loads = [0] * d
     assign = [0] * k
-    # capped[i]: most the goods from i on can still contribute to coverage.
-    split = next((i for i, v in enumerate(vals) if v < target), k)
     suffix = [0] * (k + 1)
     for i in range(k - 1, -1, -1):
         suffix[i] = suffix[i + 1] + vals[i]
-    capped = [0] * (k + 1)
-    for i in range(k, -1, -1):
-        big = max(0, split - i)
-        capped[i] = big * target + suffix[max(i, split)]
+    # Both are ascending, so bisect finds where the goods drop below a level
+    # and how many of the largest goods from an index on reach a sum.
+    neg = [-v for v in vals]
+    neg_suffix = [-s for s in suffix]
+    # The loads of the uncovered bundles, kept sorted: opened[0] is the
+    # lowest load and target - opened[0] the largest deficit.
+    opened = [0] * d
 
     dead: set[tuple[int, tuple[int, ...]]] = set()
 
-    def dfs(idx: int, deficit: int, empty: int) -> bool:
-        if idx == k:
-            return deficit == 0
-        if capped[idx] < deficit or empty > k - idx:
+    def dfs(idx: int, deficit: int) -> bool:
+        if deficit == 0:
+            assign[idx:] = [0] * (k - idx)
+            return True
+        cap = target - opened[0]
+        split = bisect_right(neg, -cap, idx)
+        if (split - idx) * cap + suffix[split] < deficit:
             return False
-        # Feasibility from here depends only on the uncovered loads, so a
-        # state that failed once fails always; skipping dead states cannot
-        # skip the first-found solution.
-        key = (idx, tuple(sorted(l for l in loads if l < target)))
+        # Deficits fall along opened, so once one bundle needs a single
+        # good, so does every later one.
+        need, left = 0, suffix[idx]
+        for pos, load in enumerate(opened):
+            fewest = bisect_left(neg_suffix, target - load - left, idx) - idx
+            if fewest == 1:
+                need += len(opened) - pos
+                break
+            need += fewest
+        if need > k - idx:
+            return False
+        key = (idx, tuple(opened))
         if key in dead:
             return False
         v = vals[idx]
@@ -162,22 +205,53 @@ def _cover(vals: list[int], d: int, target: int) -> list[int] | None:
                 if covered_seen:
                     continue
                 covered_seen = True
-            else:
-                if load in tried:
-                    continue
-                tried.add(load)
-            gain = min(v, max(target - load, 0))
-            loads[b] = load + v
+                loads[b] = load + v
+                assign[idx] = b
+                if dfs(idx + 1, deficit):
+                    return True
+                loads[b] = load
+                continue
+            if load in tried:
+                continue
+            tried.add(load)
+            new, gap = load + v, target - load
+            opened.remove(load)
+            if new < target:
+                insort(opened, new)
+            loads[b] = new
             assign[idx] = b
-            if dfs(idx + 1, deficit - gain, empty - (load == 0)):
+            if dfs(idx + 1, deficit - (v if v < gap else gap)):
                 return True
             loads[b] = load
+            if new < target:
+                opened.remove(new)
+            insort(opened, load)
         dead.add(key)
         return False
 
-    if dfs(0, d * target, d):
+    if dfs(0, d * target):
         return assign
     return None
+
+
+def _greedy_cover(vals: list[int], d: int) -> int:
+    """Lowest bundle value when each good (sorted desc) joins the least-loaded
+    bundle: a covering level that is always feasible."""
+    heap = [0] * d
+    for v in vals:
+        heapreplace(heap, heap[0] + v)
+    return heap[0]
+
+
+def _cover_ceiling(vals: list[int], d: int) -> int:
+    """An upper bound on the share: the k largest goods (vals sorted desc)
+    lie in at most k bundles, so the other d - k bundles share the rest."""
+    total = sum(vals)
+    best, top = total // d, 0
+    for k, v in enumerate(vals[: d - 1], 1):
+        top += v
+        best = min(best, (total - top) // (d - k))
+    return best
 
 
 def mms_exact(
@@ -193,16 +267,20 @@ def mms_exact(
     vals, denom = _scaled_row(inst, agent, chosen)
     order = sorted(range(len(chosen)), key=lambda t: (-vals[t], chosen[t]))
     sorted_vals = [vals[t] for t in order]
-    total = sum(vals)
 
-    lo, hi = 0, total // d
+    # The witness is _cover's at the optimum, so it does not depend on the
+    # bounds, and the last feasible probe has already found it.
+    lo, hi = _greedy_cover(sorted_vals, d), _cover_ceiling(sorted_vals, d)
+    assign = None
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if _cover(sorted_vals, d, mid) is not None:
-            lo = mid
+        found = _cover(sorted_vals, d, mid)
+        if found is not None:
+            lo, assign = mid, found
         else:
             hi = mid - 1
-    assign = _cover(sorted_vals, d, lo)
+    if assign is None:
+        assign = _cover(sorted_vals, d, lo)
     if assign is None:
         raise InvariantViolationError("feasibility flipped at the optimum")
     parts: list[set[int]] = [set() for _ in range(d)]
@@ -222,8 +300,17 @@ def mms_exact(
 
 
 def thresholds(inst: Instance, d: int) -> tuple[Fraction, ...]:
-    """Per-agent 1-out-of-d share values; the allocators' acceptance levels."""
-    return tuple(mms_exact(inst, i, d).value for i in inst.agents)
+    """Per-agent 1-out-of-d share values; the allocators' acceptance levels.
+
+    A share depends only on the agent's value row, so agents with identical
+    rows (such as the copies of agent 0 that padding adds) share one solve.
+    """
+    rows = inst.values
+    out: list[Fraction] = []
+    for i, row in enumerate(rows):
+        first = rows.index(row)
+        out.append(out[first] if first < i else mms_exact(inst, i, d).value)
+    return tuple(out)
 
 
 def write_maximin_result(res: MaximinResult) -> str:
@@ -278,9 +365,10 @@ def _witness_for(
     witnesses: Mapping[int, Sequence[Iterable[int]]] | None,
 ) -> tuple[Fraction, tuple[frozenset[int], ...]]:
     """Share value plus witness partition, honoring an injected witness."""
-    mu = mms_exact(inst, agent, d).value
+    share = mms_exact(inst, agent, d)
+    mu = share.value
     if witnesses is None or agent not in witnesses:
-        return mu, mms_exact(inst, agent, d).partition
+        return mu, share.partition
     parts = tuple(frozenset(p) for p in witnesses[agent])
     if len(parts) != d:
         raise PreconditionError(f"witness for agent {agent} is not a {d}-partition")

@@ -91,6 +91,13 @@ class TestSolve:
         assert "ef1 true" in out
         assert "ok=true" in out
 
+    def test_malformed_count_is_parse_error(self, workdir, capsys):
+        inst_file = workdir / "bad.txt"
+        inst_file.write_text("n x\nm 2\nvaluations\n1 1\n")
+        code = run_cli(["solve", str(inst_file), "--algorithm", "a1"])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_ex51_allocation_files(self, workdir, capsys):
@@ -112,6 +119,18 @@ class TestVerify:
         )
         capsys.readouterr()
         assert code == 3
+
+    def test_malformed_bundle_is_parse_error(self, workdir, capsys):
+        inst_file = workdir / "ex51.txt"
+        inst_file.write_text(write_instance(EX51))
+        for text in ("agents 3\nbundles\n0: a\n1: 0 1 2\n2: 3\npool\n",
+                     "agents 3\nbundles\nx: 4\n1: 0 1 2\n2: 3\npool\n",
+                     "agents 3\nbundles\n0: 4\n1: 0 1 2\n2: 3\npool b\n"):
+            alloc_file = workdir / "alloc.txt"
+            alloc_file.write_text(text)
+            code = run_cli(["verify", str(inst_file), str(alloc_file)])
+            assert code == 1
+            assert "error:" in capsys.readouterr().err
 
 
 class TestMms:

@@ -23,6 +23,7 @@ from ordfair import (
 from ordfair.errors import (
     InvalidConfigError,
     InvalidInstanceError,
+    ParseError,
     PreconditionError,
 )
 from ordfair.model import check_allocation
@@ -234,6 +235,31 @@ class TestFileFormats:
     def test_allocation_round_trip(self):
         alloc = Allocation.make([[0, 2], [], [5]], [1, 3])
         assert read_allocation(write_allocation(alloc)) == alloc
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "n x\nm 1\nvaluations\n1\n",
+            "n 1\nm 1.5\nvaluations\n1\n",
+            "n 1\nm 2\nvaluations\n1 0\ndummy_goods z\n",
+            "n 2\nm 1\nvaluations\n1\n1\ndummy_agents 1:q\n",
+        ],
+    )
+    def test_malformed_instance_integer_is_parse_error(self, text):
+        with pytest.raises(ParseError):
+            read_instance(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "agents two\nbundles\n",
+            "agents 1\nbundles\n0: a\n",
+            "agents 1\nbundles\n0:\npool 1 ?\n",
+        ],
+    )
+    def test_malformed_allocation_integer_is_parse_error(self, text):
+        with pytest.raises(ParseError):
+            read_allocation(text)
 
     def test_permute_goods_round_trip(self):
         inst = seeded_instance("general", 2, 5, 77)

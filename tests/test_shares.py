@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from ordfair.errors import (
     StructuralMismatchError,
     ZeroMaximinError,
 )
+from ordfair.shares import _cover, _scaled_row
 
 from helpers import EX51, EX51_WITNESSES, I_A, positive_ordered_instance, seeded_instance
 
@@ -118,6 +120,56 @@ class TestExact:
                 sum(vals[g] for g in part) for part in res.partition
             ) == expected
         assert time.perf_counter() - started < 20
+
+
+def witness_sweep():
+    """Seeded (family, instance, agent, d) queries: every family, m up to 18,
+    every d in 1..m+2, so d > m and empty bundles are covered too.  Small
+    value ranges give many ties, which the symmetry breaking must handle."""
+    rng = random.Random(2602)
+    for family in ("general", "ordered", "top_n"):
+        for m in range(1, 19):
+            for max_value in (3, 20):
+                n = rng.randrange(1, min(m, 3) + 1)
+                inst = seeded_instance(family, n, m, rng.randrange(2**32), max_value)
+                for i in inst.agents:
+                    for d in range(1, m + 3):
+                        yield family, inst, i, d
+
+
+def witness_sweep_digest():
+    h = hashlib.sha256()
+    for family, inst, i, d in witness_sweep():
+        res = mms_exact(inst, i, d)
+        parts = [sorted(p) for p in res.partition]
+        h.update(f"{family} {inst.m} {i} {d} {res.value} {parts}\n".encode())
+    return h.hexdigest()
+
+
+class TestCanonicalWitness:
+    """mms_exact returns the first covering _cover finds at the optimum.
+    Search bounds and prunes may make it cheaper to find, never different."""
+
+    # Recorded with the plain binary search over [0, total // d] and a
+    # _cover that pruned only on capped sums and empty bundles.
+    GOLDEN = "ff5d12bcdea5ec871797dd1a276ea68ecfa29b64c6f174a4fe67d083c2d4390e"
+
+    def test_values_and_witnesses_unchanged(self):
+        assert witness_sweep_digest() == self.GOLDEN
+
+    def test_cover_decides_the_oracle_optimum(self):
+        # An unsound prune shows as a covering missed at the optimum; a
+        # wrong one as a covering claimed above it.  d > m (share 0) is
+        # left out: there the oracle enumerates every partition.
+        for _, inst, i, d in witness_sweep():
+            if inst.m > 10 or i != 0 or d > inst.m:
+                continue
+            vals, denom = _scaled_row(inst, i, inst.goods)
+            vals.sort(reverse=True)
+            best = mms_bruteforce(inst, i, d).value * denom
+            assert best.denominator == 1
+            assert _cover(vals, d, int(best)) is not None, (inst, d)
+            assert _cover(vals, d, int(best) + 1) is None, (inst, d)
 
 
 class TestMaximinSerialization:
