@@ -4,6 +4,12 @@ EF1 mode works on any instance and preserves EF1.  EFX mode additionally
 requires an ordered instance whose allocated goods all weakly dominate the
 pool for every agent (true for the bag fillers' outputs, whose pool is a
 suffix of the common order); it preserves EFX.
+
+Each agent's values of all bundles live in one integer matrix, built once
+from the agent's integer-scaled row (``Instance.int_rows``) and updated in
+place: a gift adds one value to the receiver's column, a rotation moves the
+cycle members' columns.  Scaling a row keeps every comparison that agent
+makes, so the envy graph is exact.
 """
 
 from __future__ import annotations
@@ -19,13 +25,15 @@ EF1_MODE = "ef1"
 EFX_ORDERED_MODE = "efx_ordered"
 
 
-def _envy_edges(inst: Instance, bundles: list[set[int]]) -> list[set[int]]:
-    """incoming[j] = agents that envy j."""
-    own = [inst.value(i, bundles[i]) for i in inst.agents]
-    incoming: list[set[int]] = [set() for _ in inst.agents]
-    for i in inst.agents:
-        for j in inst.agents:
-            if i != j and inst.value(i, bundles[j]) > own[i]:
+def _envy_edges(worth: list[list[int]]) -> list[set[int]]:
+    """incoming[j] = agents that envy j; worth[i][j] is i's value of j's
+    bundle."""
+    agents = range(len(worth))
+    incoming: list[set[int]] = [set() for _ in agents]
+    for i, row in enumerate(worth):
+        own = row[i]
+        for j in agents:
+            if row[j] > own:
                 incoming[j].add(i)
     return incoming
 
@@ -57,6 +65,7 @@ def envy_cycle_elimination(
     if mode not in (EF1_MODE, EFX_ORDERED_MODE):
         raise PreconditionError(f"unknown mode {mode!r}")
 
+    rows = [row for row, _ in inst.int_rows]
     order = None
     if mode == EF1_MODE:
         ok, pair = is_ef1(inst, alloc)
@@ -70,9 +79,9 @@ def envy_cycle_elimination(
         ok, witness = is_efx(inst, alloc)
         if not ok:
             raise PreconditionError(f"EFX mode needs an EFX input, witness {witness}")
-        for i in inst.agents:
-            row = inst.values[i]
-            lo = min((row[g] for g in alloc.allocated()), default=None)
+        allocated = alloc.allocated()
+        for row in rows:
+            lo = min((row[g] for g in allocated), default=None)
             hi = max((row[g] for g in alloc.pool), default=None)
             if lo is not None and hi is not None and lo < hi:
                 raise PreconditionError(
@@ -82,7 +91,8 @@ def envy_cycle_elimination(
     bundles = [set(b) for b in alloc.bundles]
     pool = set(alloc.pool)
     trace = AllocatorTrace(f"envy_cycle_elimination[{mode}]")
-    start_values = [inst.value(i, bundles[i]) for i in inst.agents]
+    worth = [[sum(row[g] for g in b) for b in bundles] for row in rows]
+    start_values = [worth[i][i] for i in inst.agents]
     iteration = 0
     cap = 10_000 + 100 * inst.n * inst.m
 
@@ -90,19 +100,23 @@ def envy_cycle_elimination(
         iteration += 1
         if iteration > cap:
             raise InvariantViolationError("envy-cycle run exceeded its event cap")
-        incoming = _envy_edges(inst, bundles)
+        incoming = _envy_edges(worth)
         sources = [i for i in inst.agents if not incoming[i]]
         if not sources:
             cycle = _find_cycle(incoming)
             before = sum(
                 (inst.value(i, bundles[i]) for i in inst.agents), Fraction(0)
             )
-            saved = [set(bundles[a]) for a in cycle]
-            for idx, a in enumerate(cycle):
-                gained = saved[(idx + 1) % len(cycle)]
-                if inst.value(a, gained) <= inst.value(a, bundles[a]):
+            shifted = cycle[1:] + cycle[:1]
+            for a, gained in zip(cycle, shifted):
+                if worth[a][gained] <= worth[a][a]:
                     raise InvariantViolationError("cycle member did not gain")
-                bundles[a] = gained
+            # Each member takes the next member's bundle; every agent's
+            # worth of the bundles moves with them.
+            for by_owner in (bundles, *worth):
+                moved = [by_owner[b] for b in shifted]
+                for a, item in zip(cycle, moved):
+                    by_owner[a] = item
             after = sum(
                 (inst.value(i, bundles[i]) for i in inst.agents), Fraction(0)
             )
@@ -114,15 +128,17 @@ def envy_cycle_elimination(
         if order is not None:
             good = next(g for g in order if g in pool)
         else:
-            row = inst.values[source]
+            row = rows[source]
             good = min(pool, key=lambda g: (-row[g], g))
         bundles[source].add(good)
         pool.remove(good)
+        for agent_row, agent_worth in zip(rows, worth):
+            agent_worth[source] += agent_row[good]
         trace.emit(iteration, "source_gift", agent=source, good=good)
 
     result = Allocation(tuple(frozenset(b) for b in bundles), frozenset())
     for i in inst.agents:
-        if inst.value(i, result.bundles[i]) < start_values[i]:
+        if worth[i][i] < start_values[i]:
             raise InvariantViolationError(f"agent {i} lost value during completion")
     if mode == EFX_ORDERED_MODE:
         ok, witness = is_efx(inst, result)

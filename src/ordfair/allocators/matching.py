@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from ..errors import InvariantViolationError, PreconditionError
@@ -50,8 +51,16 @@ class ThresholdGraph:
             edges=edges,
         )
 
-    def neighbors_of_bag(self, j: int) -> list[int]:
-        return sorted(i for (i, b) in self.edges if b == j)
+    @cached_property
+    def _bag_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Per bag index, its agents in ascending order."""
+        adjacent: list[list[int]] = [[] for _ in self.bags]
+        for i, j in self.edges:
+            adjacent[j].append(i)
+        return tuple(tuple(sorted(agents)) for agents in adjacent)
+
+    def neighbors_of_bag(self, j: int) -> tuple[int, ...]:
+        return self._bag_neighbors[j]
 
 
 def _max_matching(graph: ThresholdGraph) -> dict[int, int]:

@@ -2,7 +2,9 @@
 
 Valuations are exact non-negative rationals (``fractions.Fraction``).  All
 threshold comparisons downstream are exact, so floats are rejected at the
-boundary.  Instances and allocations are immutable and safe to share.
+boundary.  Comparisons within one agent's valuation run on that agent's row
+scaled to integers (``Instance.int_rows``), which keeps them exact.
+Instances and allocations are immutable and safe to share.
 
 Good and agent indices are 0-based everywhere, including the file formats.
 """
@@ -12,6 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -139,6 +143,22 @@ class Instance:
         dummies = {a for a, _ in self.dummy_agents}
         return tuple(i for i in self.agents if i not in dummies)
 
+    @cached_property
+    def int_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Per agent, its row times the lcm of the row's denominators, and
+        that lcm.
+
+        Scaling one agent's row by a positive constant keeps every sum and
+        comparison within that agent's valuation, so envy, EFX/EF1 and order
+        checks run on these integers and stay exact.
+        """
+        out = []
+        for row in self.values:
+            denom = lcm(*(v.denominator for v in row))
+            ints = tuple(v.numerator * (denom // v.denominator) for v in row)
+            out.append((ints, denom))
+        return tuple(out)
+
     def is_dummy_agent(self, i: int) -> bool:
         return any(a == i for a, _ in self.dummy_agents)
 
@@ -228,7 +248,10 @@ class StructureReport:
     common order valid for every agent (present iff ``ordered``).
     ``top_k_max`` is the largest k for which some size-k set is simultaneously
     a valid "k most valuable goods" set for every agent (ties resolved
-    optimistically); ``top_witness`` is that set.
+    optimistically); ``top_witness`` is that set.  Every good is weakly above
+    each agent's smallest value, so the set of all goods always qualifies:
+    ``top_k_max`` is trivially m and ``top_witness`` is every good.  Use
+    ``top_k_set`` for a particular k.
     """
 
     ordered: bool
@@ -239,31 +262,22 @@ class StructureReport:
 
 def detect_structure(inst: Instance) -> StructureReport:
     m = inst.m
+    rows = [row for row, _ in inst.int_rows]
     # A common order exists iff pairwise dominance is total; sorting by the
     # lexicographic tuple of all agents' values (descending, stable by index)
     # produces a witness whenever one exists, and keeps the identity order
     # when the identity already works.
-    candidate = sorted(
-        range(m), key=lambda g: tuple(-inst.values[i][g] for i in inst.agents)
-    )
+    candidate = sorted(range(m), key=lambda g: tuple(-row[g] for row in rows))
     ordered = all(
-        inst.values[i][candidate[p]] >= inst.values[i][candidate[p + 1]]
-        for i in inst.agents
+        row[candidate[p]] >= row[candidate[p + 1]]
+        for row in rows
         for p in range(m - 1)
     )
-    top_k = 0
-    witness: frozenset[int] = frozenset()
-    for k in range(m, 0, -1):
-        s = top_k_set(inst, k)
-        if s is not None:
-            top_k = k
-            witness = s
-            break
     return StructureReport(
         ordered=ordered,
         order_witness=tuple(candidate) if ordered else None,
-        top_k_max=top_k,
-        top_witness=witness,
+        top_k_max=m,
+        top_witness=frozenset(range(m)),
     )
 
 
@@ -278,8 +292,7 @@ def top_k_set(inst: Instance, k: int) -> frozenset[int] | None:
         return None
     must: set[int] = set()
     may: set[int] | None = None
-    for i in inst.agents:
-        row = inst.values[i]
+    for row, _ in inst.int_rows:
         kth = sorted(row, reverse=True)[k - 1]
         must |= {g for g in inst.goods if row[g] > kth}
         agent_may = {g for g in inst.goods if row[g] >= kth}
@@ -294,9 +307,7 @@ def top_k_set(inst: Instance, k: int) -> frozenset[int] | None:
 def is_identity_ordered(inst: Instance) -> bool:
     """True iff every agent's values are non-increasing by good index."""
     return all(
-        inst.values[i][g] >= inst.values[i][g + 1]
-        for i in inst.agents
-        for g in range(inst.m - 1)
+        row[g] >= row[g + 1] for row, _ in inst.int_rows for g in range(inst.m - 1)
     )
 
 

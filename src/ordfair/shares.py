@@ -20,6 +20,9 @@ values, d and the optimum.  The search is kept small without changing it:
   which), so the first covering it finds is the same with or without them;
 - ``thresholds`` solves each distinct value row once; a share depends on
   nothing else.
+
+Values are scaled to integers once per agent (``Instance.int_rows``); when a
+query takes every good, the solvers use that cached row.
 """
 
 from __future__ import annotations
@@ -58,7 +61,11 @@ class MaximinResult:
 
 
 def _scaled_row(inst: Instance, agent: int, goods: Sequence[int]):
-    """Integer-scaled values for one agent restricted to `goods`."""
+    """Integer-scaled values for one agent restricted to `goods` (distinct,
+    ascending), with the lcm of their denominators."""
+    if len(goods) == inst.m:
+        ints, denom = inst.int_rows[agent]
+        return list(ints), denom
     row = inst.values[agent]
     denom = lcm(*(row[g].denominator for g in goods)) if goods else 1
     return [int(row[g] * denom) for g in goods], denom
@@ -304,8 +311,10 @@ def thresholds(inst: Instance, d: int) -> tuple[Fraction, ...]:
 
     A share depends only on the agent's value row, so agents with identical
     rows (such as the copies of agent 0 that padding adds) share one solve.
+    Two rows are equal iff their integer scalings and lcms are, which are
+    cheaper to compare.
     """
-    rows = inst.values
+    rows = inst.int_rows
     out: list[Fraction] = []
     for i, row in enumerate(rows):
         first = rows.index(row)

@@ -3,13 +3,18 @@
 These are the source of truth used to certify allocator outputs; they never
 share state with the allocators.  Agents flagged dummy in the instance are
 skipped by the MMS verdict (they only exist as padding).
+
+EFX and EF1 compare bundles within one agent's valuation, so they sum and
+compare on that agent's integer-scaled row (``Instance.int_rows``), which
+keeps every verdict and witness exact.  The MMS verdict and the reported
+bundle values stay in ``Fraction``: they meet thresholds and report bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import ParseError, PreconditionError
 from .model import Allocation, Instance, check_allocation, format_rational
@@ -26,46 +31,46 @@ def strongly_envies(
     """
     if i == j:
         raise PreconditionError("strong envy needs distinct agents")
-    bundle = alloc.bundles[j]
-    if not bundle:
+    value = inst.int_rows[i][0].__getitem__
+    own = sum(map(value, alloc.bundles[i]))
+    total = sum(map(value, alloc.bundles[j]))
+    if total <= own:
         return False, None
-    own = inst.value(i, alloc.bundles[i])
-    total = inst.value(i, bundle)
-    drop = min(sorted(bundle), key=lambda g: inst.values[i][g])
-    if total - inst.values[i][drop] > own:
-        return True, drop
-    return False, None
+    drop = _strong_envy_drop(value, own, total, alloc.bundles[j])
+    return drop is not None, drop
+
+
+def _strong_envy_drop(
+    value: Callable[[int], int], own: int, total: int, bundle: frozenset[int]
+) -> int | None:
+    """strongly_envies' witness for an agent who values each good g at
+    value(g), their own bundle at `own` and `bundle` at `total` > `own`."""
+    drop = min(sorted(bundle), key=value)
+    return drop if total - value(drop) > own else None
 
 
 def is_efx(inst: Instance, alloc: Allocation) -> tuple[bool, tuple[int, int, int] | None]:
     """No agent strongly envies another; first violating triple as witness."""
-    for i in inst.agents:
+    for i, (row, _) in enumerate(inst.int_rows):
+        value = row.__getitem__
+        worth = [sum(map(value, b)) for b in alloc.bundles]
         for j in inst.agents:
-            if i == j:
-                continue
-            bad, g = strongly_envies(inst, alloc, i, j)
-            if bad:
-                assert g is not None
-                return False, (i, j, g)
+            if i != j and worth[j] > worth[i]:
+                drop = _strong_envy_drop(value, worth[i], worth[j], alloc.bundles[j])
+                if drop is not None:
+                    return False, (i, j, drop)
     return True, None
 
 
 def is_ef1(inst: Instance, alloc: Allocation) -> tuple[bool, tuple[int, int] | None]:
     """Every envy is removable by dropping one good from the envied bundle."""
-    for i in inst.agents:
-        own = inst.value(i, alloc.bundles[i])
+    for i, (row, _) in enumerate(inst.int_rows):
+        value = row.__getitem__
+        worth = [sum(map(value, b)) for b in alloc.bundles]
         for j in inst.agents:
-            if i == j:
-                continue
-            bundle = alloc.bundles[j]
-            if not bundle:
-                continue
-            total = inst.value(i, bundle)
-            if own >= total:
-                continue
-            best_drop = max(inst.values[i][g] for g in bundle)
-            if own < total - best_drop:
-                return False, (i, j)
+            if i != j and worth[j] > worth[i]:
+                if worth[i] < worth[j] - max(map(value, alloc.bundles[j])):
+                    return False, (i, j)
     return True, None
 
 

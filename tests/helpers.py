@@ -88,3 +88,121 @@ def naive_is_ef1(inst: Instance, alloc: Allocation) -> bool:
             if not fixable:
                 return False
     return True
+
+
+# --- Fraction references for the integer-scaled library code ----------------
+# Copies of the library's envy, EFX and EF1 checks and of envy-cycle
+# completion as they were written on Fraction values, before comparisons
+# moved to per-agent integer rows.  The differential tests assert that both
+# give the same verdicts, witnesses, allocations and traces.
+
+
+def frac_common_order(inst: Instance):
+    """Goods sorted by the lexicographic tuple of all agents' values
+    (descending, stable), and whether that order sorts every agent."""
+    order = sorted(
+        range(inst.m), key=lambda g: tuple(-inst.values[i][g] for i in range(inst.n))
+    )
+    ordered = all(
+        inst.values[i][order[p]] >= inst.values[i][order[p + 1]]
+        for i in range(inst.n)
+        for p in range(inst.m - 1)
+    )
+    return order, ordered
+
+
+def frac_envy_edges(inst: Instance, bundles) -> list[set[int]]:
+    """incoming[j] = agents that envy j."""
+    own = [inst.value(i, bundles[i]) for i in inst.agents]
+    incoming: list[set[int]] = [set() for _ in inst.agents]
+    for i in inst.agents:
+        for j in inst.agents:
+            if i != j and inst.value(i, bundles[j]) > own[i]:
+                incoming[j].add(i)
+    return incoming
+
+
+def frac_strongly_envies(inst: Instance, alloc: Allocation, i: int, j: int):
+    bundle = alloc.bundles[j]
+    if not bundle:
+        return False, None
+    own = inst.value(i, alloc.bundles[i])
+    total = inst.value(i, bundle)
+    drop = min(sorted(bundle), key=lambda g: inst.values[i][g])
+    if total - inst.values[i][drop] > own:
+        return True, drop
+    return False, None
+
+
+def frac_is_efx(inst: Instance, alloc: Allocation):
+    for i in inst.agents:
+        for j in inst.agents:
+            if i != j:
+                bad, g = frac_strongly_envies(inst, alloc, i, j)
+                if bad:
+                    return False, (i, j, g)
+    return True, None
+
+
+def frac_is_ef1(inst: Instance, alloc: Allocation):
+    for i in inst.agents:
+        own = inst.value(i, alloc.bundles[i])
+        for j in inst.agents:
+            if i == j:
+                continue
+            bundle = alloc.bundles[j]
+            if not bundle:
+                continue
+            total = inst.value(i, bundle)
+            if own >= total:
+                continue
+            best_drop = max(inst.values[i][g] for g in bundle)
+            if own < total - best_drop:
+                return False, (i, j)
+    return True, None
+
+
+def frac_envy_cycle_elimination(inst: Instance, alloc: Allocation, mode: str):
+    """Envy-cycle completion re-summing every bundle in Fraction on every
+    event; returns the completed allocation and the trace text."""
+    from ordfair.allocators.envy_cycle import _find_cycle
+    from ordfair.allocators.trace import AllocatorTrace
+
+    order = frac_common_order(inst)[0] if mode == "efx_ordered" else None
+    bundles = [set(b) for b in alloc.bundles]
+    pool = set(alloc.pool)
+    trace = AllocatorTrace(f"envy_cycle_elimination[{mode}]")
+    iteration = 0
+    while pool:
+        iteration += 1
+        incoming = frac_envy_edges(inst, bundles)
+        sources = [i for i in inst.agents if not incoming[i]]
+        if not sources:
+            cycle = _find_cycle(incoming)
+            saved = [set(bundles[a]) for a in cycle]
+            for idx, a in enumerate(cycle):
+                bundles[a] = saved[(idx + 1) % len(cycle)]
+            trace.emit(iteration, "cycle_rotation", cycle=",".join(map(str, cycle)))
+            continue
+        source = min(sources)
+        if order is not None:
+            good = next(g for g in order if g in pool)
+        else:
+            row = inst.values[source]
+            good = min(pool, key=lambda g: (-row[g], g))
+        bundles[source].add(good)
+        pool.remove(good)
+        trace.emit(iteration, "source_gift", agent=source, good=good)
+    return Allocation.make(bundles), trace.to_text()
+
+
+def rational_rows_instance(rng: random.Random, n: int, m: int, family: str = "general") -> Instance:
+    """A seeded instance with each row divided by its own random rational, so
+    denominators differ between rows and, where the divisor's numerator has
+    factors, within a row.  Every row keeps its order."""
+    base = seeded_instance(family, n, m, rng.randrange(2**32), max_value=rng.choice([3, 9, 20]))
+    rows = []
+    for row in base.values:
+        scale = Fraction(rng.randint(1, 40), rng.randint(1, 40))
+        rows.append([v / scale for v in row])
+    return Instance.from_rows(rows)

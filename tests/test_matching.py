@@ -102,3 +102,19 @@ class TestEnvyFreeMatching:
             if inst.value(i, bag) >= taus[i]
         }
         assert g.edges == frozenset(expected)
+
+    def test_bag_neighbors_are_the_ascending_edge_scan(self):
+        # The adjacency lists keep the scan's order, so augmenting paths,
+        # matchings and Hall sets do not depend on how they are stored.
+        rng = random.Random(17)
+        for _ in range(100):
+            nbags, nagents = rng.randrange(1, 7), rng.randrange(1, 7)
+            edges = {
+                (i, j)
+                for i in range(nagents)
+                for j in range(nbags)
+                if rng.random() < 0.4
+            }
+            g = graph_from_edges(nbags, nagents, edges)
+            for j in range(nbags):
+                assert list(g.neighbors_of_bag(j)) == sorted(i for i, b in edges if b == j)

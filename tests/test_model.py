@@ -79,9 +79,22 @@ class TestDetectStructure:
         rep = detect_structure(I_B)
         assert not rep.ordered
         assert rep.order_witness is None
-        assert rep.top_k_max >= 2
+        assert rep.top_k_max == I_B.m
         assert top_k_set(I_B, 2) == frozenset({0, 1})
         assert top_k_set(I_B, 3) is None
+
+    def test_top_k_max_is_every_good(self):
+        # Every good is weakly above each agent's smallest value, so the set
+        # of all goods is always a common top-m set.
+        rng = random.Random(303)
+        for t in range(150):
+            family = ("general", "ordered", "top_n")[t % 3]
+            n = rng.randint(1, 6)
+            m = rng.randint(n, 14)
+            inst = seeded_instance(family, n, m, t, max_value=rng.choice([1, 3, 20]))
+            rep = detect_structure(inst)
+            assert rep.top_k_max == m
+            assert rep.top_witness == frozenset(range(m)) == top_k_set(inst, m)
 
     def test_disagreeing_top_sets_rejected(self):
         inst = Instance.from_rows([[5, 4, 2, 1], [4, 1, 5, 2]])
