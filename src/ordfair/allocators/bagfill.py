@@ -136,17 +136,6 @@ def run_bag_fill(
     return BagFillState(bags, owner, next_fill, m)
 
 
-def _require_ordered_padded(inst: Instance) -> None:
-    if not is_identity_ordered(inst):
-        raise StructuralMismatchError(
-            "instance must be pre-permuted to a common non-increasing order"
-        )
-    if inst.m < 2 * inst.n:
-        raise StructuralMismatchError(
-            f"need at least {2 * inst.n} goods, have {inst.m}; pad first"
-        )
-
-
 def alloc_ordered_efx_3n2(
     inst: Instance, taus: Sequence[Fraction] | None = None
 ) -> tuple[Allocation, AllocatorTrace]:
@@ -155,16 +144,7 @@ def alloc_ordered_efx_3n2(
     Returns a partial allocation in which every agent's bundle meets their
     own share threshold and nobody strongly envies anybody.
     """
-    _require_ordered_padded(inst)
-    if taus is None:
-        taus = shares.thresholds(inst, ceil_3n_over_2(inst.n))
-    trace = AllocatorTrace("alloc_ordered_efx_3n2")
-    state = run_bag_fill(
-        lambda i, p: inst.values[i][p], inst.n, inst.m, taus, True, trace
-    )
-    alloc = Allocation(tuple(state.bundles(inst.n)), state.pool())
-    _check_served(inst, alloc, taus)
-    return alloc, trace
+    return _alloc_bag_fill(inst, taus, singleton_phase=True)
 
 
 def alloc_ordered_ef1_4n3(
@@ -175,21 +155,35 @@ def alloc_ordered_ef1_4n3(
     Requires the agent count to be a multiple of three (callers pad by
     copying an agent).
     """
-    _require_ordered_padded(inst)
-    if inst.n % 3 != 0:
+    return _alloc_bag_fill(inst, taus, singleton_phase=False)
+
+
+def _alloc_bag_fill(
+    inst: Instance, taus: Sequence[Fraction] | None, singleton_phase: bool
+) -> tuple[Allocation, AllocatorTrace]:
+    """Check the input, run the engine and check that every agent is served.
+    Without the singleton phase the divisor is 4n/3, with it ceil(3n/2)."""
+    if not is_identity_ordered(inst):
+        raise StructuralMismatchError(
+            "instance must be pre-permuted to a common non-increasing order"
+        )
+    if inst.m < 2 * inst.n:
+        raise StructuralMismatchError(
+            f"need at least {2 * inst.n} goods, have {inst.m}; pad first"
+        )
+    if not singleton_phase and inst.n % 3 != 0:
         raise StructuralMismatchError("agent count must be a multiple of 3; pad first")
     if taus is None:
-        taus = shares.thresholds(inst, 4 * inst.n // 3)
-    trace = AllocatorTrace("alloc_ordered_ef1_4n3")
+        d = ceil_3n_over_2(inst.n) if singleton_phase else 4 * inst.n // 3
+        taus = shares.thresholds(inst, d)
+    trace = AllocatorTrace(
+        "alloc_ordered_efx_3n2" if singleton_phase else "alloc_ordered_ef1_4n3"
+    )
     state = run_bag_fill(
-        lambda i, p: inst.values[i][p], inst.n, inst.m, taus, False, trace
+        lambda i, p: inst.values[i][p], inst.n, inst.m, taus, singleton_phase, trace
     )
     alloc = Allocation(tuple(state.bundles(inst.n)), state.pool())
-    _check_served(inst, alloc, taus)
-    return alloc, trace
-
-
-def _check_served(inst: Instance, alloc: Allocation, taus: Sequence[Fraction]) -> None:
     for i in inst.agents:
         if inst.value(i, alloc.bundles[i]) < taus[i]:
             raise InvariantViolationError(f"agent {i} ended below their threshold")
+    return alloc, trace

@@ -21,11 +21,10 @@ from ..model import Instance
 @dataclass(frozen=True)
 class ThresholdGraph:
     """Bags vs. eligible agents; edge (i, j) iff agent i values bag j at or
-    above i's threshold.  Edges are derivable from the other fields."""
+    above i's threshold."""
 
     bags: tuple[frozenset[int], ...]
     agents: tuple[int, ...]
-    thresholds: tuple[Fraction, ...]
     edges: frozenset[tuple[int, int]]
 
     @classmethod
@@ -44,12 +43,7 @@ class ThresholdGraph:
             for j, bag in enumerate(frozen)
             if inst.value(i, bag) >= taus[i]
         )
-        return cls(
-            bags=frozen,
-            agents=tuple(agents),
-            thresholds=tuple(taus[i] for i in agents),
-            edges=edges,
-        )
+        return cls(bags=frozen, agents=tuple(agents), edges=edges)
 
     @cached_property
     def _bag_neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -141,7 +135,6 @@ def envy_free_matching(graph: ThresholdGraph) -> tuple[tuple[int, int], ...]:
     sub = ThresholdGraph(
         bags=tuple(graph.bags[j] for j in y),
         agents=tuple(sub_agents),
-        thresholds=tuple(Fraction(0) for _ in sub_agents),
         edges=frozenset(
             (i, pos) for pos, j in enumerate(y) for i in graph.neighbors_of_bag(j)
         ),

@@ -1,5 +1,16 @@
 """End-to-end solving: structure check, padding, thresholds, allocation,
-completion, cleanup, and certification against the independent verifiers."""
+completion, cleanup, and certification against the independent verifiers.
+
+All three algorithms run one body, which branches only where they differ:
+a2 neither checks for nor applies a common order; a3 pads to a multiple of
+three agents and divides by 4n/3; each runs its own allocator; a1 and a2
+complete on the padded instance and then strip the dummies, while a3 strips
+first and completes on what is left; and each certifies its own guarantee
+pair.  The layers are called through their module-level names, which the
+benchmark's traced run rebinds to time them.
+
+The returned trace is in the run's own coordinates (see ``trace.replay``).
+"""
 
 from __future__ import annotations
 
@@ -68,127 +79,59 @@ def solve_complete(inst: Instance, algorithm: str) -> SolveResult:
     """
     if algorithm not in ALGORITHMS:
         raise StructuralMismatchError(f"unknown algorithm {algorithm!r}")
-    if algorithm == "a1":
-        return _solve_a1(inst)
+    order = None
     if algorithm == "a2":
-        return _solve_a2(inst)
-    return _solve_a3(inst)
+        if top_k_set(inst, inst.n) is None:
+            raise StructuralMismatchError("algorithm a2 needs a top-n instance")
+    else:
+        order = detect_structure(inst).order_witness
+        if order is None:
+            raise StructuralMismatchError(f"algorithm {algorithm} needs an ordered instance")
 
-
-def _solve_a1(inst: Instance) -> SolveResult:
-    rep = detect_structure(inst)
-    if not rep.ordered:
-        raise StructuralMismatchError("algorithm a1 needs an ordered instance")
-    assert rep.order_witness is not None
-    order = rep.order_witness
-    work = _cleared(inst).permute_goods(order)
+    work = _cleared(inst)
+    if order is not None:
+        work = work.permute_goods(order)
+    if algorithm == "a3":
+        work = pad_agents_to_multiple_of_three(work)
     padded = pad_goods(work, max(work.m, 2 * work.n))
-    d = ceil_3n_over_2(inst.n)
+    d = 4 * (work.n // 3) if algorithm == "a3" else ceil_3n_over_2(inst.n)
     taus = shares.thresholds(padded, d)
-    partial_pos, trace = alloc_ordered_efx_3n2(padded, taus)
-    complete_pos, completion_trace = envy_cycle_elimination(
-        padded, partial_pos, EFX_ORDERED_MODE
-    )
-    trace.extend_offset(completion_trace)
+    if algorithm == "a1":
+        partial, trace = alloc_ordered_efx_3n2(padded, taus)
+    elif algorithm == "a2":
+        partial, trace = alloc_topn_lone_divider(padded, taus)
+    else:
+        partial, trace = alloc_ordered_ef1_4n3(padded, taus)
 
-    _, partial_stripped = strip_dummies(padded, partial_pos)
-    _, complete_stripped = strip_dummies(padded, complete_pos)
-    partial = _unpermute(partial_stripped, order)
-    complete = _unpermute(complete_stripped, order)
+    if algorithm == "a3":
+        # Dummy agents' goods go back to the pool, and completion reallocates
+        # them among the real agents without breaking EF1.  It runs on the
+        # stripped instance, a different coordinate space from the
+        # allocator's run, so its events are not merged into the trace.
+        stripped, partial = strip_dummies(padded, partial)
+        complete, _ = envy_cycle_elimination(stripped, partial, EF1_MODE)
+    else:
+        mode = EFX_ORDERED_MODE if algorithm == "a1" else EF1_MODE
+        complete, completion_trace = envy_cycle_elimination(padded, partial, mode)
+        trace.extend_offset(completion_trace)
+        _, partial = strip_dummies(padded, partial)
+        _, complete = strip_dummies(padded, complete)
+    if order is not None:
+        partial = _unpermute(partial, order)
+        complete = _unpermute(complete, order)
 
+    taus = taus[: inst.n]  # a3's padding agents are not the caller's
     cache = {d: taus}
     partial_report = report(inst, partial, [d], cache)
     final_report = report(inst, complete, [d], cache)
     certified = (
         final_report.complete
-        and final_report.efx
+        and (final_report.efx if algorithm == "a1" else final_report.ef1)
         and final_report.mms_ok(d)
-        and partial_report.efx
-        and partial_report.mms_ok(d)
+        and (algorithm == "a3" or (partial_report.efx and partial_report.mms_ok(d)))
     )
     return SolveResult(
-        algorithm="a1",
-        divisor=d,
-        thresholds=taus,
-        partial=partial,
-        allocation=complete,
-        partial_report=partial_report,
-        report=final_report,
-        trace=trace,
-        certified=certified,
-    )
-
-
-def _solve_a2(inst: Instance) -> SolveResult:
-    if top_k_set(inst, inst.n) is None:
-        raise StructuralMismatchError("algorithm a2 needs a top-n instance")
-    padded = pad_goods(_cleared(inst), max(inst.m, 2 * inst.n))
-    d = ceil_3n_over_2(inst.n)
-    taus = shares.thresholds(padded, d)
-    partial_pad, trace = alloc_topn_lone_divider(padded, taus)
-    complete_pad, completion_trace = envy_cycle_elimination(padded, partial_pad, EF1_MODE)
-    trace.extend_offset(completion_trace)
-
-    _, partial = strip_dummies(padded, partial_pad)
-    _, complete = strip_dummies(padded, complete_pad)
-
-    cache = {d: taus}
-    partial_report = report(inst, partial, [d], cache)
-    final_report = report(inst, complete, [d], cache)
-    certified = (
-        partial_report.efx
-        and partial_report.mms_ok(d)
-        and final_report.complete
-        and final_report.ef1
-        and final_report.mms_ok(d)
-    )
-    return SolveResult(
-        algorithm="a2",
-        divisor=d,
-        thresholds=taus,
-        partial=partial,
-        allocation=complete,
-        partial_report=partial_report,
-        report=final_report,
-        trace=trace,
-        certified=certified,
-    )
-
-
-def _solve_a3(inst: Instance) -> SolveResult:
-    rep = detect_structure(inst)
-    if not rep.ordered:
-        raise StructuralMismatchError("algorithm a3 needs an ordered instance")
-    assert rep.order_witness is not None
-    order = rep.order_witness
-    work = _cleared(inst).permute_goods(order)
-    grown = pad_agents_to_multiple_of_three(work)
-    padded = pad_goods(grown, max(grown.m, 2 * grown.n))
-    d = 4 * (grown.n // 3)
-    taus_padded = shares.thresholds(padded, d)
-    partial_pad, trace = alloc_ordered_ef1_4n3(padded, taus_padded)
-
-    # Dummy agents' goods go back to the pool; completion then reallocates
-    # them among real agents without breaking EF1.
-    # The completion runs on the stripped instance (real agents only, the
-    # dummy agents' goods back in the pool), a different coordinate space
-    # from the allocator's run, so its events are not merged into the trace.
-    stripped_inst, partial_stripped = strip_dummies(padded, partial_pad)
-    complete_stripped, _ = envy_cycle_elimination(
-        stripped_inst, partial_stripped, EF1_MODE
-    )
-    partial = _unpermute(partial_stripped, order)
-    complete = _unpermute(complete_stripped, order)
-
-    taus = taus_padded[: inst.n]
-    cache = {d: taus}
-    partial_report = report(inst, partial, [d], cache)
-    final_report = report(inst, complete, [d], cache)
-    certified = (
-        final_report.complete and final_report.ef1 and final_report.mms_ok(d)
-    )
-    return SolveResult(
-        algorithm="a3",
+        algorithm=algorithm,
         divisor=d,
         thresholds=taus,
         partial=partial,

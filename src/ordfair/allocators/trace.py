@@ -1,7 +1,8 @@
 """Event traces for allocator runs.
 
 Every allocator emits an ordered event list; replaying the events against the
-same instance rebuilds the output allocation exactly, which the tests assert.
+instance the allocator ran on rebuilds its output allocation exactly, which
+the tests assert.
 Serialized form is one event per line: iteration, kind, key=value arguments.
 """
 
@@ -95,8 +96,12 @@ def replay(trace: AllocatorTrace, n: int, m: int, start: Allocation | None = Non
 
     Bag-filling events track numbered bags; lone-divider and envy-cycle
     events carry explicit good sets, so no allocator logic is re-run here.
-    Pipeline traces replay in their run's own coordinates (witness order,
-    padded goods).
+    An allocator's trace replays to its output exactly; pass the partial
+    allocation as ``start`` for a completion trace.  A ``solve_complete``
+    trace is in its run's coordinates (goods in witness order, padded to at
+    least 2n goods, a3's padding agents included): a1 and a2 traces replay to
+    the complete allocation before dummies are stripped, a3 traces to the
+    allocator's partial allocation only.
     """
     bags: dict[int, set[int]] = {}
     owner: dict[int, int] = {}

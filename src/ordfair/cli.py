@@ -65,8 +65,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     print(f"ordered {str(rep.ordered).lower()}")
     if rep.order_witness is not None:
         print("order_witness " + " ".join(map(str, rep.order_witness)))
-    print(f"top_k_max {rep.top_k_max}")
-    print("top_witness " + " ".join(map(str, sorted(rep.top_witness))))
     return EXIT_OK
 
 

@@ -159,9 +159,6 @@ class Instance:
             out.append((ints, denom))
         return tuple(out)
 
-    def is_dummy_agent(self, i: int) -> bool:
-        return any(a == i for a, _ in self.dummy_agents)
-
     def value(self, agent: int, goods: Iterable[int]) -> Fraction:
         row = self.values[agent]
         return sum((row[g] for g in goods), Fraction(0))
@@ -212,12 +209,6 @@ class Allocation:
     def is_complete(self, m: int) -> bool:
         return not self.pool and self.allocated() == frozenset(range(m))
 
-    def owner_of(self, good: int) -> int | None:
-        for i, b in enumerate(self.bundles):
-            if good in b:
-                return i
-        return None
-
 
 def check_allocation(inst: Instance, alloc: Allocation) -> None:
     """Validate an allocation against an instance; raise on violation."""
@@ -242,22 +233,15 @@ def check_allocation(inst: Instance, alloc: Allocation) -> None:
 
 @dataclass(frozen=True)
 class StructureReport:
-    """Ordering / top-k structure of an instance.
+    """Ordering structure of an instance.
 
     ``order_witness`` lists good indices from most to least valuable under a
-    common order valid for every agent (present iff ``ordered``).
-    ``top_k_max`` is the largest k for which some size-k set is simultaneously
-    a valid "k most valuable goods" set for every agent (ties resolved
-    optimistically); ``top_witness`` is that set.  Every good is weakly above
-    each agent's smallest value, so the set of all goods always qualifies:
-    ``top_k_max`` is trivially m and ``top_witness`` is every good.  Use
-    ``top_k_set`` for a particular k.
+    common order valid for every agent (present iff ``ordered``).  For a
+    common set of the k most valuable goods use ``top_k_set``.
     """
 
     ordered: bool
     order_witness: tuple[int, ...] | None
-    top_k_max: int
-    top_witness: frozenset[int]
 
 
 def detect_structure(inst: Instance) -> StructureReport:
@@ -274,10 +258,7 @@ def detect_structure(inst: Instance) -> StructureReport:
         for p in range(m - 1)
     )
     return StructureReport(
-        ordered=ordered,
-        order_witness=tuple(candidate) if ordered else None,
-        top_k_max=m,
-        top_witness=frozenset(range(m)),
+        ordered=ordered, order_witness=tuple(candidate) if ordered else None
     )
 
 

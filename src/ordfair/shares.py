@@ -236,9 +236,11 @@ def _cover(vals: list[int], d: int, target: int) -> list[int] | None:
         dead.add(key)
         return False
 
-    if dfs(0, d * target):
-        return assign
-    return None
+    found = dfs(0, d * target)
+    # dfs refers to itself, so its closure and memo form a cycle; unbinding
+    # it frees them now instead of at the cyclic collector's next run.
+    del dfs
+    return assign if found else None
 
 
 def _greedy_cover(vals: list[int], d: int) -> int:

@@ -161,7 +161,6 @@ def _square_graph(size, edges):
     return ThresholdGraph(
         bags=tuple(frozenset({j}) for j in range(size)),
         agents=tuple(range(size)),
-        thresholds=tuple(Fraction(1) for _ in range(size)),
         edges=frozenset(edges),
     )
 

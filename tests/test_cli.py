@@ -4,9 +4,11 @@ import sys
 import pytest
 
 from ordfair import (
+    detect_structure,
     read_allocation,
     read_instance,
     read_report,
+    top_k_set,
     write_instance,
 )
 from ordfair.cli import main
@@ -44,9 +46,13 @@ class TestGenerate:
             ["generate", "--family", "top_n", "--n", "3", "--m", "8", "--out", str(out)]
         )
         assert code == 0
-        printed = capsys.readouterr().out
-        top_k = int(printed.split("top_k_max ")[1].split()[0])
-        assert top_k >= 3
+        inst = read_instance(out.read_text())
+        assert top_k_set(inst, 3) is not None
+        rep = detect_structure(inst)
+        expected = [f"ordered {str(rep.ordered).lower()}"]
+        if rep.order_witness is not None:
+            expected.append("order_witness " + " ".join(map(str, rep.order_witness)))
+        assert capsys.readouterr().out.splitlines() == expected
 
     def test_invalid_dimensions_exit_code(self, workdir, capsys):
         code = run_cli(["generate", "--family", "general", "--n", "1", "--m", "0"])

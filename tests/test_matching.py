@@ -11,7 +11,6 @@ def graph_from_edges(nbags: int, nagents: int, edges) -> ThresholdGraph:
     return ThresholdGraph(
         bags=tuple(frozenset({j}) for j in range(nbags)),
         agents=tuple(range(nagents)),
-        thresholds=tuple(Fraction(1) for _ in range(nagents)),
         edges=frozenset(edges),
     )
 

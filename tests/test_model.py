@@ -67,7 +67,6 @@ class TestDetectStructure:
         rep = detect_structure(I_A)
         assert rep.ordered
         assert rep.order_witness == (0, 1, 2, 3, 4)
-        assert rep.top_k_max == 5
 
     def test_ex51_ordered_with_big_good_first(self):
         rep = detect_structure(EX51)
@@ -79,7 +78,6 @@ class TestDetectStructure:
         rep = detect_structure(I_B)
         assert not rep.ordered
         assert rep.order_witness is None
-        assert rep.top_k_max == I_B.m
         assert top_k_set(I_B, 2) == frozenset({0, 1})
         assert top_k_set(I_B, 3) is None
 
@@ -92,9 +90,7 @@ class TestDetectStructure:
             n = rng.randint(1, 6)
             m = rng.randint(n, 14)
             inst = seeded_instance(family, n, m, t, max_value=rng.choice([1, 3, 20]))
-            rep = detect_structure(inst)
-            assert rep.top_k_max == m
-            assert rep.top_witness == frozenset(range(m)) == top_k_set(inst, m)
+            assert top_k_set(inst, m) == frozenset(range(m))
 
     def test_disagreeing_top_sets_rejected(self):
         inst = Instance.from_rows([[5, 4, 2, 1], [4, 1, 5, 2]])

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -8,14 +9,19 @@ from ordfair import (
     is_ef1,
     is_efx,
     is_ordinal_mms,
+    pad_agents_to_multiple_of_three,
+    pad_goods,
     solve_complete,
     thresholds,
+    write_instance,
+    write_report,
 )
 from ordfair.allocators import AllocatorTrace, replay
 from ordfair.allocators.bagfill import ceil_3n_over_2
 from ordfair.errors import StructuralMismatchError
+from ordfair.model import format_rational
 
-from helpers import EX51, I_A, I_B, seeded_instance
+from helpers import EX51, I_A, I_B, rational_rows_instance, seeded_instance
 
 
 class TestSolveComplete:
@@ -174,3 +180,68 @@ class TestTraceSerialization:
             inst = seeded_instance("top_n", n, m, rng.randrange(2**32))
             partial, trace = alloc_topn_lone_divider(inst)
             assert replay(trace, inst.n, inst.m) == partial
+
+
+def pipeline_sweep():
+    """Seeded (algorithm, instance) solves: a1/a3 on ordered and a2 on top-n
+    instances for n 1-6 and every m in n..3n, then rows divided by random
+    rationals (some from the general family, so the structure checks
+    reject them) and instances that already carry dummy goods or agents."""
+    rng = random.Random(2604)
+    for algo, family in (("a1", "ordered"), ("a2", "top_n"), ("a3", "ordered")):
+        for n in range(1, 7):
+            for m in range(n, 3 * n + 1):
+                for max_value in (3, 20):
+                    yield algo, seeded_instance(family, n, m, rng.randrange(2**32), max_value)
+        for _ in range(20):
+            n = rng.randrange(1, 6)
+            m = rng.randrange(n, 3 * n + 1)
+            yield algo, rational_rows_instance(rng, n, m, rng.choice((family, "general")))
+        for _ in range(20):
+            n = rng.randrange(1, 6)
+            m = rng.randrange(n, 3 * n + 1)
+            inst = seeded_instance(family, n, m, rng.randrange(2**32), rng.choice((3, 20)))
+            inst = pad_goods(inst, m + rng.randrange(0, 4))
+            if rng.randrange(2):
+                inst = pad_agents_to_multiple_of_three(inst)
+            yield algo, inst
+
+
+def _alloc_text(alloc):
+    return f"{[sorted(b) for b in alloc.bundles]} pool {sorted(alloc.pool)}"
+
+
+def pipeline_sweep_digest():
+    h = hashlib.sha256()
+    for algo, inst in pipeline_sweep():
+        h.update(f"{algo} {write_instance(inst)}".encode())
+        try:
+            result = solve_complete(inst, algo)
+        except StructuralMismatchError as err:
+            h.update(f"mismatch {err}\n".encode())
+            continue
+        h.update(
+            "\n".join(
+                (
+                    _alloc_text(result.allocation),
+                    _alloc_text(result.partial),
+                    " ".join(format_rational(t) for t in result.thresholds),
+                    f"d={result.divisor} certified={result.certified}",
+                    write_report(result.partial_report),
+                    write_report(result.report),
+                    result.trace.to_text(),
+                )
+            ).encode()
+        )
+    return h.hexdigest()
+
+
+class TestGoldenOutputs:
+    """Every output of solve_complete is pinned, so a change to the pipeline
+    that is meant to keep behaviour is checked rather than assumed."""
+
+    # Recorded with one private pipeline function per algorithm.
+    GOLDEN = "5a9fcb959154ce2b7640a87379fc7d123a533e47c306c97bab8ab62d22fe8005"
+
+    def test_outputs_unchanged(self):
+        assert pipeline_sweep_digest() == self.GOLDEN

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 from fractions import Fraction
@@ -58,6 +59,18 @@ class TestExact:
     def test_i_a_values(self):
         assert mms_exact(I_A, 0, 3).value == 3
         assert mms_exact(I_A, 1, 3).value == 3
+
+    def test_leaves_no_cyclic_garbage(self):
+        # Memo sets left in reference cycles would live until the cyclic
+        # collector happens to run, so peak memory would depend on its timing.
+        inst = seeded_instance("ordered", 5, 15, 3)
+        gc.collect()
+        gc.disable()
+        try:
+            mms_exact(inst, 0, 8)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_single_bundle_is_total(self):
         inst = seeded_instance("general", 2, 6, 31)
