@@ -19,7 +19,6 @@ from .model import (
     Allocation,
     GeneratorConfig,
     Instance,
-    StructureReport,
     detect_structure,
     generate,
     pad_agents_to_multiple_of_three,

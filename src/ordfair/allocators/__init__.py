@@ -6,7 +6,7 @@ from .bagfill import (
     ceil_3n_over_2,
     run_bag_fill,
 )
-from .envy_cycle import EF1_MODE, EFX_ORDERED_MODE, envy_cycle_elimination
+from .envy_cycle import envy_cycle_elimination
 from .lone_divider import (
     alloc_topn_lone_divider,
     lone_divider_partition,
@@ -21,8 +21,6 @@ from .trace import AllocatorTrace, TraceEvent, replay
 __all__ = [
     "ALGORITHMS",
     "AllocatorTrace",
-    "EF1_MODE",
-    "EFX_ORDERED_MODE",
     "SolveResult",
     "ThresholdGraph",
     "TraceEvent",

@@ -16,7 +16,6 @@ from typing import Callable, Sequence
 
 from ..errors import InvariantViolationError, StructuralMismatchError
 from ..model import Allocation, Instance, is_identity_ordered
-from .. import shares
 from .trace import AllocatorTrace
 
 
@@ -137,32 +136,33 @@ def run_bag_fill(
 
 
 def alloc_ordered_efx_3n2(
-    inst: Instance, taus: Sequence[Fraction] | None = None
+    inst: Instance, taus: Sequence[Fraction]
 ) -> tuple[Allocation, AllocatorTrace]:
     """Bag filling with a singleton phase: EFX and 1-out-of-ceil(3n/2) MMS.
 
-    Returns a partial allocation in which every agent's bundle meets their
-    own share threshold and nobody strongly envies anybody.
+    ``taus`` are the agents' thresholds, their 1-out-of-ceil(3n/2) shares
+    for the guarantee.  Returns a partial allocation in which every agent's
+    bundle meets their own threshold and nobody strongly envies anybody.
     """
     return _alloc_bag_fill(inst, taus, singleton_phase=True)
 
 
 def alloc_ordered_ef1_4n3(
-    inst: Instance, taus: Sequence[Fraction] | None = None
+    inst: Instance, taus: Sequence[Fraction]
 ) -> tuple[Allocation, AllocatorTrace]:
     """Bag filling without singletons: EF1 and 1-out-of-4n/3 MMS.
 
-    Requires the agent count to be a multiple of three (callers pad by
-    copying an agent).
+    ``taus`` are the agents' thresholds, their 1-out-of-4n/3 shares for the
+    guarantee.  Requires the agent count to be a multiple of three (callers
+    pad by copying an agent).
     """
     return _alloc_bag_fill(inst, taus, singleton_phase=False)
 
 
 def _alloc_bag_fill(
-    inst: Instance, taus: Sequence[Fraction] | None, singleton_phase: bool
+    inst: Instance, taus: Sequence[Fraction], singleton_phase: bool
 ) -> tuple[Allocation, AllocatorTrace]:
-    """Check the input, run the engine and check that every agent is served.
-    Without the singleton phase the divisor is 4n/3, with it ceil(3n/2)."""
+    """Check the input, run the engine and check that every agent is served."""
     if not is_identity_ordered(inst):
         raise StructuralMismatchError(
             "instance must be pre-permuted to a common non-increasing order"
@@ -173,9 +173,6 @@ def _alloc_bag_fill(
         )
     if not singleton_phase and inst.n % 3 != 0:
         raise StructuralMismatchError("agent count must be a multiple of 3; pad first")
-    if taus is None:
-        d = ceil_3n_over_2(inst.n) if singleton_phase else 4 * inst.n // 3
-        taus = shares.thresholds(inst, d)
     trace = AllocatorTrace(
         "alloc_ordered_efx_3n2" if singleton_phase else "alloc_ordered_ef1_4n3"
     )

@@ -1,9 +1,11 @@
 """Envy-cycle elimination: complete a partial allocation.
 
-EF1 mode works on any instance and preserves EF1.  EFX mode additionally
-requires an ordered instance whose allocated goods all weakly dominate the
-pool for every agent (true for the bag fillers' outputs, whose pool is a
-suffix of the common order); it preserves EFX.
+An unenvied agent takes their most valuable pool good, the lowest index on
+ties; when every agent is envied, bundles rotate along an envy cycle.  This
+works on any instance and preserves EF1.  On an identity-ordered instance
+whose pool is a suffix of the goods (the bag fillers' outputs after
+padding), the good taken is the next one in the common order, the paper's
+rule for keeping EFX; ``solve_complete`` certifies EFX independently.
 
 Each agent's values of all bundles live in one integer matrix, built once
 from the agent's integer-scaled row (``Instance.int_rows``) and updated in
@@ -17,12 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import InvariantViolationError, PreconditionError
-from ..model import Allocation, Instance, check_allocation, detect_structure
-from ..verification import is_ef1, is_efx
+from ..model import Allocation, Instance, check_allocation
+from ..verification import is_ef1
 from .trace import AllocatorTrace
-
-EF1_MODE = "ef1"
-EFX_ORDERED_MODE = "efx_ordered"
 
 
 def _envy_edges(worth: list[list[int]]) -> list[set[int]]:
@@ -57,40 +56,19 @@ def _find_cycle(incoming: list[set[int]]) -> list[int]:
 
 
 def envy_cycle_elimination(
-    inst: Instance, alloc: Allocation, mode: str = EF1_MODE
+    inst: Instance, alloc: Allocation
 ) -> tuple[Allocation, AllocatorTrace]:
     """Hand pool goods to unenvied agents, rotating bundles along envy
     cycles when no such agent exists."""
     check_allocation(inst, alloc)
-    if mode not in (EF1_MODE, EFX_ORDERED_MODE):
-        raise PreconditionError(f"unknown mode {mode!r}")
+    ok, pair = is_ef1(inst, alloc)
+    if not ok:
+        raise PreconditionError(f"envy-cycle completion needs an EF1 input, witness {pair}")
 
     rows = [row for row, _ in inst.int_rows]
-    order = None
-    if mode == EF1_MODE:
-        ok, pair = is_ef1(inst, alloc)
-        if not ok:
-            raise PreconditionError(f"EF1 mode needs an EF1 input, witness {pair}")
-    else:
-        rep = detect_structure(inst)
-        if not rep.ordered:
-            raise PreconditionError("EFX mode needs an ordered instance")
-        order = rep.order_witness
-        ok, witness = is_efx(inst, alloc)
-        if not ok:
-            raise PreconditionError(f"EFX mode needs an EFX input, witness {witness}")
-        allocated = alloc.allocated()
-        for row in rows:
-            lo = min((row[g] for g in allocated), default=None)
-            hi = max((row[g] for g in alloc.pool), default=None)
-            if lo is not None and hi is not None and lo < hi:
-                raise PreconditionError(
-                    "EFX mode needs every allocated good to dominate the pool"
-                )
-
     bundles = [set(b) for b in alloc.bundles]
     pool = set(alloc.pool)
-    trace = AllocatorTrace(f"envy_cycle_elimination[{mode}]")
+    trace = AllocatorTrace("envy_cycle_elimination")
     worth = [[sum(row[g] for g in b) for b in bundles] for row in rows]
     start_values = [worth[i][i] for i in inst.agents]
     iteration = 0
@@ -125,11 +103,8 @@ def envy_cycle_elimination(
             trace.emit(iteration, "cycle_rotation", cycle=",".join(map(str, cycle)))
             continue
         source = min(sources)
-        if order is not None:
-            good = next(g for g in order if g in pool)
-        else:
-            row = rows[source]
-            good = min(pool, key=lambda g: (-row[g], g))
+        row = rows[source]
+        good = min(pool, key=lambda g: (-row[g], g))
         bundles[source].add(good)
         pool.remove(good)
         for agent_row, agent_worth in zip(rows, worth):
@@ -140,12 +115,7 @@ def envy_cycle_elimination(
     for i in inst.agents:
         if worth[i][i] < start_values[i]:
             raise InvariantViolationError(f"agent {i} lost value during completion")
-    if mode == EFX_ORDERED_MODE:
-        ok, witness = is_efx(inst, result)
-        if not ok:
-            raise InvariantViolationError(f"EFX lost during completion: {witness}")
-    else:
-        ok, pair = is_ef1(inst, result)
-        if not ok:
-            raise InvariantViolationError(f"EF1 lost during completion: {pair}")
+    ok, pair = is_ef1(inst, result)
+    if not ok:
+        raise InvariantViolationError(f"EF1 lost during completion: {pair}")
     return result, trace

@@ -18,8 +18,7 @@ from ..errors import (
     StructuralMismatchError,
 )
 from ..model import Allocation, Instance, top_k_set
-from .. import shares
-from .bagfill import ceil_3n_over_2, run_bag_fill
+from .bagfill import run_bag_fill
 from .matching import ThresholdGraph, envy_free_matching
 from .trace import AllocatorTrace
 
@@ -167,12 +166,13 @@ def most_envious_shrink(
 
 
 def alloc_topn_lone_divider(
-    inst: Instance, taus: Sequence[Fraction] | None = None
+    inst: Instance, taus: Sequence[Fraction]
 ) -> tuple[Allocation, AllocatorTrace]:
     """Lone-divider allocation on a top-n instance (m >= 2n, pre-padded).
 
-    Returns a partial allocation that is EFX with every agent's bundle at or
-    above their 1-out-of-ceil(3n/2) share.
+    ``taus`` are the agents' thresholds, their 1-out-of-ceil(3n/2) shares
+    for the guarantee.  Returns a partial allocation that is EFX with every
+    agent's bundle at or above their threshold.
     """
     n = inst.n
     top = top_k_set(inst, n)
@@ -182,8 +182,6 @@ def alloc_topn_lone_divider(
         raise StructuralMismatchError(
             f"need at least {2 * n} goods, have {inst.m}; pad first"
         )
-    if taus is None:
-        taus = shares.thresholds(inst, ceil_3n_over_2(n))
 
     trace = AllocatorTrace("alloc_topn_lone_divider")
     bundles: dict[int, frozenset[int]] = {}

@@ -6,7 +6,10 @@ a2 neither checks for nor applies a common order; a3 pads to a multiple of
 three agents and divides by 4n/3; each runs its own allocator; a1 and a2
 complete on the padded instance and then strip the dummies, while a3 strips
 first and completes on what is left; and each certifies its own guarantee
-pair.  The layers are called through their module-level names, which the
+pair.  Completion is one envy-cycle rule for all three; a1's EFX after
+completion is checked by the certification, not by the completion step.
+Only this body decides the divisor; the allocators take the thresholds it
+computes.  The layers are called through their module-level names, which the
 benchmark's traced run rebinds to time them.
 
 The returned trace is in the run's own coordinates (see ``trace.replay``).
@@ -30,7 +33,7 @@ from ..model import (
 from .. import shares
 from ..verification import FairnessReport, report
 from .bagfill import alloc_ordered_ef1_4n3, alloc_ordered_efx_3n2, ceil_3n_over_2
-from .envy_cycle import EF1_MODE, EFX_ORDERED_MODE, envy_cycle_elimination
+from .envy_cycle import envy_cycle_elimination
 from .lone_divider import alloc_topn_lone_divider
 from .trace import AllocatorTrace
 
@@ -84,7 +87,7 @@ def solve_complete(inst: Instance, algorithm: str) -> SolveResult:
         if top_k_set(inst, inst.n) is None:
             raise StructuralMismatchError("algorithm a2 needs a top-n instance")
     else:
-        order = detect_structure(inst).order_witness
+        order = detect_structure(inst)
         if order is None:
             raise StructuralMismatchError(f"algorithm {algorithm} needs an ordered instance")
 
@@ -109,10 +112,9 @@ def solve_complete(inst: Instance, algorithm: str) -> SolveResult:
         # stripped instance, a different coordinate space from the
         # allocator's run, so its events are not merged into the trace.
         stripped, partial = strip_dummies(padded, partial)
-        complete, _ = envy_cycle_elimination(stripped, partial, EF1_MODE)
+        complete, _ = envy_cycle_elimination(stripped, partial)
     else:
-        mode = EFX_ORDERED_MODE if algorithm == "a1" else EF1_MODE
-        complete, completion_trace = envy_cycle_elimination(padded, partial, mode)
+        complete, completion_trace = envy_cycle_elimination(padded, partial)
         trace.extend_offset(completion_trace)
         _, partial = strip_dummies(padded, partial)
         _, complete = strip_dummies(padded, complete)

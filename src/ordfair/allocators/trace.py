@@ -53,7 +53,11 @@ class TraceEvent:
             if not eq:
                 raise ParseError(f"bad trace argument {tok!r}")
             args.append((k, v))
-        return cls(iteration=int(parts[0]), kind=parts[1], args=tuple(args))
+        try:
+            iteration = int(parts[0])
+        except ValueError as exc:
+            raise ParseError(f"bad trace iteration {parts[0]!r}") from exc
+        return cls(iteration=iteration, kind=parts[1], args=tuple(args))
 
 
 @dataclass

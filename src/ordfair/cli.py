@@ -61,10 +61,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
     )
     inst = generate(cfg)
     _write(args.out, write_instance(inst))
-    rep = detect_structure(inst)
-    print(f"ordered {str(rep.ordered).lower()}")
-    if rep.order_witness is not None:
-        print("order_witness " + " ".join(map(str, rep.order_witness)))
+    order = detect_structure(inst)
+    print(f"ordered {str(order is not None).lower()}")
+    if order is not None:
+        print("order_witness " + " ".join(map(str, order)))
     return EXIT_OK
 
 

@@ -75,7 +75,8 @@ class Instance:
             for v in row:
                 if not isinstance(v, Fraction):
                     raise InvalidInstanceError(f"non-rational valuation {v!r}")
-                if v < 0:
+                # A Fraction has the sign of its numerator.
+                if v.numerator < 0:
                     raise InvalidInstanceError(f"negative valuation {v}")
         if not self.agent_labels:
             object.__setattr__(self, "agent_labels", _default_agent_labels(n))
@@ -231,20 +232,10 @@ def check_allocation(inst: Instance, alloc: Allocation) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    """Ordering structure of an instance.
-
-    ``order_witness`` lists good indices from most to least valuable under a
-    common order valid for every agent (present iff ``ordered``).  For a
-    common set of the k most valuable goods use ``top_k_set``.
-    """
-
-    ordered: bool
-    order_witness: tuple[int, ...] | None
-
-
-def detect_structure(inst: Instance) -> StructureReport:
+def detect_structure(inst: Instance) -> tuple[int, ...] | None:
+    """A common order: good indices from most to least valuable for every
+    agent, or None when the instance is not ordered.  For a common set of
+    the k most valuable goods use ``top_k_set``."""
     m = inst.m
     rows = [row for row, _ in inst.int_rows]
     # A common order exists iff pairwise dominance is total; sorting by the
@@ -257,9 +248,7 @@ def detect_structure(inst: Instance) -> StructureReport:
         for row in rows
         for p in range(m - 1)
     )
-    return StructureReport(
-        ordered=ordered, order_witness=tuple(candidate) if ordered else None
-    )
+    return tuple(candidate) if ordered else None
 
 
 def top_k_set(inst: Instance, k: int) -> frozenset[int] | None:

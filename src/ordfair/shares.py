@@ -302,8 +302,8 @@ def mms_exact(
         agent=agent,
         divisor=d,
     )
-    witness_min = min(inst.value(agent, p) for p in result.partition)
-    if witness_min != value:
+    scaled = dict(zip(chosen, vals))
+    if min(sum(scaled[g] for g in p) for p in result.partition) != lo:
         raise InvariantViolationError("witness minimum does not match the value")
     return result
 
@@ -433,11 +433,10 @@ def normalize_order_preserving(
     values.  Output satisfies: every witness bundle has value exactly 1, no
     good gained value relative to v/mu, and the input order still sorts it.
     """
-    rep = detect_structure(inst)
-    if not rep.ordered:
+    order = detect_structure(inst)
+    if order is None:
         raise StructuralMismatchError("order-preserving normalization needs an ordered instance")
-    assert rep.order_witness is not None
-    pos_of = {g: p for p, g in enumerate(rep.order_witness)}
+    pos_of = {g: p for p, g in enumerate(order)}
     m = inst.m
     event_cap = 4 * (m + 2) * (m + 2)
 
@@ -474,7 +473,7 @@ def normalize_order_preserving(
                         continue
                     barrier: Fraction | None = None
                     for p in range(pos_of[g] + 1, m):
-                        h = rep.order_witness[p]
+                        h = order[p]
                         if h in members:
                             continue
                         if barrier is None or current[h] > barrier:
@@ -500,7 +499,7 @@ def normalize_order_preserving(
                 level = current[best_g]
                 partner = None
                 for p in range(m - 1, pos_of[best_g], -1):
-                    h = rep.order_witness[p]
+                    h = order[p]
                     if h not in members and current[h] == level:
                         partner = h
                         break
@@ -521,7 +520,7 @@ def normalize_order_preserving(
             if current[g] > inst.values[i][g] / mu:
                 raise InvariantViolationError("normalization increased a value")
         for p in range(m - 1):
-            if current[rep.order_witness[p]] < current[rep.order_witness[p + 1]]:
+            if current[order[p]] < current[order[p + 1]]:
                 raise InvariantViolationError("normalization broke the order")
         rows.append(current)
     return inst.with_values(rows)

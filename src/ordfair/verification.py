@@ -193,24 +193,24 @@ def write_report(rep: FairnessReport) -> str:
 def read_report(text: str) -> FairnessReport:
     fields: dict[str, str] = {}
     mms_parts: dict[int, dict[str, str]] = {}
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        key, _, rest = ln.partition(" ")
-        if key == "mms":
-            toks = dict(t.split("=", 1) for t in rest.split(" ", 2))
-            d = int(toks["d"])
-            entry = mms_parts.setdefault(d, {})
-            entry["ok"] = toks["ok"]
-            entry["witness"] = rest.split("witness=", 1)[1]
-        elif key == "thresholds":
-            dpart, _, vals = rest.partition(" ")
-            d = int(dpart.split("=", 1)[1])
-            mms_parts.setdefault(d, {})["thresholds"] = vals
-        else:
-            fields[key] = rest
     try:
+        for ln in text.splitlines():
+            ln = ln.strip()
+            if not ln or ln.startswith("#"):
+                continue
+            key, _, rest = ln.partition(" ")
+            if key == "mms":
+                toks = dict(t.split("=", 1) for t in rest.split(" ", 2))
+                d = int(toks["d"])
+                entry = mms_parts.setdefault(d, {})
+                entry["ok"] = toks["ok"]
+                entry["witness"] = rest.split("witness=", 1)[1]
+            elif key == "thresholds":
+                dpart, _, vals = rest.partition(" ")
+                d = int(dpart.split("=", 1)[1])
+                mms_parts.setdefault(d, {})["thresholds"] = vals
+            else:
+                fields[key] = rest
         efx_wit = fields["efx_witness"]
         ef1_wit = fields["ef1_witness"]
         verdicts = []
@@ -242,5 +242,5 @@ def read_report(text: str) -> FairnessReport:
             else tuple(int(t) for t in ef1_wit.split()),  # type: ignore[arg-type]
             mms=tuple(verdicts),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, IndexError, ZeroDivisionError) as exc:
         raise ParseError(f"bad report file: {exc}") from exc

@@ -162,16 +162,15 @@ def frac_is_ef1(inst: Instance, alloc: Allocation):
     return True, None
 
 
-def frac_envy_cycle_elimination(inst: Instance, alloc: Allocation, mode: str):
+def frac_envy_cycle_elimination(inst: Instance, alloc: Allocation):
     """Envy-cycle completion re-summing every bundle in Fraction on every
     event; returns the completed allocation and the trace text."""
     from ordfair.allocators.envy_cycle import _find_cycle
     from ordfair.allocators.trace import AllocatorTrace
 
-    order = frac_common_order(inst)[0] if mode == "efx_ordered" else None
     bundles = [set(b) for b in alloc.bundles]
     pool = set(alloc.pool)
-    trace = AllocatorTrace(f"envy_cycle_elimination[{mode}]")
+    trace = AllocatorTrace("envy_cycle_elimination")
     iteration = 0
     while pool:
         iteration += 1
@@ -185,11 +184,8 @@ def frac_envy_cycle_elimination(inst: Instance, alloc: Allocation, mode: str):
             trace.emit(iteration, "cycle_rotation", cycle=",".join(map(str, cycle)))
             continue
         source = min(sources)
-        if order is not None:
-            good = next(g for g in order if g in pool)
-        else:
-            row = inst.values[source]
-            good = min(pool, key=lambda g: (-row[g], g))
+        row = inst.values[source]
+        good = min(pool, key=lambda g: (-row[g], g))
         bundles[source].add(good)
         pool.remove(good)
         trace.emit(iteration, "source_gift", agent=source, good=good)

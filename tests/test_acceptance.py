@@ -134,7 +134,7 @@ def test_05_reduction_inequality():
         inst = generate(
             GeneratorConfig("ordered", n, m, 20, rng.randrange(2**63))
         )
-        order = detect_structure(inst).order_witness
+        order = detect_structure(inst)
         removed = {order[p] for p in range(n, 2 * n)}
         kept = [g for g in inst.goods if g not in removed]
         d = ceil_3n_over_2(n)
@@ -211,7 +211,7 @@ def test_07_order_preserving_normalization():
             continue
         done += 1
         result = normalize_order_preserving(inst, d)
-        order = detect_structure(inst).order_witness
+        order = detect_structure(inst)
         for i in inst.agents:
             mu = mms_exact(inst, i, d).value
             assert mms_exact(result, i, d).value == 1
@@ -260,7 +260,7 @@ def test_09_envy_cycle_contract():
         if not is_ef1(inst, start)[0]:
             continue
         done += 1
-        final, _ = envy_cycle_elimination(inst, start, "ef1")
+        final, _ = envy_cycle_elimination(inst, start)
         assert final.is_complete(inst.m)
         assert is_ef1(inst, final)[0]
         for i in inst.agents:
@@ -271,10 +271,10 @@ def test_09_envy_cycle_contract():
         n = 2 + idx % 4
         m = 2 * n + idx % 3
         inst = generate(GeneratorConfig("ordered", n, m, 20, _seed(9, idx + 1)))
-        inst = inst.permute_goods(detect_structure(inst).order_witness)
+        inst = inst.permute_goods(detect_structure(inst))
         taus = thresholds(inst, ceil_3n_over_2(n))
         partial, _ = alloc_ordered_efx_3n2(inst, taus)
-        final, _ = envy_cycle_elimination(inst, partial, "efx_ordered")
+        final, _ = envy_cycle_elimination(inst, partial)
         assert final.is_complete(inst.m)
         assert is_efx(inst, final)[0]
         efx_runs += 1

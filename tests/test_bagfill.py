@@ -21,7 +21,7 @@ from helpers import I_A, seeded_instance
 
 class TestEfxBagFill:
     def test_i_a_singleton_phase(self):
-        alloc, trace = alloc_ordered_efx_3n2(I_A)
+        alloc, trace = alloc_ordered_efx_3n2(I_A, thresholds(I_A, 3))
         assert alloc.bundles == (frozenset({0}), frozenset({1}))
         assert alloc.pool == frozenset({2, 3, 4})
         kinds = [ev.kind for ev in trace.events]
@@ -29,19 +29,19 @@ class TestEfxBagFill:
 
     def test_single_agent_two_unit_goods(self):
         inst = Instance.from_rows([[1, 1]])
-        alloc, trace = alloc_ordered_efx_3n2(inst)
+        alloc, trace = alloc_ordered_efx_3n2(inst, thresholds(inst, 2))
         assert alloc.bundles[0] == frozenset({0})
         assert trace.events[0].kind == "singleton_claim"
 
     def test_rejects_unordered(self):
         inst = Instance.from_rows([[1, 2, 3, 4], [4, 3, 2, 1]])
         with pytest.raises(StructuralMismatchError):
-            alloc_ordered_efx_3n2(inst)
+            alloc_ordered_efx_3n2(inst, thresholds(inst, 3))
 
     def test_rejects_too_few_goods(self):
         inst = Instance.from_rows([[2, 1], [2, 1]])
         with pytest.raises(StructuralMismatchError):
-            alloc_ordered_efx_3n2(inst)
+            alloc_ordered_efx_3n2(inst, thresholds(inst, 3))
 
     def test_exhaustion_is_surfaced(self):
         inst = Instance.from_rows([[1, 1, 1, 1], [1, 1, 1, 1]])
@@ -76,7 +76,7 @@ class TestEfxBagFill:
 class TestEf1BagFill:
     def test_symmetric_unit_instance(self):
         inst = Instance.from_rows([[1] * 6] * 3)
-        alloc, trace = alloc_ordered_ef1_4n3(inst)
+        alloc, trace = alloc_ordered_ef1_4n3(inst, thresholds(inst, 4))
         assert set(alloc.bundles) == {
             frozenset({0, 5}),
             frozenset({1, 4}),
@@ -95,7 +95,7 @@ class TestEf1BagFill:
     def test_rejects_agent_count_not_multiple_of_three(self):
         inst = Instance.from_rows([[2, 1, 1, 1], [2, 1, 1, 1]])
         with pytest.raises(StructuralMismatchError):
-            alloc_ordered_ef1_4n3(inst)
+            alloc_ordered_ef1_4n3(inst, thresholds(inst, 2))
 
     def test_seeded_ordered_instances_ef1_and_mms(self):
         rng = random.Random(14)
@@ -115,7 +115,7 @@ class TestEf1BagFill:
 def _witness(inst):
     from ordfair import detect_structure
 
-    return detect_structure(inst).order_witness
+    return detect_structure(inst)
 
 
 def _check_trace_discipline(inst, trace, final_alloc):

@@ -6,6 +6,7 @@ from ordfair import (
     Allocation,
     Instance,
     alloc_ordered_efx_3n2,
+    detect_structure,
     envy_cycle_elimination,
     is_ef1,
     is_efx,
@@ -19,9 +20,12 @@ from helpers import I_A, random_partial_allocation, seeded_instance
 
 
 class TestEfxOrderedMode:
+    """Completion of EFX partial allocations on identity-ordered instances,
+    the inputs a1 gives it."""
+
     def test_i_a_trace(self):
         start = Allocation.make([[0], [1]], [2, 3, 4])
-        final, trace = envy_cycle_elimination(I_A, start, "efx_ordered")
+        final, trace = envy_cycle_elimination(I_A, start)
         assert final.bundles == (frozenset({0, 3}), frozenset({1, 2, 4}))
         gifts = [
             (int(ev.get("agent")), int(ev.get("good")))
@@ -35,26 +39,9 @@ class TestEfxOrderedMode:
     def test_empty_pool_identity(self):
         start = Allocation.make([[0], [1]], [])
         inst = Instance.from_rows([[2, 1], [2, 1]])
-        final, trace = envy_cycle_elimination(inst, start, "efx_ordered")
+        final, trace = envy_cycle_elimination(inst, start)
         assert final.bundles == start.bundles
         assert not trace.events
-
-    def test_rejects_unordered_instance(self):
-        inst = Instance.from_rows([[1, 2], [2, 1]])
-        with pytest.raises(PreconditionError):
-            envy_cycle_elimination(inst, Allocation.make([[0], [1]]), "efx_ordered")
-
-    def test_rejects_non_efx_input(self):
-        inst = Instance.from_rows([[3, 2, 2], [3, 2, 2]])
-        start = Allocation.make([[0, 1, 2], []], [])
-        with pytest.raises(PreconditionError):
-            envy_cycle_elimination(inst, start, "efx_ordered")
-
-    def test_rejects_pool_dominating_allocated(self):
-        inst = Instance.from_rows([[3, 2, 1], [3, 2, 1]])
-        start = Allocation.make([[1], [2]], [0])
-        with pytest.raises(PreconditionError):
-            envy_cycle_elimination(inst, start, "efx_ordered")
 
     def test_preserves_efx_on_bagfill_outputs(self):
         rng = random.Random(23)
@@ -62,25 +49,32 @@ class TestEfxOrderedMode:
             n = rng.randrange(2, 5)
             m = rng.randrange(2 * n, 12)
             inst = seeded_instance("ordered", n, m, rng.randrange(2**32))
-            from ordfair import detect_structure
-
-            inst = inst.permute_goods(detect_structure(inst).order_witness)
+            inst = inst.permute_goods(detect_structure(inst))
             taus = thresholds(inst, ceil_3n_over_2(n))
             partial, _ = alloc_ordered_efx_3n2(inst, taus)
-            final, _ = envy_cycle_elimination(inst, partial, "efx_ordered")
+            final, trace = envy_cycle_elimination(inst, partial)
             assert final.is_complete(inst.m)
             assert is_efx(inst, final)[0]
             for i in inst.agents:
                 assert inst.value(i, final.bundles[i]) >= inst.value(
                     i, partial.bundles[i]
                 )
+            # Every gift is the next good of the common order, the paper's
+            # EFX-preserving rule.
+            pool = set(partial.pool)
+            for ev in trace.events:
+                if ev.kind == "source_gift":
+                    good = int(ev.get("good"))
+                    assert good == min(pool)
+                    pool.remove(good)
+            assert not pool
 
 
 class TestEf1Mode:
     def test_cycle_rotation(self):
         inst = Instance.from_rows([[1, 5, 2], [5, 1, 2]])
         start = Allocation.make([[0], [1]], [2])
-        final, trace = envy_cycle_elimination(inst, start, "ef1")
+        final, trace = envy_cycle_elimination(inst, start)
         kinds = [ev.kind for ev in trace.events]
         assert "cycle_rotation" in kinds
         assert final.is_complete(inst.m)
@@ -90,10 +84,11 @@ class TestEf1Mode:
         assert inst.value(1, final.bundles[1]) > 1
 
     def test_rejects_non_ef1_input(self):
-        inst = Instance.from_rows([[1, 1, 1], [1, 1, 1]])
-        start = Allocation.make([[0, 1, 2], []], [])
-        with pytest.raises(PreconditionError):
-            envy_cycle_elimination(inst, start, "ef1")
+        for rows in ([[1, 1, 1], [1, 1, 1]], [[3, 2, 2], [3, 2, 2]]):
+            inst = Instance.from_rows(rows)
+            start = Allocation.make([[0, 1, 2], []], [])
+            with pytest.raises(PreconditionError):
+                envy_cycle_elimination(inst, start)
 
     def test_random_partial_ef1_inputs(self):
         rng = random.Random(24)
@@ -106,7 +101,7 @@ class TestEf1Mode:
             if not is_ef1(inst, start)[0]:
                 continue
             done += 1
-            final, trace = envy_cycle_elimination(inst, start, "ef1")
+            final, trace = envy_cycle_elimination(inst, start)
             assert final.is_complete(inst.m)
             assert is_ef1(inst, final)[0]
             for i in inst.agents:

@@ -165,13 +165,13 @@ class TestLoneDividerAllocator:
 
     def test_single_agent(self):
         inst = Instance.from_rows([[3, 1]])
-        alloc, _ = alloc_topn_lone_divider(inst)
+        alloc, _ = alloc_topn_lone_divider(inst, thresholds(inst, 2))
         assert inst.value(0, alloc.bundles[0]) >= thresholds(inst, 2)[0]
 
     def test_rejects_non_top_n(self):
         inst = Instance.from_rows([[5, 4, 2, 1], [4, 1, 5, 2]])
         with pytest.raises(StructuralMismatchError):
-            alloc_topn_lone_divider(inst)
+            alloc_topn_lone_divider(inst, thresholds(inst, 3))
 
     def test_steal_path_instance(self):
         # Seeded instance on which a served agent strongly envies a fresh
@@ -202,7 +202,7 @@ class TestLoneDividerAllocator:
             partial, _ = alloc_topn_lone_divider(inst, taus)
             assert is_efx(inst, partial)[0]
             assert is_ordinal_mms(inst, partial, d, taus)[0]
-            complete, _ = envy_cycle_elimination(inst, partial, "ef1")
+            complete, _ = envy_cycle_elimination(inst, partial)
             assert complete.is_complete(inst.m)
             assert is_ef1(inst, complete)[0]
             assert is_ordinal_mms(inst, complete, d, taus)[0]

@@ -18,7 +18,7 @@ from ordfair import (
 )
 from ordfair.allocators import AllocatorTrace, replay
 from ordfair.allocators.bagfill import ceil_3n_over_2
-from ordfair.errors import StructuralMismatchError
+from ordfair.errors import ParseError, StructuralMismatchError
 from ordfair.model import format_rational
 
 from helpers import EX51, I_A, I_B, rational_rows_instance, seeded_instance
@@ -158,6 +158,13 @@ class TestTraceSerialization:
             e.to_line() for e in result.trace.events
         ]
 
+    @pytest.mark.parametrize(
+        "text", ["# trace a1\nabc\tfill", "# trace a1\n1", "# trace a1\n1\tfill\tgood"]
+    )
+    def test_malformed_trace_is_parse_error(self, text):
+        with pytest.raises(ParseError):
+            AllocatorTrace.from_text(text)
+
     def test_pipeline_trace_includes_completion_and_replays(self):
         # I_A needs neither padding nor permuting, so the pipeline trace is
         # in original coordinates and must replay to the final allocation.
@@ -178,7 +185,9 @@ class TestTraceSerialization:
             n = rng.randrange(2, 5)
             m = rng.randrange(2 * n, 11)
             inst = seeded_instance("top_n", n, m, rng.randrange(2**32))
-            partial, trace = alloc_topn_lone_divider(inst)
+            partial, trace = alloc_topn_lone_divider(
+                inst, thresholds(inst, ceil_3n_over_2(n))
+            )
             assert replay(trace, inst.n, inst.m) == partial
 
 

@@ -218,7 +218,7 @@ class TestShareBandReduction:
             n = rng.randrange(2, 4)
             m = rng.randrange(2 * n, 9)
             inst = positive_ordered_instance(n, m, rng.randrange(2**32))
-            order = detect_structure(inst).order_witness
+            order = detect_structure(inst)
             d = (3 * n + 1) // 2
             for i in inst.agents:
                 full = mms_bruteforce(inst, i, d).value
@@ -291,7 +291,7 @@ class TestNormalizeOrderPreserving:
             if any(mms_exact(inst, i, d).value == 0 for i in inst.agents):
                 continue
             out = normalize_order_preserving(inst, d)
-            order = detect_structure(inst).order_witness
+            order = detect_structure(inst)
             for i in inst.agents:
                 mu = mms_exact(inst, i, d).value
                 assert mms_exact(out, i, d).value == 1

@@ -17,7 +17,7 @@ from ordfair import (
     thresholds,
     write_report,
 )
-from ordfair.errors import PreconditionError
+from ordfair.errors import ParseError, PreconditionError
 
 from helpers import (
     EX51,
@@ -173,6 +173,15 @@ class TestReport:
             alloc = random_partial_allocation(inst, rng)
             rep = report(inst, alloc, [2, 3])
             assert read_report(write_report(rep)) == rep
+
+    @pytest.mark.parametrize(
+        "line",
+        ["mms foo", "mms d=x ok=true witness=none", "thresholds d", "values 1/0"],
+    )
+    def test_malformed_report_is_parse_error(self, line):
+        text = write_report(report(EX51, EX51_ALLOC, [3])) + line + "\n"
+        with pytest.raises(ParseError):
+            read_report(text)
 
     def test_efx_report_implies_ef1_report(self):
         rng = random.Random(37)
