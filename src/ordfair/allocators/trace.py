@@ -106,7 +106,17 @@ def replay(trace: AllocatorTrace, n: int, m: int, start: Allocation | None = Non
     least 2n goods, a3's padding agents included): a1 and a2 traces replay to
     the complete allocation before dummies are stripped, a3 traces to the
     allocator's partial allocation only.
+
+    A trace that names an unknown bag or agent, lacks an argument or holds a
+    malformed number raises ``ParseError``.
     """
+    try:
+        return _replay(trace, n, m, start)
+    except (KeyError, IndexError, ValueError) as exc:
+        raise ParseError(f"bad trace event: {exc!r}") from exc
+
+
+def _replay(trace: AllocatorTrace, n: int, m: int, start: Allocation | None) -> Allocation:
     bags: dict[int, set[int]] = {}
     owner: dict[int, int] = {}
     bundles: list[set[int]] = (
@@ -121,20 +131,26 @@ def replay(trace: AllocatorTrace, n: int, m: int, start: Allocation | None = Non
             bundles[agent] = set(bags[bag])
         owner.clear()
 
+    def agent_of(text: str) -> int:
+        a = int(text)
+        if not 0 <= a < len(bundles):
+            raise ParseError(f"trace names agent {a} of {len(bundles)}")
+        return a
+
     for ev in trace.events:
         kind = ev.kind
         if kind == "singleton_claim":
             bag = int(ev.get("bag"))
             bags[bag] = {int(ev.get("good"))}
-            owner[int(ev.get("agent"))] = bag
+            owner[agent_of(ev.get("agent"))] = bag
         elif kind == "bag_init":
             bags[int(ev.get("bag"))] = set(_parse_goods(ev.get("goods")))
         elif kind == "fill":
             bags[int(ev.get("bag"))].add(int(ev.get("good")))
         elif kind == "claim":
-            owner[int(ev.get("agent"))] = int(ev.get("bag"))
+            owner[agent_of(ev.get("agent"))] = int(ev.get("bag"))
         elif kind == "swap":
-            agent = int(ev.get("agent"))
+            agent = agent_of(ev.get("agent"))
             try:
                 goods = ev.get("goods")
             except KeyError:
@@ -151,16 +167,16 @@ def replay(trace: AllocatorTrace, n: int, m: int, start: Allocation | None = Non
                 if not pair:
                     continue
                 a, _, goods = pair.partition(":")
-                bundles[int(a)] = set(_parse_goods(goods))
+                bundles[agent_of(a)] = set(_parse_goods(goods))
         elif kind == "cycle_rotation":
             materialize()
-            cycle = [int(t) for t in ev.get("cycle").split(",")]
+            cycle = [agent_of(t) for t in ev.get("cycle").split(",")]
             saved = [set(bundles[a]) for a in cycle]
             for idx, a in enumerate(cycle):
                 bundles[a] = saved[(idx + 1) % len(cycle)]
         elif kind == "source_gift":
             materialize()
-            agent = int(ev.get("agent"))
+            agent = agent_of(ev.get("agent"))
             good = int(ev.get("good"))
             bundles[agent].add(good)
             consumed.add(good)

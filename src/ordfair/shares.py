@@ -1,25 +1,30 @@
 """Exact 1-out-of-d maximin shares and normalization procedures.
 
 ``mms_bruteforce`` is the test oracle: plain enumeration of set partitions.
-``mms_exact`` is the production solver: it clears denominators, binary-searches
-the (integer) share value and decides feasibility with a branch-and-bound bin
-covering check, ``_cover``.  Both return a witness partition achieving the
-optimum.
+The production solver clears denominators and binary-searches the (integer)
+share value in ``_share_value``:
 
-The witness ``mms_exact`` returns is canonical: it is the first covering
-``_cover`` finds at the optimum, and it depends on nothing but the sorted
-values, d and the optimum.  The search is kept small without changing it:
+- the search runs between the greedy cover value (each good, largest first,
+  joins the least-loaded bundle), which is feasible, and min over k < d of
+  (total - k largest goods) // (d - k), since the k largest goods lie in at
+  most k bundles;
+- each probe first tries two cheap coverings (``_fill_cover``) and runs the
+  exhaustive branch-and-bound bin covering check, ``_cover``, only when both
+  miss.  A covering found lifts the lower end to its lowest bundle sum.
 
-- the binary search starts at the greedy cover value (each good, largest
-  first, joins the least-loaded bundle), which is feasible, and stops at
-  min over k < d of (total - k largest goods) // (d - k), since the k
-  largest goods lie in at most k bundles.  Neither bound moves the optimum;
-- the last feasible probe is the covering at the optimum, so it is kept
-  rather than searched for again;
-- ``_cover`` prunes only subtrees that hold no covering (its docstring says
-  which), so the first covering it finds is the same with or without them;
-- ``thresholds`` solves each distinct value row once; a share depends on
-  nothing else.
+Both directions of the value are sound.  Every covering used is checked on
+the integer row (``_covering_floor``: each good in one of the d bundles,
+each bundle at least the probe), so the value is never above the share.
+The value is lowered only by ``_cover`` proving a level infeasible, or by
+the ceiling, so it is never below it.
+
+``thresholds`` takes only these values, once per distinct value row: a
+share depends on nothing else.  ``mms_exact`` adds the witness partition,
+and it alone runs ``_cover`` at the optimum for it.  That witness is
+canonical: the first covering ``_cover`` finds at the optimum, so it depends
+on nothing but the sorted values, d and the optimum.  ``_cover`` prunes only
+subtrees that hold no covering (its docstring says which), so the first
+covering it finds is the same with or without them.
 
 Values are scaled to integers once per agent (``Instance.int_rows``); when a
 query takes every good, the solvers use that cached row.
@@ -263,13 +268,91 @@ def _cover_ceiling(vals: list[int], d: int) -> int:
     return best
 
 
+def _covering_floor(vals: list[int], d: int, target: int, assign: list[int]) -> int:
+    """Lowest bundle sum of a covering of vals at `target`, once it is checked
+    to be one: every good in exactly one of the d bundles, each bundle's sum
+    at least `target`.  A covering proves the share is at least `target`, so
+    one that fails the check must not be used."""
+    if len(assign) != len(vals):
+        raise InvariantViolationError("covering does not assign every good once")
+    sums = [0] * d
+    for v, b in zip(vals, assign):
+        if not 0 <= b < d:
+            raise InvariantViolationError(f"covering names bundle {b} of {d}")
+        sums[b] += v
+    floor = min(sums)
+    if floor < target:
+        raise InvariantViolationError(f"covering has a bundle below {target}")
+    return floor
+
+
+def _fill_cover(vals: list[int], d: int, target: int, fallback: int) -> list[int] | None:
+    """A cheap covering attempt at `target` over vals (sorted desc): bundle by
+    bundle, take the largest good left, then the smallest good that closes
+    the gap, or when none does the good at `fallback` (0: the largest left,
+    -1: the smallest), until the bundle reaches `target`.  The last bundle
+    takes every good left.  Returns the bundle index per good, or None; None
+    proves nothing."""
+    k = len(vals)
+    # Goods not yet placed, values descending, and their negated values
+    # (ascending) for bisect.
+    left = list(range(k))
+    neg = [-v for v in vals]
+    assign = [d - 1] * k
+    for b in range(d - 1):
+        if not left:
+            return None
+        i = left.pop(0)
+        neg.pop(0)
+        assign[i] = b
+        gap = target - vals[i]
+        while gap > 0:
+            if not left:
+                return None
+            pos = bisect_right(neg, -gap) - 1
+            if pos < 0:
+                pos = fallback
+            i = left.pop(pos)
+            neg.pop(pos)
+            assign[i] = b
+            gap -= vals[i]
+    if sum(vals[i] for i in left) < target:
+        return None
+    return assign
+
+
+def _share_value(vals: list[int], d: int) -> int:
+    """The 1-out-of-d share of vals (integers, sorted desc), value only.
+
+    Binary search between the greedy cover value and the ceiling.  Each
+    probe first tries the two ``_fill_cover`` heuristics and runs the
+    exhaustive ``_cover`` only when both miss.  Any covering found, checked
+    by ``_covering_floor``, lifts the lower end to its lowest bundle sum;
+    only ``_cover`` failing lowers the upper end.
+    """
+    lo, hi = _greedy_cover(vals, d), _cover_ceiling(vals, d)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        assign = _fill_cover(vals, d, mid, 0)
+        if assign is None:
+            assign = _fill_cover(vals, d, mid, -1)
+        if assign is None:
+            assign = _cover(vals, d, mid)
+        if assign is None:
+            hi = mid - 1
+        else:
+            lo = _covering_floor(vals, d, mid, assign)
+    return lo
+
+
 def mms_exact(
     inst: Instance,
     agent: int,
     d: int,
     goods: Sequence[int] | None = None,
 ) -> MaximinResult:
-    """Exact 1-out-of-d share via binary search + bin-covering feasibility."""
+    """Exact 1-out-of-d share with the canonical witness: the value from
+    ``_share_value``, then the first covering ``_cover`` finds at it."""
     if d < 1:
         raise PreconditionError("d must be >= 1")
     chosen = _pick_goods(inst, goods)
@@ -277,19 +360,8 @@ def mms_exact(
     order = sorted(range(len(chosen)), key=lambda t: (-vals[t], chosen[t]))
     sorted_vals = [vals[t] for t in order]
 
-    # The witness is _cover's at the optimum, so it does not depend on the
-    # bounds, and the last feasible probe has already found it.
-    lo, hi = _greedy_cover(sorted_vals, d), _cover_ceiling(sorted_vals, d)
-    assign = None
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        found = _cover(sorted_vals, d, mid)
-        if found is not None:
-            lo, assign = mid, found
-        else:
-            hi = mid - 1
-    if assign is None:
-        assign = _cover(sorted_vals, d, lo)
+    lo = _share_value(sorted_vals, d)
+    assign = _cover(sorted_vals, d, lo)
     if assign is None:
         raise InvariantViolationError("feasibility flipped at the optimum")
     parts: list[set[int]] = [set() for _ in range(d)]
@@ -311,16 +383,23 @@ def mms_exact(
 def thresholds(inst: Instance, d: int) -> tuple[Fraction, ...]:
     """Per-agent 1-out-of-d share values; the allocators' acceptance levels.
 
-    A share depends only on the agent's value row, so agents with identical
-    rows (such as the copies of agent 0 that padding adds) share one solve.
-    Two rows are equal iff their integer scalings and lcms are, which are
-    cheaper to compare.
+    Only the values are needed, so no witness is built.  A share depends
+    only on the agent's value row, so agents with identical rows (such as
+    the copies of agent 0 that padding adds) share one solve.  Two rows are
+    equal iff their integer scalings and lcms are, which are cheaper to
+    compare.
     """
+    if d < 1:
+        raise PreconditionError("d must be >= 1")
     rows = inst.int_rows
     out: list[Fraction] = []
     for i, row in enumerate(rows):
         first = rows.index(row)
-        out.append(out[first] if first < i else mms_exact(inst, i, d).value)
+        if first < i:
+            out.append(out[first])
+        else:
+            ints, denom = row
+            out.append(Fraction(_share_value(sorted(ints, reverse=True), d), denom))
     return tuple(out)
 
 

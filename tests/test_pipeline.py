@@ -165,6 +165,23 @@ class TestTraceSerialization:
         with pytest.raises(ParseError):
             AllocatorTrace.from_text(text)
 
+    @pytest.mark.parametrize(
+        "events",
+        [
+            "1\tfill\tgood=0",  # no bag argument
+            "1\tfill\tbag=5\tgood=0",  # no such bag
+            "1\tclaim\tagent=0\tbag=3",  # claims a bag that never opened
+            "1\tsource_gift\tagent=2\tgood=0",  # no such agent
+            "1\tsource_gift\tagent=-1\tgood=0",
+            "1\tcycle_rotation\tcycle=0,x",
+            "1\tmatching\tpairs=7:0",
+        ],
+    )
+    def test_replay_of_malformed_events_is_parse_error(self, events):
+        trace = AllocatorTrace.from_text("# trace a1\n" + events)
+        with pytest.raises(ParseError):
+            replay(trace, 1, 1)
+
     def test_pipeline_trace_includes_completion_and_replays(self):
         # I_A needs neither padding nor permuting, so the pipeline trace is
         # in original coordinates and must replay to the final allocation.

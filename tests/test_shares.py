@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordfair import (
     Instance,
@@ -15,12 +17,13 @@ from ordfair import (
     thresholds,
 )
 from ordfair.errors import (
+    InvariantViolationError,
     OracleLimitError,
     PreconditionError,
     StructuralMismatchError,
     ZeroMaximinError,
 )
-from ordfair.shares import _cover, _scaled_row
+from ordfair.shares import _cover, _covering_floor, _fill_cover, _scaled_row, _share_value
 
 from helpers import EX51, EX51_WITNESSES, I_A, positive_ordered_instance, seeded_instance
 
@@ -183,6 +186,100 @@ class TestCanonicalWitness:
             assert best.denominator == 1
             assert _cover(vals, d, int(best)) is not None, (inst, d)
             assert _cover(vals, d, int(best) + 1) is None, (inst, d)
+
+
+def oracle_partitions(m: int, d: int) -> int:
+    """How many partitions of m goods into at most d blocks the oracle
+    enumerates (Stirling numbers of the second kind, summed)."""
+    row = [1]  # S(j, 0..j) for j = 0
+    for j in range(1, m + 1):
+        row = [0] + [k * (row[k] if k < j else 0) + row[k - 1] for k in range(1, j + 1)]
+    return sum(row[: d + 1])
+
+
+# The oracle runs where it enumerates at most this many partitions: every d
+# for m <= 9, d <= 3 for m = 10, 11 and d <= 2 for m = 12.
+ORACLE_PARTITIONS = 30_000
+
+
+def value_sweep():
+    """Seeded (family, instance, d) queries for the value path: every
+    family, m up to 16 with one to three agents, every d in 1..m+2."""
+    rng = random.Random(2606)
+    for family in ("general", "ordered", "top_n"):
+        for m in range(1, 17):
+            for max_value in (4, 20):
+                n = rng.randrange(1, min(m, 3) + 1)
+                inst = seeded_instance(family, n, m, rng.randrange(2**32), max_value)
+                for d in range(1, m + 3):
+                    yield family, inst, d
+
+
+class TestShareValue:
+    """thresholds takes each share from the value-only search; it must agree
+    with mms_exact and, where the oracle is cheap, with the oracle."""
+
+    def test_thresholds_match_exact_and_oracle(self):
+        oracle_checked = 0
+        for family, inst, d in value_sweep():
+            values = thresholds(inst, d)
+            for i in inst.agents:
+                assert values[i] == mms_exact(inst, i, d).value, (family, inst, i, d)
+                if inst.m <= 12 and oracle_partitions(inst.m, d) <= ORACLE_PARTITIONS:
+                    assert values[i] == mms_bruteforce(inst, i, d).value, (family, inst, i, d)
+                    oracle_checked += 1
+        assert oracle_checked > 500
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.integers(1, 9).flatmap(
+            lambda m: st.lists(
+                st.lists(st.integers(0, 30), min_size=m, max_size=m), min_size=1, max_size=3
+            )
+        ),
+        extra=st.integers(0, 2),
+        data=st.data(),
+    )
+    def test_value_path_equals_exact_and_oracle(self, rows, extra, data):
+        inst = Instance.from_rows(rows)
+        d = data.draw(st.integers(1, inst.m + extra))
+        values = thresholds(inst, d)
+        for i in inst.agents:
+            assert values[i] == mms_exact(inst, i, d).value == mms_bruteforce(inst, i, d).value
+
+    def test_heuristic_coverings_pass_the_check(self):
+        # Every covering _fill_cover returns passes the check, and its
+        # lowest bundle sum never exceeds the share.
+        for _, inst, d in value_sweep():
+            for i in inst.agents:
+                vals = sorted(inst.int_rows[i][0], reverse=True)
+                share = _share_value(vals, d)
+                for target in range(1, share + 2):
+                    for fallback in (0, -1):
+                        assign = _fill_cover(vals, d, target, fallback)
+                        if assign is not None:
+                            assert _covering_floor(vals, d, target, assign) <= share
+
+    @pytest.mark.parametrize(
+        "target, assign",
+        [
+            (3, [0, 1, 1]),  # bundle 2 left empty
+            (4, [0, 1, 2]),  # every bundle one short
+            (3, [0, 1]),  # good 2 unassigned
+            (3, [0, 1, 3]),  # no bundle 3
+            (3, [0, 1, -1]),
+        ],
+    )
+    def test_covering_check_rejects_non_coverings(self, target, assign):
+        with pytest.raises(InvariantViolationError):
+            _covering_floor([3, 3, 3], 3, target, assign)
+
+    def test_covering_check_returns_the_lowest_bundle_sum(self):
+        assert _covering_floor([5, 4, 3, 1], 2, 5, [0, 1, 1, 0]) == 6
+
+    def test_rejects_bad_divisor(self):
+        with pytest.raises(PreconditionError):
+            thresholds(I_A, 0)
 
 
 class TestMaximinSerialization:
