@@ -7,12 +7,17 @@ goods (callers pad with zero-valued dummies).  Bags are initialized as
 then appended one at a time, in value order, to an open bag, while agents
 claim bags meeting their own share threshold and already-served agents may
 swap to an open bag they strictly prefer.
+
+The engine decides on integer rows: each agent's values and threshold on
+their own ``Instance.int_rows`` scale (``Instance.level``), which keeps every
+comparison exact.  The public allocators take thresholds in value units and
+map them once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..errors import InvariantViolationError, StructuralMismatchError
 from ..model import Allocation, Instance, is_identity_ordered
@@ -23,41 +28,28 @@ def ceil_3n_over_2(n: int) -> int:
     return (3 * n + 1) // 2
 
 
-class BagFillState:
-    """Result of one engine run, in good positions 0..m-1."""
-
-    def __init__(self, bags: dict[int, set[int]], owner: dict[int, int], next_fill: int, m: int):
-        self.bags = bags
-        self.owner = owner
-        self.next_fill = next_fill
-        self.m = m
-
-    def bundles(self, n: int) -> list[frozenset[int]]:
-        out: list[frozenset[int]] = []
-        for i in range(n):
-            bag = self.owner.get(i)
-            out.append(frozenset(self.bags[bag]) if bag is not None else frozenset())
-        return out
-
-    def pool(self) -> frozenset[int]:
-        return frozenset(range(self.next_fill, self.m))
-
-
 def run_bag_fill(
-    value_of: Callable[[int, int], Fraction],
-    n: int,
-    m: int,
-    taus: Sequence[Fraction],
+    rows: Sequence[tuple[Sequence[int], int]],
+    levels: Sequence[int],
     singleton_phase: bool,
     trace: AllocatorTrace,
-) -> BagFillState:
-    """The shared engine.  value_of(agent, position) must be non-increasing
-    in position for every agent, and m >= 2n."""
+) -> tuple[dict[int, set[int]], dict[int, int], int]:
+    """The shared engine, on good positions 0..m-1.
+
+    ``rows`` holds per agent an integer row over the positions and its
+    scale, shaped like ``Instance.int_rows``: each row must be
+    non-increasing, and m >= 2n.  ``levels`` are the agents' thresholds on
+    their own rows (``Instance.level``).  Returns the bags by id, each
+    served agent's bag id, and the first position never filled.
+    """
+    n = len(rows)
+    m = len(rows[0][0]) if rows else 0
     if m < 2 * n:
         raise StructuralMismatchError(f"need at least {2 * n} goods, have {m}")
 
-    def bag_value(agent: int, bag: set[int]) -> Fraction:
-        return sum((value_of(agent, p) for p in bag), Fraction(0))
+    def bag_value(agent: int, bag: set[int]) -> int:
+        row = rows[agent][0]
+        return sum(row[p] for p in bag)
 
     unsatisfied = set(range(n))
     bags: dict[int, set[int]] = {}
@@ -67,7 +59,7 @@ def run_bag_fill(
         while unsatisfied:
             claimant = None
             for i in sorted(unsatisfied):
-                if value_of(i, k) >= taus[i]:
+                if rows[i][0][k] >= levels[i]:
                     claimant = i
                     break
             if claimant is None:
@@ -93,7 +85,7 @@ def run_bag_fill(
         claimed = False
         for i in sorted(unsatisfied):
             for b in sorted(open_bags):
-                if bag_value(i, bags[b]) >= taus[i]:
+                if bag_value(i, bags[b]) >= levels[i]:
                     owner[i] = b
                     unsatisfied.remove(i)
                     open_bags.remove(b)
@@ -106,16 +98,19 @@ def run_bag_fill(
             continue
 
         # Swap branch: a served agent strictly prefers an open bag.  The pair
-        # with the largest gain wins, ties to the lowest agent then bag.
+        # with the largest gain in value wins, ties to the lowest agent then
+        # bag.  Gains of different agents are on different scales, so they
+        # are compared as gain / scale, cross-multiplied.
         best = None
         for i in sorted(owner):
+            scale = rows[i][1]
             current = bag_value(i, bags[owner[i]])
             for b in sorted(open_bags):
                 gain = bag_value(i, bags[b]) - current
-                if gain > 0 and (best is None or gain > best[0]):
-                    best = (gain, i, b)
+                if gain > 0 and (best is None or gain * best[1] > best[0] * scale):
+                    best = (gain, scale, i, b)
         if best is not None:
-            _, i, b = best
+            _, _, i, b = best
             old = owner[i]
             owner[i] = b
             open_bags.remove(b)
@@ -132,7 +127,7 @@ def run_bag_fill(
         trace.emit(iteration, "fill", good=next_fill, bag=target)
         next_fill += 1
 
-    return BagFillState(bags, owner, next_fill, m)
+    return bags, owner, next_fill
 
 
 def alloc_ordered_efx_3n2(
@@ -176,11 +171,13 @@ def _alloc_bag_fill(
     trace = AllocatorTrace(
         "alloc_ordered_efx_3n2" if singleton_phase else "alloc_ordered_ef1_4n3"
     )
-    state = run_bag_fill(
-        lambda i, p: inst.values[i][p], inst.n, inst.m, taus, singleton_phase, trace
+    levels = [inst.level(i, taus[i]) for i in inst.agents]
+    bags, owner, next_fill = run_bag_fill(inst.int_rows, levels, singleton_phase, trace)
+    alloc = Allocation(
+        tuple(frozenset(bags[owner[i]]) if i in owner else frozenset() for i in inst.agents),
+        frozenset(range(next_fill, inst.m)),
     )
-    alloc = Allocation(tuple(state.bundles(inst.n)), state.pool())
     for i in inst.agents:
-        if inst.value(i, alloc.bundles[i]) < taus[i]:
+        if inst.int_value(i, alloc.bundles[i]) < levels[i]:
             raise InvariantViolationError(f"agent {i} ended below their threshold")
     return alloc, trace

@@ -5,6 +5,12 @@ at least their own share, one designated top good per bag.  Bags are shrunk
 to inclusion-minimal sets still acceptable to some unserved agent; if a
 served agent strongly envies a shrunk bag they steal a minimal envied core
 of it, otherwise an envy-free matching hands bags out.
+
+Every decision compares one agent's sums on their integer row
+(``Instance.int_value``) with their threshold on the same scale
+(``Instance.level``); the public functions take thresholds in value units and
+map them once.  Only the progress measure, a total across agents whose
+scales differ, stays in ``Fraction``.
 """
 
 from __future__ import annotations
@@ -42,22 +48,20 @@ def lone_divider_partition(
     top = frozenset(top_goods)
     if len(top & set(pool)) != bag_count:
         raise PreconditionError("need exactly one top good per requested bag")
-    row = inst.values[divider]
+    row, scale = inst.int_rows[divider]
+    level = inst.level(divider, tau)
     order = sorted(pool, key=lambda g: (-row[g], g not in top, g))
     width = max(len(order), 2 * bag_count)
-
-    def value_of(_copy: int, p: int) -> Fraction:
-        return row[order[p]] if p < len(order) else Fraction(0)
+    ordered_row = [row[g] for g in order] + [0] * (width - len(order))
 
     scratch = AllocatorTrace("lone_divider_partition")
-    state = run_bag_fill(
-        value_of, bag_count, width, [tau] * bag_count, True, scratch
+    filled, owner, _ = run_bag_fill(
+        [(ordered_row, scale)] * bag_count, [level] * bag_count, True, scratch
     )
     used: set[int] = set()
     bags: list[set[int]] = []
     for copy in range(bag_count):
-        bag_id = state.owner[copy]
-        goods = {order[p] for p in state.bags[bag_id] if p < len(order)}
+        goods = {order[p] for p in filled[owner[copy]] if p < len(order)}
         bags.append(goods)
         used |= goods
     leftovers = [g for g in order if g not in used]
@@ -67,7 +71,7 @@ def lone_divider_partition(
     for bag in bags:
         if len(bag & top) != 1:
             raise InvariantViolationError("bag lost its top good")
-        if inst.value(divider, bag) < tau:
+        if inst.int_value(divider, bag) < level:
             raise InvariantViolationError("divider bag fell below the share")
     return [frozenset(b) for b in bags]
 
@@ -82,10 +86,10 @@ def shrink_minimal(
     """Inclusion-minimal subset keeping `protected` that some agent in
     `agents` still values at or above their threshold."""
     current = set(bag)
-    agents = sorted(agents)
+    levels = {i: inst.level(i, taus[i]) for i in sorted(agents)}
     if protected not in current:
         raise PreconditionError("protected good must be in the bag")
-    if not any(inst.value(i, current) >= taus[i] for i in agents):
+    if not any(inst.int_value(i, current) >= level for i, level in levels.items()):
         raise PreconditionError("no agent accepts the bag to begin with")
     removed = True
     while removed:
@@ -94,7 +98,7 @@ def shrink_minimal(
             if x == protected:
                 continue
             trial = current - {x}
-            if any(inst.value(i, trial) >= taus[i] for i in agents):
+            if any(inst.int_value(i, trial) >= level for i, level in levels.items()):
                 current = trial
                 removed = True
                 break
@@ -102,7 +106,7 @@ def shrink_minimal(
 
 
 def _envies(inst: Instance, agent: int, own: Iterable[int], target: Iterable[int]) -> bool:
-    return inst.value(agent, target) > inst.value(agent, own)
+    return inst.int_value(agent, target) > inst.int_value(agent, own)
 
 
 def strongly_envies_bundle(
@@ -110,9 +114,9 @@ def strongly_envies_bundle(
 ) -> bool:
     """Strong envy of a candidate bundle that is not (yet) anyone's."""
     target = set(target)
-    own_value = inst.value(agent, own)
+    own_value = inst.int_value(agent, own)
     for g in target:
-        if inst.value(agent, target - {g}) > own_value:
+        if inst.int_value(agent, target - {g}) > own_value:
             return True
     return False
 
@@ -184,6 +188,7 @@ def alloc_topn_lone_divider(
         )
 
     trace = AllocatorTrace("alloc_topn_lone_divider")
+    levels = [inst.level(i, taus[i]) for i in inst.agents]
     bundles: dict[int, frozenset[int]] = {}
     unserved = set(range(n))
     pool = set(inst.goods)
@@ -199,7 +204,7 @@ def alloc_topn_lone_divider(
         if prev_measure is not None and measure <= prev_measure:
             raise InvariantViolationError("progress measure failed to increase")
         prev_measure = measure
-        _assert_loop_invariants(inst, bundles, unserved, taus)
+        _assert_loop_invariants(inst, bundles, unserved, levels)
 
         divider = min(unserved)
         top_in_pool = top & pool
@@ -257,7 +262,7 @@ def alloc_topn_lone_divider(
         tuple(bundles.get(i, frozenset()) for i in range(n)), frozenset(pool)
     )
     for i in inst.agents:
-        if inst.value(i, alloc.bundles[i]) < taus[i]:
+        if inst.int_value(i, alloc.bundles[i]) < levels[i]:
             raise InvariantViolationError(f"agent {i} ended below their threshold")
     return alloc, trace
 
@@ -266,7 +271,7 @@ def _assert_loop_invariants(
     inst: Instance,
     bundles: Mapping[int, frozenset[int]],
     unserved: set[int],
-    taus: Sequence[Fraction],
+    levels: Sequence[int],
 ) -> None:
     """Served agents form an EFX sub-allocation; no unserved agent accepts
     any already-assigned bag."""
@@ -281,7 +286,7 @@ def _assert_loop_invariants(
                 )
     for i in unserved:
         for a in served:
-            if inst.value(i, bundles[a]) >= taus[i]:
+            if inst.int_value(i, bundles[a]) >= levels[i]:
                 raise InvariantViolationError(
                     f"unserved agent {i} accepts an assigned bag"
                 )

@@ -5,6 +5,9 @@ bag.  If a bag-perfect matching exists it is returned; otherwise a perfect
 matching is built between a proper subset of an inclusion-minimal
 Hall-violating bag set and its neighborhood, which leaves every interested
 agent matched.
+
+``ThresholdGraph.build`` decides each edge on the agent's integer row: the
+bag's ``Instance.int_value`` against the threshold's ``Instance.level``.
 """
 
 from __future__ import annotations
@@ -35,13 +38,15 @@ class ThresholdGraph:
         agents: Sequence[int],
         taus: Sequence[Fraction],
     ) -> "ThresholdGraph":
-        """taus is indexed by agent id (full instance indexing)."""
+        """taus is indexed by agent id (full instance indexing), in value
+        units."""
         frozen = tuple(frozenset(b) for b in bags)
+        levels = {i: inst.level(i, taus[i]) for i in agents}
         edges = frozenset(
             (i, j)
             for i in agents
             for j, bag in enumerate(frozen)
-            if inst.value(i, bag) >= taus[i]
+            if inst.int_value(i, bag) >= levels[i]
         )
         return cls(bags=frozen, agents=tuple(agents), edges=edges)
 

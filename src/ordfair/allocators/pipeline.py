@@ -17,7 +17,7 @@ The returned trace is in the run's own coordinates (see ``trace.replay``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from ..errors import StructuralMismatchError
@@ -66,11 +66,7 @@ def _cleared(inst: Instance) -> Instance:
     padding this pipeline adds.  Verdicts still use the caller's instance."""
     if not inst.dummy_goods and not inst.dummy_agents:
         return inst
-    return Instance(
-        values=inst.values,
-        agent_labels=inst.agent_labels,
-        good_labels=inst.good_labels,
-    )
+    return replace(inst, dummy_goods=frozenset(), dummy_agents=())
 
 
 def solve_complete(inst: Instance, algorithm: str) -> SolveResult:

@@ -3,7 +3,9 @@
 Valuations are exact non-negative rationals (``fractions.Fraction``).  All
 threshold comparisons downstream are exact, so floats are rejected at the
 boundary.  Comparisons within one agent's valuation run on that agent's row
-scaled to integers (``Instance.int_rows``), which keeps them exact.
+scaled to integers (``Instance.int_rows``), which keeps them exact.  The
+allocators decide on these rows: ``Instance.int_value`` sums a set of goods
+on one and ``Instance.level`` maps a threshold onto the same scale.
 Instances and allocations are immutable and safe to share.
 
 Good and agent indices are 0-based everywhere, including the file formats.
@@ -12,7 +14,7 @@ Good and agent indices are 0-based everywhere, including the file formats.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -164,27 +166,34 @@ class Instance:
         row = self.values[agent]
         return sum((row[g] for g in goods), Fraction(0))
 
+    def int_value(self, agent: int, goods: Iterable[int]) -> int:
+        """``value`` on the agent's ``int_rows`` scale."""
+        row = self.int_rows[agent][0]
+        return sum(row[g] for g in goods)
+
+    def level(self, agent: int, tau: Fraction) -> int:
+        """``tau`` on the agent's ``int_rows`` scale, rounded up:
+        ceil(tau * lcm).  An integer sum is at least tau * lcm iff it is at
+        least this level, so comparing ``int_value`` with it is exact for
+        any rational tau.  A share from ``shares.thresholds`` is a bundle
+        sum, so for it the level is exactly tau * lcm."""
+        num, den = tau.as_integer_ratio()
+        return -(-num * self.int_rows[agent][1] // den)
+
     def with_values(self, values: Sequence[Sequence[Fraction]]) -> "Instance":
         """Same shape, labels and flags, different valuation matrix."""
-        return Instance(
-            values=tuple(tuple(row) for row in values),
-            agent_labels=self.agent_labels,
-            good_labels=self.good_labels,
-            dummy_goods=self.dummy_goods,
-            dummy_agents=self.dummy_agents,
-        )
+        return replace(self, values=tuple(tuple(row) for row in values))
 
     def permute_goods(self, order: Sequence[int]) -> "Instance":
         """Reindex goods so new position p holds old good order[p]."""
         if sorted(order) != list(range(self.m)):
             raise InvalidInstanceError("not a permutation of goods")
         inv = {old: new for new, old in enumerate(order)}
-        return Instance(
+        return replace(
+            self,
             values=tuple(tuple(row[g] for g in order) for row in self.values),
-            agent_labels=self.agent_labels,
             good_labels=tuple(self.good_labels[g] for g in order),
             dummy_goods=frozenset(inv[g] for g in self.dummy_goods),
-            dummy_agents=self.dummy_agents,
         )
 
 
@@ -194,12 +203,6 @@ class Allocation:
 
     bundles: tuple[frozenset[int], ...]
     pool: frozenset[int] = frozenset()
-
-    @classmethod
-    def make(
-        cls, bundles: Sequence[Iterable[int]], pool: Iterable[int] = ()
-    ) -> "Allocation":
-        return cls(tuple(frozenset(b) for b in bundles), frozenset(pool))
 
     def allocated(self) -> frozenset[int]:
         out: set[int] = set()
@@ -296,12 +299,11 @@ def pad_goods(inst: Instance, target: int) -> Instance:
     zero = Fraction(0)
     values = tuple(row + (zero,) * extra for row in inst.values)
     labels = inst.good_labels + tuple(f"g{inst.m + j}" for j in range(extra))
-    return Instance(
+    return replace(
+        inst,
         values=values,
-        agent_labels=inst.agent_labels,
         good_labels=labels,
         dummy_goods=inst.dummy_goods | frozenset(range(inst.m, target)),
-        dummy_agents=inst.dummy_agents,
     )
 
 
@@ -315,13 +317,7 @@ def pad_agents_to_multiple_of_three(inst: Instance) -> Instance:
     values = inst.values + tuple(inst.values[0] for _ in range(extra))
     labels = inst.agent_labels + tuple(f"a{n + i}" for i in range(extra))
     new_dummies = inst.dummy_agents + tuple((n + i, 0) for i in range(extra))
-    return Instance(
-        values=values,
-        agent_labels=labels,
-        good_labels=inst.good_labels,
-        dummy_goods=inst.dummy_goods,
-        dummy_agents=new_dummies,
-    )
+    return replace(inst, values=values, agent_labels=labels, dummy_agents=new_dummies)
 
 
 def strip_dummies(

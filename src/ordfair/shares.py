@@ -26,8 +26,8 @@ on nothing but the sorted values, d and the optimum.  ``_cover`` prunes only
 subtrees that hold no covering (its docstring says which), so the first
 covering it finds is the same with or without them.
 
-Values are scaled to integers once per agent (``Instance.int_rows``); when a
-query takes every good, the solvers use that cached row.
+Values are scaled to integers once per agent (``Instance.int_rows``).  The
+solvers use that cached row, the oracle only when its query takes every good.
 """
 
 from __future__ import annotations
@@ -345,20 +345,14 @@ def _share_value(vals: list[int], d: int) -> int:
     return lo
 
 
-def mms_exact(
-    inst: Instance,
-    agent: int,
-    d: int,
-    goods: Sequence[int] | None = None,
-) -> MaximinResult:
+def mms_exact(inst: Instance, agent: int, d: int) -> MaximinResult:
     """Exact 1-out-of-d share with the canonical witness: the value from
     ``_share_value``, then the first covering ``_cover`` finds at it."""
     if d < 1:
         raise PreconditionError("d must be >= 1")
-    chosen = _pick_goods(inst, goods)
-    vals, denom = _scaled_row(inst, agent, chosen)
-    order = sorted(range(len(chosen)), key=lambda t: (-vals[t], chosen[t]))
-    sorted_vals = [vals[t] for t in order]
+    vals, denom = inst.int_rows[agent]
+    order = sorted(inst.goods, key=lambda g: (-vals[g], g))
+    sorted_vals = [vals[g] for g in order]
 
     lo = _share_value(sorted_vals, d)
     assign = _cover(sorted_vals, d, lo)
@@ -366,7 +360,7 @@ def mms_exact(
         raise InvariantViolationError("feasibility flipped at the optimum")
     parts: list[set[int]] = [set() for _ in range(d)]
     for t, b in enumerate(assign):
-        parts[b].add(chosen[order[t]])
+        parts[b].add(order[t])
     value = Fraction(lo, denom)
     result = MaximinResult(
         value=value,
@@ -374,8 +368,7 @@ def mms_exact(
         agent=agent,
         divisor=d,
     )
-    scaled = dict(zip(chosen, vals))
-    if min(sum(scaled[g] for g in p) for p in result.partition) != lo:
+    if min(sum(vals[g] for g in p) for p in result.partition) != lo:
         raise InvariantViolationError("witness minimum does not match the value")
     return result
 
@@ -414,33 +407,6 @@ def write_maximin_result(res: MaximinResult) -> str:
     ]
     witness = write_allocation(Allocation(res.partition, frozenset()))
     return "\n".join(header) + "\n" + witness
-
-
-def read_maximin_result(text: str) -> MaximinResult:
-    from .errors import ParseError
-    from .model import read_allocation
-
-    fields: dict[str, str] = {}
-    body: list[str] = []
-    for ln in text.splitlines():
-        stripped = ln.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, _, rest = stripped.partition(" ")
-        if key in ("value", "agent", "d") and key not in fields:
-            fields[key] = rest
-        else:
-            body.append(stripped)
-    try:
-        alloc = read_allocation("\n".join(body))
-        return MaximinResult(
-            value=Fraction(fields["value"]),
-            partition=alloc.bundles,
-            agent=int(fields["agent"]),
-            divisor=int(fields["d"]),
-        )
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"bad maximin result file: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

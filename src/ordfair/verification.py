@@ -120,12 +120,6 @@ class FairnessReport:
                 return verdict.ok
         raise KeyError(f"no MMS verdict for d={d}")
 
-    def mms_thresholds(self, d: int) -> tuple[Fraction, ...]:
-        for verdict in self.mms:
-            if verdict.divisor == d:
-                return verdict.thresholds
-        raise KeyError(f"no MMS verdict for d={d}")
-
 
 def report(
     inst: Instance,

@@ -31,6 +31,10 @@ def positive_ordered_instance(n: int, m: int, seed: int, max_value: int = 8) -> 
     return inst.with_values([[v + 1 for v in row] for row in inst.values])
 
 
+def make_allocation(bundles, pool=()) -> Allocation:
+    return Allocation(tuple(frozenset(b) for b in bundles), frozenset(pool))
+
+
 def random_partial_allocation(inst: Instance, rng: random.Random) -> Allocation:
     """Uniformly random partial allocation: each good to an agent or the pool."""
     bundles = [set() for _ in range(inst.n)]
@@ -41,7 +45,7 @@ def random_partial_allocation(inst: Instance, rng: random.Random) -> Allocation:
             pool.add(g)
         else:
             bundles[slot].add(g)
-    return Allocation.make(bundles, pool)
+    return make_allocation(bundles, pool)
 
 
 # --- naive reference checkers (no shared code with ordfair.verification) ----
@@ -189,7 +193,7 @@ def frac_envy_cycle_elimination(inst: Instance, alloc: Allocation):
         bundles[source].add(good)
         pool.remove(good)
         trace.emit(iteration, "source_gift", agent=source, good=good)
-    return Allocation.make(bundles), trace.to_text()
+    return make_allocation(bundles), trace.to_text()
 
 
 def rational_rows_instance(rng: random.Random, n: int, m: int, family: str = "general") -> Instance:

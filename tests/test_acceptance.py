@@ -9,7 +9,6 @@ import time
 from fractions import Fraction
 
 from ordfair import (
-    Allocation,
     Instance,
     ThresholdGraph,
     alloc_ordered_efx_3n2,
@@ -31,7 +30,7 @@ from ordfair import (
 from ordfair.allocators.bagfill import ceil_3n_over_2
 from ordfair.cli import main as cli_main
 
-from helpers import EX51, EX51_WITNESSES, positive_ordered_instance
+from helpers import EX51, EX51_WITNESSES, make_allocation, positive_ordered_instance
 
 MASTER = 20250808
 
@@ -228,7 +227,7 @@ def test_07_order_preserving_normalization():
 
 
 def test_08_worked_example_golden():
-    alloc = Allocation.make([[4], [0, 1, 2], [3]])
+    alloc = make_allocation([[4], [0, 1, 2], [3]])
     ok, witness = is_efx(EX51, alloc)
     assert not ok and witness[:2] == (0, 1)
     scaled_pinned = normalize_scale(EX51, 3, EX51_WITNESSES)
@@ -256,7 +255,7 @@ def test_09_envy_cycle_contract():
         for g in inst.goods:
             slot = rng.randrange(n + 1)
             (pool if slot == n else bundles[slot]).add(g)
-        start = Allocation.make(bundles, pool)
+        start = make_allocation(bundles, pool)
         if not is_ef1(inst, start)[0]:
             continue
         done += 1

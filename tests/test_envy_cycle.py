@@ -3,7 +3,6 @@ import random
 import pytest
 
 from ordfair import (
-    Allocation,
     Instance,
     alloc_ordered_efx_3n2,
     detect_structure,
@@ -16,7 +15,7 @@ from ordfair.allocators import replay
 from ordfair.allocators.bagfill import ceil_3n_over_2
 from ordfair.errors import PreconditionError
 
-from helpers import I_A, random_partial_allocation, seeded_instance
+from helpers import I_A, make_allocation, random_partial_allocation, seeded_instance
 
 
 class TestEfxOrderedMode:
@@ -24,7 +23,7 @@ class TestEfxOrderedMode:
     the inputs a1 gives it."""
 
     def test_i_a_trace(self):
-        start = Allocation.make([[0], [1]], [2, 3, 4])
+        start = make_allocation([[0], [1]], [2, 3, 4])
         final, trace = envy_cycle_elimination(I_A, start)
         assert final.bundles == (frozenset({0, 3}), frozenset({1, 2, 4}))
         gifts = [
@@ -37,7 +36,7 @@ class TestEfxOrderedMode:
         assert replay(trace, I_A.n, I_A.m, start) == final
 
     def test_empty_pool_identity(self):
-        start = Allocation.make([[0], [1]], [])
+        start = make_allocation([[0], [1]], [])
         inst = Instance.from_rows([[2, 1], [2, 1]])
         final, trace = envy_cycle_elimination(inst, start)
         assert final.bundles == start.bundles
@@ -47,7 +46,7 @@ class TestEfxOrderedMode:
         # An ordered instance whose start is not EFX (nor even EF1) is
         # refused before any good is handed out.
         inst = Instance.from_rows([[3, 2, 2], [3, 2, 2]])
-        start = Allocation.make([[0, 1, 2], []], [])
+        start = make_allocation([[0, 1, 2], []], [])
         with pytest.raises(PreconditionError):
             envy_cycle_elimination(inst, start)
 
@@ -81,7 +80,7 @@ class TestEfxOrderedMode:
 class TestEf1Mode:
     def test_cycle_rotation(self):
         inst = Instance.from_rows([[1, 5, 2], [5, 1, 2]])
-        start = Allocation.make([[0], [1]], [2])
+        start = make_allocation([[0], [1]], [2])
         final, trace = envy_cycle_elimination(inst, start)
         kinds = [ev.kind for ev in trace.events]
         assert "cycle_rotation" in kinds
@@ -93,7 +92,7 @@ class TestEf1Mode:
 
     def test_rejects_non_ef1_input(self):
         inst = Instance.from_rows([[1, 1, 1], [1, 1, 1]])
-        start = Allocation.make([[0, 1, 2], []], [])
+        start = make_allocation([[0, 1, 2], []], [])
         with pytest.raises(PreconditionError):
             envy_cycle_elimination(inst, start)
 

@@ -3,7 +3,10 @@ on them.
 
 The benchmark's instances all have integer values, so they never exercise
 the scaling; these tests use rational rows with mixed denominators and check
-the integer code against the Fraction references in ``helpers``.
+the integer code against the Fraction references in ``helpers``.  The
+allocators compare on the same rows, with each threshold mapped to the
+agent's integer level (``Instance.level``); the last tests pin that mapping
+at thresholds between two levels and under per-agent row scaling.
 """
 
 import random
@@ -13,24 +16,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordfair import (
-    Allocation,
     Instance,
+    ThresholdGraph,
+    alloc_ordered_ef1_4n3,
+    alloc_ordered_efx_3n2,
+    alloc_topn_lone_divider,
     detect_structure,
     envy_cycle_elimination,
     is_ef1,
     is_efx,
+    lone_divider_partition,
     normalize_order_preserving,
     normalize_scale,
+    pad_agents_to_multiple_of_three,
+    pad_goods,
+    shrink_minimal,
     strongly_envies,
+    thresholds,
     top_k_set,
 )
+from ordfair.allocators.bagfill import ceil_3n_over_2
 
 from helpers import (
+    I_A,
     frac_common_order,
     frac_envy_cycle_elimination,
     frac_is_ef1,
     frac_is_efx,
     frac_strongly_envies,
+    make_allocation,
     positive_ordered_instance,
     random_partial_allocation,
     rational_rows_instance,
@@ -122,7 +136,7 @@ def _ef1_start(inst, rng):
         return start
     goods = list(inst.goods)
     rng.shuffle(goods)
-    return Allocation.make([[g] for g in goods[: inst.n]], goods[inst.n:])
+    return make_allocation([[g] for g in goods[: inst.n]], goods[inst.n:])
 
 
 def _efx_start(inst, rng, order):
@@ -132,11 +146,11 @@ def _efx_start(inst, rng, order):
     bundles = [set() for _ in inst.agents]
     for g in order[:k]:
         bundles[rng.randrange(inst.n)].add(g)
-    start = Allocation.make(bundles, order[k:])
+    start = make_allocation(bundles, order[k:])
     if frac_is_efx(inst, start)[0]:
         return start
     k = min(k, inst.n)
-    return Allocation.make([[g] for g in order[:k]] + [[]] * (inst.n - k), order[k:])
+    return make_allocation([[g] for g in order[:k]] + [[]] * (inst.n - k), order[k:])
 
 
 def test_completion_matches_fraction_reference():
@@ -155,3 +169,100 @@ def test_completion_matches_fraction_reference():
             rotations += sum(ev.kind == "cycle_rotation" for ev in trace.events)
     # The sweep must reach the rotation path, not only gifts.
     assert runs > 300 and rotations > 20
+
+
+# --- thresholds in value units, decisions on integer levels -----------------
+
+
+HALF = Fraction(1, 2)
+
+
+def _between_levels(run, k):
+    """run(tau) at tau = k, k + 1/2 and k + 1 on integer values: the middle
+    one is not on the integer scale and must act as k + 1, not as k."""
+    low, mid, high = run(Fraction(k)), run(k + HALF), run(Fraction(k + 1))
+    assert mid == high
+    assert mid != low
+
+
+def test_bag_fill_threshold_between_levels():
+    def run(tau):
+        alloc, trace = alloc_ordered_efx_3n2(I_A, [tau, tau])
+        return alloc, trace.to_text()
+
+    _between_levels(run, 3)
+
+
+def test_lone_divider_threshold_between_levels():
+    unit = Instance.from_rows([[1] * 6])
+    _between_levels(
+        lambda tau: lone_divider_partition(unit, 0, range(6), 3, {0, 1, 2}, tau), 1
+    )
+    flat = Instance.from_rows([[2, 2, 2]])
+    _between_levels(lambda tau: shrink_minimal(flat, {0, 1, 2}, 0, [0], [tau]), 4)
+
+
+def test_threshold_graph_threshold_between_levels():
+    inst = Instance.from_rows([[3, 2, 1], [1, 2, 3]])
+    bags = [{0}, {1}, {2}, {1, 2}]
+    _between_levels(lambda tau: ThresholdGraph.build(inst, bags, [0, 1], [tau, tau]).edges, 2)
+
+
+def _allocator_inputs(inst):
+    """(allocator, instance, thresholds) for each allocator whose structure
+    the instance has, prepared as ``solve_complete`` prepares them."""
+    n = inst.n
+    order = detect_structure(inst)
+    if order is not None:
+        work = inst.permute_goods(order)
+        padded = pad_goods(work, max(work.m, 2 * n))
+        yield alloc_ordered_efx_3n2, padded, thresholds(padded, ceil_3n_over_2(n))
+        work = pad_agents_to_multiple_of_three(work)
+        padded = pad_goods(work, max(work.m, 2 * work.n))
+        yield alloc_ordered_ef1_4n3, padded, thresholds(padded, 4 * (work.n // 3))
+    if top_k_set(inst, n) is not None:
+        padded = pad_goods(inst, max(inst.m, 2 * n))
+        yield alloc_topn_lone_divider, padded, thresholds(padded, ceil_3n_over_2(n))
+
+
+def test_allocators_ignore_row_scaling():
+    """Scaling an agent's row and threshold by one positive rational changes
+    no decision.  Each threshold is also taken half a step of the agent's
+    integer scale below their share, off that scale: it must act as the
+    share itself."""
+    runs = set()
+    for rng, inst in _rational_instances():
+        for allocate, padded, taus in _allocator_inputs(inst):
+            alloc, trace = allocate(padded, taus)
+            factors = [Fraction(rng.randint(1, 30), rng.randint(1, 30)) for _ in padded.agents]
+            for a, source in padded.dummy_agents:
+                factors[a] = factors[source]
+            scaled = padded.with_values(
+                [[v * c for v in row] for row, c in zip(padded.values, factors)]
+            )
+            below = [
+                (t - HALF / denom) * c
+                for t, (_, denom), c in zip(taus, padded.int_rows, factors)
+            ]
+            for case in ((scaled, [t * c for t, c in zip(taus, factors)]), (scaled, below)):
+                other, other_trace = allocate(*case)
+                assert other == alloc, (padded, case)
+                assert other_trace.to_text() == trace.to_text()
+            runs.add(allocate.__name__)
+    assert len(runs) == 3
+
+
+def test_bag_fill_swap_compares_gains_in_value():
+    """Agents 0 and 2 both gain 1 from swapping to bag 2: 2 on agent 0's
+    integer scale (lcm 2) and 3 on agent 2's (lcm 3).  The gains are equal
+    in value, so the tie goes to the lower agent."""
+    inst = Instance.from_rows([
+        [4, "7/2", 3, 2, "3/2", 1, 1, "1/2", "1/2"],
+        ["8/5", "8/5", "7/5", "7/5", "7/5", "6/5", 1, "3/5", "2/5"],
+        ["8/3", "5/3", "5/3", 1, 1, 1, "2/3", "1/3", "1/3"],
+    ])
+    taus = [Fraction(17, 6), Fraction(53, 15), Fraction(62, 45)]
+    alloc, trace = alloc_ordered_efx_3n2(inst, taus)
+    assert [ev.kind for ev in trace.events][3:5] == ["swap", "swap"]
+    assert trace.events[3].get("agent") == "0"
+    assert alloc == make_allocation([{2, 3}, {1, 4, 5}, {0}], {6, 7, 8})

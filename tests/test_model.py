@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from ordfair import (
-    Allocation,
     GeneratorConfig,
     Instance,
     detect_structure,
@@ -28,7 +27,14 @@ from ordfair.errors import (
 )
 from ordfair.model import check_allocation
 
-from helpers import EX51, I_A, I_B, random_partial_allocation, seeded_instance
+from helpers import (
+    EX51,
+    I_A,
+    I_B,
+    make_allocation,
+    random_partial_allocation,
+    seeded_instance,
+)
 
 
 class TestInstanceValidation:
@@ -55,7 +61,7 @@ class TestInstanceValidation:
     def test_allocation_overlap_detected(self):
         inst = Instance.from_rows([[1, 1], [1, 1]])
         with pytest.raises(InvalidInstanceError):
-            check_allocation(inst, Allocation.make([[0], [0]], [1]))
+            check_allocation(inst, make_allocation([[0], [0]], [1]))
 
     def test_fraction_entries_accepted(self):
         inst = Instance.from_rows([["1/3", Fraction(2, 5)]])
@@ -126,7 +132,7 @@ class TestPadding:
     def test_pad_then_strip_is_identity(self):
         inst = seeded_instance("general", 2, 4, 17)
         padded = pad_goods(inst, 8)
-        alloc = Allocation.make([[], []], range(8))
+        alloc = make_allocation([[], []], range(8))
         back, alloc_back = strip_dummies(padded, alloc)
         assert back == inst
         assert alloc_back.pool == frozenset(range(4))
@@ -161,13 +167,13 @@ class TestPadding:
 class TestStripDummies:
     def test_no_dummies_is_identity(self):
         inst = seeded_instance("general", 2, 3, 9)
-        alloc = Allocation.make([[0], [1]], [2])
+        alloc = make_allocation([[0], [1]], [2])
         back, alloc_back = strip_dummies(inst, alloc)
         assert back == inst and alloc_back == alloc
 
     def test_dummy_agent_bundle_released_to_pool(self):
         grown = pad_agents_to_multiple_of_three(seeded_instance("general", 2, 4, 9))
-        alloc = Allocation.make([[0], [1], [3]], [2])
+        alloc = make_allocation([[0], [1], [3]], [2])
         stripped, alloc_back = strip_dummies(grown, alloc)
         assert stripped.n == 2
         assert alloc_back.pool == frozenset({2, 3})
@@ -237,7 +243,7 @@ class TestFileFormats:
         assert read_instance(write_instance(inst)) == inst
 
     def test_allocation_round_trip(self):
-        alloc = Allocation.make([[0, 2], [], [5]], [1, 3])
+        alloc = make_allocation([[0, 2], [], [5]], [1, 3])
         assert read_allocation(write_allocation(alloc)) == alloc
 
     @pytest.mark.parametrize(

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from ordfair import (
-    Allocation,
     is_ef1,
     is_efx,
     is_ordinal_mms,
@@ -21,7 +20,14 @@ from ordfair.allocators.bagfill import ceil_3n_over_2
 from ordfair.errors import ParseError, StructuralMismatchError
 from ordfair.model import format_rational
 
-from helpers import EX51, I_A, I_B, rational_rows_instance, seeded_instance
+from helpers import (
+    EX51,
+    I_A,
+    I_B,
+    make_allocation,
+    rational_rows_instance,
+    seeded_instance,
+)
 
 
 class TestSolveComplete:
@@ -94,7 +100,7 @@ class TestBruteForceExistence:
             bundles = [set() for _ in range(n)]
             for g, i in enumerate(owners):
                 bundles[i].add(g)
-            yield Allocation.make(bundles)
+            yield make_allocation(bundles)
 
     def test_a1_output_among_satisfying_set(self):
         rng = random.Random(41)

@@ -282,17 +282,6 @@ class TestShareValue:
             thresholds(I_A, 0)
 
 
-class TestMaximinSerialization:
-    def test_round_trip(self):
-        from ordfair.shares import read_maximin_result, write_maximin_result
-
-        rng = random.Random(51)
-        for _ in range(10):
-            inst = seeded_instance("general", 2, rng.randrange(1, 8), rng.randrange(2**32))
-            res = mms_exact(inst, rng.randrange(2), rng.randrange(1, 5))
-            assert read_maximin_result(write_maximin_result(res)) == res
-
-
 class TestThresholds:
     def test_ex51_d3(self):
         assert thresholds(EX51, 3) == (1, 1, 2)

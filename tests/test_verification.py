@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from ordfair import (
-    Allocation,
     Instance,
     is_ef1,
     is_efx,
@@ -22,6 +21,7 @@ from ordfair.errors import ParseError, PreconditionError
 from helpers import (
     EX51,
     EX51_WITNESSES,
+    make_allocation,
     naive_is_ef1,
     naive_is_efx,
     naive_strong_envy,
@@ -29,7 +29,7 @@ from helpers import (
     seeded_instance,
 )
 
-EX51_ALLOC = Allocation.make([[4], [0, 1, 2], [3]])
+EX51_ALLOC = make_allocation([[4], [0, 1, 2], [3]])
 
 
 class TestStrongEnvy:
@@ -41,7 +41,7 @@ class TestStrongEnvy:
         rng = random.Random(30)
         for _ in range(20):
             inst = seeded_instance("general", 2, 4, rng.randrange(2**32))
-            alloc = Allocation.make([[rng.randrange(4)], []], [])
+            alloc = make_allocation([[rng.randrange(4)], []], [])
             assert not strongly_envies(inst, alloc, 1, 0)[0]
 
     def test_same_agent_rejected(self):
@@ -74,18 +74,18 @@ class TestEfxEf1:
     def test_one_good_each_is_efx(self):
         rng = random.Random(32)
         inst = seeded_instance("general", 3, 3, rng.randrange(2**32))
-        alloc = Allocation.make([[0], [1], [2]], [])
+        alloc = make_allocation([[0], [1], [2]], [])
         assert is_efx(inst, alloc)[0]
 
     def test_ex51_pairing_is_ef1_not_efx(self):
-        alloc = Allocation.make([[0, 1], [2, 3], [4]], [])
+        alloc = make_allocation([[0, 1], [2, 3], [4]], [])
         assert is_ef1(EX51, alloc)[0]
         ok, witness = is_efx(EX51, alloc)
         assert not ok and witness[0] == 2
 
     def test_no_goods_is_ef1(self):
         inst = Instance.from_rows([[1], [1]])
-        alloc = Allocation.make([[], []], [0])
+        alloc = make_allocation([[], []], [0])
         assert is_ef1(inst, alloc)[0]
         assert is_efx(inst, alloc)[0]
 
@@ -127,20 +127,20 @@ class TestEfxEf1:
 class TestOrdinalMms:
     def test_ex51_pairing_fails_for_agent2(self):
         taus = thresholds(EX51, 3)
-        alloc = Allocation.make([[0, 1], [2, 3], [4]], [])
+        alloc = make_allocation([[0, 1], [2, 3], [4]], [])
         ok, witness = is_ordinal_mms(EX51, alloc, 3, taus)
         assert not ok and witness == (2, 1)
 
     def test_ex51_share_respecting_allocation(self):
         taus = thresholds(EX51, 3)
-        alloc = Allocation.make([[0, 1], [2, 4], [3]], [])
+        alloc = make_allocation([[0, 1], [2, 4], [3]], [])
         assert is_ordinal_mms(EX51, alloc, 3, taus)[0]
 
     def test_huge_divisor_trivially_ok(self):
         inst = seeded_instance("general", 2, 3, 77)
         taus = thresholds(inst, 9)
         assert taus == (0, 0)
-        alloc = Allocation.make([[], []], range(3))
+        alloc = make_allocation([[], []], range(3))
         assert is_ordinal_mms(inst, alloc, 9, taus)[0]
 
     def test_dummy_agents_excluded(self):
@@ -148,7 +148,7 @@ class TestOrdinalMms:
             Instance.from_rows([[4, 4, 4, 4], [4, 4, 4, 4]])
         )
         taus = thresholds(grown, 2)
-        alloc = Allocation.make([[0, 1], [2, 3], []], [])
+        alloc = make_allocation([[0, 1], [2, 3], []], [])
         assert is_ordinal_mms(grown, alloc, 2, taus)[0]
 
     def test_threshold_count_checked(self):
@@ -163,7 +163,7 @@ class TestReport:
         assert not rep.efx and rep.efx_witness[:2] == (0, 1)
         # the envy here is three goods deep, so EF1 fails too
         assert not rep.ef1 and rep.ef1_witness == (0, 1)
-        assert rep.mms_thresholds(3) == (1, 1, 2)
+        assert rep.mms[0].thresholds == (1, 1, 2)
         assert rep.bundle_values == (1, 3, 2)
 
     def test_serialization_round_trip(self):
