@@ -66,6 +66,7 @@ def envy_cycle_elimination(
         raise PreconditionError(f"envy-cycle completion needs an EF1 input, witness {pair}")
 
     rows = [row for row, _ in inst.int_rows]
+    lcms = [denom for _, denom in inst.int_rows]
     bundles = [set(b) for b in alloc.bundles]
     pool = set(alloc.pool)
     trace = AllocatorTrace("envy_cycle_elimination")
@@ -82,24 +83,22 @@ def envy_cycle_elimination(
         sources = [i for i in inst.agents if not incoming[i]]
         if not sources:
             cycle = _find_cycle(incoming)
-            before = sum(
-                (inst.value(i, bundles[i]) for i in inst.agents), Fraction(0)
-            )
             shifted = cycle[1:] + cycle[:1]
+            # Agents off the cycle keep their bundles, so the members' gains,
+            # in value units, are the change in total utility.
+            total_gain = Fraction(0)
             for a, gained in zip(cycle, shifted):
                 if worth[a][gained] <= worth[a][a]:
                     raise InvariantViolationError("cycle member did not gain")
+                total_gain += Fraction(worth[a][gained] - worth[a][a], lcms[a])
+            if total_gain <= 0:
+                raise InvariantViolationError("rotation did not raise total utility")
             # Each member takes the next member's bundle; every agent's
             # worth of the bundles moves with them.
             for by_owner in (bundles, *worth):
                 moved = [by_owner[b] for b in shifted]
                 for a, item in zip(cycle, moved):
                     by_owner[a] = item
-            after = sum(
-                (inst.value(i, bundles[i]) for i in inst.agents), Fraction(0)
-            )
-            if after <= before:
-                raise InvariantViolationError("rotation did not raise total utility")
             trace.emit(iteration, "cycle_rotation", cycle=",".join(map(str, cycle)))
             continue
         source = min(sources)

@@ -8,15 +8,18 @@ share value in ``_share_value``:
   joins the least-loaded bundle), which is feasible, and min over k < d of
   (total - k largest goods) // (d - k), since the k largest goods lie in at
   most k bundles;
-- each probe first tries two cheap coverings (``_fill_cover``) and runs the
-  exhaustive branch-and-bound bin covering check, ``_cover``, only when both
-  miss.  A covering found lifts the lower end to its lowest bundle sum.
+- zero-valued goods are dropped first: they change no bundle's value;
+- each probe first tries two cheap coverings (``_fill_cover``), then a
+  counting bound (``_pairing_refutes``) that proves many levels infeasible
+  from how many goods the bundles need, and runs the exhaustive
+  branch-and-bound bin covering check, ``_cover``, only when all three
+  fail.  A covering found lifts the lower end to its lowest bundle sum.
 
 Both directions of the value are sound.  Every covering used is checked on
 the integer row (``_covering_floor``: each good in one of the d bundles,
 each bundle at least the probe), so the value is never above the share.
-The value is lowered only by ``_cover`` proving a level infeasible, or by
-the ceiling, so it is never below it.
+The value is lowered only by ``_cover`` proving a level infeasible, by the
+counting bound, or by the ceiling, so it is never below it.
 
 ``thresholds`` takes only these values, once per distinct value row: a
 share depends on nothing else.  ``mms_exact`` adds the witness partition,
@@ -321,22 +324,57 @@ def _fill_cover(vals: list[int], d: int, target: int, fallback: int) -> list[int
     return assign
 
 
+def _max_pairs(small: list[int], target: int) -> int:
+    """The most disjoint pairs of `small` (sorted desc) that each sum to at
+    least `target`.  Greedy, and exact: pair the largest good left with the
+    smallest one that closes the gap, and drop a smallest good that not even
+    the largest left closes."""
+    pairs, top, bottom = 0, 0, len(small) - 1
+    while top < bottom:
+        if small[top] + small[bottom] >= target:
+            pairs += 1
+            top += 1
+        bottom -= 1
+    return pairs
+
+
+def _pairing_refutes(vals: list[int], d: int, target: int) -> bool:
+    """True only when no d-partition of vals (sorted desc) has every bundle
+    at least target > 0; False proves nothing.
+
+    When only `big` < d goods reach `target` alone, at least d - big bundles
+    hold only small goods (0 < v < target), two or more each.  A bundle of
+    exactly two is one of at most p disjoint pairs that reach `target`; the
+    others take three or more.  So with s small goods, at most
+    p + (s - 2p) // 3 bundles can be covered that way.
+    """
+    big = sum(1 for v in vals if v >= target)
+    if big >= d:
+        return False
+    small = [v for v in vals[big:] if v > 0]
+    pairs = _max_pairs(small, target)
+    return pairs + (len(small) - 2 * pairs) // 3 < d - big
+
+
 def _share_value(vals: list[int], d: int) -> int:
     """The 1-out-of-d share of vals (integers, sorted desc), value only.
 
-    Binary search between the greedy cover value and the ceiling.  Each
-    probe first tries the two ``_fill_cover`` heuristics and runs the
-    exhaustive ``_cover`` only when both miss.  Any covering found, checked
-    by ``_covering_floor``, lifts the lower end to its lowest bundle sum;
-    only ``_cover`` failing lowers the upper end.
+    Zero-valued goods are dropped first.  Binary search between the greedy
+    cover value and the ceiling.  Each probe first tries the two
+    ``_fill_cover`` heuristics, then the counting bound
+    ``_pairing_refutes``, and runs the exhaustive ``_cover`` only when all
+    three fail.  Any covering found, checked by ``_covering_floor``, lifts
+    the lower end to its lowest bundle sum; only the counting bound or
+    ``_cover`` failing lowers the upper end.
     """
+    vals = [v for v in vals if v > 0]
     lo, hi = _greedy_cover(vals, d), _cover_ceiling(vals, d)
     while lo < hi:
         mid = (lo + hi + 1) // 2
         assign = _fill_cover(vals, d, mid, 0)
         if assign is None:
             assign = _fill_cover(vals, d, mid, -1)
-        if assign is None:
+        if assign is None and not _pairing_refutes(vals, d, mid):
             assign = _cover(vals, d, mid)
         if assign is None:
             hi = mid - 1

@@ -23,7 +23,16 @@ from ordfair.errors import (
     StructuralMismatchError,
     ZeroMaximinError,
 )
-from ordfair.shares import _cover, _covering_floor, _fill_cover, _scaled_row, _share_value
+from ordfair.shares import (
+    _cover,
+    _cover_ceiling,
+    _covering_floor,
+    _fill_cover,
+    _max_pairs,
+    _pairing_refutes,
+    _scaled_row,
+    _share_value,
+)
 
 from helpers import EX51, EX51_WITNESSES, I_A, positive_ordered_instance, seeded_instance
 
@@ -280,6 +289,83 @@ class TestShareValue:
     def test_rejects_bad_divisor(self):
         with pytest.raises(PreconditionError):
             thresholds(I_A, 0)
+
+
+def bound_sweep():
+    """Seeded (vals, d, target) probes for the counting bound: rows of every
+    family, m up to 20 with small and wide value ranges (zeros included),
+    every d in 1..m+1 and every target from 1 to one above the ceiling."""
+    rng = random.Random(2608)
+    for family in ("general", "ordered", "top_n"):
+        for m in range(1, 21):
+            for max_value in (4, 20):
+                inst = seeded_instance(family, min(m, 2), m, rng.randrange(2**32), max_value)
+                for ints, _ in inst.int_rows:
+                    vals = sorted(ints, reverse=True)
+                    for d in range(1, m + 2):
+                        for target in range(1, _cover_ceiling(vals, d) + 2):
+                            yield vals, d, target
+
+
+def brute_max_pairs(goods, target):
+    """Most disjoint pairs reaching target, by trying every partner for the
+    first good and leaving it unpaired."""
+    if len(goods) < 2:
+        return 0
+    first, rest = goods[0], goods[1:]
+    best = brute_max_pairs(rest, target)
+    for j, other in enumerate(rest):
+        if first + other >= target:
+            best = max(best, 1 + brute_max_pairs(rest[:j] + rest[j + 1 :], target))
+    return best
+
+
+class TestPairingBound:
+    """_pairing_refutes may lower the share search's upper end, so every
+    level it refutes must really have no covering.  Comparing thresholds
+    with mms_exact cannot show this, since both take _share_value's value;
+    _cover, checked against the oracle above, decides it here instead."""
+
+    def test_refutations_are_infeasible_on_sweep(self):
+        refuted = 0
+        for vals, d, target in bound_sweep():
+            if _pairing_refutes(vals, d, target):
+                assert _cover(vals, d, target) is None, (vals, d, target)
+                refuted += 1
+        assert refuted > 1000
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        goods=st.lists(st.integers(0, 12), min_size=1, max_size=14),
+        data=st.data(),
+    )
+    def test_refutations_are_infeasible(self, goods, data):
+        # A narrow value range makes pairs that reach the target exactly
+        # common, where an off-by-one in the pairing shows.
+        vals = sorted(goods, reverse=True)
+        d = data.draw(st.integers(1, len(vals) + 1))
+        target = data.draw(st.integers(1, _cover_ceiling(vals, d) + 1))
+        if _pairing_refutes(vals, d, target):
+            assert _cover(vals, d, target) is None
+
+    def test_pair_count_is_a_maximum_matching(self):
+        rng = random.Random(2609)
+        for _ in range(400):
+            goods = sorted(
+                (rng.randrange(1, 21) for _ in range(rng.randrange(11))), reverse=True
+            )
+            target = rng.randrange(1, 41)
+            assert _max_pairs(goods, target) == brute_max_pairs(goods, target), (goods, target)
+
+    def test_refutes_a_level_cover_finds_slow(self):
+        vals = [20, 19, 19, 17, 17, 17, 16, 16, 15, 15, 14, 14, 14, 14, 14,
+                13, 12, 12, 10, 10, 9, 9, 8, 7, 6, 5, 3, 1, 0, 0]
+        assert _pairing_refutes(vals, 15, 20)
+        assert _cover(vals, 15, 20) is None
+
+    def test_no_refutation_once_d_goods_reach_target(self):
+        assert not _pairing_refutes([5, 5, 1], 2, 5)
+        assert _pairing_refutes([5, 1, 1], 2, 5)
 
 
 class TestThresholds:
