@@ -9,25 +9,28 @@ share value in ``_share_value``:
   (total - k largest goods) // (d - k), since the k largest goods lie in at
   most k bundles;
 - zero-valued goods are dropped first: they change no bundle's value;
-- each probe first tries two cheap coverings (``_fill_cover``), then a
-  counting bound (``_pairing_refutes``) that proves many levels infeasible
-  from how many goods the bundles need, and runs the exhaustive
-  branch-and-bound bin covering check, ``_cover``, only when all three
-  fail.  A covering found lifts the lower end to its lowest bundle sum.
+- each probe is decided by ``_find_covering``, a bin-completion search
+  that fills one whole bundle at a time.  At each node it applies the
+  ceiling and a counting bound (``_pairing_refutes``) that proves many
+  levels infeasible from how many goods the bundles need, and it skips
+  (goods left, bundles left) states that failed before.  A covering found
+  lifts the lower end to its lowest bundle sum.
 
 Both directions of the value are sound.  Every covering used is checked on
 the integer row (``_covering_floor``: each good in one of the d bundles,
 each bundle at least the probe), so the value is never above the share.
-The value is lowered only by ``_cover`` proving a level infeasible, by the
-counting bound, or by the ceiling, so it is never below it.
+The value is lowered only by ``_find_covering`` finding no covering (its
+docstrings give the bounds and exchange arguments that prove it) or by the
+ceiling, so it is never below it.
 
 ``thresholds`` takes only these values, once per distinct value row: a
 share depends on nothing else.  ``mms_exact`` adds the witness partition,
-and it alone runs ``_cover`` at the optimum for it.  That witness is
-canonical: the first covering ``_cover`` finds at the optimum, so it depends
-on nothing but the sorted values, d and the optimum.  ``_cover`` prunes only
-subtrees that hold no covering (its docstring says which), so the first
-covering it finds is the same with or without them.
+and it alone runs ``_cover``, a good-by-good branch-and-bound search for a
+covering, at the optimum for it.  That witness is canonical: the first
+covering ``_cover`` finds at the optimum, so it depends on nothing but the
+sorted values, d and the optimum.  ``_cover`` prunes only subtrees that
+hold no covering (its docstring says which), so the first covering it finds
+is the same with or without them.
 
 Values are scaled to integers once per agent (``Instance.int_rows``).  The
 solvers use that cached row, the oracle only when its query takes every good.
@@ -39,7 +42,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapreplace
-from math import lcm
+from math import inf, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -289,41 +292,6 @@ def _covering_floor(vals: list[int], d: int, target: int, assign: list[int]) -> 
     return floor
 
 
-def _fill_cover(vals: list[int], d: int, target: int, fallback: int) -> list[int] | None:
-    """A cheap covering attempt at `target` over vals (sorted desc): bundle by
-    bundle, take the largest good left, then the smallest good that closes
-    the gap, or when none does the good at `fallback` (0: the largest left,
-    -1: the smallest), until the bundle reaches `target`.  The last bundle
-    takes every good left.  Returns the bundle index per good, or None; None
-    proves nothing."""
-    k = len(vals)
-    # Goods not yet placed, values descending, and their negated values
-    # (ascending) for bisect.
-    left = list(range(k))
-    neg = [-v for v in vals]
-    assign = [d - 1] * k
-    for b in range(d - 1):
-        if not left:
-            return None
-        i = left.pop(0)
-        neg.pop(0)
-        assign[i] = b
-        gap = target - vals[i]
-        while gap > 0:
-            if not left:
-                return None
-            pos = bisect_right(neg, -gap) - 1
-            if pos < 0:
-                pos = fallback
-            i = left.pop(pos)
-            neg.pop(pos)
-            assign[i] = b
-            gap -= vals[i]
-    if sum(vals[i] for i in left) < target:
-        return None
-    return assign
-
-
 def _max_pairs(small: list[int], target: int) -> int:
     """The most disjoint pairs of `small` (sorted desc) that each sum to at
     least `target`.  Greedy, and exact: pair the largest good left with the
@@ -356,26 +324,130 @@ def _pairing_refutes(vals: list[int], d: int, target: int) -> bool:
     return pairs + (len(small) - 2 * pairs) // 3 < d - big
 
 
+def _minimal_completions(
+    goods: tuple[int, ...], gap: int, limit: float = inf, start: int = 0, total: int = 0
+):
+    """Index tuples of goods[start:] (sorted desc) that bring `total` up to
+    `gap` and fall short of it without any one member: the minimal ways to
+    complete a bundle that lacks gap - total.  Only those that keep the new
+    total below `limit` are yielded, and one per multiset of values.
+
+    Let b be the smallest good that makes up the lack alone.  A covering
+    that completes the bundle with a larger such good, or with smaller goods
+    summing to b or more, stays a covering when those goods trade places
+    with b.  So b is the only single good tried, and smaller goods only
+    while they sum below b.
+    """
+    need = gap - total
+    first = start
+    while first < len(goods) and goods[first] >= need:
+        first += 1
+    if first > start:
+        b = goods[first - 1]
+        if total + b < limit:
+            yield (first - 1,)
+        limit = min(limit, total + b)
+    # Members are picked largest first, so the last one is the smallest and
+    # the set is minimal as long as the total before it fell short.
+    room = sum(goods[first:])
+    for i in range(first, len(goods)):
+        if total + room < gap:
+            return
+        v = goods[i]
+        room -= v
+        if (i > first and v == goods[i - 1]) or total + v >= limit:
+            continue
+        for more in _minimal_completions(goods, gap, limit, i + 1, total + v):
+            yield (i,) + more
+
+
+def _complete(
+    goods: tuple[int, ...],
+    bundles: int,
+    target: int,
+    dead: set[tuple[tuple[int, ...], int]],
+    filled: list[tuple[int, ...]],
+) -> bool:
+    """Whether `bundles` bundles, each at least target, can be cut from goods
+    (sorted desc, each 0 < v < target), the goods left over joining any of
+    them.  On success `filled` holds the bundles' values; the last takes
+    every good left.  Failed (goods, bundles) states go into `dead`.
+
+    Bundles are filled one at a time, each around the largest good left, a,
+    with a minimal completion (``_minimal_completions``) of target - a: in
+    any covering, the goods a's bundle can spare move to another covered
+    bundle.
+    """
+    if len(goods) < 2 * bundles:
+        return False
+    if bundles == 1:
+        if sum(goods) < target:
+            return False
+        filled.append(goods)
+        return True
+    key = (goods, bundles)
+    if (
+        key in dead
+        or _cover_ceiling(goods, bundles) < target
+        or _pairing_refutes(goods, bundles, target)
+    ):
+        return False
+    a, rest = goods[0], goods[1:]
+    for picked in _minimal_completions(rest, target - a):
+        bundle, left, prev = (a,), (), 0
+        for i in picked:
+            bundle += (rest[i],)
+            left += rest[prev:i]
+            prev = i + 1
+        filled.append(bundle)
+        if _complete(left + rest[prev:], bundles - 1, target, dead, filled):
+            return True
+        filled.pop()
+    dead.add(key)
+    return False
+
+
+def _find_covering(vals: list[int], d: int, target: int) -> list[int] | None:
+    """Partition all of vals (sorted desc) into d bundles, each at least
+    target > 0, by bin completion (Korf, "A new algorithm for optimal bin
+    packing", AAAI 2002).  Returns the bundle index per good, or None when no
+    such partition exists.
+
+    While fewer than d goods reach target, some covering gives each of them
+    a bundle of its own: whatever shares a bundle with one of them can move
+    to a bundle that holds none.  So ``_complete`` cuts the other bundles
+    from the smaller positive goods.  Zero-valued goods and any surplus go
+    to bundle 0."""
+    big = sum(1 for v in vals if v >= target)
+    filled = [(v,) for v in vals[: min(big, d)]]
+    if big < d:
+        small = tuple(v for v in vals[big:] if v > 0)
+        if not _complete(small, d - big, target, set(), filled):
+            return None
+    slots: dict[int, list[int]] = {}
+    for i in range(len(vals) - 1, -1, -1):
+        slots.setdefault(vals[i], []).append(i)
+    assign = [0] * len(vals)
+    for b, bundle in enumerate(filled):
+        for v in bundle:
+            assign[slots[v].pop()] = b
+    return assign
+
+
 def _share_value(vals: list[int], d: int) -> int:
     """The 1-out-of-d share of vals (integers, sorted desc), value only.
 
     Zero-valued goods are dropped first.  Binary search between the greedy
-    cover value and the ceiling.  Each probe first tries the two
-    ``_fill_cover`` heuristics, then the counting bound
-    ``_pairing_refutes``, and runs the exhaustive ``_cover`` only when all
-    three fail.  Any covering found, checked by ``_covering_floor``, lifts
-    the lower end to its lowest bundle sum; only the counting bound or
-    ``_cover`` failing lowers the upper end.
+    cover value and the ceiling, each probe decided by ``_find_covering``.
+    A covering it finds, checked by ``_covering_floor``, lifts the lower end
+    to its lowest bundle sum; only its finding none, which its bounds and
+    exchange arguments prove, lowers the upper end.
     """
     vals = [v for v in vals if v > 0]
     lo, hi = _greedy_cover(vals, d), _cover_ceiling(vals, d)
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        assign = _fill_cover(vals, d, mid, 0)
-        if assign is None:
-            assign = _fill_cover(vals, d, mid, -1)
-        if assign is None and not _pairing_refutes(vals, d, mid):
-            assign = _cover(vals, d, mid)
+        assign = _find_covering(vals, d, mid)
         if assign is None:
             hi = mid - 1
         else:

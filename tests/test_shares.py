@@ -25,10 +25,12 @@ from ordfair.errors import (
 )
 from ordfair.shares import (
     _cover,
+    _complete,
     _cover_ceiling,
     _covering_floor,
-    _fill_cover,
+    _find_covering,
     _max_pairs,
+    _minimal_completions,
     _pairing_refutes,
     _scaled_row,
     _share_value,
@@ -256,18 +258,20 @@ class TestShareValue:
         for i in inst.agents:
             assert values[i] == mms_exact(inst, i, d).value == mms_bruteforce(inst, i, d).value
 
-    def test_heuristic_coverings_pass_the_check(self):
-        # Every covering _fill_cover returns passes the check, and its
+    def test_search_coverings_pass_the_check(self):
+        # Every covering _find_covering returns passes the check, and its
         # lowest bundle sum never exceeds the share.
+        found = 0
         for _, inst, d in value_sweep():
             for i in inst.agents:
                 vals = sorted(inst.int_rows[i][0], reverse=True)
                 share = _share_value(vals, d)
                 for target in range(1, share + 2):
-                    for fallback in (0, -1):
-                        assign = _fill_cover(vals, d, target, fallback)
-                        if assign is not None:
-                            assert _covering_floor(vals, d, target, assign) <= share
+                    assign = _find_covering(vals, d, target)
+                    if assign is not None:
+                        assert _covering_floor(vals, d, target, assign) <= share
+                        found += 1
+        assert found > 1000
 
     @pytest.mark.parametrize(
         "target, assign",
@@ -291,10 +295,9 @@ class TestShareValue:
             thresholds(I_A, 0)
 
 
-def bound_sweep():
-    """Seeded (vals, d, target) probes for the counting bound: rows of every
-    family, m up to 20 with small and wide value ranges (zeros included),
-    every d in 1..m+1 and every target from 1 to one above the ceiling."""
+def row_sweep():
+    """Seeded (vals, d) queries: rows of every family, m up to 20 with small
+    and wide value ranges (zeros included), every d in 1..m+1."""
     rng = random.Random(2608)
     for family in ("general", "ordered", "top_n"):
         for m in range(1, 21):
@@ -303,8 +306,15 @@ def bound_sweep():
                 for ints, _ in inst.int_rows:
                     vals = sorted(ints, reverse=True)
                     for d in range(1, m + 2):
-                        for target in range(1, _cover_ceiling(vals, d) + 2):
-                            yield vals, d, target
+                        yield vals, d
+
+
+def bound_sweep():
+    """Seeded (vals, d, target) probes: every query of row_sweep at every
+    target from 1 to one above the ceiling."""
+    for vals, d in row_sweep():
+        for target in range(1, _cover_ceiling(vals, d) + 2):
+            yield vals, d, target
 
 
 def brute_max_pairs(goods, target):
@@ -366,6 +376,119 @@ class TestPairingBound:
     def test_no_refutation_once_d_goods_reach_target(self):
         assert not _pairing_refutes([5, 5, 1], 2, 5)
         assert _pairing_refutes([5, 1, 1], 2, 5)
+
+
+# The slowest probes _cover decided in a seed-1 solve-topn run: one level
+# with no covering and one with a covering.
+SLOW_INFEASIBLE = ([40, 39, 39, 32, 30, 29, 27, 23, 21, 20, 19, 19, 16, 16, 15,
+                    15, 15, 15, 14, 14, 13, 13, 12, 10, 10, 8, 6, 5, 4, 1], 15, 34)
+SLOW_FEASIBLE = ([41, 38, 37, 30, 28, 28, 28, 25, 25, 23, 20, 18, 17, 16, 13,
+                  13, 12, 12, 12, 12, 11, 10, 9, 9, 4, 3, 3, 2, 2, 1], 15, 31)
+
+
+class TestFindCovering:
+    """_find_covering decides every probe of the share search: a covering it
+    returns lifts the lower end, None lowers the upper end.  _cover, checked
+    against the oracle above, decides each probe independently here, so both
+    a covering missed and one wrongly claimed show."""
+
+    def test_agrees_with_cover_on_sweep(self):
+        feasible = infeasible = 0
+        for vals, d, target in bound_sweep():
+            assign = _find_covering(vals, d, target)
+            assert (assign is None) == (_cover(vals, d, target) is None), (vals, d, target)
+            if assign is None:
+                infeasible += 1
+            else:
+                _covering_floor(vals, d, target, assign)
+                feasible += 1
+        assert feasible > 1000 and infeasible > 1000
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        goods=st.lists(st.integers(0, 12), min_size=1, max_size=14),
+        data=st.data(),
+    )
+    def test_agrees_with_cover(self, goods, data):
+        vals = sorted(goods, reverse=True)
+        d = data.draw(st.integers(1, len(vals) + 1))
+        target = data.draw(st.integers(1, _cover_ceiling(vals, d) + 1))
+        assign = _find_covering(vals, d, target)
+        assert (assign is None) == (_cover(vals, d, target) is None)
+        if assign is not None:
+            _covering_floor(vals, d, target, assign)
+
+    def test_slow_infeasible_probe(self):
+        vals, d, target = SLOW_INFEASIBLE
+        assert not _pairing_refutes(vals, d, target)
+        assert _find_covering(vals, d, target) is None
+        assert _cover(vals, d, target) is None
+
+    def test_slow_feasible_probe(self):
+        vals, d, target = SLOW_FEASIBLE
+        assign = _find_covering(vals, d, target)
+        assert assign is not None
+        assert _covering_floor(vals, d, target, assign) >= target
+        assert _cover(vals, d, target) is not None
+
+    def test_completions_take_only_the_smallest_good_that_fits_alone(self):
+        def values(goods, gap):
+            return [tuple(goods[i] for i in p) for p in _minimal_completions(goods, gap)]
+
+        goods = (9, 8, 7, 5, 4, 3, 3, 1)
+        # 8 fits alone, so nothing else is tried: 9 is larger, and two or
+        # more smaller goods would sum to 8 or more.
+        assert values(goods, 8) == [(8,)]
+        # 9 fits alone; smaller goods are tried only while they sum below 9.
+        assert values((9, 5, 4, 3, 1), 7) == [(9,), (5, 3), (4, 3)]
+        # Nothing fits alone.  After 9 only 1 is tried, after 8 or 7 only 3
+        # (not 1, which falls short), and the two 3s give one completion.
+        assert values(goods, 10) == [(9, 1), (8, 3), (7, 3), (5, 4, 1), (5, 3, 3), (4, 3, 3)]
+
+    def test_failed_states_keep_their_bundle_count(self):
+        # A state is the goods left and the bundles still to fill: failing
+        # to cut 12 bundles from some goods says nothing about cutting 11.
+        vals, d, target = SLOW_INFEASIBLE
+        small = tuple(v for v in vals if v < target)
+        bundles = d - (len(vals) - len(small))
+        dead = set()
+        assert not _complete(small, bundles, target, dead, [])
+        filled = []
+        assert _complete(small, bundles - 1, target, dead, filled)
+        assert sorted(sum(filled, ())) == sorted(small)
+        assert min(map(sum, filled)) >= target
+
+    def test_zero_goods_and_surplus_join_covered_bundles(self):
+        # A good at the target covers a bundle alone; the last bundle takes
+        # every positive good left; zeros and unneeded goods go to bundle 0.
+        assert _find_covering([5, 3, 2, 1, 0], 2, 5) == [0, 1, 1, 1, 0]
+        assert _find_covering([5, 5, 5, 1, 0], 2, 5) == [0, 1, 0, 0, 0]
+        assert _find_covering([5, 3, 0], 3, 1) is None
+
+
+class TestShareAgainstCover:
+    """The share value must be neither above nor below the true share.  The
+    golden digests and the thresholds tests compare it with mms_exact, which
+    takes the same value, and the oracle stops at 12 goods.  Here _cover
+    decides the value and the level above it on rows of up to 20 goods."""
+
+    def test_cover_decides_the_share(self):
+        for vals, d in row_sweep():
+            share = _share_value(vals, d)
+            assert _cover(vals, d, share) is not None, (vals, d)
+            assert _cover(vals, d, share + 1) is None, (vals, d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        goods=st.lists(st.integers(0, 20), min_size=2, max_size=16),
+        data=st.data(),
+    )
+    def test_removing_a_good_never_raises_the_share(self, goods, data):
+        d = data.draw(st.integers(1, len(goods) + 1))
+        gone = data.draw(st.integers(0, len(goods) - 1))
+        fewer = goods[:gone] + goods[gone + 1 :]
+        share = _share_value(sorted(goods, reverse=True), d)
+        assert _share_value(sorted(fewer, reverse=True), d) <= share
 
 
 class TestThresholds:
