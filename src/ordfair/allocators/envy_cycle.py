@@ -11,7 +11,8 @@ Each agent's values of all bundles live in one integer matrix, built once
 from the agent's integer-scaled row (``Instance.int_rows``) and updated in
 place: a gift adds one value to the receiver's column, a rotation moves the
 cycle members' columns.  Scaling a row keeps every comparison that agent
-makes, so the envy graph is exact.
+makes, so the envy graph is exact.  The input's EF1 check reads the matrix;
+a gift updates only the graph's edges into and out of the receiver.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 from ..errors import InvariantViolationError, PreconditionError
 from ..model import Allocation, Instance, check_allocation
-from ..verification import is_ef1
+from ..verification import _ef1, _worth, is_ef1
 from .trace import AllocatorTrace
 
 
@@ -61,17 +62,17 @@ def envy_cycle_elimination(
     """Hand pool goods to unenvied agents, rotating bundles along envy
     cycles when no such agent exists."""
     check_allocation(inst, alloc)
-    ok, pair = is_ef1(inst, alloc)
+    worth = _worth(inst, alloc)
+    ok, pair = _ef1(inst, alloc, worth)
     if not ok:
         raise PreconditionError(f"envy-cycle completion needs an EF1 input, witness {pair}")
 
-    rows = [row for row, _ in inst.int_rows]
-    lcms = [denom for _, denom in inst.int_rows]
+    rows, lcms = zip(*inst.int_rows)
     bundles = [set(b) for b in alloc.bundles]
     pool = set(alloc.pool)
     trace = AllocatorTrace("envy_cycle_elimination")
-    worth = [[sum(row[g] for g in b) for b in bundles] for row in rows]
     start_values = [worth[i][i] for i in inst.agents]
+    incoming = _envy_edges(worth)
     iteration = 0
     cap = 10_000 + 100 * inst.n * inst.m
 
@@ -79,9 +80,8 @@ def envy_cycle_elimination(
         iteration += 1
         if iteration > cap:
             raise InvariantViolationError("envy-cycle run exceeded its event cap")
-        incoming = _envy_edges(worth)
-        sources = [i for i in inst.agents if not incoming[i]]
-        if not sources:
+        source = next((i for i in inst.agents if not incoming[i]), None)
+        if source is None:
             cycle = _find_cycle(incoming)
             shifted = cycle[1:] + cycle[:1]
             # Agents off the cycle keep their bundles, so the members' gains,
@@ -99,15 +99,19 @@ def envy_cycle_elimination(
                 moved = [by_owner[b] for b in shifted]
                 for a, item in zip(cycle, moved):
                     by_owner[a] = item
+            incoming = _envy_edges(worth)
             trace.emit(iteration, "cycle_rotation", cycle=",".join(map(str, cycle)))
             continue
-        source = min(sources)
         row = rows[source]
         good = min(pool, key=lambda g: (-row[g], g))
         bundles[source].add(good)
         pool.remove(good)
         for agent_row, agent_worth in zip(rows, worth):
             agent_worth[source] += agent_row[good]
+        incoming[source] = {i for i, w in enumerate(worth) if w[source] > w[i]}
+        for j in inst.agents:
+            if worth[source][j] <= worth[source][source]:
+                incoming[j].discard(source)
         trace.emit(iteration, "source_gift", agent=source, good=good)
 
     result = Allocation(tuple(frozenset(b) for b in bundles), frozenset())

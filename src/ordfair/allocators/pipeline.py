@@ -17,7 +17,7 @@ The returned trace is in the run's own coordinates (see ``trace.replay``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import StructuralMismatchError
@@ -64,9 +64,7 @@ def _unpermute(alloc: Allocation, order: tuple[int, ...]) -> Allocation:
 def _cleared(inst: Instance) -> Instance:
     """Copy without dummy flags, so stripping later removes exactly the
     padding this pipeline adds.  Verdicts still use the caller's instance."""
-    if not inst.dummy_goods and not inst.dummy_agents:
-        return inst
-    return replace(inst, dummy_goods=frozenset(), dummy_agents=())
+    return inst._derive(inst.int_rows, dummy_goods=frozenset(), dummy_agents=())
 
 
 def solve_complete(inst: Instance, algorithm: str) -> SolveResult:

@@ -6,7 +6,9 @@ boundary.  Comparisons within one agent's valuation run on that agent's row
 scaled to integers (``Instance.int_rows``), which keeps them exact.  The
 allocators decide on these rows: ``Instance.int_value`` sums a set of goods
 on one and ``Instance.level`` maps a threshold onto the same scale.
-Instances and allocations are immutable and safe to share.
+Instances and allocations are immutable and safe to share.  Permuted, padded
+and stripped instances skip checks that hold by construction and carry
+``int_rows`` over; dummy goods are zero, so no row's lcm changes.
 
 Good and agent indices are 0-based everywhere, including the file formats.
 """
@@ -180,6 +182,12 @@ class Instance:
         num, den = tau.as_integer_ratio()
         return -(-num * self.int_rows[agent][1] // den)
 
+    def _derive(self, int_rows, **changes) -> "Instance":
+        """``replace`` without ``__post_init__``; callers keep its checks and ``int_rows`` exact."""
+        new = object.__new__(type(self))
+        vars(new).update(vars(self), **changes, int_rows=int_rows)
+        return new
+
     def with_values(self, values: Sequence[Sequence[Fraction]]) -> "Instance":
         """Same shape, labels and flags, different valuation matrix."""
         return replace(self, values=tuple(tuple(row) for row in values))
@@ -189,8 +197,8 @@ class Instance:
         if sorted(order) != list(range(self.m)):
             raise InvalidInstanceError("not a permutation of goods")
         inv = {old: new for new, old in enumerate(order)}
-        return replace(
-            self,
+        return self._derive(
+            tuple((tuple(ints[g] for g in order), denom) for ints, denom in self.int_rows),
             values=tuple(tuple(row[g] for g in order) for row in self.values),
             good_labels=tuple(self.good_labels[g] for g in order),
             dummy_goods=frozenset(inv[g] for g in self.dummy_goods),
@@ -296,13 +304,10 @@ def pad_goods(inst: Instance, target: int) -> Instance:
     if target == inst.m:
         return inst
     extra = target - inst.m
-    zero = Fraction(0)
-    values = tuple(row + (zero,) * extra for row in inst.values)
-    labels = inst.good_labels + tuple(f"g{inst.m + j}" for j in range(extra))
-    return replace(
-        inst,
-        values=values,
-        good_labels=labels,
+    return inst._derive(
+        tuple((ints + (0,) * extra, denom) for ints, denom in inst.int_rows),
+        values=tuple(row + (Fraction(0),) * extra for row in inst.values),
+        good_labels=inst.good_labels + tuple(f"g{inst.m + j}" for j in range(extra)),
         dummy_goods=inst.dummy_goods | frozenset(range(inst.m, target)),
     )
 
@@ -313,11 +318,15 @@ def pad_agents_to_multiple_of_three(inst: Instance) -> Instance:
     target = 3 * ((n + 2) // 3)
     if target == n:
         return inst
+    if 0 in dict(inst.dummy_agents):
+        raise InvalidInstanceError("dummy agent source is itself dummy")
     extra = target - n
-    values = inst.values + tuple(inst.values[0] for _ in range(extra))
-    labels = inst.agent_labels + tuple(f"a{n + i}" for i in range(extra))
-    new_dummies = inst.dummy_agents + tuple((n + i, 0) for i in range(extra))
-    return replace(inst, values=values, agent_labels=labels, dummy_agents=new_dummies)
+    return inst._derive(
+        inst.int_rows + (inst.int_rows[0],) * extra,
+        values=inst.values + (inst.values[0],) * extra,
+        agent_labels=inst.agent_labels + tuple(f"a{n + i}" for i in range(extra)),
+        dummy_agents=inst.dummy_agents + tuple((n + i, 0) for i in range(extra)),
+    )
 
 
 def strip_dummies(
@@ -334,12 +343,13 @@ def strip_dummies(
     dummy_agent_ids = {a for a, _ in inst.dummy_agents}
     keep_agents = [i for i in inst.agents if i not in dummy_agent_ids]
 
-    new_inst = Instance(
-        values=tuple(
-            tuple(inst.values[i][g] for g in keep_goods) for i in keep_agents
-        ),
+    rows = inst.int_rows
+    new_inst = inst._derive(
+        tuple((tuple(rows[i][0][g] for g in keep_goods), rows[i][1]) for i in keep_agents),
+        values=tuple(tuple(inst.values[i][g] for g in keep_goods) for i in keep_agents),
         agent_labels=tuple(inst.agent_labels[i] for i in keep_agents),
         good_labels=tuple(inst.good_labels[g] for g in keep_goods),
+        dummy_goods=frozenset(), dummy_agents=(),
     )
     pool = set(alloc.pool)
     for a in dummy_agent_ids:
@@ -513,6 +523,13 @@ def write_allocation(alloc: Allocation) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_goods(text: str, where: str) -> frozenset[int]:
+    goods = [_parse_int(t, "good") for t in text.split()]
+    if len(set(goods)) != len(goods):
+        raise ParseError(f"a good is listed twice on {where}")
+    return frozenset(goods)
+
+
 def read_allocation(text: str) -> Allocation:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -535,9 +552,9 @@ def read_allocation(text: str) -> Allocation:
                 head, _, goods = lines[i].partition(":")
                 if _parse_int(head, "bundle index") != r:
                     raise ParseError(f"expected bundle {r}, got {head!r}")
-                bundles.append(frozenset(_parse_int(t, "good") for t in goods.split()))
+                bundles.append(_parse_goods(goods, f"bundle {r}"))
         elif key == "pool":
-            pool = frozenset(_parse_int(t, "good") for t in rest.split())
+            pool = _parse_goods(rest, "the pool line")
         else:
             raise ParseError(f"unknown allocation field {key!r}")
         i += 1

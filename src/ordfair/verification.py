@@ -4,10 +4,11 @@ These are the source of truth used to certify allocator outputs; they never
 share state with the allocators.  Agents flagged dummy in the instance are
 skipped by the MMS verdict (they only exist as padding).
 
-EFX and EF1 compare bundles within one agent's valuation, so they sum and
-compare on that agent's integer-scaled row (``Instance.int_rows``), which
-keeps every verdict and witness exact.  The MMS verdict and the reported
-bundle values stay in ``Fraction``: they meet thresholds and report bytes.
+EFX and EF1 compare bundles within one agent's valuation, so they read one
+integer matrix: ``worth[i][j]`` is agent i's value of bundle j on i's row of
+``Instance.int_rows``.  ``report`` builds it once, takes bundle values as
+``Fraction(worth[i][i], lcm_i)``, and skips EF1's pass when EFX holds: then
+``worth[i][j] - min <= worth[i][i]`` for every envied pair, and max >= min.
 """
 
 from __future__ import annotations
@@ -45,33 +46,47 @@ def _strong_envy_drop(
 ) -> int | None:
     """strongly_envies' witness for an agent who values each good g at
     value(g), their own bundle at `own` and `bundle` at `total` > `own`."""
-    drop = min(sorted(bundle), key=value)
-    return drop if total - value(drop) > own else None
+    low = min(map(value, bundle))
+    return min(g for g in bundle if value(g) == low) if total - low > own else None
+
+
+def _worth(inst: Instance, alloc: Allocation) -> list[list[int]]:
+    """worth[i][j]: agent i's value of bundle j on i's integer row."""
+    return [[sum(map(row.__getitem__, b)) for b in alloc.bundles] for row, _ in inst.int_rows]
+
+
+def _envied(inst: Instance, worth: list[list[int]]):
+    """(i, j, i's value of a good, own worth, worth of j) where i envies j."""
+    for i, (row, _) in enumerate(inst.int_rows):
+        own = worth[i][i]
+        for j in inst.agents:
+            if worth[i][j] > own:
+                yield i, j, row.__getitem__, own, worth[i][j]
+
+
+def _efx(inst: Instance, alloc: Allocation, worth: list[list[int]]):
+    for i, j, value, own, total in _envied(inst, worth):
+        drop = _strong_envy_drop(value, own, total, alloc.bundles[j])
+        if drop is not None:
+            return False, (i, j, drop)
+    return True, None
+
+
+def _ef1(inst: Instance, alloc: Allocation, worth: list[list[int]]):
+    for i, j, value, own, total in _envied(inst, worth):
+        if own < total - max(map(value, alloc.bundles[j])):
+            return False, (i, j)
+    return True, None
 
 
 def is_efx(inst: Instance, alloc: Allocation) -> tuple[bool, tuple[int, int, int] | None]:
     """No agent strongly envies another; first violating triple as witness."""
-    for i, (row, _) in enumerate(inst.int_rows):
-        value = row.__getitem__
-        worth = [sum(map(value, b)) for b in alloc.bundles]
-        for j in inst.agents:
-            if i != j and worth[j] > worth[i]:
-                drop = _strong_envy_drop(value, worth[i], worth[j], alloc.bundles[j])
-                if drop is not None:
-                    return False, (i, j, drop)
-    return True, None
+    return _efx(inst, alloc, _worth(inst, alloc))
 
 
 def is_ef1(inst: Instance, alloc: Allocation) -> tuple[bool, tuple[int, int] | None]:
     """Every envy is removable by dropping one good from the envied bundle."""
-    for i, (row, _) in enumerate(inst.int_rows):
-        value = row.__getitem__
-        worth = [sum(map(value, b)) for b in alloc.bundles]
-        for j in inst.agents:
-            if i != j and worth[j] > worth[i]:
-                if worth[i] < worth[j] - max(map(value, alloc.bundles[j])):
-                    return False, (i, j)
-    return True, None
+    return _ef1(inst, alloc, _worth(inst, alloc))
 
 
 def is_ordinal_mms(
@@ -84,11 +99,15 @@ def is_ordinal_mms(
 
     Witness: the agent with the worst shortfall (lowest index on ties).
     """
+    return _mms(inst, [inst.value(i, b) for i, b in enumerate(alloc.bundles)], agent_thresholds)
+
+
+def _mms(inst: Instance, own: Sequence[Fraction], agent_thresholds: Sequence[Fraction]):
     if len(agent_thresholds) != inst.n:
         raise PreconditionError("one threshold per agent required")
     worst: tuple[int, Fraction] | None = None
     for i in inst.real_agents:
-        gap = agent_thresholds[i] - inst.value(i, alloc.bundles[i])
+        gap = agent_thresholds[i] - own[i]
         if gap > 0 and (worst is None or gap > worst[1]):
             worst = (i, gap)
     if worst is None:
@@ -129,19 +148,21 @@ def report(
 ) -> FairnessReport:
     """Aggregate verdicts; thresholds are computed unless supplied."""
     check_allocation(inst, alloc)
-    efx, efx_wit = is_efx(inst, alloc)
-    ef1, ef1_wit = is_ef1(inst, alloc)
+    worth = _worth(inst, alloc)
+    efx, efx_wit = _efx(inst, alloc, worth)
+    ef1, ef1_wit = (True, None) if efx else _ef1(inst, alloc, worth)
+    values = tuple(Fraction(worth[i][i], lcm) for i, (_, lcm) in enumerate(inst.int_rows))
     verdicts = []
     for d in divisors:
         if thresholds_by_divisor is not None and d in thresholds_by_divisor:
             taus = tuple(thresholds_by_divisor[d])
         else:
             taus = shares.thresholds(inst, d)
-        ok, wit = is_ordinal_mms(inst, alloc, d, taus)
+        ok, wit = _mms(inst, values, taus)
         verdicts.append(MmsVerdict(divisor=d, ok=ok, thresholds=taus, witness=wit))
     return FairnessReport(
         complete=alloc.is_complete(inst.m),
-        bundle_values=tuple(inst.value(i, alloc.bundles[i]) for i in inst.agents),
+        bundle_values=values,
         efx=efx,
         efx_witness=efx_wit,
         ef1=ef1,

@@ -7,7 +7,17 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from ordfair import Allocation, GeneratorConfig, Instance, generate
+from ordfair import (
+    Allocation,
+    FairnessReport,
+    GeneratorConfig,
+    Instance,
+    generate,
+    is_ef1,
+    is_efx,
+    is_ordinal_mms,
+)
+from ordfair.verification import MmsVerdict
 
 # The two worked instances used throughout the suite (0-based goods).
 I_A = Instance.from_rows([[3, 2, 2, 1, 1], [4, 3, 1, 1, 1]])
@@ -206,3 +216,23 @@ def rational_rows_instance(rng: random.Random, n: int, m: int, family: str = "ge
         scale = Fraction(rng.randint(1, 40), rng.randint(1, 40))
         rows.append([v / scale for v in row])
     return Instance.from_rows(rows)
+
+
+def reference_report(inst: Instance, alloc: Allocation, thresholds_by_divisor) -> FairnessReport:
+    """``verification.report`` as it was built before it read one worth
+    matrix: the public checkers, each on its own, and ``Instance.value``."""
+    efx, efx_wit = is_efx(inst, alloc)
+    ef1, ef1_wit = is_ef1(inst, alloc)
+    verdicts = []
+    for d, taus in thresholds_by_divisor.items():
+        ok, wit = is_ordinal_mms(inst, alloc, d, taus)
+        verdicts.append(MmsVerdict(divisor=d, ok=ok, thresholds=tuple(taus), witness=wit))
+    return FairnessReport(
+        complete=alloc.is_complete(inst.m),
+        bundle_values=tuple(inst.value(i, alloc.bundles[i]) for i in inst.agents),
+        efx=efx,
+        efx_witness=efx_wit,
+        ef1=ef1,
+        ef1_witness=ef1_wit,
+        mms=tuple(verdicts),
+    )

@@ -11,7 +11,7 @@ from ordfair import (
     top_k_set,
     write_instance,
 )
-from ordfair.cli import main
+from ordfair.cli import EXIT_CONFIG, main
 from ordfair.shares import mms_exact
 
 from helpers import EX51, I_A, I_B
@@ -137,6 +137,16 @@ class TestVerify:
             code = run_cli(["verify", str(inst_file), str(alloc_file)])
             assert code == 1
             assert "error:" in capsys.readouterr().err
+
+
+    def test_good_listed_twice_is_config_error(self, workdir, capsys):
+        inst_file = workdir / "ex51.txt"
+        inst_file.write_text(write_instance(EX51))
+        alloc_file = workdir / "alloc.txt"
+        alloc_file.write_text("agents 3\nbundles\n0: 4 4\n1: 0 1 2\n2: 3\npool\n")
+        code = run_cli(["verify", str(inst_file), str(alloc_file)])
+        assert code == EXIT_CONFIG
+        assert "listed twice" in capsys.readouterr().err
 
 
 class TestMms:

@@ -12,6 +12,7 @@ at thresholds between two levels and under per-agent row scaling.
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,11 +32,14 @@ from ordfair import (
     pad_agents_to_multiple_of_three,
     pad_goods,
     shrink_minimal,
+    strip_dummies,
     strongly_envies,
     thresholds,
     top_k_set,
 )
 from ordfair.allocators.bagfill import ceil_3n_over_2
+from ordfair.allocators.pipeline import _cleared
+from ordfair.errors import InvalidInstanceError, PreconditionError
 
 from helpers import (
     I_A,
@@ -48,6 +52,7 @@ from helpers import (
     positive_ordered_instance,
     random_partial_allocation,
     rational_rows_instance,
+    seeded_instance,
 )
 
 # Values with small, mixed denominators, and zeros.
@@ -87,6 +92,143 @@ def test_verifiers_match_fraction_reference(inst, rng):
                 assert strongly_envies(inst, alloc, i, j) == frac_strongly_envies(
                     inst, alloc, i, j
                 )
+
+
+# --- derived instances carry int_rows -------------------------------------
+
+
+@st.composite
+def flagged_instances(draw):
+    """Rational rows with pre-flagged dummies: zero columns flagged as dummy
+    goods at random positions, and copies of real rows flagged as dummy
+    agents (agent 0 real or not), with default or custom labels."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(values, min_size=m, max_size=m), min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, 3))):
+        col = draw(st.integers(0, len(rows[0])))
+        for row in rows:
+            row.insert(col, None)  # marks a dummy good until the agents are final
+    sources = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    rows += [list(rows[src]) for src in sources]
+    order = draw(st.permutations(range(len(rows))))
+    dummy_agents = [
+        (order.index(n + k), order.index(src)) for k, src in enumerate(sources)
+    ]
+    rows = [rows[a] for a in order]
+    dummy_goods = [g for g, v in enumerate(rows[0]) if v is None]
+    rows = [[Fraction(0) if v is None else v for v in row] for row in rows]
+    if not rows[0]:
+        rows = [[Fraction(0)] for _ in rows]
+    labels = {}
+    if draw(st.booleans()):
+        labels = {
+            "agent_labels": [f"x{i}" for i in range(len(rows))],
+            "good_labels": [f"y{g}" for g in range(len(rows[0]))],
+        }
+    return Instance.from_rows(rows, dummy_goods=dummy_goods, dummy_agents=dummy_agents, **labels)
+
+
+def _fresh(values, agent_labels, good_labels, dummy_goods=(), dummy_agents=()):
+    return Instance(
+        values=tuple(tuple(row) for row in values),
+        agent_labels=tuple(agent_labels),
+        good_labels=tuple(good_labels),
+        dummy_goods=frozenset(dummy_goods),
+        dummy_agents=tuple(dummy_agents),
+    )
+
+
+def _same_as_fresh(derived, expected):
+    """``derived`` equals the instance built through ``Instance(...)``, its
+    carried ``int_rows`` equal that instance's fresh ones, and so do those
+    of an instance rebuilt from its own fields."""
+    assert derived == expected
+    assert "int_rows" in vars(derived)
+    assert derived.int_rows == expected.int_rows
+    rebuilt = _fresh(
+        derived.values, derived.agent_labels, derived.good_labels,
+        derived.dummy_goods, derived.dummy_agents,
+    )
+    assert derived.int_rows == rebuilt.int_rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(flagged_instances(), st.randoms(use_true_random=False))
+def test_derived_instances_equal_fresh_ones(inst, rng):
+    order = list(inst.goods)
+    rng.shuffle(order)
+    inv = {old: new for new, old in enumerate(order)}
+    _same_as_fresh(
+        inst.permute_goods(order),
+        _fresh(
+            [[row[g] for g in order] for row in inst.values],
+            inst.agent_labels,
+            [inst.good_labels[g] for g in order],
+            {inv[g] for g in inst.dummy_goods},
+            inst.dummy_agents,
+        ),
+    )
+
+    extra = rng.randint(1, 4)
+    _same_as_fresh(
+        pad_goods(inst, inst.m + extra),
+        _fresh(
+            [list(row) + [Fraction(0)] * extra for row in inst.values],
+            inst.agent_labels,
+            list(inst.good_labels) + [f"g{inst.m + j}" for j in range(extra)],
+            set(inst.dummy_goods) | set(range(inst.m, inst.m + extra)),
+            inst.dummy_agents,
+        ),
+    )
+
+    n = inst.n
+    copies = range(n, 3 * ((n + 2) // 3))
+
+    def with_copies():
+        return _fresh(
+            list(inst.values) + [inst.values[0]] * len(copies),
+            list(inst.agent_labels) + [f"a{a}" for a in copies],
+            inst.good_labels,
+            inst.dummy_goods,
+            list(inst.dummy_agents) + [(a, 0) for a in copies],
+        )
+
+    if copies and 0 in dict(inst.dummy_agents):
+        # Agent 0 is itself a copy: both ways reject it the same way.
+        for build in (lambda: pad_agents_to_multiple_of_three(inst), with_copies):
+            with pytest.raises(InvalidInstanceError, match="source is itself dummy"):
+                build()
+    elif copies:
+        _same_as_fresh(pad_agents_to_multiple_of_three(inst), with_copies())
+
+    alloc = random_partial_allocation(inst, rng)
+    dummy_agents = dict(inst.dummy_agents)
+    keep_agents = [i for i in inst.agents if i not in dummy_agents]
+    keep_goods = [g for g in inst.goods if g not in inst.dummy_goods]
+    stripped, _ = strip_dummies(inst, alloc)
+    _same_as_fresh(
+        stripped,
+        _fresh(
+            [[inst.values[i][g] for g in keep_goods] for i in keep_agents],
+            [inst.agent_labels[i] for i in keep_agents],
+            [inst.good_labels[g] for g in keep_goods],
+        ),
+    )
+
+    _same_as_fresh(_cleared(inst), _fresh(inst.values, inst.agent_labels, inst.good_labels))
+
+
+def test_derived_instances_keep_their_error_paths():
+    inst = Instance.from_rows([["1/2", 1, 0], ["1/3", 2, 0]], dummy_goods=[2])
+    for order in ([0, 0, 1], [0, 1], [0, 1, 2, 3], [2, 1, 3]):
+        with pytest.raises(InvalidInstanceError, match="not a permutation"):
+            inst.permute_goods(order)
+    with pytest.raises(PreconditionError, match="below good count"):
+        pad_goods(inst, 2)
+    copied = Instance.from_rows([[1, 2], [1, 2]], dummy_agents=[(0, 1)])
+    with pytest.raises(InvalidInstanceError, match="source is itself dummy"):
+        pad_agents_to_multiple_of_three(copied)
 
 
 def _rational_instances():
@@ -169,6 +311,54 @@ def test_completion_matches_fraction_reference():
             rotations += sum(ev.kind == "cycle_rotation" for ev in trace.events)
     # The sweep must reach the rotation path, not only gifts.
     assert runs > 300 and rotations > 20
+
+
+def _benchmark_shaped_starts():
+    """EF1 partials shaped like the light benchmark's completions: n 16-24,
+    goods padded to 2n, integer rows valued up to 4 and the same rows scaled
+    by random rationals.  Each instance gives the partial its pipeline
+    completes and a start of one random good per agent."""
+    rng = random.Random(2612)
+    for t in range(6):
+        n = rng.randint(16, 24)
+        algorithm = ("a1", "a2", "a3")[t % 3]
+        family = "top_n" if algorithm == "a2" else "ordered"
+        m = n + 2 if algorithm == "a2" else n
+        inst = seeded_instance(family, n, m, rng.randrange(2**32), max_value=4)
+        if t >= 3:
+            scales = [Fraction(rng.randint(1, 30), rng.randint(1, 30)) for _ in inst.agents]
+            inst = inst.with_values([[v / c for v in row] for row, c in zip(inst.values, scales)])
+        if algorithm == "a2":
+            padded = pad_goods(inst, 2 * n)
+            partial, _ = alloc_topn_lone_divider(padded, thresholds(padded, ceil_3n_over_2(n)))
+        else:
+            work = inst.permute_goods(detect_structure(inst))
+            if algorithm == "a1":
+                padded = pad_goods(work, 2 * n)
+                partial, _ = alloc_ordered_efx_3n2(padded, thresholds(padded, ceil_3n_over_2(n)))
+            else:
+                work = pad_agents_to_multiple_of_three(work)
+                padded = pad_goods(work, 2 * work.n)
+                partial, _ = alloc_ordered_ef1_4n3(padded, thresholds(padded, 4 * (work.n // 3)))
+                padded, partial = strip_dummies(padded, partial)
+        yield padded, partial
+        goods = list(padded.goods)
+        rng.shuffle(goods)
+        yield padded, make_allocation([[g] for g in goods[: padded.n]], goods[padded.n:])
+
+
+def test_completion_matches_fraction_reference_at_benchmark_sizes():
+    """The envy graph updated in place after gifts and rebuilt after
+    rotations gives the allocation and trace of the reference, which builds
+    the graph afresh in Fraction before every event."""
+    kinds = []
+    for inst, start in _benchmark_shaped_starts():
+        final, trace = envy_cycle_elimination(inst, start)
+        ref_final, ref_text = frac_envy_cycle_elimination(inst, start)
+        assert final == ref_final
+        assert trace.to_text() == ref_text
+        kinds += [ev.kind for ev in trace.events]
+    assert kinds.count("source_gift") > 100 and kinds.count("cycle_rotation") > 20
 
 
 # --- thresholds in value units, decisions on integer levels -----------------

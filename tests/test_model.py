@@ -271,6 +271,19 @@ class TestFileFormats:
         with pytest.raises(ParseError):
             read_allocation(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "agents 1\nbundles\n0: 1 1\npool\n",
+            "agents 2\nbundles\n0: 0\n1: 2 3 2\npool 1\n",
+            "agents 1\nbundles\n0: 0\npool 1 2 1\n",
+        ],
+    )
+    def test_good_listed_twice_on_one_line_is_parse_error(self, text):
+        """A frozenset drops the repeat, so check_allocation could not see it."""
+        with pytest.raises(ParseError, match="listed twice"):
+            read_allocation(text)
+
     def test_permute_goods_round_trip(self):
         inst = seeded_instance("general", 2, 5, 77)
         order = (3, 0, 4, 1, 2)

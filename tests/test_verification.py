@@ -26,6 +26,8 @@ from helpers import (
     naive_is_efx,
     naive_strong_envy,
     random_partial_allocation,
+    rational_rows_instance,
+    reference_report,
     seeded_instance,
 )
 
@@ -191,3 +193,29 @@ class TestReport:
             rep = report(inst, alloc)
             if rep.efx:
                 assert rep.ef1
+
+    def test_matches_reference_on_random_allocations(self):
+        """One worth matrix per report gives the verdicts, witnesses and
+        values of the public checkers run one by one, on partial and
+        complete allocations, rational rows and dummy agents.  Both sides
+        of the EFX => EF1 shortcut run, and EF1 fails too."""
+        rng = random.Random(2611)
+        seen = {"efx": 0, "ef1 only": 0, "neither": 0}
+        for t in range(300):
+            inst = rational_rows_instance(rng, rng.randint(1, 6), rng.randint(1, 9))
+            if t % 4 == 0:
+                inst = pad_agents_to_multiple_of_three(inst)
+            alloc = random_partial_allocation(inst, rng)
+            if t % 2:
+                goods = sorted(alloc.pool)
+                alloc = make_allocation(
+                    [set(b) | {g for g in goods if g % inst.n == i} for i, b in enumerate(alloc.bundles)]
+                )
+            taus = {
+                2: thresholds(inst, 2),
+                3: tuple(Fraction(rng.randint(0, 60), rng.randint(1, 12)) for _ in inst.agents),
+            }
+            rep = report(inst, alloc, [2, 3], {3: taus[3]})
+            assert rep == reference_report(inst, alloc, taus), (inst, alloc)
+            seen["efx" if rep.efx else "ef1 only" if rep.ef1 else "neither"] += 1
+        assert min(seen.values()) >= 10, seen
