@@ -4,10 +4,10 @@ completion, cleanup, and certification against the independent verifiers.
 All three algorithms run one body, which branches only where they differ:
 a2 neither checks for nor applies a common order; a3 pads to a multiple of
 three agents and divides by 4n/3; each runs its own allocator; a1 and a2
-complete on the padded instance and then strip the dummies, while a3 strips
-first and completes on what is left; and each certifies its own guarantee
-pair.  Completion is one envy-cycle rule for all three; a1's EFX after
-completion is checked by the certification, not by the completion step.
+complete on the padded instance and then drop the padding goods, while a3
+strips first and completes on what is left; and each certifies its own
+guarantee pair.  Completion is one envy-cycle rule for all three; a1's EFX
+after completion is checked by the certification, not by the completion step.
 Only this body decides the divisor; the allocators take the thresholds it
 computes.  The layers are called through their module-level names, which the
 benchmark's traced run rebinds to time them.
@@ -61,6 +61,18 @@ def _unpermute(alloc: Allocation, order: tuple[int, ...]) -> Allocation:
     )
 
 
+def _unpadded(alloc: Allocation, m: int) -> Allocation:
+    """``alloc`` without the goods >= m that ``pad_goods`` appended: for a1
+    and a2, which pad no agents and keep no other dummy after ``_cleared``,
+    ``strip_dummies(padded, alloc)[1]`` without the stripped instance.  Not
+    checked here: completion checks the padded allocation, both reports the
+    caller's."""
+    return Allocation(
+        tuple(frozenset(g for g in b if g < m) for b in alloc.bundles),
+        frozenset(g for g in alloc.pool if g < m),
+    )
+
+
 def _cleared(inst: Instance) -> Instance:
     """Copy without dummy flags, so stripping later removes exactly the
     padding this pipeline adds.  Verdicts still use the caller's instance."""
@@ -110,8 +122,8 @@ def solve_complete(inst: Instance, algorithm: str) -> SolveResult:
     else:
         complete, completion_trace = envy_cycle_elimination(padded, partial)
         trace.extend_offset(completion_trace)
-        _, partial = strip_dummies(padded, partial)
-        _, complete = strip_dummies(padded, complete)
+        partial = _unpadded(partial, work.m)
+        complete = _unpadded(complete, work.m)
     if order is not None:
         partial = _unpermute(partial, order)
         complete = _unpermute(complete, order)

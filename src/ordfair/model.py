@@ -159,9 +159,9 @@ class Instance:
         """
         out = []
         for row in self.values:
-            denom = lcm(*(v.denominator for v in row))
-            ints = tuple(v.numerator * (denom // v.denominator) for v in row)
-            out.append((ints, denom))
+            ratios = [v.as_integer_ratio() for v in row]
+            denom = lcm(*[d for _, d in ratios])
+            out.append((tuple([num * (denom // d) for num, d in ratios]), denom))
         return tuple(out)
 
     def value(self, agent: int, goods: Iterable[int]) -> Fraction:
@@ -170,8 +170,7 @@ class Instance:
 
     def int_value(self, agent: int, goods: Iterable[int]) -> int:
         """``value`` on the agent's ``int_rows`` scale."""
-        row = self.int_rows[agent][0]
-        return sum(row[g] for g in goods)
+        return sum(map(self.int_rows[agent][0].__getitem__, goods))
 
     def level(self, agent: int, tau: Fraction) -> int:
         """``tau`` on the agent's ``int_rows`` scale, rounded up:

@@ -6,9 +6,11 @@ skipped by the MMS verdict (they only exist as padding).
 
 EFX and EF1 compare bundles within one agent's valuation, so they read one
 integer matrix: ``worth[i][j]`` is agent i's value of bundle j on i's row of
-``Instance.int_rows``.  ``report`` builds it once, takes bundle values as
-``Fraction(worth[i][i], lcm_i)``, and skips EF1's pass when EFX holds: then
-``worth[i][j] - min <= worth[i][i]`` for every envied pair, and max >= min.
+``Instance.int_rows``, built in one pass per row over the allocated goods;
+the scans walk its rows and open a bundle only where i envies it.  ``report``
+builds it once, takes bundle values as ``Fraction(worth[i][i], lcm_i)``, and
+skips EF1's pass when EFX holds: then ``worth[i][j] - min <= worth[i][i]``
+for every envied pair, and max >= min.
 """
 
 from __future__ import annotations
@@ -51,31 +53,35 @@ def _strong_envy_drop(
 
 
 def _worth(inst: Instance, alloc: Allocation) -> list[list[int]]:
-    """worth[i][j]: agent i's value of bundle j on i's integer row."""
-    return [[sum(map(row.__getitem__, b)) for b in alloc.bundles] for row, _ in inst.int_rows]
-
-
-def _envied(inst: Instance, worth: list[list[int]]):
-    """(i, j, i's value of a good, own worth, worth of j) where i envies j."""
-    for i, (row, _) in enumerate(inst.int_rows):
-        own = worth[i][i]
-        for j in inst.agents:
-            if worth[i][j] > own:
-                yield i, j, row.__getitem__, own, worth[i][j]
+    """worth[i][j]: agent i's value of bundle j on i's integer row, summed in
+    one pass per row over the allocated goods (exact, so in any order)."""
+    pairs = [(g, j) for j, b in enumerate(alloc.bundles) for g in b]
+    worth = []
+    for row, _ in inst.int_rows:
+        w = [0] * len(alloc.bundles)
+        for g, j in pairs:
+            w[j] += row[g]
+        worth.append(w)
+    return worth
 
 
 def _efx(inst: Instance, alloc: Allocation, worth: list[list[int]]):
-    for i, j, value, own, total in _envied(inst, worth):
-        drop = _strong_envy_drop(value, own, total, alloc.bundles[j])
-        if drop is not None:
-            return False, (i, j, drop)
+    for i, (row, _) in enumerate(inst.int_rows):
+        own = worth[i][i]
+        for j, total in enumerate(worth[i]):
+            if total > own:
+                drop = _strong_envy_drop(row.__getitem__, own, total, alloc.bundles[j])
+                if drop is not None:
+                    return False, (i, j, drop)
     return True, None
 
 
 def _ef1(inst: Instance, alloc: Allocation, worth: list[list[int]]):
-    for i, j, value, own, total in _envied(inst, worth):
-        if own < total - max(map(value, alloc.bundles[j])):
-            return False, (i, j)
+    for i, (row, _) in enumerate(inst.int_rows):
+        own = worth[i][i]
+        for j, total in enumerate(worth[i]):
+            if total > own and own < total - max(map(row.__getitem__, alloc.bundles[j])):
+                return False, (i, j)
     return True, None
 
 
@@ -107,9 +113,10 @@ def _mms(inst: Instance, own: Sequence[Fraction], agent_thresholds: Sequence[Fra
         raise PreconditionError("one threshold per agent required")
     worst: tuple[int, Fraction] | None = None
     for i in inst.real_agents:
-        gap = agent_thresholds[i] - own[i]
-        if gap > 0 and (worst is None or gap > worst[1]):
-            worst = (i, gap)
+        if agent_thresholds[i] > own[i]:
+            gap = agent_thresholds[i] - own[i]
+            if worst is None or gap > worst[1]:
+                worst = (i, gap)
     if worst is None:
         return True, None
     return False, worst

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ordfair import (
@@ -38,8 +38,9 @@ from ordfair import (
     top_k_set,
 )
 from ordfair.allocators.bagfill import ceil_3n_over_2
-from ordfair.allocators.pipeline import _cleared
+from ordfair.allocators.pipeline import _cleared, _unpadded
 from ordfair.errors import InvalidInstanceError, PreconditionError
+from ordfair.verification import _worth
 
 from helpers import (
     I_A,
@@ -92,6 +93,41 @@ def test_verifiers_match_fraction_reference(inst, rng):
                 assert strongly_envies(inst, alloc, i, j) == frac_strongly_envies(
                     inst, alloc, i, j
                 )
+
+
+@st.composite
+def flagged_allocations(draw):
+    """A flagged instance (rational rows, pre-flagged dummy goods and agents),
+    then padded with ``pad_goods``, and a partial allocation of it."""
+    inst = draw(flagged_instances())
+    inst = pad_goods(inst, inst.m + draw(st.integers(0, 3)))
+    slots = draw(st.lists(st.integers(0, inst.n), min_size=inst.m, max_size=inst.m))
+    bundles = [[g for g, s in enumerate(slots) if s == i] for i in inst.agents]
+    return inst, make_allocation(bundles, [g for g, s in enumerate(slots) if s == inst.n])
+
+
+# Every shape at once: rational rows, a pre-flagged dummy good and agent, a
+# padding good, an empty bundle and a non-empty pool.
+_ALL_SHAPES = pad_goods(
+    Instance.from_rows(
+        [["1/2", "2/3", 0, 1], ["1/3", 1, 0, "5/6"], ["1/2", "2/3", 0, 1]],
+        dummy_goods=[2],
+        dummy_agents=[(2, 0)],
+    ),
+    5,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(flagged_allocations())
+@example((_ALL_SHAPES, make_allocation([[0], [], [3]], [1, 2, 4])))
+def test_worth_matches_per_pair_sums(case):
+    """The one-pass worth matrix equals each agent's sum over each bundle,
+    including empty bundles; pool goods are in no column."""
+    inst, alloc = case
+    assert _worth(inst, alloc) == [
+        [inst.int_value(i, b) for b in alloc.bundles] for i in inst.agents
+    ]
 
 
 # --- derived instances carry int_rows -------------------------------------
@@ -217,6 +253,20 @@ def test_derived_instances_equal_fresh_ones(inst, rng):
     )
 
     _same_as_fresh(_cleared(inst), _fresh(inst.values, inst.agent_labels, inst.good_labels))
+
+
+@settings(max_examples=100, deadline=None)
+@given(flagged_instances(), st.integers(0, 4), st.randoms(use_true_random=False))
+def test_unpadded_allocation_is_strip_dummies(inst, extra, rng):
+    """On the padded copy a1 and a2 complete on (caller's flags cleared,
+    goods permuted, zero goods appended), dropping the appended goods is
+    ``strip_dummies``' allocation."""
+    order = list(inst.goods)
+    rng.shuffle(order)
+    work = _cleared(inst).permute_goods(order)
+    padded = pad_goods(work, work.m + extra)
+    alloc = random_partial_allocation(padded, rng)
+    assert _unpadded(alloc, work.m) == strip_dummies(padded, alloc)[1]
 
 
 def test_derived_instances_keep_their_error_paths():

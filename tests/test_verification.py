@@ -153,6 +153,21 @@ class TestOrdinalMms:
         alloc = make_allocation([[0, 1], [2, 3], []], [])
         assert is_ordinal_mms(grown, alloc, 2, taus)[0]
 
+    def test_worst_gap_wins_lowest_index_on_ties(self):
+        """Several agents below threshold: the largest gap is the witness,
+        the lowest index among equal gaps, and an agent exactly at its
+        threshold is not below it.  The dummy agent's larger gap is skipped."""
+        inst = Instance.from_rows(
+            [[1, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 3, 0, 0], [0, 0, 0, 4, 0], [0, 0, 0, 4, 0]],
+            dummy_agents=[(4, 3)],
+        )
+        alloc = make_allocation([[0], [1], [2], [3], []], [4])
+        taus = tuple(map(Fraction, (2, 5, 6, 4, 99)))
+        assert is_ordinal_mms(inst, alloc, 2, taus) == (False, (1, 3))
+        assert report(inst, alloc, [2], {2: taus}).mms[0].witness == (1, 3)
+        met = (Fraction(1), Fraction(2), Fraction(3), Fraction(4), Fraction(99))
+        assert is_ordinal_mms(inst, alloc, 2, met) == (True, None)
+
     def test_threshold_count_checked(self):
         with pytest.raises(PreconditionError):
             is_ordinal_mms(EX51, EX51_ALLOC, 3, (Fraction(1),))
