@@ -12,7 +12,11 @@ from the agent's integer-scaled row (``Instance.int_rows``) and updated in
 place: a gift adds one value to the receiver's column, a rotation moves the
 cycle members' columns.  Scaling a row keeps every comparison that agent
 makes, so the envy graph is exact.  The input's EF1 check reads the matrix;
-a gift updates only the graph's edges into and out of the receiver.
+a gift updates only the graph's edges into and out of the receiver, and a
+rotation moves each bundle's enviers with it and recomputes the members'
+own edges.  Once no agent values any pool good, the source takes them all,
+lowest index first, one gift event each, as one-at-a-time gifts would: a
+gift worth 0 to everyone changes no edge, so the source stays unenvied.
 """
 
 from __future__ import annotations
@@ -73,6 +77,7 @@ def envy_cycle_elimination(
     trace = AllocatorTrace("envy_cycle_elimination")
     start_values = [worth[i][i] for i in inst.agents]
     incoming = _envy_edges(worth)
+    valued = {g for g in pool if any(row[g] for row in rows)}
     iteration = 0
     cap = 10_000 + 100 * inst.n * inst.m
 
@@ -94,18 +99,33 @@ def envy_cycle_elimination(
             if total_gain <= 0:
                 raise InvariantViolationError("rotation did not raise total utility")
             # Each member takes the next member's bundle; every agent's
-            # worth of the bundles moves with them.
-            for by_owner in (bundles, *worth):
+            # worth of the bundles, and so who envies them, moves with them.
+            for by_owner in (bundles, incoming, *worth):
                 moved = [by_owner[b] for b in shifted]
                 for a, item in zip(cycle, moved):
                     by_owner[a] = item
-            incoming = _envy_edges(worth)
+            # Only the members' own values changed, so only their edges.
+            for a in cycle:
+                own = worth[a][a]
+                for j, w in enumerate(worth[a]):
+                    if w > own:
+                        incoming[j].add(a)
+                    else:
+                        incoming[j].discard(a)
             trace.emit(iteration, "cycle_rotation", cycle=",".join(map(str, cycle)))
             continue
+        if not valued:
+            if iteration + len(pool) - 1 > cap:
+                raise InvariantViolationError("envy-cycle run exceeded its event cap")
+            for iteration, good in enumerate(sorted(pool), iteration):
+                trace.emit(iteration, "source_gift", agent=source, good=good)
+            bundles[source] |= pool
+            break
         row = rows[source]
         good = min(pool, key=lambda g: (-row[g], g))
         bundles[source].add(good)
         pool.remove(good)
+        valued.discard(good)
         for agent_row, agent_worth in zip(rows, worth):
             agent_worth[source] += agent_row[good]
         incoming[source] = {i for i, w in enumerate(worth) if w[source] > w[i]}

@@ -265,12 +265,19 @@ def _greedy_cover(vals: list[int], d: int) -> int:
 
 def _cover_ceiling(vals: list[int], d: int) -> int:
     """An upper bound on the share: the k largest goods (vals sorted desc)
-    lie in at most k bundles, so the other d - k bundles share the rest."""
-    total = sum(vals)
-    best, top = total // d, 0
+    lie in at most k bundles, so the other d - k share the rest r_k.  With
+    f(k) = r_k / (d - k), f(k) < f(k-1) iff v * (d - k + 1) > r_{k-1} for
+    v = vals[k-1], and once that fails it fails for every later k, since
+    vals[k] * (d - k) + v <= v * (d - k + 1).  So f falls, then never falls
+    again; as floor is monotone, r_k // (d - k) at the last k before the
+    first that fails is the minimum over all k < d."""
+    rest = sum(vals)
+    best = rest // d
     for k, v in enumerate(vals[: d - 1], 1):
-        top += v
-        best = min(best, (total - top) // (d - k))
+        if v * (d - k + 1) <= rest:
+            break
+        rest -= v
+        best = rest // (d - k)
     return best
 
 
@@ -437,13 +444,16 @@ def _find_covering(vals: list[int], d: int, target: int) -> list[int] | None:
 def _share_value(vals: list[int], d: int) -> int:
     """The 1-out-of-d share of vals (integers, sorted desc), value only.
 
-    Zero-valued goods are dropped first.  Binary search between the greedy
+    Zero-valued goods are dropped first; with fewer than d left, some bundle
+    holds none, and the share is 0.  Binary search between the greedy
     cover value and the ceiling, each probe decided by ``_find_covering``.
     A covering it finds, checked by ``_covering_floor``, lifts the lower end
     to its lowest bundle sum; only its finding none, which its bounds and
     exchange arguments prove, lowers the upper end.
     """
     vals = [v for v in vals if v > 0]
+    if len(vals) < d:
+        return 0
     lo, hi = _greedy_cover(vals, d), _cover_ceiling(vals, d)
     while lo < hi:
         mid = (lo + hi + 1) // 2

@@ -7,7 +7,8 @@ skipped by the MMS verdict (they only exist as padding).
 EFX and EF1 compare bundles within one agent's valuation, so they read one
 integer matrix: ``worth[i][j]`` is agent i's value of bundle j on i's row of
 ``Instance.int_rows``, built in one pass per row over the allocated goods;
-the scans walk its rows and open a bundle only where i envies it.  ``report``
+the scans walk its rows and open a bundle only where i envies it and it
+holds two or more goods (a lone good dropped leaves 0).  ``report``
 builds it once, takes bundle values as ``Fraction(worth[i][i], lcm_i)``, and
 skips EF1's pass when EFX holds: then ``worth[i][j] - min <= worth[i][i]``
 for every envied pair, and max >= min.
@@ -66,20 +67,23 @@ def _worth(inst: Instance, alloc: Allocation) -> list[list[int]]:
 
 
 def _efx(inst: Instance, alloc: Allocation, worth: list[list[int]]):
+    multi = [j for j, b in enumerate(alloc.bundles) if len(b) > 1]
     for i, (row, _) in enumerate(inst.int_rows):
         own = worth[i][i]
-        for j, total in enumerate(worth[i]):
-            if total > own:
-                drop = _strong_envy_drop(row.__getitem__, own, total, alloc.bundles[j])
+        for j in multi:
+            if worth[i][j] > own:
+                drop = _strong_envy_drop(row.__getitem__, own, worth[i][j], alloc.bundles[j])
                 if drop is not None:
                     return False, (i, j, drop)
     return True, None
 
 
 def _ef1(inst: Instance, alloc: Allocation, worth: list[list[int]]):
+    multi = [j for j, b in enumerate(alloc.bundles) if len(b) > 1]
     for i, (row, _) in enumerate(inst.int_rows):
         own = worth[i][i]
-        for j, total in enumerate(worth[i]):
+        for j in multi:
+            total = worth[i][j]
             if total > own and own < total - max(map(row.__getitem__, alloc.bundles[j])):
                 return False, (i, j)
     return True, None

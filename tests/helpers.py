@@ -104,6 +104,17 @@ def naive_is_ef1(inst: Instance, alloc: Allocation) -> bool:
     return True
 
 
+def ref_cover_ceiling(vals: list[int], d: int) -> int:
+    """``shares._cover_ceiling`` as the full loop: min over every k < d of
+    (sum of all but the k largest of vals, sorted desc) // (d - k)."""
+    total = sum(vals)
+    best, top = total // d, 0
+    for k, v in enumerate(vals[: d - 1], 1):
+        top += v
+        best = min(best, (total - top) // (d - k))
+    return best
+
+
 # --- Fraction references for the integer-scaled library code ----------------
 # Copies of the library's envy, EFX and EF1 checks and of envy-cycle
 # completion as they were written on Fraction values, before comparisons

@@ -90,6 +90,21 @@ class TestEf1Mode:
         assert inst.value(0, final.bundles[0]) > 1
         assert inst.value(1, final.bundles[1]) > 1
 
+    def test_rotation_then_unvalued_pool_to_one_source(self):
+        # Each agent envies the other, so the bundles rotate first; then no
+        # one is envied, and agent 0, the lowest source, takes both goods
+        # no agent values, one event each, lowest index first.
+        inst = Instance.from_rows([[1, 2, 0, 0], [2, 1, 0, 0]])
+        start = make_allocation([[0], [1]], [3, 2])
+        final, trace = envy_cycle_elimination(inst, start)
+        assert final.bundles == (frozenset({1, 2, 3}), frozenset({0}))
+        assert trace.to_text().splitlines()[1:] == [
+            "1\tcycle_rotation\tcycle=1,0",
+            "2\tsource_gift\tagent=0\tgood=2",
+            "3\tsource_gift\tagent=0\tgood=3",
+        ]
+        assert replay(trace, inst.n, inst.m, start) == final
+
     def test_rejects_non_ef1_input(self):
         inst = Instance.from_rows([[1, 1, 1], [1, 1, 1]])
         start = make_allocation([[0, 1, 2], []], [])

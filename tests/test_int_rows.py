@@ -95,6 +95,18 @@ def test_verifiers_match_fraction_reference(inst, rng):
                 )
 
 
+@settings(max_examples=100, deadline=None)
+@given(instances(), st.randoms(use_true_random=False))
+def test_allocations_of_lone_goods_are_efx_and_ef1(inst, rng):
+    # The verifiers skip bundles of one good: dropping it leaves 0.
+    goods = list(inst.goods)
+    rng.shuffle(goods)
+    k = rng.randint(0, min(inst.n, inst.m))
+    alloc = make_allocation([[g] for g in goods[:k]] + [[]] * (inst.n - k), goods[k:])
+    assert is_efx(inst, alloc) == frac_is_efx(inst, alloc) == (True, None)
+    assert is_ef1(inst, alloc) == frac_is_ef1(inst, alloc) == (True, None)
+
+
 @st.composite
 def flagged_allocations(draw):
     """A flagged instance (rational rows, pre-flagged dummy goods and agents),
@@ -397,18 +409,41 @@ def _benchmark_shaped_starts():
         yield padded, make_allocation([[g] for g in goods[: padded.n]], goods[padded.n:])
 
 
+def _hand_out_event(inst, start, trace):
+    """Index of the first gift made while every good left in the pool is
+    worth 0 to every agent, where completion hands the rest of the pool to
+    one source; None if the pool never gets there."""
+    unvalued = {g for g in inst.goods if not any(row[g] for row in inst.values)}
+    pool = set(start.pool)
+    for k, ev in enumerate(trace.events):
+        if ev.kind == "source_gift":
+            if pool <= unvalued:
+                return k
+            pool.remove(int(ev.get("good")))
+    return None
+
+
 def test_completion_matches_fraction_reference_at_benchmark_sizes():
-    """The envy graph updated in place after gifts and rebuilt after
-    rotations gives the allocation and trace of the reference, which builds
-    the graph afresh in Fraction before every event."""
+    """The envy graph updated in place after gifts and rotations, and the
+    pool of unvalued goods handed out at once, give the allocation and trace
+    of the reference, which builds the graph afresh in Fraction before every
+    event and hands out one good per event."""
     kinds = []
+    hand_outs = after_rotation = 0
     for inst, start in _benchmark_shaped_starts():
         final, trace = envy_cycle_elimination(inst, start)
         ref_final, ref_text = frac_envy_cycle_elimination(inst, start)
         assert final == ref_final
         assert trace.to_text() == ref_text
         kinds += [ev.kind for ev in trace.events]
+        k = _hand_out_event(inst, start, trace)
+        if k is not None:
+            hand_outs += 1
+            after_rotation += k > 0 and trace.events[k - 1].kind == "cycle_rotation"
     assert kinds.count("source_gift") > 100 and kinds.count("cycle_rotation") > 20
+    # The sweep reaches the hand-out, and at least once right after a
+    # rotation, which changes the source that takes the pool.
+    assert hand_outs > 3 and after_rotation >= 1
 
 
 # --- thresholds in value units, decisions on integer levels -----------------

@@ -36,7 +36,14 @@ from ordfair.shares import (
     _share_value,
 )
 
-from helpers import EX51, EX51_WITNESSES, I_A, positive_ordered_instance, seeded_instance
+from helpers import (
+    EX51,
+    EX51_WITNESSES,
+    I_A,
+    positive_ordered_instance,
+    ref_cover_ceiling,
+    seeded_instance,
+)
 
 
 def nonempty(partition):
@@ -489,6 +496,40 @@ class TestShareAgainstCover:
         fewer = goods[:gone] + goods[gone + 1 :]
         share = _share_value(sorted(goods, reverse=True), d)
         assert _share_value(sorted(fewer, reverse=True), d) <= share
+
+    @settings(max_examples=300, deadline=None)
+    @given(goods=st.lists(st.integers(0, 20), max_size=16), data=st.data())
+    def test_share_is_zero_exactly_below_d_positive_goods(self, goods, data):
+        # With d or more positive goods each bundle can hold one; with fewer,
+        # some bundle holds only zeros.
+        d = data.draw(st.integers(1, len(goods) + 3))
+        share = _share_value(sorted(goods, reverse=True), d)
+        assert (share == 0) == (sum(1 for v in goods if v > 0) < d)
+
+
+class TestCoverCeiling:
+    """``_cover_ceiling`` stops at the first good that does not lower the
+    average; the full loop over every k < d is the reference."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        # Small values tie often, where the stop condition's equality shows.
+        goods=st.lists(
+            st.one_of(st.just(0), st.integers(1, 5), st.integers(1, 1000)), max_size=20
+        ),
+        data=st.data(),
+    )
+    def test_matches_full_loop(self, goods, data):
+        vals = sorted(goods, reverse=True)
+        d = data.draw(st.integers(1, len(vals) + 5))
+        assert _cover_ceiling(vals, d) == ref_cover_ceiling(vals, d)
+
+    def test_stops_on_a_good_at_the_average(self):
+        # 9 is above the average 15 / 3, so removing it lowers the bound to
+        # 6 // 2; 3 is at the new average 6 / 2 and leaves it where it is.
+        assert _cover_ceiling([9, 3, 3], 3) == 3
+        # The first 4 is already at the average 12 / 3.
+        assert _cover_ceiling([4, 4, 4, 0], 3) == 4
 
 
 class TestThresholds:
