@@ -71,7 +71,7 @@ def run_bag_fill(
             k += 1
     for j in range(k, n):
         bags[j] = {j, 2 * n - 1 - j}
-        trace.emit(0, "bag_init", bag=j, goods=bags[j])
+        trace.emit(0, "bag_init", bag=j, goods=frozenset(bags[j]))
     open_bags = set(range(k, n))
     next_fill = 2 * n - k
 

@@ -112,7 +112,7 @@ def envy_cycle_elimination(
                         incoming[j].add(a)
                     else:
                         incoming[j].discard(a)
-            trace.emit(iteration, "cycle_rotation", cycle=",".join(map(str, cycle)))
+            trace.emit(iteration, "cycle_rotation", cycle=tuple(cycle))
             continue
         if not valued:
             if iteration + len(pool) - 1 > cap:

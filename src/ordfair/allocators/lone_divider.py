@@ -85,11 +85,17 @@ def shrink_minimal(
 ) -> frozenset[int]:
     """Inclusion-minimal subset keeping `protected` that some agent in
     `agents` still values at or above their threshold."""
+    return _shrink_minimal(inst, bag, protected, [(i, inst.level(i, taus[i])) for i in agents])
+
+
+def _shrink_minimal(
+    inst: Instance, bag: Iterable[int], protected: int, levels: Sequence[tuple[int, int]]
+) -> frozenset[int]:
+    """``shrink_minimal`` on (agent, ``Instance.level``) pairs."""
     current = set(bag)
-    levels = {i: inst.level(i, taus[i]) for i in sorted(agents)}
     if protected not in current:
         raise PreconditionError("protected good must be in the bag")
-    if not any(inst.int_value(i, current) >= level for i, level in levels.items()):
+    if not any(inst.int_value(i, current) >= level for i, level in levels):
         raise PreconditionError("no agent accepts the bag to begin with")
     removed = True
     while removed:
@@ -98,7 +104,7 @@ def shrink_minimal(
             if x == protected:
                 continue
             trial = current - {x}
-            if any(inst.int_value(i, trial) >= level for i, level in levels.items()):
+            if any(inst.int_value(i, trial) >= level for i, level in levels):
                 current = trial
                 removed = True
                 break
@@ -217,11 +223,12 @@ def alloc_topn_lone_divider(
         for j, bag in enumerate(bags):
             trace.emit(iteration, "bag_init", bag=j, goods=bag)
 
+        unserved_levels = [(i, levels[i]) for i in sorted(unserved)]
         shrunk: list[frozenset[int]] = []
         protecteds: list[int] = []
         for j, bag in enumerate(bags):
             protected = next(iter(bag & top))
-            kept = shrink_minimal(inst, bag, protected, unserved, taus)
+            kept = _shrink_minimal(inst, bag, protected, unserved_levels)
             shrunk.append(kept)
             protecteds.append(protected)
             trace.emit(iteration, "shrink", bag=j, kept=kept)
@@ -243,19 +250,14 @@ def alloc_topn_lone_divider(
         if stolen:
             continue
 
-        graph = ThresholdGraph.build(inst, shrunk, sorted(unserved), taus)
+        graph = ThresholdGraph._from_levels(inst, shrunk, unserved_levels)
         pairs = envy_free_matching(graph)
         for agent, j in pairs:
             bundles[agent] = shrunk[j]
             unserved.remove(agent)
             pool -= shrunk[j]
         trace.emit(
-            iteration,
-            "matching",
-            pairs=";".join(
-                f"{agent}:" + ",".join(str(g) for g in sorted(shrunk[j]))
-                for agent, j in pairs
-            ),
+            iteration, "matching", pairs=tuple((agent, shrunk[j]) for agent, j in pairs)
         )
 
     alloc = Allocation(

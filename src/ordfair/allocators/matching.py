@@ -40,15 +40,21 @@ class ThresholdGraph:
     ) -> "ThresholdGraph":
         """taus is indexed by agent id (full instance indexing), in value
         units."""
+        return cls._from_levels(inst, bags, [(i, inst.level(i, taus[i])) for i in agents])
+
+    @classmethod
+    def _from_levels(
+        cls, inst: Instance, bags: Sequence[Iterable[int]], levels: Sequence[tuple[int, int]]
+    ) -> "ThresholdGraph":
+        """``build`` on (agent, ``Instance.level``) pairs, in agent order."""
         frozen = tuple(frozenset(b) for b in bags)
-        levels = {i: inst.level(i, taus[i]) for i in agents}
         edges = frozenset(
             (i, j)
-            for i in agents
+            for i, level in levels
             for j, bag in enumerate(frozen)
-            if inst.int_value(i, bag) >= levels[i]
+            if inst.int_value(i, bag) >= level
         )
-        return cls(bags=frozen, agents=tuple(agents), edges=edges)
+        return cls(bags=frozen, agents=tuple(i for i, _ in levels), edges=edges)
 
     @cached_property
     def _bag_neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -66,9 +72,10 @@ def _max_matching(graph: ThresholdGraph) -> dict[int, int]:
     """Augmenting-path maximum matching, bag -> agent (deterministic)."""
     match_bag: dict[int, int] = {}
     match_agent: dict[int, int] = {}
+    neighbors = graph._bag_neighbors
 
     def augment(j: int, visited: set[int]) -> bool:
-        for i in graph.neighbors_of_bag(j):
+        for i in neighbors[j]:
             if i in visited:
                 continue
             visited.add(i)

@@ -3,43 +3,64 @@
 Every allocator emits an ordered event list; replaying the events against the
 instance the allocator ran on rebuilds its output allocation exactly, which
 the tests assert.
-Serialized form is one event per line: iteration, kind, key=value arguments.
+
+An event keeps its arguments typed, as emitted: ints, frozensets of goods
+(``goods``, ``kept``), a rotation's ``cycle`` as a tuple in order and a
+matching's ``pairs`` as (agent, goods) tuples; emitters pass values that do
+not change later.  Only ``TraceEvent.to_line`` formats them, one event per
+line: iteration, kind and key=value arguments, tab-separated, with goods
+ascending and comma-separated and pairs as ``agent:goods`` joined by ``;``.
+``TraceEvent.from_line`` parses each argument back by its key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Any, Iterable
 
 from ..errors import ParseError
 from ..model import Allocation
 
 
-def _fmt_goods(goods: Iterable[int]) -> str:
-    return ",".join(str(g) for g in sorted(goods))
+def _fmt_ints(ints: Iterable[int]) -> str:
+    return ",".join(map(str, ints))
 
 
-def _parse_goods(text: str) -> frozenset[int]:
-    if not text:
-        return frozenset()
-    return frozenset(int(t) for t in text.split(","))
+def _parse_ints(text: str) -> tuple[int, ...]:
+    return tuple(map(int, text.split(","))) if text else ()
 
 
-@dataclass(frozen=True)
+def _parse_pairs(text: str) -> tuple[tuple[int, frozenset[int]], ...]:
+    pairs = (p.partition(":") for p in text.split(";") if p)
+    return tuple((int(a), frozenset(_parse_ints(goods))) for a, _, goods in pairs)
+
+
+# Argument key -> (format, parse); every other key holds an int.
+_GOODS = (lambda goods: _fmt_ints(sorted(goods)), lambda text: frozenset(_parse_ints(text)))
+_CODECS = {
+    "goods": _GOODS,
+    "kept": _GOODS,
+    "cycle": (_fmt_ints, _parse_ints),
+    "pairs": (
+        lambda pairs: ";".join(f"{a}:{_fmt_ints(sorted(goods))}" for a, goods in pairs),
+        _parse_pairs,
+    ),
+}
+_INT = (str, int)
+
+
+@dataclass(slots=True)
 class TraceEvent:
     iteration: int
     kind: str
-    args: tuple[tuple[str, str], ...]
+    args: dict[str, Any]
 
-    def get(self, key: str) -> str:
-        for k, v in self.args:
-            if k == key:
-                return v
-        raise KeyError(key)
+    def get(self, key: str) -> Any:
+        return self.args[key]
 
     def to_line(self) -> str:
         parts = [str(self.iteration), self.kind]
-        parts += [f"{k}={v}" for k, v in self.args]
+        parts += [f"{k}={_CODECS.get(k, _INT)[0](v)}" for k, v in self.args.items()]
         return "\t".join(parts)
 
     @classmethod
@@ -47,17 +68,17 @@ class TraceEvent:
         parts = line.split("\t")
         if len(parts) < 2:
             raise ParseError(f"bad trace line {line!r}")
-        args = []
-        for tok in parts[2:]:
-            k, eq, v = tok.partition("=")
-            if not eq:
-                raise ParseError(f"bad trace argument {tok!r}")
-            args.append((k, v))
+        args = {}
         try:
+            for tok in parts[2:]:
+                k, eq, v = tok.partition("=")
+                if not eq or k in args:
+                    raise ParseError(f"bad trace argument {tok!r}")
+                args[k] = _CODECS.get(k, _INT)[1](v)
             iteration = int(parts[0])
         except ValueError as exc:
-            raise ParseError(f"bad trace iteration {parts[0]!r}") from exc
-        return cls(iteration=iteration, kind=parts[1], args=tuple(args))
+            raise ParseError(f"bad number in trace line {line!r}") from exc
+        return cls(iteration, parts[1], args)
 
 
 @dataclass
@@ -65,14 +86,8 @@ class AllocatorTrace:
     algorithm: str
     events: list[TraceEvent] = field(default_factory=list)
 
-    def emit(self, iteration: int, kind: str, **kwargs) -> None:
-        args = []
-        for k, v in kwargs.items():
-            if isinstance(v, (set, frozenset, list, tuple)):
-                args.append((k, _fmt_goods(v)))
-            else:
-                args.append((k, str(v)))
-        self.events.append(TraceEvent(iteration, kind, tuple(args)))
+    def emit(self, iteration: int, kind: str, **args: Any) -> None:
+        self.events.append(TraceEvent(iteration, kind, args))
 
     def extend_offset(self, other: "AllocatorTrace") -> None:
         """Append another phase's events, renumbering its iterations to
@@ -107,12 +122,13 @@ def replay(trace: AllocatorTrace, n: int, m: int, start: Allocation | None = Non
     the complete allocation before dummies are stripped, a3 traces to the
     allocator's partial allocation only.
 
-    A trace that names an unknown bag or agent, lacks an argument or holds a
-    malformed number raises ``ParseError``.
+    A trace that names an unknown bag or agent or lacks an argument raises
+    ``ParseError``; ``AllocatorTrace.from_text`` already rejects malformed
+    numbers.
     """
     try:
         return _replay(trace, n, m, start)
-    except (KeyError, IndexError, ValueError) as exc:
+    except KeyError as exc:
         raise ParseError(f"bad trace event: {exc!r}") from exc
 
 
@@ -131,8 +147,7 @@ def _replay(trace: AllocatorTrace, n: int, m: int, start: Allocation | None) -> 
             bundles[agent] = set(bags[bag])
         owner.clear()
 
-    def agent_of(text: str) -> int:
-        a = int(text)
+    def agent_of(a: int) -> int:
         if not 0 <= a < len(bundles):
             raise ParseError(f"trace names agent {a} of {len(bundles)}")
         return a
@@ -140,44 +155,40 @@ def _replay(trace: AllocatorTrace, n: int, m: int, start: Allocation | None) -> 
     for ev in trace.events:
         kind = ev.kind
         if kind == "singleton_claim":
-            bag = int(ev.get("bag"))
-            bags[bag] = {int(ev.get("good"))}
+            bag = ev.get("bag")
+            bags[bag] = {ev.get("good")}
             owner[agent_of(ev.get("agent"))] = bag
         elif kind == "bag_init":
-            bags[int(ev.get("bag"))] = set(_parse_goods(ev.get("goods")))
+            bags[ev.get("bag")] = set(ev.get("goods"))
         elif kind == "fill":
-            bags[int(ev.get("bag"))].add(int(ev.get("good")))
+            bags[ev.get("bag")].add(ev.get("good"))
         elif kind == "claim":
-            owner[agent_of(ev.get("agent"))] = int(ev.get("bag"))
+            owner[agent_of(ev.get("agent"))] = ev.get("bag")
         elif kind == "swap":
             agent = agent_of(ev.get("agent"))
             try:
                 goods = ev.get("goods")
             except KeyError:
-                owner[agent] = int(ev.get("to"))
+                owner[agent] = ev.get("to")
             else:
-                bundles[agent] = set(_parse_goods(goods))
+                bundles[agent] = set(goods)
         elif kind == "lone_divider":
             pass
         elif kind == "shrink":
-            kept = _parse_goods(ev.get("kept"))
-            bags[int(ev.get("bag"))] = set(kept)
+            bags[ev.get("bag")] = set(ev.get("kept"))
         elif kind == "matching":
-            for pair in ev.get("pairs").split(";"):
-                if not pair:
-                    continue
-                a, _, goods = pair.partition(":")
-                bundles[agent_of(a)] = set(_parse_goods(goods))
+            for a, goods in ev.get("pairs"):
+                bundles[agent_of(a)] = set(goods)
         elif kind == "cycle_rotation":
             materialize()
-            cycle = [agent_of(t) for t in ev.get("cycle").split(",")]
+            cycle = [agent_of(a) for a in ev.get("cycle")]
             saved = [set(bundles[a]) for a in cycle]
             for idx, a in enumerate(cycle):
                 bundles[a] = saved[(idx + 1) % len(cycle)]
         elif kind == "source_gift":
             materialize()
             agent = agent_of(ev.get("agent"))
-            good = int(ev.get("good"))
+            good = ev.get("good")
             bundles[agent].add(good)
             consumed.add(good)
         else:

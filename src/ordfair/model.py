@@ -245,14 +245,19 @@ def check_allocation(inst: Instance, alloc: Allocation) -> None:
 def detect_structure(inst: Instance) -> tuple[int, ...] | None:
     """A common order: good indices from most to least valuable for every
     agent, or None when the instance is not ordered.  For a common set of
-    the k most valuable goods use ``top_k_set``."""
+    the k most valuable goods use ``top_k_set``.
+
+    Goods are sorted by (-column sum of the integer rows, index), then the
+    order is checked.  If a common order exists, every row values one of any
+    two goods, say g, at least as much as the other, h; rows are scaled by
+    positive constants, so g's column sum is larger unless the two columns
+    are identical, and the sort places g and h as the common order does,
+    ties by index.  So it finds a common order whenever one exists, the
+    identity when that is one; when none exists, no candidate passes."""
     m = inst.m
     rows = [row for row, _ in inst.int_rows]
-    # A common order exists iff pairwise dominance is total; sorting by the
-    # lexicographic tuple of all agents' values (descending, stable by index)
-    # produces a witness whenever one exists, and keeps the identity order
-    # when the identity already works.
-    candidate = sorted(range(m), key=lambda g: tuple(-row[g] for row in rows))
+    sums = [sum(column) for column in zip(*rows)]
+    candidate = sorted(range(m), key=lambda g: -sums[g])
     ordered = all(
         row[candidate[p]] >= row[candidate[p + 1]]
         for row in rows
@@ -274,8 +279,12 @@ def top_k_set(inst: Instance, k: int) -> frozenset[int] | None:
     may: set[int] | None = None
     for row, _ in inst.int_rows:
         kth = sorted(row, reverse=True)[k - 1]
-        must |= {g for g in inst.goods if row[g] > kth}
-        agent_may = {g for g in inst.goods if row[g] >= kth}
+        agent_may: set[int] = set()
+        for g, v in enumerate(row):
+            if v >= kth:
+                agent_may.add(g)
+                if v > kth:
+                    must.add(g)
         may = agent_may if may is None else may & agent_may
     assert may is not None
     if not must <= may or len(must) > k or len(may) < k:

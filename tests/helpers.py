@@ -136,6 +136,34 @@ def frac_common_order(inst: Instance):
     return order, ordered
 
 
+def ref_detect_structure(inst: Instance):
+    """``model.detect_structure`` as it sorted before column sums: by the
+    lexicographic tuple of all agents' integer values, then checked."""
+    rows = [row for row, _ in inst.int_rows]
+    candidate = sorted(range(inst.m), key=lambda g: tuple(-row[g] for row in rows))
+    ordered = all(
+        row[candidate[p]] >= row[candidate[p + 1]] for row in rows for p in range(inst.m - 1)
+    )
+    return tuple(candidate) if ordered else None
+
+
+def ref_top_k_set(inst: Instance, k: int):
+    """``model.top_k_set`` as it was written with two set comprehensions per
+    agent."""
+    if not 1 <= k <= inst.m:
+        return None
+    must: set[int] = set()
+    may = None
+    for row, _ in inst.int_rows:
+        kth = sorted(row, reverse=True)[k - 1]
+        must |= {g for g in inst.goods if row[g] > kth}
+        agent_may = {g for g in inst.goods if row[g] >= kth}
+        may = agent_may if may is None else may & agent_may
+    if not must <= may or len(must) > k or len(may) < k:
+        return None
+    return frozenset(must | set(sorted(may - must)[: k - len(must)]))
+
+
 def frac_envy_edges(inst: Instance, bundles) -> list[set[int]]:
     """incoming[j] = agents that envy j."""
     own = [inst.value(i, bundles[i]) for i in inst.agents]
@@ -206,7 +234,7 @@ def frac_envy_cycle_elimination(inst: Instance, alloc: Allocation):
             saved = [set(bundles[a]) for a in cycle]
             for idx, a in enumerate(cycle):
                 bundles[a] = saved[(idx + 1) % len(cycle)]
-            trace.emit(iteration, "cycle_rotation", cycle=",".join(map(str, cycle)))
+            trace.emit(iteration, "cycle_rotation", cycle=tuple(cycle))
             continue
         source = min(sources)
         row = inst.values[source]

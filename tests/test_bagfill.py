@@ -121,25 +121,49 @@ def _witness(inst):
 def _check_trace_discipline(inst, trace, final_alloc):
     """Fills consume goods in strictly increasing index; every swap strictly
     raises the swapping agent's bundle value; replay rebuilds the output."""
-    fills = [int(ev.get("good")) for ev in trace.events if ev.kind == "fill"]
+    fills = [ev.get("good") for ev in trace.events if ev.kind == "fill"]
     assert fills == sorted(set(fills))
 
     bags: dict[int, set[int]] = {}
     owner: dict[int, int] = {}
     for ev in trace.events:
         if ev.kind == "singleton_claim":
-            bags[int(ev.get("bag"))] = {int(ev.get("good"))}
-            owner[int(ev.get("agent"))] = int(ev.get("bag"))
+            bags[ev.get("bag")] = {ev.get("good")}
+            owner[ev.get("agent")] = ev.get("bag")
         elif ev.kind == "bag_init":
-            bags[int(ev.get("bag"))] = {int(g) for g in ev.get("goods").split(",")}
+            bags[ev.get("bag")] = set(ev.get("goods"))
         elif ev.kind == "fill":
-            bags[int(ev.get("bag"))].add(int(ev.get("good")))
+            bags[ev.get("bag")].add(ev.get("good"))
         elif ev.kind == "claim":
-            owner[int(ev.get("agent"))] = int(ev.get("bag"))
+            owner[ev.get("agent")] = ev.get("bag")
         elif ev.kind == "swap":
-            agent = int(ev.get("agent"))
-            frm, to = int(ev.get("frm")), int(ev.get("to"))
+            agent = ev.get("agent")
+            frm, to = ev.get("frm"), ev.get("to")
             assert inst.value(agent, bags[to]) > inst.value(agent, bags[frm])
             owner[agent] = to
     rebuilt = replay(trace, inst.n, inst.m)
     assert rebuilt == final_alloc
+
+
+def test_bag_init_holds_the_opening_goods():
+    """Each bag_init event keeps the goods bag j opened with, {j, 2n-1-j},
+    though later fills grow the bag: replay alone would not notice an event
+    that shares the live bag, since the fills it replays are already in."""
+    rng = random.Random(1607)
+    inits = grown = 0
+    for _ in range(40):
+        n = 3 * rng.randrange(1, 3)
+        m = rng.randrange(3 * n, 5 * n + 1)
+        inst = seeded_instance("ordered", n, m, rng.randrange(2**32))
+        inst = inst.permute_goods(_witness(inst))
+        runs = ((alloc_ordered_efx_3n2, ceil_3n_over_2(n)), (alloc_ordered_ef1_4n3, 4 * n // 3))
+        for allocate, d in runs:
+            _, trace = allocate(inst, thresholds(inst, d))
+            filled = {ev.get("bag") for ev in trace.events if ev.kind == "fill"}
+            for ev in trace.events:
+                if ev.kind == "bag_init":
+                    j = ev.get("bag")
+                    assert ev.get("goods") == frozenset({j, 2 * n - 1 - j})
+                    inits += 1
+                    grown += j in filled
+    assert inits > 200 and grown > 40, (inits, grown)

@@ -539,5 +539,5 @@ def test_bag_fill_swap_compares_gains_in_value():
     taus = [Fraction(17, 6), Fraction(53, 15), Fraction(62, 45)]
     alloc, trace = alloc_ordered_efx_3n2(inst, taus)
     assert [ev.kind for ev in trace.events][3:5] == ["swap", "swap"]
-    assert trace.events[3].get("agent") == "0"
+    assert trace.events[3].get("agent") == 0
     assert alloc == make_allocation([{2, 3}, {1, 4, 5}, {0}], {6, 7, 8})

@@ -33,6 +33,8 @@ from helpers import (
     I_B,
     make_allocation,
     random_partial_allocation,
+    ref_detect_structure,
+    ref_top_k_set,
     seeded_instance,
 )
 
@@ -101,6 +103,31 @@ class TestDetectStructure:
         # Agent 0's 2nd/3rd goods tie; the common set {0,1} is still valid.
         inst = Instance.from_rows([[5, 3, 3], [4, 5, 1]])
         assert top_k_set(inst, 2) == frozenset({0, 1})
+
+    def test_structure_scans_match_references(self):
+        # Ordered instances with their goods shuffled, rows scaled by
+        # rationals, top-n and general ones, small value ranges for ties.
+        rng = random.Random(1606)
+        found = {"ordered": 0, "unordered": 0, "top_k": 0, "no_top_k": 0}
+        for t in range(300):
+            family = ("general", "ordered", "top_n")[t % 3]
+            n = rng.randint(1, 6)
+            m = rng.randint(n, 14)
+            inst = seeded_instance(family, n, m, rng.randrange(2**32), rng.choice([1, 2, 4, 20]))
+            order = list(inst.goods)
+            rng.shuffle(order)
+            scales = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in inst.agents]
+            inst = inst.permute_goods(order).with_values(
+                [[v / c for v in row] for row, c in zip(inst.values, scales)]
+            )
+            common = detect_structure(inst)
+            assert common == ref_detect_structure(inst)
+            found["ordered" if common else "unordered"] += 1
+            for k in range(m + 2):
+                top = top_k_set(inst, k)
+                assert top == ref_top_k_set(inst, k)
+                found["top_k" if top else "no_top_k"] += 1
+        assert min(found.values()) > 50, found
 
     def test_ordered_implies_top_k_for_all_k(self):
         rng = random.Random(11)

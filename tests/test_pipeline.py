@@ -3,8 +3,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordfair import (
+    alloc_ordered_ef1_4n3,
+    alloc_ordered_efx_3n2,
+    alloc_topn_lone_divider,
+    detect_structure,
     is_ef1,
     is_efx,
     is_ordinal_mms,
@@ -15,7 +21,7 @@ from ordfair import (
     write_instance,
     write_report,
 )
-from ordfair.allocators import AllocatorTrace, replay
+from ordfair.allocators import ALGORITHMS, AllocatorTrace, replay
 from ordfair.allocators.bagfill import ceil_3n_over_2
 from ordfair.errors import ParseError, StructuralMismatchError
 from ordfair.model import format_rational
@@ -154,7 +160,95 @@ class TestBruteForceExistence:
             assert result.allocation in satisfying
 
 
+def _allocator_run(algorithm, inst):
+    """The allocator of `algorithm` on `inst` after the pipeline's padding:
+    the padded instance, the partial allocation and the trace."""
+    if algorithm == "a2":
+        work = pad_goods(inst, max(inst.m, 2 * inst.n))
+        return (work, *alloc_topn_lone_divider(work, thresholds(work, ceil_3n_over_2(inst.n))))
+    work = inst.permute_goods(detect_structure(inst))
+    if algorithm == "a3":
+        work = pad_agents_to_multiple_of_three(work)
+    work = pad_goods(work, max(work.m, 2 * work.n))
+    if algorithm == "a1":
+        return (work, *alloc_ordered_efx_3n2(work, thresholds(work, ceil_3n_over_2(work.n))))
+    return (work, *alloc_ordered_ef1_4n3(work, thresholds(work, 4 * (work.n // 3))))
+
+
+_KINDS = (
+    "singleton_claim", "bag_init", "fill", "claim", "swap", "lone_divider", "shrink",
+    "matching", "cycle_rotation", "source_gift",
+)
+_SMALL = st.integers(-1, 9)
+_INTS = st.lists(_SMALL, max_size=4).map(lambda ints: ",".join(map(str, ints)))
+_PAIRS = st.lists(st.tuples(_SMALL, _INTS), max_size=3).map(
+    lambda pairs: ";".join(f"{a}:{goods}" for a, goods in pairs)
+)
+_NOISE = st.text(alphabet="0123456789-,;:=x ", max_size=12)
+# Trace lines near the format: known kinds, each key with a value of its
+# type, or any key with digits and separators at random.
+_ARGS = st.one_of(
+    st.builds("{}={}".format, st.sampled_from(("agent", "good", "bag", "frm", "to")), _SMALL),
+    st.builds("{}={}".format, st.sampled_from(("goods", "kept", "cycle")), _INTS),
+    st.builds("pairs={}".format, _PAIRS),
+    st.builds("{}={}".format, st.text(max_size=5), _INTS | _PAIRS | _NOISE),
+)
+_LINES = st.builds(
+    lambda iteration, kind, args: "\t".join([iteration, kind, *args]),
+    _SMALL.map(str) | st.text(alphabet="0123456789-x ", max_size=3),
+    st.sampled_from(_KINDS) | st.text(max_size=4),
+    st.lists(_ARGS, max_size=3),
+)
+
+
 class TestTraceSerialization:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(ALGORITHMS),
+        st.integers(1, 6),
+        st.integers(0, 12),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_seeded_traces_round_trip_and_replay(self, algorithm, n, extra, seed):
+        """A solve's trace, in its run's coordinates, and its allocator's
+        trace print, parse back to equal typed events and print the same
+        text; the parsed trace replays as the emitted one does."""
+        m = n + extra % (2 * n + 1)
+        inst = seeded_instance("top_n" if algorithm == "a2" else "ordered", n, m, seed, 20)
+        result = solve_complete(inst, algorithm)
+        agents = 3 * ((n + 2) // 3) if algorithm == "a3" else n
+        run_shape = (agents, max(m, 2 * agents))
+        work, partial, trace = _allocator_run(algorithm, inst)
+        for original, rebuilt, shape in (
+            (result.trace, replay(result.trace, *run_shape), run_shape),
+            (trace, partial, (work.n, work.m)),
+        ):
+            text = original.to_text()
+            parsed = AllocatorTrace.from_text(text)
+            assert parsed.to_text() == text
+            assert parsed == original
+            assert replay(parsed, *shape) == rebuilt
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(_LINES, max_size=4).map("\n".join) | st.text(),
+        st.integers(1, 4),
+        st.integers(1, 8),
+    )
+    def test_fuzzed_lines_round_trip_or_parse_error(self, lines, n, m):
+        """Any text parses to events that print and parse back to the same
+        events, or raises ParseError; a parsed trace replays or raises
+        ParseError."""
+        try:
+            parsed = AllocatorTrace.from_text("# trace fuzz\n" + lines)
+        except ParseError:
+            return
+        assert AllocatorTrace.from_text(parsed.to_text()) == parsed
+        try:
+            replay(parsed, n, m)
+        except ParseError:
+            pass
+
     def test_round_trip_and_replay(self):
         result = solve_complete(I_A, "a1")
         text = result.trace.to_text()
@@ -184,9 +278,8 @@ class TestTraceSerialization:
         ],
     )
     def test_replay_of_malformed_events_is_parse_error(self, events):
-        trace = AllocatorTrace.from_text("# trace a1\n" + events)
         with pytest.raises(ParseError):
-            replay(trace, 1, 1)
+            replay(AllocatorTrace.from_text("# trace a1\n" + events), 1, 1)
 
     def test_pipeline_trace_includes_completion_and_replays(self):
         # I_A needs neither padding nor permuting, so the pipeline trace is
