@@ -123,8 +123,9 @@ def replay(trace: AllocatorTrace, n: int, m: int, start: Allocation | None = Non
     allocator's partial allocation only.
 
     A trace that names an unknown bag or agent or lacks an argument raises
-    ``ParseError``; ``AllocatorTrace.from_text`` already rejects malformed
-    numbers.
+    ``ParseError``, as does one whose bundles hold a good outside
+    ``range(m)`` or a good twice; ``AllocatorTrace.from_text`` already
+    rejects malformed numbers.
     """
     try:
         return _replay(trace, n, m, start)
@@ -138,7 +139,6 @@ def _replay(trace: AllocatorTrace, n: int, m: int, start: Allocation | None) -> 
     bundles: list[set[int]] = (
         [set(b) for b in start.bundles] if start is not None else [set() for _ in range(n)]
     )
-    consumed: set[int] = set(start.allocated()) if start is not None else set()
 
     def materialize() -> None:
         # Convert bag ownership into explicit bundles once the bag-filling
@@ -188,14 +188,18 @@ def _replay(trace: AllocatorTrace, n: int, m: int, start: Allocation | None) -> 
         elif kind == "source_gift":
             materialize()
             agent = agent_of(ev.get("agent"))
-            good = ev.get("good")
-            bundles[agent].add(good)
-            consumed.add(good)
+            bundles[agent].add(ev.get("good"))
         else:
             raise ParseError(f"unknown trace event kind {kind!r}")
 
     materialize()
+    owned: set[int] = set()
     for b in bundles:
-        consumed |= b
-    pool = frozenset(range(m)) - frozenset(consumed)
+        for g in b:
+            if not 0 <= g < m:
+                raise ParseError(f"trace gives out good {g} of {m}")
+            if g in owned:
+                raise ParseError(f"trace gives out good {g} twice")
+            owned.add(g)
+    pool = frozenset(range(m)) - owned
     return Allocation(tuple(frozenset(b) for b in bundles), pool)

@@ -24,13 +24,13 @@ docstrings give the bounds and exchange arguments that prove it) or by the
 ceiling, so it is never below it.
 
 ``thresholds`` takes only these values, once per distinct value row: a
-share depends on nothing else.  ``mms_exact`` adds the witness partition,
-and it alone runs ``_cover``, a good-by-good branch-and-bound search for a
-covering, at the optimum for it.  That witness is canonical: the first
-covering ``_cover`` finds at the optimum, so it depends on nothing but the
-sorted values, d and the optimum.  ``_cover`` prunes only subtrees that
-hold no covering (its docstring says which), so the first covering it finds
-is the same with or without them.
+share depends on nothing else.  ``mms_exact`` adds the witness partition
+from the same search: one more ``_find_covering`` call at the share, which
+the value search has already proved feasible.  That witness is canonical:
+the first covering ``_find_covering`` finds at the share, so it depends on
+nothing but the sorted values, d and the share.  Its bounds and its memo of
+failed states cut only subtrees that hold no covering, so the first
+covering it finds is the same with or without them.
 
 Values are scaled to integers once per agent (``Instance.int_rows``).  The
 solvers use that cached row, the oracle only when its query takes every good.
@@ -38,7 +38,6 @@ solvers use that cached row, the oracle only when its query takes every good.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapreplace
@@ -146,112 +145,6 @@ def mms_bruteforce(
     return MaximinResult(
         value=Fraction(best, denom), partition=tuple(parts), agent=agent, divisor=d
     )
-
-
-def _cover(vals: list[int], d: int, target: int) -> list[int] | None:
-    """Partition all of vals (sorted desc) into d bundles, each >= target.
-
-    Returns the bundle index per good, or None.  Branching: goods by
-    descending value, bundles by ascending index; among uncovered bundles
-    only the first of each load is tried, among covered ones only the first.
-    The first partition found in this order is the canonical witness.  Every
-    prune below only cuts a subtree that holds no covering, so none of them
-    changes which partition is found first:
-
-    - the goods left cannot close the total deficit even if each one counts
-      for at most the largest uncovered deficit, the most it can close in
-      any one bundle;
-    - the uncovered bundles need more goods than are left, counting for
-      each bundle the fewest of the largest goods left that close its
-      deficit (at least one, since goods go to one bundle each);
-    - a (good index, sorted uncovered loads) state that failed once: its
-      outcome depends on nothing else.
-
-    Once every bundle is covered the search would put each remaining good in
-    bundle 0 (the first covered one), so that is done directly.
-    """
-    k = len(vals)
-    if target == 0:
-        return [0] * k
-    loads = [0] * d
-    assign = [0] * k
-    suffix = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + vals[i]
-    # Both are ascending, so bisect finds where the goods drop below a level
-    # and how many of the largest goods from an index on reach a sum.
-    neg = [-v for v in vals]
-    neg_suffix = [-s for s in suffix]
-    # The loads of the uncovered bundles, kept sorted: opened[0] is the
-    # lowest load and target - opened[0] the largest deficit.
-    opened = [0] * d
-
-    dead: set[tuple[int, tuple[int, ...]]] = set()
-
-    def dfs(idx: int, deficit: int) -> bool:
-        if deficit == 0:
-            assign[idx:] = [0] * (k - idx)
-            return True
-        cap = target - opened[0]
-        split = bisect_right(neg, -cap, idx)
-        if (split - idx) * cap + suffix[split] < deficit:
-            return False
-        # Deficits fall along opened, so once one bundle needs a single
-        # good, so does every later one.
-        need, left = 0, suffix[idx]
-        for pos, load in enumerate(opened):
-            fewest = bisect_left(neg_suffix, target - load - left, idx) - idx
-            if fewest == 1:
-                need += len(opened) - pos
-                break
-            need += fewest
-        if need > k - idx:
-            return False
-        key = (idx, tuple(opened))
-        if key in dead:
-            return False
-        v = vals[idx]
-        tried: set[int] = set()
-        covered_seen = False
-        for b in range(d):
-            load = loads[b]
-            if load >= target:
-                # Covered bundles are interchangeable from here on (the good
-                # becomes surplus either way), and the first solution in
-                # bundle-index order keeps surplus lowest, so one covered
-                # branch suffices without changing the found witness.
-                if covered_seen:
-                    continue
-                covered_seen = True
-                loads[b] = load + v
-                assign[idx] = b
-                if dfs(idx + 1, deficit):
-                    return True
-                loads[b] = load
-                continue
-            if load in tried:
-                continue
-            tried.add(load)
-            new, gap = load + v, target - load
-            opened.remove(load)
-            if new < target:
-                insort(opened, new)
-            loads[b] = new
-            assign[idx] = b
-            if dfs(idx + 1, deficit - (v if v < gap else gap)):
-                return True
-            loads[b] = load
-            if new < target:
-                opened.remove(new)
-            insort(opened, load)
-        dead.add(key)
-        return False
-
-    found = dfs(0, d * target)
-    # dfs refers to itself, so its closure and memo form a cycle; unbinding
-    # it frees them now instead of at the cyclic collector's next run.
-    del dfs
-    return assign if found else None
 
 
 def _greedy_cover(vals: list[int], d: int) -> int:
@@ -467,7 +360,9 @@ def _share_value(vals: list[int], d: int) -> int:
 
 def mms_exact(inst: Instance, agent: int, d: int) -> MaximinResult:
     """Exact 1-out-of-d share with the canonical witness: the value from
-    ``_share_value``, then the first covering ``_cover`` finds at it."""
+    ``_share_value``, then the first covering ``_find_covering`` finds at it
+    (every good in bundle 0 when the share is 0), checked by
+    ``_covering_floor`` to reach exactly the value."""
     if d < 1:
         raise PreconditionError("d must be >= 1")
     vals, denom = inst.int_rows[agent]
@@ -475,22 +370,20 @@ def mms_exact(inst: Instance, agent: int, d: int) -> MaximinResult:
     sorted_vals = [vals[g] for g in order]
 
     lo = _share_value(sorted_vals, d)
-    assign = _cover(sorted_vals, d, lo)
+    assign = _find_covering(sorted_vals, d, lo) if lo else [0] * len(sorted_vals)
     if assign is None:
         raise InvariantViolationError("feasibility flipped at the optimum")
+    if _covering_floor(sorted_vals, d, lo, assign) != lo:
+        raise InvariantViolationError("witness minimum does not match the value")
     parts: list[set[int]] = [set() for _ in range(d)]
     for t, b in enumerate(assign):
         parts[b].add(order[t])
-    value = Fraction(lo, denom)
-    result = MaximinResult(
-        value=value,
+    return MaximinResult(
+        value=Fraction(lo, denom),
         partition=tuple(frozenset(p) for p in parts),
         agent=agent,
         divisor=d,
     )
-    if min(sum(vals[g] for g in p) for p in result.partition) != lo:
-        raise InvariantViolationError("witness minimum does not match the value")
-    return result
 
 
 def thresholds(inst: Instance, d: int) -> tuple[Fraction, ...]:

@@ -5,6 +5,7 @@ internals (plain loops over explicit sums)."""
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 
 from ordfair import (
@@ -113,6 +114,113 @@ def ref_cover_ceiling(vals: list[int], d: int) -> int:
         top += v
         best = min(best, (total - top) // (d - k))
     return best
+
+
+def ref_cover(vals: list[int], d: int, target: int) -> list[int] | None:
+    """Partition all of vals (sorted desc) into d bundles, each >= target:
+    a good-by-good branch and bound, the reference that decides share probes
+    independently of ``shares._find_covering``'s bin completion.
+
+    Returns the bundle index per good, or None.  Branching: goods by
+    descending value, bundles by ascending index; among uncovered bundles
+    only the first of each load is tried, among covered ones only the first.
+    Every prune below only cuts a subtree that holds no covering, so none of
+    them changes which partition is found first:
+
+    - the goods left cannot close the total deficit even if each one counts
+      for at most the largest uncovered deficit, the most it can close in
+      any one bundle;
+    - the uncovered bundles need more goods than are left, counting for
+      each bundle the fewest of the largest goods left that close its
+      deficit (at least one, since goods go to one bundle each);
+    - a (good index, sorted uncovered loads) state that failed once: its
+      outcome depends on nothing else.
+
+    Once every bundle is covered the search would put each remaining good in
+    bundle 0 (the first covered one), so that is done directly.
+    """
+    k = len(vals)
+    if target == 0:
+        return [0] * k
+    loads = [0] * d
+    assign = [0] * k
+    suffix = [0] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + vals[i]
+    # Both are ascending, so bisect finds where the goods drop below a level
+    # and how many of the largest goods from an index on reach a sum.
+    neg = [-v for v in vals]
+    neg_suffix = [-s for s in suffix]
+    # The loads of the uncovered bundles, kept sorted: opened[0] is the
+    # lowest load and target - opened[0] the largest deficit.
+    opened = [0] * d
+
+    dead: set[tuple[int, tuple[int, ...]]] = set()
+
+    def dfs(idx: int, deficit: int) -> bool:
+        if deficit == 0:
+            assign[idx:] = [0] * (k - idx)
+            return True
+        cap = target - opened[0]
+        split = bisect_right(neg, -cap, idx)
+        if (split - idx) * cap + suffix[split] < deficit:
+            return False
+        # Deficits fall along opened, so once one bundle needs a single
+        # good, so does every later one.
+        need, left = 0, suffix[idx]
+        for pos, load in enumerate(opened):
+            fewest = bisect_left(neg_suffix, target - load - left, idx) - idx
+            if fewest == 1:
+                need += len(opened) - pos
+                break
+            need += fewest
+        if need > k - idx:
+            return False
+        key = (idx, tuple(opened))
+        if key in dead:
+            return False
+        v = vals[idx]
+        tried: set[int] = set()
+        covered_seen = False
+        for b in range(d):
+            load = loads[b]
+            if load >= target:
+                # Covered bundles are interchangeable from here on (the good
+                # becomes surplus either way), and the first solution in
+                # bundle-index order keeps surplus lowest, so one covered
+                # branch suffices without changing the found witness.
+                if covered_seen:
+                    continue
+                covered_seen = True
+                loads[b] = load + v
+                assign[idx] = b
+                if dfs(idx + 1, deficit):
+                    return True
+                loads[b] = load
+                continue
+            if load in tried:
+                continue
+            tried.add(load)
+            new, gap = load + v, target - load
+            opened.remove(load)
+            if new < target:
+                insort(opened, new)
+            loads[b] = new
+            assign[idx] = b
+            if dfs(idx + 1, deficit - (v if v < gap else gap)):
+                return True
+            loads[b] = load
+            if new < target:
+                opened.remove(new)
+            insort(opened, load)
+        dead.add(key)
+        return False
+
+    found = dfs(0, d * target)
+    # dfs refers to itself, so its closure and memo form a cycle; unbinding
+    # it frees them now instead of at the cyclic collector's next run.
+    del dfs
+    return assign if found else None
 
 
 # --- Fraction references for the integer-scaled library code ----------------

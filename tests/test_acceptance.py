@@ -235,11 +235,21 @@ def test_08_worked_example_golden():
     assert scaled_pinned.values[0] == (
         Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1),
     )
+    # Without pinned witnesses agents 0 and 1 take the canonical witness
+    # {0,3,4},{1},{2}, as maximin as the pinned one, under which agent 0
+    # strongly envies agent 1 over good 0.
     scaled_default = normalize_scale(EX51, 3)
-    assert is_efx(scaled_default, alloc)[0]
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    assert scaled_default.values == (
+        (third, Fraction(1), Fraction(1), third, third),
+        (third, Fraction(1), Fraction(1), third, third),
+        (half, half, half, Fraction(1), half),
+    )
+    assert is_efx(scaled_default, alloc) == (False, (0, 1, 0))
     print(
         "\nPASS  [8] worked-example golden test: allocation EFX after scaling "
-        "normalization, strong envy (agent 0 -> 1) under the original values"
+        "normalization with the example's witnesses, strong envy (agent 0 -> 1) "
+        "under the original values and under the default witnesses"
     )
 
 

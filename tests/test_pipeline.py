@@ -237,17 +237,21 @@ class TestTraceSerialization:
     )
     def test_fuzzed_lines_round_trip_or_parse_error(self, lines, n, m):
         """Any text parses to events that print and parse back to the same
-        events, or raises ParseError; a parsed trace replays or raises
-        ParseError."""
+        events, or raises ParseError; a parsed trace replays to n bundles
+        that hold each good of range(m) at most once, or raises ParseError."""
         try:
             parsed = AllocatorTrace.from_text("# trace fuzz\n" + lines)
         except ParseError:
             return
         assert AllocatorTrace.from_text(parsed.to_text()) == parsed
         try:
-            replay(parsed, n, m)
+            alloc = replay(parsed, n, m)
         except ParseError:
-            pass
+            return
+        assert len(alloc.bundles) == n
+        held = [g for b in alloc.bundles for g in b]
+        assert len(held) == len(set(held)) and set(held) <= set(range(m))
+        assert alloc.pool == frozenset(range(m)) - set(held)
 
     def test_round_trip_and_replay(self):
         result = solve_complete(I_A, "a1")
@@ -275,11 +279,14 @@ class TestTraceSerialization:
             "1\tsource_gift\tagent=-1\tgood=0",
             "1\tcycle_rotation\tcycle=0,x",
             "1\tmatching\tpairs=7:0",
+            # good 0 to both agents, goods -1 and 7 out of range(1)
+            "1\tsource_gift\tagent=0\tgood=-1\n2\tsource_gift\tagent=1\tgood=7\n"
+            "3\tsource_gift\tagent=1\tgood=0\n4\tsource_gift\tagent=0\tgood=0",
         ],
     )
     def test_replay_of_malformed_events_is_parse_error(self, events):
         with pytest.raises(ParseError):
-            replay(AllocatorTrace.from_text("# trace a1\n" + events), 1, 1)
+            replay(AllocatorTrace.from_text("# trace a1\n" + events), 2, 1)
 
     def test_pipeline_trace_includes_completion_and_replays(self):
         # I_A needs neither padding nor permuting, so the pipeline trace is

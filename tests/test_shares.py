@@ -24,7 +24,6 @@ from ordfair.errors import (
     ZeroMaximinError,
 )
 from ordfair.shares import (
-    _cover,
     _complete,
     _cover_ceiling,
     _covering_floor,
@@ -41,6 +40,7 @@ from helpers import (
     EX51_WITNESSES,
     I_A,
     positive_ordered_instance,
+    ref_cover,
     ref_cover_ceiling,
     seeded_instance,
 )
@@ -139,12 +139,18 @@ class TestExact:
 
     def test_larger_instances_stay_tractable(self):
         # Shapes that once thrashed the search: identical values (symmetric
-        # branching) and a long descending run (surplus absorption).
+        # branching), a long descending run (surplus absorption) and agent 1
+        # of the seed-1 top_n draw at n=12, m=40, max_value 200, where a
+        # second, good-by-good witness search ran past 40 s at the share.
         import time
 
         cases = [
             ([7] * 16, 9, Fraction(7)),
             (list(range(40, 20, -1)), 10, Fraction(61)),
+            ([185, 7, 331, 252, 195, 112, 322, 141, 59, 284, 255, 173, 56, 194,
+              117, 74, 201, 302, 142, 360, 25, 243, 161, 381, 75, 30, 190, 85,
+              184, 182, 128, 108, 129, 171, 244, 77, 72, 150, 323, 129], 18,
+             Fraction(374)),
         ]
         started = time.perf_counter()
         for vals, d, expected in cases:
@@ -181,12 +187,15 @@ def witness_sweep_digest():
 
 
 class TestCanonicalWitness:
-    """mms_exact returns the first covering _cover finds at the optimum.
-    Search bounds and prunes may make it cheaper to find, never different."""
+    """mms_exact returns the first covering _find_covering finds at the
+    optimum, or every good in bundle 0 when the share is 0.  Search bounds
+    and prunes may make it cheaper to find, never different.  ref_cover,
+    tied to the oracle below, is the independent reference for the value."""
 
-    # Recorded with the plain binary search over [0, total // d] and a
-    # _cover that pruned only on capped sums and empty bundles.
-    GOLDEN = "ff5d12bcdea5ec871797dd1a276ea68ecfa29b64c6f174a4fe67d083c2d4390e"
+    # Recorded when mms_exact first took its witness from _find_covering
+    # instead of a second, good-by-good search; every value matched the
+    # digest recorded before.
+    GOLDEN = "6aa326221c169e72ef0b0dd2f21f3733db7c9721b14b4c32e5df0475a29cb475"
 
     def test_values_and_witnesses_unchanged(self):
         assert witness_sweep_digest() == self.GOLDEN
@@ -202,8 +211,8 @@ class TestCanonicalWitness:
             vals.sort(reverse=True)
             best = mms_bruteforce(inst, i, d).value * denom
             assert best.denominator == 1
-            assert _cover(vals, d, int(best)) is not None, (inst, d)
-            assert _cover(vals, d, int(best) + 1) is None, (inst, d)
+            assert ref_cover(vals, d, int(best)) is not None, (inst, d)
+            assert ref_cover(vals, d, int(best) + 1) is None, (inst, d)
 
 
 def oracle_partitions(m: int, d: int) -> int:
@@ -341,13 +350,13 @@ class TestPairingBound:
     """_pairing_refutes may lower the share search's upper end, so every
     level it refutes must really have no covering.  Comparing thresholds
     with mms_exact cannot show this, since both take _share_value's value;
-    _cover, checked against the oracle above, decides it here instead."""
+    ref_cover, checked against the oracle above, decides it here instead."""
 
     def test_refutations_are_infeasible_on_sweep(self):
         refuted = 0
         for vals, d, target in bound_sweep():
             if _pairing_refutes(vals, d, target):
-                assert _cover(vals, d, target) is None, (vals, d, target)
+                assert ref_cover(vals, d, target) is None, (vals, d, target)
                 refuted += 1
         assert refuted > 1000
 
@@ -363,7 +372,7 @@ class TestPairingBound:
         d = data.draw(st.integers(1, len(vals) + 1))
         target = data.draw(st.integers(1, _cover_ceiling(vals, d) + 1))
         if _pairing_refutes(vals, d, target):
-            assert _cover(vals, d, target) is None
+            assert ref_cover(vals, d, target) is None
 
     def test_pair_count_is_a_maximum_matching(self):
         rng = random.Random(2609)
@@ -378,14 +387,14 @@ class TestPairingBound:
         vals = [20, 19, 19, 17, 17, 17, 16, 16, 15, 15, 14, 14, 14, 14, 14,
                 13, 12, 12, 10, 10, 9, 9, 8, 7, 6, 5, 3, 1, 0, 0]
         assert _pairing_refutes(vals, 15, 20)
-        assert _cover(vals, 15, 20) is None
+        assert ref_cover(vals, 15, 20) is None
 
     def test_no_refutation_once_d_goods_reach_target(self):
         assert not _pairing_refutes([5, 5, 1], 2, 5)
         assert _pairing_refutes([5, 1, 1], 2, 5)
 
 
-# The slowest probes _cover decided in a seed-1 solve-topn run: one level
+# The slowest probes ref_cover's search decided in a seed-1 solve-topn run: one level
 # with no covering and one with a covering.
 SLOW_INFEASIBLE = ([40, 39, 39, 32, 30, 29, 27, 23, 21, 20, 19, 19, 16, 16, 15,
                     15, 15, 15, 14, 14, 13, 13, 12, 10, 10, 8, 6, 5, 4, 1], 15, 34)
@@ -395,7 +404,7 @@ SLOW_FEASIBLE = ([41, 38, 37, 30, 28, 28, 28, 25, 25, 23, 20, 18, 17, 16, 13,
 
 class TestFindCovering:
     """_find_covering decides every probe of the share search: a covering it
-    returns lifts the lower end, None lowers the upper end.  _cover, checked
+    returns lifts the lower end, None lowers the upper end.  ref_cover, checked
     against the oracle above, decides each probe independently here, so both
     a covering missed and one wrongly claimed show."""
 
@@ -403,7 +412,7 @@ class TestFindCovering:
         feasible = infeasible = 0
         for vals, d, target in bound_sweep():
             assign = _find_covering(vals, d, target)
-            assert (assign is None) == (_cover(vals, d, target) is None), (vals, d, target)
+            assert (assign is None) == (ref_cover(vals, d, target) is None), (vals, d, target)
             if assign is None:
                 infeasible += 1
             else:
@@ -421,7 +430,7 @@ class TestFindCovering:
         d = data.draw(st.integers(1, len(vals) + 1))
         target = data.draw(st.integers(1, _cover_ceiling(vals, d) + 1))
         assign = _find_covering(vals, d, target)
-        assert (assign is None) == (_cover(vals, d, target) is None)
+        assert (assign is None) == (ref_cover(vals, d, target) is None)
         if assign is not None:
             _covering_floor(vals, d, target, assign)
 
@@ -429,14 +438,14 @@ class TestFindCovering:
         vals, d, target = SLOW_INFEASIBLE
         assert not _pairing_refutes(vals, d, target)
         assert _find_covering(vals, d, target) is None
-        assert _cover(vals, d, target) is None
+        assert ref_cover(vals, d, target) is None
 
     def test_slow_feasible_probe(self):
         vals, d, target = SLOW_FEASIBLE
         assign = _find_covering(vals, d, target)
         assert assign is not None
         assert _covering_floor(vals, d, target, assign) >= target
-        assert _cover(vals, d, target) is not None
+        assert ref_cover(vals, d, target) is not None
 
     def test_completions_take_only_the_smallest_good_that_fits_alone(self):
         def values(goods, gap):
@@ -476,14 +485,14 @@ class TestFindCovering:
 class TestShareAgainstCover:
     """The share value must be neither above nor below the true share.  The
     golden digests and the thresholds tests compare it with mms_exact, which
-    takes the same value, and the oracle stops at 12 goods.  Here _cover
+    takes the same value, and the oracle stops at 12 goods.  Here ref_cover
     decides the value and the level above it on rows of up to 20 goods."""
 
     def test_cover_decides_the_share(self):
         for vals, d in row_sweep():
             share = _share_value(vals, d)
-            assert _cover(vals, d, share) is not None, (vals, d)
-            assert _cover(vals, d, share + 1) is None, (vals, d)
+            assert ref_cover(vals, d, share) is not None, (vals, d)
+            assert ref_cover(vals, d, share + 1) is None, (vals, d)
 
     @settings(max_examples=200, deadline=None)
     @given(
