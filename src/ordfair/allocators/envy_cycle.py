@@ -7,21 +7,21 @@ whose pool is a suffix of the goods (the bag fillers' outputs after
 padding), the good taken is the next one in the common order, the paper's
 rule for keeping EFX; ``solve_complete`` certifies EFX independently.
 
-Each agent's values of all bundles live in one integer matrix, built once
+Bundles live in slots that never move: ``held[a]`` is agent a's slot, and
+each agent's values of all slots live in one integer matrix, built once
 from the agent's integer-scaled row (``Instance.int_rows``) and updated in
-place: a gift adds one value to the receiver's column, a rotation moves the
-cycle members' columns.  Scaling a row keeps every comparison that agent
-makes, so the envy graph is exact.  The input's EF1 check reads the matrix;
-a gift updates only the graph's edges into and out of the receiver, and a
-rotation moves each bundle's enviers with it and recomputes the members'
-own edges.  Once no agent values any pool good, the source takes them all,
-lowest index first, one gift event each, as one-at-a-time gifts would: a
-gift worth 0 to everyone changes no edge, so the source stays unenvied.
+place: a gift adds one value to the receiver's slot column, and a rotation
+only reassigns ``held`` for the cycle members.  Scaling a row keeps every
+comparison that agent makes, so the envy graph is exact.  The input's EF1
+check reads the matrix; a gift updates only the graph's edges into and out
+of the receiver's slot, and a rotation keeps each slot's enviers and
+recomputes the members' own edges.  Once no agent values any pool good, the
+source takes them all, lowest index first, one gift event each, as
+one-at-a-time gifts would: a gift worth 0 to everyone changes no edge, so
+the source stays unenvied.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from ..errors import InvariantViolationError, PreconditionError
 from ..model import Allocation, Instance, check_allocation
@@ -30,8 +30,8 @@ from .trace import AllocatorTrace
 
 
 def _envy_edges(worth: list[list[int]]) -> list[set[int]]:
-    """incoming[j] = agents that envy j; worth[i][j] is i's value of j's
-    bundle."""
+    """incoming[s] = agents that envy slot s; worth[i][s] is i's value of
+    slot s, and agent i holds slot i."""
     agents = range(len(worth))
     incoming: list[set[int]] = [set() for _ in agents]
     for i, row in enumerate(worth):
@@ -71,11 +71,18 @@ def envy_cycle_elimination(
     if not ok:
         raise PreconditionError(f"envy-cycle completion needs an EF1 input, witness {pair}")
 
-    rows, lcms = zip(*inst.int_rows)
-    bundles = [set(b) for b in alloc.bundles]
-    pool = set(alloc.pool)
     trace = AllocatorTrace("envy_cycle_elimination")
-    start_values = [worth[i][i] for i in inst.agents]
+    if not alloc.pool:
+        return alloc, trace
+
+    rows = [row for row, _ in inst.int_rows]
+    agents = inst.agents
+    # Slot s starts as agent s's bundle; worth[i][s] and incoming[s] (the
+    # agents that envy slot s) stay with the slot, whoever holds it.
+    held = list(agents)
+    bundles = [set(b) for b in alloc.bundles]
+    pool = sorted(alloc.pool)
+    start_values = [worth[i][i] for i in agents]
     incoming = _envy_edges(worth)
     valued = {g for g in pool if any(row[g] for row in rows)}
     iteration = 0
@@ -85,58 +92,49 @@ def envy_cycle_elimination(
         iteration += 1
         if iteration > cap:
             raise InvariantViolationError("envy-cycle run exceeded its event cap")
-        source = next((i for i in inst.agents if not incoming[i]), None)
+        source = next((a for a in agents if not incoming[held[a]]), None)
         if source is None:
-            cycle = _find_cycle(incoming)
-            shifted = cycle[1:] + cycle[:1]
-            # Agents off the cycle keep their bundles, so the members' gains,
-            # in value units, are the change in total utility.
-            total_gain = Fraction(0)
-            for a, gained in zip(cycle, shifted):
-                if worth[a][gained] <= worth[a][a]:
+            cycle = _find_cycle([incoming[held[a]] for a in agents])
+            gained = [held[b] for b in cycle[1:] + cycle[:1]]
+            # Agents off the cycle keep their bundles, so each member's
+            # strict gain also proves that total utility rises.  Only the
+            # members' own values change, so only their edges.
+            for a, slot in zip(cycle, gained):
+                own = worth[a][slot]
+                if own <= worth[a][held[a]]:
                     raise InvariantViolationError("cycle member did not gain")
-                total_gain += Fraction(worth[a][gained] - worth[a][a], lcms[a])
-            if total_gain <= 0:
-                raise InvariantViolationError("rotation did not raise total utility")
-            # Each member takes the next member's bundle; every agent's
-            # worth of the bundles, and so who envies them, moves with them.
-            for by_owner in (bundles, incoming, *worth):
-                moved = [by_owner[b] for b in shifted]
-                for a, item in zip(cycle, moved):
-                    by_owner[a] = item
-            # Only the members' own values changed, so only their edges.
-            for a in cycle:
-                own = worth[a][a]
-                for j, w in enumerate(worth[a]):
+                held[a] = slot
+                for s, w in enumerate(worth[a]):
                     if w > own:
-                        incoming[j].add(a)
+                        incoming[s].add(a)
                     else:
-                        incoming[j].discard(a)
+                        incoming[s].discard(a)
             trace.emit(iteration, "cycle_rotation", cycle=tuple(cycle))
             continue
+        slot = held[source]
         if not valued:
             if iteration + len(pool) - 1 > cap:
                 raise InvariantViolationError("envy-cycle run exceeded its event cap")
-            for iteration, good in enumerate(sorted(pool), iteration):
+            for iteration, good in enumerate(pool, iteration):
                 trace.emit(iteration, "source_gift", agent=source, good=good)
-            bundles[source] |= pool
+            bundles[slot].update(pool)
             break
-        row = rows[source]
-        good = min(pool, key=lambda g: (-row[g], g))
-        bundles[source].add(good)
+        good = max(pool, key=rows[source].__getitem__)
+        bundles[slot].add(good)
         pool.remove(good)
         valued.discard(good)
         for agent_row, agent_worth in zip(rows, worth):
-            agent_worth[source] += agent_row[good]
-        incoming[source] = {i for i, w in enumerate(worth) if w[source] > w[i]}
-        for j in inst.agents:
-            if worth[source][j] <= worth[source][source]:
-                incoming[j].discard(source)
+            agent_worth[slot] += agent_row[good]
+        incoming[slot] = {i for i, w in enumerate(worth) if w[slot] > w[held[i]]}
+        own = worth[source][slot]
+        for s, w in enumerate(worth[source]):
+            if w <= own:
+                incoming[s].discard(source)
         trace.emit(iteration, "source_gift", agent=source, good=good)
 
-    result = Allocation(tuple(frozenset(b) for b in bundles), frozenset())
-    for i in inst.agents:
-        if worth[i][i] < start_values[i]:
+    result = Allocation(tuple(frozenset(bundles[s]) for s in held), frozenset())
+    for i in agents:
+        if worth[i][held[i]] < start_values[i]:
             raise InvariantViolationError(f"agent {i} lost value during completion")
     ok, pair = is_ef1(inst, result)
     if not ok:

@@ -7,7 +7,9 @@ Hall-violating bag set and its neighborhood, which leaves every interested
 agent matched.
 
 ``ThresholdGraph.build`` decides each edge on the agent's integer row: the
-bag's ``Instance.int_value`` against the threshold's ``Instance.level``.
+bag's sum on that row (what ``Instance.int_value`` gives), at or above the
+threshold's ``Instance.level``.  Each agent's bag sums come from one pass
+over the bags' (good, bag) pairs.
 """
 
 from __future__ import annotations
@@ -48,13 +50,15 @@ class ThresholdGraph:
     ) -> "ThresholdGraph":
         """``build`` on (agent, ``Instance.level``) pairs, in agent order."""
         frozen = tuple(frozenset(b) for b in bags)
-        edges = frozenset(
-            (i, j)
-            for i, level in levels
-            for j, bag in enumerate(frozen)
-            if inst.int_value(i, bag) >= level
-        )
-        return cls(bags=frozen, agents=tuple(i for i, _ in levels), edges=edges)
+        pairs = [(g, j) for j, bag in enumerate(frozen) for g in bag]
+        edges = []
+        for i, level in levels:
+            row = inst.int_rows[i][0]
+            sums = [0] * len(frozen)
+            for g, j in pairs:
+                sums[j] += row[g]
+            edges += [(i, j) for j, total in enumerate(sums) if total >= level]
+        return cls(bags=frozen, agents=tuple(i for i, _ in levels), edges=frozenset(edges))
 
     @cached_property
     def _bag_neighbors(self) -> tuple[tuple[int, ...], ...]:

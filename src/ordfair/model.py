@@ -312,9 +312,10 @@ def pad_goods(inst: Instance, target: int) -> Instance:
     if target == inst.m:
         return inst
     extra = target - inst.m
+    int_zeros, zeros = (0,) * extra, (Fraction(0),) * extra
     return inst._derive(
-        tuple((ints + (0,) * extra, denom) for ints, denom in inst.int_rows),
-        values=tuple(row + (Fraction(0),) * extra for row in inst.values),
+        tuple((ints + int_zeros, denom) for ints, denom in inst.int_rows),
+        values=tuple(row + zeros for row in inst.values),
         good_labels=inst.good_labels + tuple(f"g{inst.m + j}" for j in range(extra)),
         dummy_goods=inst.dummy_goods | frozenset(range(inst.m, target)),
     )

@@ -272,6 +272,19 @@ def ref_top_k_set(inst: Instance, k: int):
     return frozenset(must | set(sorted(may - must)[: k - len(must)]))
 
 
+def ref_threshold_edges(inst: Instance, bags, levels) -> frozenset[tuple[int, int]]:
+    """``ThresholdGraph._from_levels``'s edges as it found them with one
+    ``Instance.int_value`` call per (agent, bag) pair: (i, j) iff agent i's
+    integer sum of bag j is at least i's level."""
+    frozen = tuple(frozenset(b) for b in bags)
+    return frozenset(
+        (i, j)
+        for i, level in levels
+        for j, bag in enumerate(frozen)
+        if inst.int_value(i, bag) >= level
+    )
+
+
 def frac_envy_edges(inst: Instance, bundles) -> list[set[int]]:
     """incoming[j] = agents that envy j."""
     own = [inst.value(i, bundles[i]) for i in inst.agents]

@@ -446,6 +446,25 @@ def test_completion_matches_fraction_reference_at_benchmark_sizes():
     assert hand_outs > 3 and after_rotation >= 1
 
 
+def test_completion_matches_fraction_reference_on_lone_divider_partials():
+    """a2's solve-light cells, n = 16 and 24 with m = n + 2 and values up to
+    4: completing the lone divider's partial on goods padded to 2n, where
+    bundles rotate by relabelling slots, gives the allocation and trace of
+    the reference, which moves the bundles themselves."""
+    rotations = 0
+    for n in (16, 24):
+        for seed in range(10):
+            inst = seeded_instance("top_n", n, n + 2, seed, max_value=4)
+            padded = pad_goods(inst, 2 * n)
+            partial, _ = alloc_topn_lone_divider(padded, thresholds(padded, ceil_3n_over_2(n)))
+            final, trace = envy_cycle_elimination(padded, partial)
+            ref_final, ref_text = frac_envy_cycle_elimination(padded, partial)
+            assert final == ref_final
+            assert trace.to_text() == ref_text
+            rotations += sum(ev.kind == "cycle_rotation" for ev in trace.events)
+    assert rotations >= 100
+
+
 # --- thresholds in value units, decisions on integer levels -----------------
 
 

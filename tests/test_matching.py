@@ -2,9 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordfair import Instance, ThresholdGraph, envy_free_matching
 from ordfair.errors import PreconditionError
+
+from helpers import ref_threshold_edges
 
 
 def graph_from_edges(nbags: int, nagents: int, edges) -> ThresholdGraph:
@@ -24,6 +28,30 @@ def assert_envy_free(graph: ThresholdGraph, pairs) -> None:
         assert (a, j) in graph.edges
     for i, j in graph.edges:
         assert not (i not in matched_agents and j in matched_bags)
+
+
+@st.composite
+def graph_inputs(draw):
+    """An instance on small rows, each divided by its own integer, bags (some
+    empty, some sharing goods), eligible agents and, per agent, a threshold
+    of 0, exactly a bag's sum, above every sum or any small rational."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 7))
+    row = st.tuples(st.lists(st.integers(0, 12), min_size=m, max_size=m), st.integers(1, 6))
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    inst = Instance.from_rows([[Fraction(v, k) for v in ints] for ints, k in rows])
+    bags = draw(st.lists(st.frozensets(st.integers(0, m - 1)), max_size=5))
+    agents = draw(st.lists(st.integers(0, n - 1), unique=True))
+    taus = [
+        draw(
+            st.sampled_from(
+                [Fraction(0), sum(inst.values[i]) + 1] + [inst.value(i, b) for b in bags]
+            )
+            | st.fractions(min_value=0, max_value=30, max_denominator=6)
+        )
+        for i in range(n)
+    ]
+    return inst, bags, agents, taus
 
 
 class TestEnvyFreeMatching:
@@ -101,6 +129,18 @@ class TestEnvyFreeMatching:
             if inst.value(i, bag) >= taus[i]
         }
         assert g.edges == frozenset(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph_inputs())
+    def test_build_matches_per_pair_reference(self, case):
+        """One pass per agent over the bags' goods gives the edges of one
+        ``Instance.int_value`` call per (agent, bag) pair."""
+        inst, bags, agents, taus = case
+        graph = ThresholdGraph.build(inst, bags, agents, taus)
+        levels = [(i, inst.level(i, taus[i])) for i in agents]
+        assert graph.edges == ref_threshold_edges(inst, bags, levels)
+        assert graph.agents == tuple(agents)
+        assert graph.bags == tuple(frozenset(b) for b in bags)
 
     def test_bag_neighbors_are_the_ascending_edge_scan(self):
         # The adjacency lists keep the scan's order, so augmenting paths,

@@ -201,6 +201,32 @@ _LINES = st.builds(
 )
 
 
+@st.composite
+def _well_formed_traces(draw):
+    """Typed completion and lone-divider events on n agents and m goods:
+    agents in range(n), goods in range(-1, m + 1), so that some goods fall
+    outside range(m) and some are given twice."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    agent = st.integers(0, n - 1)
+    good = st.integers(-1, m)
+    goods = st.frozensets(good, max_size=3)
+    pairs = st.lists(st.tuples(agent, goods), max_size=3).map(tuple)
+    event = st.one_of(
+        st.tuples(st.just("source_gift"), st.fixed_dictionaries({"agent": agent, "good": good})),
+        st.tuples(st.just("matching"), st.fixed_dictionaries({"pairs": pairs})),
+        st.tuples(st.just("swap"), st.fixed_dictionaries({"agent": agent, "goods": goods})),
+        st.tuples(
+            st.just("cycle_rotation"),
+            st.fixed_dictionaries({"cycle": st.lists(agent, min_size=1, max_size=4).map(tuple)}),
+        ),
+    )
+    trace = AllocatorTrace("fuzz")
+    for iteration, (kind, args) in enumerate(draw(st.lists(event, max_size=6)), 1):
+        trace.emit(iteration, kind, **args)
+    return trace, n, m
+
+
 class TestTraceSerialization:
     @settings(max_examples=100, deadline=None)
     @given(
@@ -252,6 +278,22 @@ class TestTraceSerialization:
         held = [g for b in alloc.bundles for g in b]
         assert len(held) == len(set(held)) and set(held) <= set(range(m))
         assert alloc.pool == frozenset(range(m)) - set(held)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_well_formed_traces())
+    def test_well_formed_events_replay_to_an_allocation_or_parse_error(self, case):
+        """Events that name valid agents reach replay's allocation check: the
+        trace prints and parses back to itself, and replays to n disjoint
+        bundles within range(m), or raises ParseError."""
+        trace, n, m = case
+        assert AllocatorTrace.from_text(trace.to_text()) == trace
+        try:
+            alloc = replay(trace, n, m)
+        except ParseError:
+            return
+        assert len(alloc.bundles) == n
+        held = [g for b in alloc.bundles for g in b]
+        assert len(held) == len(set(held)) and set(held) <= set(range(m))
 
     def test_round_trip_and_replay(self):
         result = solve_complete(I_A, "a1")
