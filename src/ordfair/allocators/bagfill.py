@@ -55,20 +55,15 @@ def run_bag_fill(
     bags: dict[int, set[int]] = {}
     owner: dict[int, int] = {}
     k = 0
-    if singleton_phase:
-        while unsatisfied:
-            claimant = None
-            for i in sorted(unsatisfied):
-                if rows[i][0][k] >= levels[i]:
-                    claimant = i
-                    break
-            if claimant is None:
-                break
-            bags[k] = {k}
-            owner[claimant] = k
-            unsatisfied.remove(claimant)
-            trace.emit(0, "singleton_claim", agent=claimant, good=k, bag=k)
-            k += 1
+    while singleton_phase:
+        claimant = next((i for i in sorted(unsatisfied) if rows[i][0][k] >= levels[i]), None)
+        if claimant is None:
+            break
+        bags[k] = {k}
+        owner[claimant] = k
+        unsatisfied.remove(claimant)
+        trace.emit(0, "singleton_claim", agent=claimant, good=k, bag=k)
+        k += 1
     for j in range(k, n):
         bags[j] = {j, 2 * n - 1 - j}
         trace.emit(0, "bag_init", bag=j, goods=frozenset(bags[j]))
@@ -82,19 +77,21 @@ def run_bag_fill(
         if iteration > event_cap:
             raise InvariantViolationError("bag filling exceeded its event cap")
 
-        claimed = False
-        for i in sorted(unsatisfied):
-            for b in sorted(open_bags):
-                if bag_value(i, bags[b]) >= levels[i]:
-                    owner[i] = b
-                    unsatisfied.remove(i)
-                    open_bags.remove(b)
-                    trace.emit(iteration, "claim", agent=i, bag=b)
-                    claimed = True
-                    break
-            if claimed:
-                break
-        if claimed:
+        claim = next(
+            (
+                (i, b)
+                for i in sorted(unsatisfied)
+                for b in sorted(open_bags)
+                if bag_value(i, bags[b]) >= levels[i]
+            ),
+            None,
+        )
+        if claim is not None:
+            i, b = claim
+            owner[i] = b
+            unsatisfied.remove(i)
+            open_bags.remove(b)
+            trace.emit(iteration, "claim", agent=i, bag=b)
             continue
 
         # Swap branch: a served agent strictly prefers an open bag.  The pair
@@ -171,7 +168,7 @@ def _alloc_bag_fill(
     trace = AllocatorTrace(
         "alloc_ordered_efx_3n2" if singleton_phase else "alloc_ordered_ef1_4n3"
     )
-    levels = [inst.level(i, taus[i]) for i in inst.agents]
+    levels = inst.levels(taus)
     bags, owner, next_fill = run_bag_fill(inst.int_rows, levels, singleton_phase, trace)
     alloc = Allocation(
         tuple(frozenset(bags[owner[i]]) if i in owner else frozenset() for i in inst.agents),

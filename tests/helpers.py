@@ -285,6 +285,43 @@ def ref_threshold_edges(inst: Instance, bags, levels) -> frozenset[tuple[int, in
     )
 
 
+def ref_shrink_minimal(inst: Instance, bag, protected, agents, taus) -> frozenset[int]:
+    """``shrink_minimal`` as the restart loop it was: remove the lowest good
+    whose removal leaves the bag acceptable to some agent, then start over
+    from the lowest good."""
+    current = set(bag)
+    while True:
+        for x in sorted(current - {protected}):
+            trial = current - {x}
+            if any(inst.value(i, trial) >= taus[i] for i in agents):
+                current = trial
+                break
+        else:
+            return frozenset(current)
+
+
+def ref_most_envious_shrink(inst: Instance, bag, protected, holdings):
+    """``most_envious_shrink``'s search as the restart loop it was: remove
+    the good of the first (served agent, good) pair whose removal the agent
+    still envies, then start over.  Returns the first agent who envies the
+    result (None if nobody does) and the result, without the postcondition
+    check."""
+    z = set(bag)
+    served = sorted(holdings)
+
+    def envies(a, goods):
+        return inst.value(a, goods) > inst.value(a, holdings[a])
+
+    while True:
+        pair = next(
+            ((a, x) for a in served for x in sorted(z - {protected}) if envies(a, z - {x})),
+            None,
+        )
+        if pair is None:
+            return next((a for a in served if envies(a, z)), None), frozenset(z)
+        z.remove(pair[1])
+
+
 def frac_envy_edges(inst: Instance, bundles) -> list[set[int]]:
     """incoming[j] = agents that envy j."""
     own = [inst.value(i, bundles[i]) for i in inst.agents]

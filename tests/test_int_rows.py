@@ -38,7 +38,7 @@ from ordfair import (
     top_k_set,
 )
 from ordfair.allocators.bagfill import ceil_3n_over_2
-from ordfair.allocators.pipeline import _cleared, _unpadded
+from ordfair.allocators.pipeline import _cleared, _to_caller
 from ordfair.errors import InvalidInstanceError, PreconditionError
 from ordfair.verification import _worth
 
@@ -278,7 +278,7 @@ def test_unpadded_allocation_is_strip_dummies(inst, extra, rng):
     work = _cleared(inst).permute_goods(order)
     padded = pad_goods(work, work.m + extra)
     alloc = random_partial_allocation(padded, rng)
-    assert _unpadded(alloc, work.m) == strip_dummies(padded, alloc)[1]
+    assert _to_caller(alloc, range(work.m)) == strip_dummies(padded, alloc)[1]
 
 
 def test_derived_instances_keep_their_error_paths():
@@ -494,6 +494,26 @@ def test_lone_divider_threshold_between_levels():
     )
     flat = Instance.from_rows([[2, 2, 2]])
     _between_levels(lambda tau: shrink_minimal(flat, {0, 1, 2}, 0, [0], [tau]), 4)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        alloc_ordered_efx_3n2,
+        alloc_ordered_ef1_4n3,
+        alloc_topn_lone_divider,
+        lambda inst, taus: ThresholdGraph.build(inst, [{0}, {1, 2}], inst.agents, taus),
+        lambda inst, taus: shrink_minimal(inst, {0, 1}, 0, inst.agents, taus),
+    ],
+    ids=["efx_3n2", "ef1_4n3", "lone_divider", "threshold_graph", "shrink_minimal"],
+)
+@pytest.mark.parametrize("short", [0, 2])
+def test_missing_thresholds_are_precondition_errors(run, short):
+    """Each entry point that maps thresholds to levels checks that there is
+    one per agent before it indexes them."""
+    inst = Instance.from_rows([[3, 2, 1, 0, 0, 0]] * 3)
+    with pytest.raises(PreconditionError, match="one threshold per agent required"):
+        run(inst, [Fraction(1)] * short)
 
 
 def test_threshold_graph_threshold_between_levels():

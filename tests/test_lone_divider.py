@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordfair import (
     Instance,
@@ -17,10 +19,34 @@ from ordfair import (
     thresholds,
     top_k_set,
 )
+from ordfair.allocators import strongly_envies_bundle
 from ordfair.allocators.bagfill import ceil_3n_over_2
-from ordfair.errors import PreconditionError, StructuralMismatchError
+from ordfair.cli import _instance_seed
+from ordfair.errors import InvariantViolationError, PreconditionError, StructuralMismatchError
 
-from helpers import I_A, naive_strong_envy, seeded_instance
+from helpers import (
+    I_A,
+    naive_strong_envy,
+    ref_most_envious_shrink,
+    ref_shrink_minimal,
+    seeded_instance,
+)
+
+
+@st.composite
+def shrink_cases(draw):
+    """Small integer rows, a non-empty bag with a protected good, served
+    agents' holdings (any sets of goods) and a threshold per agent."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 8))
+    row = st.lists(st.integers(0, 6), min_size=m, max_size=m)
+    inst = Instance.from_rows(draw(st.lists(row, min_size=n, max_size=n)))
+    goods = st.frozensets(st.integers(0, m - 1))
+    bag = draw(st.frozensets(st.integers(0, m - 1), min_size=1))
+    protected = draw(st.sampled_from(sorted(bag)))
+    holdings = draw(st.dictionaries(st.integers(0, n - 1), goods))
+    taus = [Fraction(draw(st.integers(0, 20))) for _ in range(n)]
+    return inst, bag, protected, holdings, taus
 
 
 class TestLoneDividerPartition:
@@ -32,6 +58,11 @@ class TestLoneDividerPartition:
             assert inst.value(0, bag) >= 1
             assert len(bag & {0, 1, 2}) == 1
         assert set().union(*bags) == set(range(6))
+
+    def test_zero_bags_is_precondition_error(self):
+        inst = Instance.from_rows([[4, 2, 1]])
+        with pytest.raises(PreconditionError, match="at least one bag"):
+            lone_divider_partition(inst, 0, range(3), 0, set(), Fraction(1))
 
     def test_single_bag_gets_whole_pool(self):
         inst = Instance.from_rows([[4, 2, 1]])
@@ -88,6 +119,63 @@ class TestShrinkMinimal:
             for x in kept - {protected}:
                 trial = kept - {x}
                 assert not any(inst.value(i, trial) >= taus[i] for i in agents)
+
+
+class TestSinglePassShrinks:
+    """The shrinks' single passes against the restart loops they replaced,
+    and strong envy of a bundle against its definition."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(shrink_cases())
+    def test_shrink_minimal_matches_restart_loop(self, case):
+        inst, bag, protected, _, taus = case
+        agents = list(inst.agents)
+        if not any(inst.value(i, bag) >= taus[i] for i in agents):
+            return
+        kept = shrink_minimal(inst, bag, protected, agents, taus)
+        assert kept == ref_shrink_minimal(inst, bag, protected, agents, taus)
+
+    def test_most_envious_shrink_matches_restart_loop(self):
+        # Seeded rather than drawn: the passes differ only when several
+        # served agents envy the bag, which small drawn cases seldom give.
+        rng = random.Random(21)
+        several = 0
+        for _ in range(3000):
+            n, m = rng.randrange(2, 5), rng.randrange(2, 9)
+            inst = seeded_instance("general", n, m, rng.randrange(2**32), 6)
+            bag = set(rng.sample(range(m), rng.randrange(1, m + 1)))
+            protected = rng.choice(sorted(bag))
+            holdings = {
+                a: frozenset(g for g in inst.goods if rng.random() < 0.4)
+                for a in inst.agents
+                if rng.random() < 0.8
+            }
+            enviers = sum(
+                naive_strong_envy_bundle(inst, a, own, bag) for a, own in holdings.items()
+            )
+            if not enviers:
+                continue
+            several += enviers > 1
+            winner, core = ref_most_envious_shrink(inst, bag, protected, holdings)
+            if winner is None or any(
+                naive_strong_envy_bundle(inst, a, own, core) for a, own in holdings.items()
+            ):
+                with pytest.raises(InvariantViolationError):
+                    most_envious_shrink(inst, bag, protected, holdings)
+            else:
+                assert most_envious_shrink(inst, bag, protected, holdings) == (winner, core)
+        assert several >= 300
+
+    @settings(max_examples=300, deadline=None)
+    @given(shrink_cases(), st.integers(0, 3))
+    def test_strong_envy_of_bundle_is_its_definition(self, case, agent):
+        inst, bag, _, holdings, _ = case
+        agent %= inst.n
+        own = holdings.get(agent, frozenset())
+        for target in (bag, frozenset(), own):
+            assert strongly_envies_bundle(inst, agent, own, target) == (
+                naive_strong_envy_bundle(inst, agent, own, target)
+            )
 
 
 class TestMostEnviousShrink:
@@ -190,6 +278,40 @@ class TestLoneDividerAllocator:
         assert steal_events
         assert is_efx(inst, alloc)[0]
         assert is_ordinal_mms(inst, alloc, d, taus)[0]
+
+    def test_steal_takes_the_first_envied_bag(self):
+        """A steal's core comes from the first shrunk bag of its round that a
+        served agent strongly envies.  These ``ordfair experiment --seed 0``
+        top-n draws (max_value, n, m, index) have rounds in which several
+        bags are."""
+        draws = [(20, 3, 24, 9), (20, 5, 21, 9), (20, 5, 24, 8), (20, 6, 22, 2),
+                 (20, 6, 23, 0), (4, 4, 20, 3), (4, 4, 24, 7), (4, 5, 22, 4)]
+        several = 0
+        for max_value, n, m, index in draws:
+            seed = _instance_seed(0, "top_n", n, m, index)
+            inst = seeded_instance("top_n", n, m, seed, max_value)
+            _, trace = alloc_topn_lone_divider(inst, thresholds(inst, ceil_3n_over_2(n)))
+            bundles, shrunk = {}, []
+            for ev in trace.events:
+                if ev.kind == "lone_divider":
+                    shrunk = []
+                elif ev.kind == "shrink":
+                    shrunk.append(ev.get("kept"))
+                elif ev.kind == "matching":
+                    bundles.update(ev.get("pairs"))
+                elif ev.kind == "swap":
+                    envied = [
+                        bag
+                        for bag in shrunk
+                        if any(
+                            naive_strong_envy_bundle(inst, a, own, bag)
+                            for a, own in bundles.items()
+                        )
+                    ]
+                    several += len(envied) > 1
+                    assert ev.get("goods") <= envied[0]
+                    bundles[ev.get("agent")] = ev.get("goods")
+        assert several >= 5
 
     def test_seeded_topn_partial_efx_and_completion_ef1(self):
         rng = random.Random(20)

@@ -23,7 +23,8 @@ from ordfair import (
 )
 from ordfair.allocators import ALGORITHMS, AllocatorTrace, replay
 from ordfair.allocators.bagfill import ceil_3n_over_2
-from ordfair.errors import ParseError, StructuralMismatchError
+from ordfair.cli import _instance_seed
+from ordfair.errors import OrdfairError, ParseError, StructuralMismatchError
 from ordfair.model import format_rational
 
 from helpers import (
@@ -419,3 +420,77 @@ class TestGoldenOutputs:
 
     def test_outputs_unchanged(self):
         assert pipeline_sweep_digest() == self.GOLDEN
+
+
+def rare_branch_sweep():
+    """The draws of ``ordfair experiment --seed 0 --count 4`` over n 2-6 and
+    m 4-20: a2 on top-n instances with max_value 20, a1 and a3 on ordered
+    instances with max_value 4.  Unlike ``pipeline_sweep`` they reach bag
+    filling's fill and swap steps and the lone divider's steal and Hall
+    step."""
+    for family, algos, max_value in (("top_n", ("a2",), 20), ("ordered", ("a1", "a3"), 4)):
+        for n in range(2, 7):
+            for m in range(4, 21):
+                if family == "top_n" and m < n:
+                    continue
+                for index in range(4):
+                    seed = _instance_seed(0, family, n, m, index)
+                    inst = seeded_instance(family, n, m, seed, max_value)
+                    for algo in algos:
+                        yield algo, inst
+
+
+def rare_branch_counts(trace, counts):
+    """Add a solve's Hall steps, steals, fills and bag swaps to ``counts``.
+
+    A lone-divider round takes the Hall step exactly when its matching
+    serves fewer agents than it has shrunk bags; a steal is a ``swap`` with
+    goods, a bag swap one between bag ids."""
+    bags_in = {}
+    for ev in trace.events:
+        if ev.kind == "shrink":
+            bags_in[ev.iteration] = bags_in.get(ev.iteration, 0) + 1
+        elif ev.kind == "matching":
+            counts["hall"] += len(ev.get("pairs")) < bags_in[ev.iteration]
+        elif ev.kind == "swap":
+            counts["steal" if "goods" in ev.args else "bag_swap"] += 1
+        elif ev.kind == "fill":
+            counts["fill"] += 1
+
+
+class TestGoldenRareBranches:
+    """Every output of the solves of ``rare_branch_sweep`` is pinned, errors
+    included, and the sweep is held to keep reaching each rare branch."""
+
+    # Recorded before the allocators' search loops became single passes.
+    GOLDEN = "14e1b6f899d180424f3cdad9ef53fc8dec29c42e8d9f2b336c21446a311d7cd5"
+
+    def test_outputs_unchanged_and_branches_reached(self):
+        h = hashlib.sha256()
+        counts = dict.fromkeys(("hall", "steal", "fill", "bag_swap"), 0)
+        solves = 0
+        for algo, inst in rare_branch_sweep():
+            solves += 1
+            h.update(f"{algo} {write_instance(inst)}".encode())
+            try:
+                result = solve_complete(inst, algo)
+            except OrdfairError as err:
+                h.update(f"{type(err).__name__} {err}\n".encode())
+                continue
+            rare_branch_counts(result.trace, counts)
+            h.update(
+                "\n".join(
+                    (
+                        _alloc_text(result.partial),
+                        _alloc_text(result.allocation),
+                        write_report(result.partial_report),
+                        write_report(result.report),
+                        result.trace.to_text(),
+                    )
+                ).encode()
+            )
+        # Recorded: 76 Hall steps, 26 steals, 196 fills and 10 bag swaps.
+        assert solves == 1008
+        assert counts["hall"] >= 40 and counts["steal"] >= 13
+        assert counts["fill"] >= 100 and counts["bag_swap"] >= 5
+        assert h.hexdigest() == self.GOLDEN
