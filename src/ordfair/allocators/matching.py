@@ -1,16 +1,18 @@
 """Envy-free matchings in bipartite agent/bag threshold graphs.
 
 A matching is envy-free when no unmatched agent has an edge to a matched
-bag.  If a bag-perfect matching exists it is returned; otherwise a perfect
-matching is built between a proper subset of an inclusion-minimal
-Hall-violating bag set and its neighborhood, which leaves every interested
-agent matched.
-
-Matching and neighborhoods read the graph's per-bag adjacency tuples; the
-Hall step matches the violator's subset on those tuples, not on a
-sub-graph.  Its shrink to a minimal violator restarts after each removal:
-violating Hall's condition is not monotone (a set that does not violate it
-can have a subset that does), so one pass would keep a different violator.
+bag.  ``envy_free_matching`` follows Aigner-Horev and Segal-Halevi
+("Envy-free matchings in bipartite graphs and their applications to fair
+division", Information Sciences 587, 2022): take a maximum matching M, walk
+alternating paths (agent -> a bag it accepts -> that bag's M-partner) from
+the agents M leaves unmatched, and keep M's pairs whose agent no path
+reaches.  Every bag a reached agent accepts is matched to a reached agent,
+so no unmatched agent envies a kept bag, and the result is a
+maximum-cardinality envy-free matching.  When there are no more agents than
+bags and every bag has an edge, it is nonempty: if every agent were
+reached, every bag would have a reached neighbour and so be matched (else M
+would have an augmenting path), M would be perfect, and no agent would be
+reached.
 
 ``ThresholdGraph.build`` decides each edge on the agent's integer row: the
 bag's sum on that row (what ``Instance.int_value`` gives), at or above the
@@ -101,67 +103,46 @@ def _max_matching(neighbors: Sequence[tuple[int, ...]]) -> dict[int, int]:
     return match_bag
 
 
-def _neighborhood(neighbors: Sequence[tuple[int, ...]], bag_set: Iterable[int]) -> set[int]:
-    return {i for j in bag_set for i in neighbors[j]}
-
-
 def envy_free_matching(graph: ThresholdGraph) -> tuple[tuple[int, int], ...]:
-    """Nonempty envy-free matching as (agent, bag_index) pairs.
+    """Maximum-cardinality envy-free matching as (agent, bag_index) pairs,
+    in bag order.
 
-    Precondition: every bag has at least one incident edge.
+    Precondition: every bag has at least one incident edge, and the maximum
+    envy-free matching is nonempty (always so when there are no more agents
+    than bags); otherwise ``PreconditionError``.
     """
-    nbags = len(graph.bags)
-    if nbags == 0:
-        raise PreconditionError("no bags to match")
     neighbors = graph._bag_neighbors
-    for j in range(nbags):
-        if not neighbors[j]:
+    for j, agents in enumerate(neighbors):
+        if not agents:
             raise PreconditionError(f"bag {j} has no incident edge")
 
     match_bag = _max_matching(neighbors)
-    if len(match_bag) == nbags:
-        pairs = tuple(sorted(((a, j) for j, a in match_bag.items()), key=lambda p: p[1]))
-        _verify_envy_free(graph, pairs)
-        return pairs
+    matched = set(match_bag.values())
+    frontier = [i for i in graph.agents if i not in matched]
+    reached = set(frontier)
+    if frontier:
+        # Alternating paths from the unmatched agents: agent -> a bag it
+        # accepts -> that bag's partner.
+        accepts: dict[int, list[int]] = {}
+        for i, j in graph.edges:
+            accepts.setdefault(i, []).append(j)
+        while frontier:
+            i = frontier.pop()
+            for j in accepts.get(i, ()):
+                partner = match_bag.get(j)
+                if partner is None:
+                    raise InvariantViolationError(
+                        f"agent {i} reaches unmatched bag {j}: the matching is not maximum"
+                    )
+                if partner not in reached:
+                    reached.add(partner)
+                    frontier.append(partner)
 
-    # Hall violator: bags reachable from an unmatched bag by alternating paths.
-    match_agent = {a: j for j, a in match_bag.items()}
-    frontier = [j for j in range(nbags) if j not in match_bag]
-    x = set(frontier)
-    while frontier:
-        nxt: list[int] = []
-        for j in frontier:
-            for i in neighbors[j]:
-                owner = match_agent.get(i)
-                if owner is not None and owner not in x:
-                    x.add(owner)
-                    nxt.append(owner)
-        frontier = nxt
-    if len(_neighborhood(neighbors, x)) >= len(x):
-        raise InvariantViolationError("expected a Hall-violating bag set")
-
-    # Greedy shrink to an inclusion-minimal violator.  It restarts after each
-    # removal because Hall violation is not monotone (module docstring).
-    changed = True
-    while changed:
-        changed = False
-        for j in sorted(x):
-            trial = x - {j}
-            if trial and len(_neighborhood(neighbors, trial)) < len(trial):
-                x = trial
-                changed = True
-                break
-    if len(x) < 2:
-        raise InvariantViolationError("minimal Hall violator collapsed")
-
-    y = sorted(x)[:-1]
-    sub_match = _max_matching([neighbors[j] for j in y])
-    sub_agents = _neighborhood(neighbors, y)
-    if len(sub_match) != len(y) or len(set(sub_match.values())) != len(sub_agents):
-        raise InvariantViolationError(
-            "no perfect matching between the Hall subset and its neighborhood"
-        )
-    pairs = tuple(sorted(((a, y[pos]) for pos, a in sub_match.items()), key=lambda p: p[1]))
+    pairs = tuple(
+        sorted(((a, j) for j, a in match_bag.items() if a not in reached), key=lambda p: p[1])
+    )
+    if not pairs:
+        raise PreconditionError("the maximum envy-free matching is empty")
     _verify_envy_free(graph, pairs)
     return pairs
 

@@ -285,6 +285,31 @@ def ref_threshold_edges(inst: Instance, bags, levels) -> frozenset[tuple[int, in
     )
 
 
+def ref_max_envy_free_matching(agents, edges) -> int:
+    """Size of a largest envy-free matching, by trying every envy-free
+    matching: each agent in turn stays unmatched or takes an adjacent bag
+    that no earlier agent took.  A matching is envy-free when no unmatched
+    agent has an edge to a matched bag, so an agent may stay unmatched only
+    if no earlier agent took a bag it accepts, and afterwards no one may."""
+    agents = list(agents)
+    adjacent = {i: {j for a, j in edges if a == i} for i in agents}
+    best = 0
+
+    def extend(k: int, taken: set[int], envied: set[int]) -> None:
+        nonlocal best
+        if k == len(agents):
+            best = max(best, len(taken))
+            return
+        i = agents[k]
+        if not adjacent[i] & taken:
+            extend(k + 1, taken, envied | adjacent[i])
+        for j in adjacent[i] - taken - envied:
+            extend(k + 1, taken | {j}, envied)
+
+    extend(0, set(), set())
+    return best
+
+
 def ref_shrink_minimal(inst: Instance, bag, protected, agents, taus) -> frozenset[int]:
     """``shrink_minimal`` as the restart loop it was: remove the lowest good
     whose removal leaves the bag acceptable to some agent, then start over

@@ -282,10 +282,11 @@ class TestLoneDividerAllocator:
     def test_steal_takes_the_first_envied_bag(self):
         """A steal's core comes from the first shrunk bag of its round that a
         served agent strongly envies.  These ``ordfair experiment --seed 0``
-        top-n draws (max_value, n, m, index) have rounds in which several
-        bags are."""
-        draws = [(20, 3, 24, 9), (20, 5, 21, 9), (20, 5, 24, 8), (20, 6, 22, 2),
-                 (20, 6, 23, 0), (4, 4, 20, 3), (4, 4, 24, 7), (4, 5, 22, 4)]
+        top-n draws (max_value, n, m, index) are all those of max_value 20
+        or 4, n 2-6, m 2n-24 and index 0-9 with rounds in which several bags
+        are: 9 such rounds."""
+        draws = [(20, 3, 20, 6), (20, 4, 20, 3), (20, 6, 21, 3), (20, 6, 22, 2),
+                 (20, 6, 23, 1), (4, 4, 14, 7), (4, 4, 20, 3)]
         several = 0
         for max_value, n, m, index in draws:
             seed = _instance_seed(0, "top_n", n, m, index)

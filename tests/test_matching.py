@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordfair import Instance, ThresholdGraph, envy_free_matching
-from ordfair.errors import OrdfairError, PreconditionError
+from ordfair.allocators import matching
+from ordfair.errors import InvariantViolationError, PreconditionError
 
-from helpers import ref_threshold_edges
+from helpers import ref_max_envy_free_matching, ref_threshold_edges
 
 
 def graph_from_edges(nbags: int, nagents: int, edges) -> ThresholdGraph:
@@ -56,15 +57,19 @@ def graph_inputs(draw):
 
 
 class TestEnvyFreeMatching:
-    # Recorded before the Hall step matched on the bags' adjacency tuples
-    # instead of a sub-graph.
-    GOLDEN = "f6e367e732c0284ddf0be95669ac961595f5b0762a81b463592c625fc815b54c"
+    # Re-recorded when the Hall step became one alternating-path pass from the
+    # unmatched agents: graphs that take it now get a maximum envy-free
+    # matching, and those that raised ``InvariantViolationError`` for more
+    # agents than bags, or for a shrink that stopped short of a minimal Hall
+    # violator, now match or raise ``PreconditionError``.
+    GOLDEN = "f2f78bdf5fe01028b1d26927c0cfce40ff019dfc9967363a691da9bd618f8439"
 
     def test_random_graph_outputs_unchanged(self):
         """``envy_free_matching`` on 20,000 seeded random graphs of 1-6 bags
-        and 1-6 agents at random densities, errors included.  About one in
-        five takes the Hall step, whose violator and matching the digest
-        pins."""
+        and 1-6 agents at random densities, errors included.  Each output is
+        an envy-free matching on the graph's edges of the brute-force maximum
+        size, and ``PreconditionError`` comes exactly where that maximum is 0
+        or a bag has no edge.  The digest pins which maximum is returned."""
         rng = random.Random(19)
         h = hashlib.sha256()
         for _ in range(20_000):
@@ -72,10 +77,18 @@ class TestEnvyFreeMatching:
             edges = sorted(
                 (i, j) for i in range(nagents) for j in range(nbags) if rng.random() < p
             )
+            g = graph_from_edges(nbags, nagents, edges)
+            best = ref_max_envy_free_matching(g.agents, edges)
+            unservable = best == 0 or any(not g.neighbors_of_bag(j) for j in range(nbags))
             try:
-                out = envy_free_matching(graph_from_edges(nbags, nagents, edges))
-            except OrdfairError as err:
+                out = envy_free_matching(g)
+            except PreconditionError as err:
+                assert unservable, (nbags, nagents, edges)
                 out = f"{type(err).__name__} {err}"
+            else:
+                assert not unservable, (nbags, nagents, edges)
+                assert_envy_free(g, out)
+                assert len(out) == best, (nbags, nagents, edges)
             h.update(f"{nbags} {nagents} {edges} {out}\n".encode())
         assert h.hexdigest() == self.GOLDEN
 
@@ -86,10 +99,21 @@ class TestEnvyFreeMatching:
         assert_envy_free(g, pairs)
 
     def test_hall_violator_subset(self):
-        edges = [(0, 0), (0, 1), (0, 2), (1, 0), (2, 0)]
-        g = graph_from_edges(3, 3, edges)
-        pairs = envy_free_matching(g)
-        assert pairs == ((0, 1),)
+        cases = [
+            (3, [(0, 0), (0, 1), (0, 2), (1, 0), (2, 0)], ((0, 1),)),
+            # A shrink of the Hall violator by single removals stopped short
+            # of a minimal one here and raised on this valid graph.
+            (
+                6,
+                [(0, 1), (0, 5), (1, 0), (1, 2), (1, 3), (2, 4), (4, 4), (5, 0), (5, 1), (5, 5)],
+                ((5, 0), (0, 1), (1, 2)),
+            ),
+        ]
+        for size, edges, expected in cases:
+            g = graph_from_edges(size, size, edges)
+            pairs = envy_free_matching(g)
+            assert pairs == expected
+            assert len(pairs) == ref_max_envy_free_matching(g.agents, edges)
 
     def test_bag_without_edge_rejected(self):
         g = graph_from_edges(2, 2, [(0, 0), (1, 0)])
@@ -123,8 +147,8 @@ class TestEnvyFreeMatching:
             assert_envy_free(g, envy_free_matching(g))
 
     def test_more_bags_than_agents(self):
-        # No bag-perfect matching can exist; the Hall route must still
-        # produce an envy-free matching.
+        # No bag-perfect matching can exist; the alternating-path step must
+        # still produce a nonempty envy-free matching.
         rng = random.Random(16)
         for _ in range(100):
             nbags = rng.randrange(2, 6)
@@ -140,6 +164,27 @@ class TestEnvyFreeMatching:
                     edges.add((rng.randrange(nagents), j))
             g = graph_from_edges(nbags, nagents, edges)
             assert_envy_free(g, envy_free_matching(g))
+
+    def test_more_agents_than_one_bag_is_precondition_error(self):
+        # Whichever agent takes the bag, the other envies it.
+        g = graph_from_edges(1, 2, [(0, 0), (1, 0)])
+        with pytest.raises(PreconditionError):
+            envy_free_matching(g)
+
+    def test_more_agents_than_bags_returns_the_maximum(self):
+        # Agents 0 and 1 accept only bag 0, so whichever takes it, the other
+        # envies it; agent 2 alone accepts bag 1.
+        edges = [(0, 0), (1, 0), (2, 1)]
+        g = graph_from_edges(2, 3, edges)
+        assert ref_max_envy_free_matching(g.agents, edges) == 1
+        assert envy_free_matching(g) == ((2, 1),)
+
+    def test_matching_short_of_maximum_is_invariant_violation(self, monkeypatch):
+        # An alternating path that ends at an unmatched bag is an augmenting
+        # path: the matching it started from was not maximum.
+        monkeypatch.setattr(matching, "_max_matching", lambda neighbors: {})
+        with pytest.raises(InvariantViolationError):
+            envy_free_matching(graph_from_edges(2, 2, [(0, 0), (1, 1)]))
 
     def test_edges_recomputable_from_graph_inputs(self):
         inst = Instance.from_rows([[3, 1, 2], [1, 1, 1]])
@@ -167,8 +212,8 @@ class TestEnvyFreeMatching:
         assert graph.bags == tuple(frozenset(b) for b in bags)
 
     def test_bag_neighbors_are_the_ascending_edge_scan(self):
-        # The adjacency lists keep the scan's order, so augmenting paths,
-        # matchings and Hall sets do not depend on how they are stored.
+        # The adjacency lists keep the scan's order, so augmenting paths and
+        # matchings do not depend on how they are stored.
         rng = random.Random(17)
         for _ in range(100):
             nbags, nagents = rng.randrange(1, 7), rng.randrange(1, 7)

@@ -56,6 +56,16 @@ class TestSolveComplete:
         assert result.report.complete and result.report.ef1
         assert result.report.mms_ok(3)
 
+    def test_a2_where_the_hall_step_once_raised(self):
+        """``ordfair generate --family top_n --n 7 --m 27 --seed 1829763360``:
+        a lone-divider round of this a2 solve takes the Hall step on a graph
+        where a shrink of the Hall violator by single removals raised."""
+        result = solve_complete(seeded_instance("top_n", 7, 27, 1829763360), "a2")
+        assert result.certified
+        counts = dict.fromkeys(("hall", "steal", "fill", "bag_swap"), 0)
+        rare_branch_counts(result.trace, counts)
+        assert counts["hall"] >= 1
+
     def test_a3_on_worked_example(self):
         result = solve_complete(EX51, "a3")
         assert result.certified
@@ -462,8 +472,10 @@ class TestGoldenRareBranches:
     """Every output of the solves of ``rare_branch_sweep`` is pinned, errors
     included, and the sweep is held to keep reaching each rare branch."""
 
-    # Recorded before the allocators' search loops became single passes.
-    GOLDEN = "14e1b6f899d180424f3cdad9ef53fc8dec29c42e8d9f2b336c21446a311d7cd5"
+    # Re-recorded when the envy-free matching's Hall step became one
+    # alternating-path pass: 33 a2 solves whose rounds take it now match a
+    # maximum envy-free matching, and all of them stay certified.
+    GOLDEN = "79135d57757a52808a7ff561e2b1de0b2e27f213b1dae3b7052204f72a5f0902"
 
     def test_outputs_unchanged_and_branches_reached(self):
         h = hashlib.sha256()
@@ -489,7 +501,7 @@ class TestGoldenRareBranches:
                     )
                 ).encode()
             )
-        # Recorded: 76 Hall steps, 26 steals, 196 fills and 10 bag swaps.
+        # Recorded: 71 Hall steps, 37 steals, 196 fills and 10 bag swaps.
         assert solves == 1008
         assert counts["hall"] >= 40 and counts["steal"] >= 13
         assert counts["fill"] >= 100 and counts["bag_swap"] >= 5
