@@ -23,9 +23,11 @@ the source stays unenvied.
 
 from __future__ import annotations
 
+from itertools import compress
+
 from ..errors import InvariantViolationError, PreconditionError
 from ..model import Allocation, Instance, check_allocation
-from ..verification import _ef1, _worth, is_ef1
+from ..verification import _ef1, _worth
 from .trace import AllocatorTrace
 
 
@@ -84,7 +86,8 @@ def envy_cycle_elimination(
     pool = sorted(alloc.pool)
     start_values = [worth[i][i] for i in agents]
     incoming = _envy_edges(worth)
-    valued = {g for g in pool if any(row[g] for row in rows)}
+    # Pool goods in a column with a positive entry.
+    valued = set(compress(inst.goods, map(any, zip(*rows)))).intersection(pool)
     iteration = 0
     cap = 10_000 + 100 * inst.n * inst.m
 
@@ -136,7 +139,7 @@ def envy_cycle_elimination(
     for i in agents:
         if worth[i][held[i]] < start_values[i]:
             raise InvariantViolationError(f"agent {i} lost value during completion")
-    ok, pair = is_ef1(inst, result)
+    ok, pair = _ef1(inst, result, _worth(inst, result))
     if not ok:
         raise InvariantViolationError(f"EF1 lost during completion: {pair}")
     return result, trace

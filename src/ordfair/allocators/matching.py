@@ -17,7 +17,11 @@ reached.
 ``ThresholdGraph.build`` decides each edge on the agent's integer row: the
 bag's sum on that row (what ``Instance.int_value`` gives), at or above the
 threshold's ``Instance.level``.  Each agent's bag sums come from one pass
-over the bags' (good, bag) pairs.
+over the bags' (good, bag) pairs, and in the same pass each bag the agent
+accepts appends the agent to its list.  The graph stores only these
+adjacency lists, each bag's agents in ascending order; the maximum
+matching, the alternating-path walk and the envy-freeness check read them,
+and ``edges`` is derived from them when asked for.
 """
 
 from __future__ import annotations
@@ -33,12 +37,13 @@ from ..model import Instance
 
 @dataclass(frozen=True)
 class ThresholdGraph:
-    """Bags vs. eligible agents; edge (i, j) iff agent i values bag j at or
-    above i's threshold."""
+    """Bags vs. eligible agents; agent i is adjacent to bag j iff i values
+    bag j at or above i's threshold.  ``neighbors[j]`` lists bag j's agents
+    in ascending order."""
 
     bags: tuple[frozenset[int], ...]
     agents: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
+    neighbors: tuple[tuple[int, ...], ...]
 
     @classmethod
     def build(
@@ -57,28 +62,38 @@ class ThresholdGraph:
     def _from_levels(
         cls, inst: Instance, bags: Sequence[Iterable[int]], levels: Sequence[tuple[int, int]]
     ) -> "ThresholdGraph":
-        """``build`` on (agent, ``Instance.level``) pairs, in agent order."""
+        """``build`` on (agent, ``Instance.level``) pairs.  ``agents`` keeps
+        the pairs' order; each bag's list is ascending whatever that order."""
         frozen = tuple(frozenset(b) for b in bags)
         pairs = [(g, j) for j, bag in enumerate(frozen) for g in bag]
-        edges = []
-        for i, level in levels:
+        adjacent: list[list[int]] = [[] for _ in frozen]
+        for i, level in sorted(levels):
             row = inst.int_rows[i][0]
             sums = [0] * len(frozen)
             for g, j in pairs:
                 sums[j] += row[g]
-            edges += [(i, j) for j, total in enumerate(sums) if total >= level]
-        return cls(bags=frozen, agents=tuple(i for i, _ in levels), edges=frozenset(edges))
+            for j, total in enumerate(sums):
+                if total >= level:
+                    adjacent[j].append(i)
+        return cls(frozen, tuple(i for i, _ in levels), tuple(map(tuple, adjacent)))
+
+    @classmethod
+    def from_edges(
+        cls, bags: Sequence[Iterable[int]], agents: Sequence[int], edges: Iterable[tuple[int, int]]
+    ) -> "ThresholdGraph":
+        """The graph on given (agent, bag index) edges."""
+        adjacent: list[list[int]] = [[] for _ in bags]
+        for i, j in sorted(set(edges)):
+            adjacent[j].append(i)
+        return cls(tuple(frozenset(b) for b in bags), tuple(agents), tuple(map(tuple, adjacent)))
 
     @cached_property
-    def _bag_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Per bag index, its agents in ascending order."""
-        adjacent: list[list[int]] = [[] for _ in self.bags]
-        for i, j in self.edges:
-            adjacent[j].append(i)
-        return tuple(tuple(sorted(agents)) for agents in adjacent)
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Every (agent, bag index) pair of the adjacency lists."""
+        return frozenset((i, j) for j, agents in enumerate(self.neighbors) for i in agents)
 
     def neighbors_of_bag(self, j: int) -> tuple[int, ...]:
-        return self._bag_neighbors[j]
+        return self.neighbors[j]
 
 
 def _max_matching(neighbors: Sequence[tuple[int, ...]]) -> dict[int, int]:
@@ -111,7 +126,7 @@ def envy_free_matching(graph: ThresholdGraph) -> tuple[tuple[int, int], ...]:
     envy-free matching is nonempty (always so when there are no more agents
     than bags); otherwise ``PreconditionError``.
     """
-    neighbors = graph._bag_neighbors
+    neighbors = graph.neighbors
     for j, agents in enumerate(neighbors):
         if not agents:
             raise PreconditionError(f"bag {j} has no incident edge")
@@ -124,8 +139,9 @@ def envy_free_matching(graph: ThresholdGraph) -> tuple[tuple[int, int], ...]:
         # Alternating paths from the unmatched agents: agent -> a bag it
         # accepts -> that bag's partner.
         accepts: dict[int, list[int]] = {}
-        for i, j in graph.edges:
-            accepts.setdefault(i, []).append(j)
+        for j, agents in enumerate(neighbors):
+            for i in agents:
+                accepts.setdefault(i, []).append(j)
         while frontier:
             i = frontier.pop()
             for j in accepts.get(i, ()):
@@ -153,9 +169,9 @@ def _verify_envy_free(
     if not pairs:
         raise InvariantViolationError("empty matching")
     matched_agents = {a for a, _ in pairs}
-    matched_bags = {j for _, j in pairs}
-    for i, j in graph.edges:
-        if i not in matched_agents and j in matched_bags:
-            raise InvariantViolationError(
-                f"unmatched agent {i} has an edge to matched bag {j}"
-            )
+    for _, j in pairs:
+        for i in graph.neighbors[j]:
+            if i not in matched_agents:
+                raise InvariantViolationError(
+                    f"unmatched agent {i} has an edge to matched bag {j}"
+                )

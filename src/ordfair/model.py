@@ -10,6 +10,12 @@ Instances and allocations are immutable and safe to share.  Permuted, padded
 and stripped instances skip checks that hold by construction and carry
 ``int_rows`` over; dummy goods are zero, so no row's lcm changes.
 
+The per-row passes run in C-implemented builtins: a permutation or strip
+gathers each int row, Fraction row and label tuple with one
+``operator.itemgetter`` call (``_gather``), an order check compares a row
+with itself shifted by one (``all(map(ge, row, row[1:]))``), and ``int_rows``
+scales a row from one ``map(Fraction.as_integer_ratio, row)`` pass.
+
 Good and agent indices are 0-based everywhere, including the file formats.
 """
 
@@ -19,8 +25,10 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import lcm
-from typing import Iterable, Sequence
+from operator import floordiv, ge, itemgetter, mul
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     InvalidConfigError,
@@ -44,6 +52,24 @@ def as_rational(x: int | str | Fraction) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational literal {x!r}") from exc
     raise InvalidInstanceError(f"not an exact rational: {x!r}")
+
+
+def _gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """A function from a sequence to the tuple of its items at ``indices``.
+
+    ``itemgetter`` returns a bare item for one index and takes no zero, so
+    those two lengths get their own functions."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        one = itemgetter(indices[0])
+        return lambda seq: (one(seq),)
+    return lambda seq: ()
+
+
+def _ordered(row: Sequence) -> bool:
+    """True iff ``row`` is non-increasing."""
+    return all(map(ge, row, row[1:]))
 
 
 def _default_agent_labels(n: int) -> tuple[str, ...]:
@@ -159,9 +185,14 @@ class Instance:
         """
         out = []
         for row in self.values:
-            ratios = [v.as_integer_ratio() for v in row]
-            denom = lcm(*[d for _, d in ratios])
-            out.append((tuple([num * (denom // d) for num, d in ratios]), denom))
+            if not row:
+                out.append(((), 1))
+                continue
+            nums, dens = zip(*map(Fraction.as_integer_ratio, row))
+            denom = lcm(*dens)
+            if denom != 1:
+                nums = tuple(map(mul, nums, map(floordiv, repeat(denom), dens)))
+            out.append((nums, denom))
         return tuple(out)
 
     def value(self, agent: int, goods: Iterable[int]) -> Fraction:
@@ -203,10 +234,12 @@ class Instance:
         if sorted(order) != list(range(self.m)):
             raise InvalidInstanceError("not a permutation of goods")
         inv = {old: new for new, old in enumerate(order)}
+        gather = _gather(order)
+        ints, denoms = zip(*self.int_rows)
         return self._derive(
-            tuple((tuple(ints[g] for g in order), denom) for ints, denom in self.int_rows),
-            values=tuple(tuple(row[g] for g in order) for row in self.values),
-            good_labels=tuple(self.good_labels[g] for g in order),
+            tuple(zip(map(gather, ints), denoms)),
+            values=tuple(map(gather, self.values)),
+            good_labels=gather(self.good_labels),
             dummy_goods=frozenset(inv[g] for g in self.dummy_goods),
         )
 
@@ -234,10 +267,11 @@ def check_allocation(inst: Instance, alloc: Allocation) -> None:
         raise InvalidInstanceError(
             f"allocation has {len(alloc.bundles)} bundles for {inst.n} agents"
         )
+    m = inst.m
     seen: set[int] = set()
     for part in (*alloc.bundles, alloc.pool):
         for g in part:
-            if not 0 <= g < inst.m:
+            if not 0 <= g < m:
                 raise InvalidInstanceError(f"good {g} out of range")
             if g in seen:
                 raise InvalidInstanceError(f"good {g} assigned twice")
@@ -261,16 +295,12 @@ def detect_structure(inst: Instance) -> tuple[int, ...] | None:
     are identical, and the sort places g and h as the common order does,
     ties by index.  So it finds a common order whenever one exists, the
     identity when that is one; when none exists, no candidate passes."""
-    m = inst.m
     rows = [row for row, _ in inst.int_rows]
     sums = [sum(column) for column in zip(*rows)]
-    candidate = sorted(range(m), key=lambda g: -sums[g])
-    ordered = all(
-        row[candidate[p]] >= row[candidate[p + 1]]
-        for row in rows
-        for p in range(m - 1)
-    )
-    return tuple(candidate) if ordered else None
+    # A reverse sort is stable too: equal sums keep ascending indices.
+    candidate = sorted(inst.goods, key=sums.__getitem__, reverse=True)
+    gather = _gather(candidate)
+    return tuple(candidate) if all(map(_ordered, map(gather, rows))) else None
 
 
 def top_k_set(inst: Instance, k: int) -> frozenset[int] | None:
@@ -302,9 +332,7 @@ def top_k_set(inst: Instance, k: int) -> frozenset[int] | None:
 
 def is_identity_ordered(inst: Instance) -> bool:
     """True iff every agent's values are non-increasing by good index."""
-    return all(
-        row[g] >= row[g + 1] for row, _ in inst.int_rows for g in range(inst.m - 1)
-    )
+    return all(_ordered(row) for row, _ in inst.int_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +387,13 @@ def strip_dummies(
     dummy_agent_ids = {a for a, _ in inst.dummy_agents}
     keep_agents = [i for i in inst.agents if i not in dummy_agent_ids]
 
-    rows = inst.int_rows
+    gather_goods, gather_agents = _gather(keep_goods), _gather(keep_agents)
+    ints, denoms = zip(*gather_agents(inst.int_rows))
     new_inst = inst._derive(
-        tuple((tuple(rows[i][0][g] for g in keep_goods), rows[i][1]) for i in keep_agents),
-        values=tuple(tuple(inst.values[i][g] for g in keep_goods) for i in keep_agents),
-        agent_labels=tuple(inst.agent_labels[i] for i in keep_agents),
-        good_labels=tuple(inst.good_labels[g] for g in keep_goods),
+        tuple(zip(map(gather_goods, ints), denoms)),
+        values=tuple(map(gather_goods, gather_agents(inst.values))),
+        agent_labels=gather_agents(inst.agent_labels),
+        good_labels=gather_goods(inst.good_labels),
         dummy_goods=frozenset(), dummy_agents=(),
     )
     pool = set(alloc.pool)

@@ -11,7 +11,9 @@ the scans walk its rows and open a bundle only where i envies it and it
 holds two or more goods (a lone good dropped leaves 0).  ``report``
 builds it once, takes bundle values as ``Fraction(worth[i][i], lcm_i)``, and
 skips EF1's pass when EFX holds: then ``worth[i][j] - min <= worth[i][i]``
-for every envied pair, and max >= min.
+for every envied pair, and max >= min.  The public checkers validate the
+allocation against the instance first (``check_allocation``), as ``report``
+does.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ def strongly_envies(
     """
     if i == j:
         raise PreconditionError("strong envy needs distinct agents")
+    check_allocation(inst, alloc)
     value = inst.int_rows[i][0].__getitem__
     own = sum(map(value, alloc.bundles[i]))
     total = sum(map(value, alloc.bundles[j]))
@@ -91,11 +94,13 @@ def _ef1(inst: Instance, alloc: Allocation, worth: list[list[int]]):
 
 def is_efx(inst: Instance, alloc: Allocation) -> tuple[bool, tuple[int, int, int] | None]:
     """No agent strongly envies another; first violating triple as witness."""
+    check_allocation(inst, alloc)
     return _efx(inst, alloc, _worth(inst, alloc))
 
 
 def is_ef1(inst: Instance, alloc: Allocation) -> tuple[bool, tuple[int, int] | None]:
     """Every envy is removable by dropping one good from the envied bundle."""
+    check_allocation(inst, alloc)
     return _ef1(inst, alloc, _worth(inst, alloc))
 
 
@@ -109,6 +114,7 @@ def is_ordinal_mms(
 
     Witness: the agent with the worst shortfall (lowest index on ties).
     """
+    check_allocation(inst, alloc)
     return _mms(inst, [inst.value(i, b) for i, b in enumerate(alloc.bundles)], agent_thresholds)
 
 

@@ -157,10 +157,10 @@ def _assert_envy_free(edges, pairs):
 
 
 def _square_graph(size, edges):
-    return ThresholdGraph(
+    return ThresholdGraph.from_edges(
         bags=tuple(frozenset({j}) for j in range(size)),
         agents=tuple(range(size)),
-        edges=frozenset(edges),
+        edges=edges,
     )
 
 

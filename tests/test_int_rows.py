@@ -11,6 +11,7 @@ at thresholds between two levels and under per-agent row scaling.
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -40,6 +41,7 @@ from ordfair import (
 from ordfair.allocators.bagfill import ceil_3n_over_2
 from ordfair.allocators.pipeline import _cleared, _to_caller
 from ordfair.errors import InvalidInstanceError, PreconditionError
+from ordfair.model import is_identity_ordered
 from ordfair.verification import _worth
 
 from helpers import (
@@ -53,6 +55,7 @@ from helpers import (
     positive_ordered_instance,
     random_partial_allocation,
     rational_rows_instance,
+    ref_detect_structure,
     seeded_instance,
 )
 
@@ -265,6 +268,63 @@ def test_derived_instances_equal_fresh_ones(inst, rng):
     )
 
     _same_as_fresh(_cleared(inst), _fresh(inst.values, inst.agent_labels, inst.good_labels))
+
+
+def _ref_int_row(row):
+    denom = lcm(*[v.denominator for v in row])
+    return tuple(v.numerator * (denom // v.denominator) for v in row), denom
+
+
+def _ref_identity_ordered(inst):
+    return all(row[g] >= row[g + 1] for row, _ in inst.int_rows for g in range(inst.m - 1))
+
+
+# One good, where ``itemgetter`` on one index returns the item itself; and
+# goods that are all dummies, so stripping leaves none.
+_ONE_GOOD = Instance.from_rows([["1/2"], ["2/3"], ["1/2"]], dummy_agents=[(2, 0)])
+_ALL_DUMMY = Instance.from_rows([[0, 0], [0, 0]], dummy_goods=[0, 1], dummy_agents=[(1, 0)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(flagged_instances(), st.integers(0, 3), st.randoms(use_true_random=False))
+@example(_ONE_GOOD, 0, random.Random(0))
+@example(_ONE_GOOD, 2, random.Random(0))
+@example(_ALL_DUMMY, 0, random.Random(0))
+def test_model_transforms_match_per_element_references(inst, extra, rng):
+    """The model's gathers and scans, run in ``itemgetter`` and ``map``
+    calls, give what one generator step per element gives."""
+    assert inst.int_rows == tuple(_ref_int_row(row) for row in inst.values)
+
+    order = list(inst.goods)
+    rng.shuffle(order)
+    permuted = inst.permute_goods(order)
+    assert permuted.values == tuple(tuple(row[g] for g in order) for row in inst.values)
+    assert permuted.int_rows == tuple(
+        (tuple(ints[g] for g in order), denom) for ints, denom in inst.int_rows
+    )
+    assert permuted.good_labels == tuple(inst.good_labels[g] for g in order)
+
+    padded = pad_goods(inst, inst.m + extra)
+    assert padded.values == tuple(tuple(row) + (Fraction(0),) * extra for row in inst.values)
+    assert padded.int_rows == tuple((ints + (0,) * extra, d) for ints, d in inst.int_rows)
+
+    dummy_agents = dict(inst.dummy_agents)
+    keep_agents = [i for i in inst.agents if i not in dummy_agents]
+    keep_goods = [g for g in padded.goods if g not in padded.dummy_goods]
+    stripped, _ = strip_dummies(padded, random_partial_allocation(padded, rng))
+    assert stripped.values == tuple(
+        tuple(padded.values[i][g] for g in keep_goods) for i in keep_agents
+    )
+    assert stripped.int_rows == tuple(
+        (tuple(padded.int_rows[i][0][g] for g in keep_goods), padded.int_rows[i][1])
+        for i in keep_agents
+    )
+    assert stripped.agent_labels == tuple(padded.agent_labels[i] for i in keep_agents)
+    assert stripped.good_labels == tuple(padded.good_labels[g] for g in keep_goods)
+
+    for x in (inst, permuted, padded, stripped):
+        assert detect_structure(x) == ref_detect_structure(x)
+        assert is_identity_ordered(x) == _ref_identity_ordered(x)
 
 
 @settings(max_examples=100, deadline=None)

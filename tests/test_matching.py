@@ -14,10 +14,10 @@ from helpers import ref_max_envy_free_matching, ref_threshold_edges
 
 
 def graph_from_edges(nbags: int, nagents: int, edges) -> ThresholdGraph:
-    return ThresholdGraph(
+    return ThresholdGraph.from_edges(
         bags=tuple(frozenset({j}) for j in range(nbags)),
         agents=tuple(range(nagents)),
-        edges=frozenset(edges),
+        edges=edges,
     )
 
 
@@ -210,6 +210,35 @@ class TestEnvyFreeMatching:
         assert graph.edges == ref_threshold_edges(inst, bags, levels)
         assert graph.agents == tuple(agents)
         assert graph.bags == tuple(frozenset(b) for b in bags)
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph_inputs())
+    def test_adjacency_is_ascending_whatever_the_agent_order(self, case):
+        """Agents passed in descending order, to ``build`` and to
+        ``_from_levels``: the adjacency lists hold the per-pair reference's
+        edges, each bag's agents ascending, and ``agents`` keeps the order
+        given."""
+        inst, bags, agents, taus = case
+        agents = sorted(agents, reverse=True)
+        levels = [(i, inst.level(i, taus[i])) for i in agents]
+        expected = ref_threshold_edges(inst, bags, levels)
+        for graph in (
+            ThresholdGraph.build(inst, bags, agents, taus),
+            ThresholdGraph._from_levels(inst, bags, levels),
+        ):
+            assert graph.agents == tuple(agents)
+            assert len(graph.neighbors) == len(bags)
+            assert {(i, j) for j, adj in enumerate(graph.neighbors) for i in adj} == expected
+            for adj in graph.neighbors:
+                assert list(adj) == sorted(set(adj))
+            assert graph.edges == expected
+
+    def test_complete_graph_matches_in_kuhn_order(self):
+        # Bags in order, each trying its agents in ascending order: bag k's
+        # augmenting path moves every earlier bag one agent up, so on the
+        # complete 24 x 24 graph bag j ends with agent 23 - j.
+        g = graph_from_edges(24, 24, [(i, j) for i in range(24) for j in range(24)])
+        assert envy_free_matching(g) == tuple((23 - j, j) for j in range(24))
 
     def test_bag_neighbors_are_the_ascending_edge_scan(self):
         # The adjacency lists keep the scan's order, so augmenting paths and

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ordfair import (
+    Allocation,
     Instance,
     is_ef1,
     is_efx,
@@ -16,7 +17,7 @@ from ordfair import (
     thresholds,
     write_report,
 )
-from ordfair.errors import ParseError, PreconditionError
+from ordfair.errors import InvalidInstanceError, ParseError, PreconditionError
 
 from helpers import (
     EX51,
@@ -171,6 +172,34 @@ class TestOrdinalMms:
     def test_threshold_count_checked(self):
         with pytest.raises(PreconditionError):
             is_ordinal_mms(EX51, EX51_ALLOC, 3, (Fraction(1),))
+
+
+class TestMalformedAllocations:
+    """The public checkers validate the allocation as ``report`` does, rather
+    than index past a row or count one good twice."""
+
+    INST = Instance.from_rows([[3, 2, 1], [1, 2, 3]])
+    ZERO = (Fraction(0), Fraction(0))
+    CHECKERS = {
+        "is_efx": lambda inst, alloc: is_efx(inst, alloc),
+        "is_ef1": lambda inst, alloc: is_ef1(inst, alloc),
+        "is_ordinal_mms": lambda inst, alloc: is_ordinal_mms(inst, alloc, 2, (Fraction(0),) * 2),
+        "strongly_envies": lambda inst, alloc: strongly_envies(inst, alloc, 1, 0),
+    }
+    SHAPES = {
+        "one bundle for two agents": (Allocation((frozenset({0}),)), "1 bundles for 2 agents"),
+        "good past the last": (make_allocation([[0], [3]]), "good 3 out of range"),
+        "negative good": (make_allocation([[-1], [0]]), "good -1 out of range"),
+        "good in two bundles": (make_allocation([[0, 1], [1]]), "good 1 assigned twice"),
+        "bundle good in the pool": (make_allocation([[0], [1]], [1, 2]), "good 1 assigned twice"),
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("checker", CHECKERS)
+    def test_rejected(self, checker, shape):
+        alloc, message = self.SHAPES[shape]
+        with pytest.raises(InvalidInstanceError, match=message):
+            self.CHECKERS[checker](self.INST, alloc)
 
 
 class TestReport:
