@@ -13,9 +13,10 @@ strongly envies and keeps its one top good, the good it was shrunk around.
 
 Every decision compares one agent's sums on their integer row
 (``Instance.int_value``) with their threshold on the same scale
-(``Instance.level``); the public functions take thresholds in value units and
-map them once.  Only the progress measure, a total across agents whose
-scales differ, stays in ``Fraction``.
+(``Instance.level``).  ``alloc_topn_lone_divider`` takes thresholds in value
+units and maps them once; the partition, the shrink and the threshold graph
+below it take those levels.  Only the progress measure, a total across
+agents whose scales differ, stays in ``Fraction``.
 """
 
 from __future__ import annotations
@@ -40,10 +41,11 @@ def lone_divider_partition(
     pool: Iterable[int],
     bag_count: int,
     top_goods: Iterable[int],
-    tau: Fraction,
+    level: int,
 ) -> list[frozenset[int]]:
-    """Partition `pool` into `bag_count` bags, each worth >= tau to the
-    divider and each holding exactly one good from `top_goods`.
+    """Partition `pool` into `bag_count` bags, each worth at least `level`
+    on the divider's integer row (their threshold's ``Instance.level``) and
+    each holding exactly one good from `top_goods`.
 
     Runs the singleton-phase bag filler with `bag_count` copies of the
     divider (ordering the pool by the divider's values, top goods winning
@@ -56,7 +58,6 @@ def lone_divider_partition(
     if len(top & set(pool)) != bag_count:
         raise PreconditionError("need exactly one top good per requested bag")
     row, scale = inst.int_rows[divider]
-    level = inst.level(divider, tau)
     order = sorted(pool, key=lambda g: (-row[g], g not in top, g))
     width = max(len(order), 2 * bag_count)
     ordered_row = [row[g] for g in order] + [0] * (width - len(order))
@@ -84,22 +85,11 @@ def lone_divider_partition(
 
 
 def shrink_minimal(
-    inst: Instance,
-    bag: Iterable[int],
-    protected: int,
-    agents: Iterable[int],
-    taus: Sequence[Fraction],
-) -> frozenset[int]:
-    """Inclusion-minimal subset keeping `protected` that some agent in
-    `agents` still values at or above their threshold."""
-    levels = inst.levels(taus)
-    return _shrink_minimal(inst, bag, protected, [(i, levels[i]) for i in agents])
-
-
-def _shrink_minimal(
     inst: Instance, bag: Iterable[int], protected: int, levels: Sequence[tuple[int, int]]
 ) -> frozenset[int]:
-    """``shrink_minimal`` on (agent, ``Instance.level``) pairs."""
+    """Inclusion-minimal subset keeping `protected` that some agent of the
+    (agent, ``Instance.level``) pairs `levels` still values at or above
+    their level."""
     current = set(bag)
     if protected not in current:
         raise PreconditionError("protected good must be in the bag")
@@ -209,7 +199,7 @@ def alloc_topn_lone_divider(
             raise InvariantViolationError("top goods out of sync with unserved agents")
         trace.emit(iteration, "lone_divider", agent=divider)
         bags = lone_divider_partition(
-            inst, divider, pool, len(unserved), top_in_pool, taus[divider]
+            inst, divider, pool, len(unserved), top_in_pool, levels[divider]
         )
         for j, bag in enumerate(bags):
             trace.emit(iteration, "bag_init", bag=j, goods=bag)
@@ -217,7 +207,7 @@ def alloc_topn_lone_divider(
         unserved_levels = [(i, levels[i]) for i in sorted(unserved)]
         shrunk: list[frozenset[int]] = []
         for j, bag in enumerate(bags):
-            shrunk.append(_shrink_minimal(inst, bag, next(iter(bag & top)), unserved_levels))
+            shrunk.append(shrink_minimal(inst, bag, next(iter(bag & top)), unserved_levels))
             trace.emit(iteration, "shrink", bag=j, kept=shrunk[j])
 
         envied = next(
@@ -236,7 +226,7 @@ def alloc_topn_lone_divider(
             trace.emit(iteration, "swap", agent=winner, goods=core)
             continue
 
-        graph = ThresholdGraph._from_levels(inst, shrunk, unserved_levels)
+        graph = ThresholdGraph.build(inst, shrunk, unserved_levels)
         pairs = envy_free_matching(graph)
         for agent, j in pairs:
             bundles[agent] = shrunk[j]

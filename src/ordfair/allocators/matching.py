@@ -14,21 +14,20 @@ reached, every bag would have a reached neighbour and so be matched (else M
 would have an augmenting path), M would be perfect, and no agent would be
 reached.
 
-``ThresholdGraph.build`` decides each edge on the agent's integer row: the
-bag's sum on that row (what ``Instance.int_value`` gives), at or above the
-threshold's ``Instance.level``.  Each agent's bag sums come from one pass
-over the bags' (good, bag) pairs, and in the same pass each bag the agent
-accepts appends the agent to its list.  The graph stores only these
-adjacency lists, each bag's agents in ascending order; the maximum
-matching, the alternating-path walk and the envy-freeness check read them,
-and ``edges`` is derived from them when asked for.
+``ThresholdGraph.build`` takes each agent's threshold as its level
+(``Instance.level``), which the lone divider maps once, and decides each edge
+on the agent's integer row: the bag's sum on that row (what
+``Instance.int_value`` gives), at or above that level.  Each agent's bag
+sums come from one pass over the bags' (good, bag) pairs, and in the same
+pass each bag the agent accepts appends the agent to its list.  The graph is
+the eligible agents and these adjacency lists, each bag's agents in
+ascending order: what the maximum matching, the alternating-path walk and
+the envy-freeness check read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from ..errors import InvariantViolationError, PreconditionError
@@ -41,28 +40,14 @@ class ThresholdGraph:
     bag j at or above i's threshold.  ``neighbors[j]`` lists bag j's agents
     in ascending order."""
 
-    bags: tuple[frozenset[int], ...]
     agents: tuple[int, ...]
     neighbors: tuple[tuple[int, ...], ...]
 
     @classmethod
     def build(
-        cls,
-        inst: Instance,
-        bags: Sequence[Iterable[int]],
-        agents: Sequence[int],
-        taus: Sequence[Fraction],
-    ) -> "ThresholdGraph":
-        """taus is indexed by agent id (full instance indexing), in value
-        units."""
-        levels = inst.levels(taus)
-        return cls._from_levels(inst, bags, [(i, levels[i]) for i in agents])
-
-    @classmethod
-    def _from_levels(
         cls, inst: Instance, bags: Sequence[Iterable[int]], levels: Sequence[tuple[int, int]]
     ) -> "ThresholdGraph":
-        """``build`` on (agent, ``Instance.level``) pairs.  ``agents`` keeps
+        """The graph of (agent, ``Instance.level``) pairs.  ``agents`` keeps
         the pairs' order; each bag's list is ascending whatever that order."""
         frozen = tuple(frozenset(b) for b in bags)
         pairs = [(g, j) for j, bag in enumerate(frozen) for g in bag]
@@ -75,25 +60,7 @@ class ThresholdGraph:
             for j, total in enumerate(sums):
                 if total >= level:
                     adjacent[j].append(i)
-        return cls(frozen, tuple(i for i, _ in levels), tuple(map(tuple, adjacent)))
-
-    @classmethod
-    def from_edges(
-        cls, bags: Sequence[Iterable[int]], agents: Sequence[int], edges: Iterable[tuple[int, int]]
-    ) -> "ThresholdGraph":
-        """The graph on given (agent, bag index) edges."""
-        adjacent: list[list[int]] = [[] for _ in bags]
-        for i, j in sorted(set(edges)):
-            adjacent[j].append(i)
-        return cls(tuple(frozenset(b) for b in bags), tuple(agents), tuple(map(tuple, adjacent)))
-
-    @cached_property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        """Every (agent, bag index) pair of the adjacency lists."""
-        return frozenset((i, j) for j, agents in enumerate(self.neighbors) for i in agents)
-
-    def neighbors_of_bag(self, j: int) -> tuple[int, ...]:
-        return self.neighbors[j]
+        return cls(tuple(i for i, _ in levels), tuple(map(tuple, adjacent)))
 
 
 def _max_matching(neighbors: Sequence[tuple[int, ...]]) -> dict[int, int]:

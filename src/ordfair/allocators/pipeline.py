@@ -5,21 +5,25 @@ All three algorithms run one body, which branches only where they differ:
 a2 neither checks for nor applies a common order; a3 pads to a multiple of
 three agents and divides by 4n/3; each runs its own allocator; a1 and a2
 complete on the padded instance and then drop the padding goods, while a3
-strips first and completes on what is left; and each certifies its own
-guarantee pair.  Completion is one envy-cycle rule for all three; a1's EFX
-after completion is checked by the certification, not by the completion step.
-Only this body decides the divisor; the allocators take the thresholds it
-computes.  The layers are called through their module-level names, which the
-benchmark's traced run rebinds to time them.
+first drops its padding (the padding agents' bundles back to the pool, the
+padding goods by position) and completes on the caller's agents and goods;
+and each certifies its own guarantee pair.  Completion is one envy-cycle
+rule for all three; a1's EFX after completion is checked by the
+certification, not by the completion step.  Only this body decides the
+divisor; the allocators take the thresholds it computes.  The layers are
+called through their module-level names, which the benchmark's traced run
+rebinds to time them.
 
 ``_to_caller`` maps both allocations back to the caller's goods once:
 position p is the p-th good of the common order (a2: good p), and positions
-past the caller's m, the goods ``pad_goods`` appended, are dropped.  a1 and
-a2 complete before that drop, on the padded instance: completion hands out
-the padding goods left in the pool too, and when every agent is envied each
-such gift first takes a cycle rotation.  Dropping them before completion
-changed 20 of the 408 allocations of the golden sweep in
-``tests/test_pipeline.py``, and the traces of 86 more.
+past the caller's m, the goods ``pad_goods`` appended, are dropped.  a3's
+partial takes one more ``_to_caller`` before completion, on the identity
+order, to drop those positions.  a1 and a2 complete before that drop, on the
+padded instance: completion hands out the padding goods left in the pool
+too, and when every agent is envied each such gift first takes a cycle
+rotation.  Dropping them before completion changed 20 of the 408
+allocations of the golden sweep in ``tests/test_pipeline.py``, and the
+traces of 86 more.
 
 The returned trace is in the run's own coordinates (see ``trace.replay``).
 """
@@ -37,7 +41,6 @@ from ..model import (
     detect_structure,
     pad_agents_to_multiple_of_three,
     pad_goods,
-    strip_dummies,
     top_k_set,
 )
 from .. import shares
@@ -65,9 +68,10 @@ class SolveResult:
 
 def _to_caller(alloc: Allocation, goods: Sequence[int]) -> Allocation:
     """``alloc`` with position p as ``goods[p]`` and positions past
-    ``len(goods)`` dropped: for a1 and a2, ``strip_dummies(padded, alloc)[1]``
-    and the permutation undone.  Not checked here: completion checks the
-    padded allocation, both reports the caller's."""
+    ``len(goods)`` dropped: on an allocation of the caller's agents, the
+    allocation of ``strip_dummies(padded, alloc)`` with the permutation
+    undone.  Not checked here: completion checks the allocation it starts
+    from and its output, both reports the caller's."""
     m = len(goods)
     return Allocation(
         tuple(frozenset(goods[p] for p in b if p < m) for b in alloc.bundles),
@@ -76,8 +80,10 @@ def _to_caller(alloc: Allocation, goods: Sequence[int]) -> Allocation:
 
 
 def _cleared(inst: Instance) -> Instance:
-    """Copy without dummy flags, so stripping later removes exactly the
-    padding this pipeline adds.  Verdicts still use the caller's instance."""
+    """Copy without dummy flags: a3 pads agents by copying agent 0, which
+    ``pad_agents_to_multiple_of_three`` refuses when agent 0 is flagged as a
+    dummy, while the caller's flags mark nothing that the pipelines need.
+    Verdicts still use the caller's instance."""
     return inst._derive(inst.int_rows, dummy_goods=frozenset(), dummy_agents=())
 
 
@@ -99,11 +105,10 @@ def solve_complete(inst: Instance, algorithm: str) -> SolveResult:
         if order is None:
             raise StructuralMismatchError(f"algorithm {algorithm} needs an ordered instance")
 
-    work = _cleared(inst)
+    caller = _cleared(inst)
     if order is not None:
-        work = work.permute_goods(order)
-    if algorithm == "a3":
-        work = pad_agents_to_multiple_of_three(work)
+        caller = caller.permute_goods(order)
+    work = pad_agents_to_multiple_of_three(caller) if algorithm == "a3" else caller
     padded = pad_goods(work, max(work.m, 2 * work.n))
     d = 4 * (work.n // 3) if algorithm == "a3" else ceil_3n_over_2(inst.n)
     taus = shares.thresholds(padded, d)
@@ -115,12 +120,16 @@ def solve_complete(inst: Instance, algorithm: str) -> SolveResult:
         partial, trace = alloc_ordered_ef1_4n3(padded, taus)
 
     if algorithm == "a3":
-        # Dummy agents' goods go back to the pool, and completion reallocates
-        # them among the real agents without breaking EF1.  It runs on the
-        # stripped instance, a different coordinate space from the
-        # allocator's run, so its events are not merged into the trace.
-        stripped, partial = strip_dummies(padded, partial)
-        complete, _ = envy_cycle_elimination(stripped, partial)
+        # Padding agents' goods go back to the pool, and completion
+        # reallocates them among the caller's agents without breaking EF1.
+        # It runs on the caller's agents and goods, a different coordinate
+        # space from the allocator's run, so its events are not merged into
+        # the trace.
+        spare = partial.bundles[inst.n :]
+        partial = _to_caller(
+            Allocation(partial.bundles[: inst.n], partial.pool.union(*spare)), range(inst.m)
+        )
+        complete, _ = envy_cycle_elimination(caller, partial)
     else:
         complete, completion_trace = envy_cycle_elimination(padded, partial)
         trace.extend_offset(completion_trace)

@@ -1,7 +1,8 @@
 """Command-line front end: generate, solve, verify, mms, normalize, experiment.
 
-Exit codes: 0 success/certified, 1 configuration or I/O error, 2 structural
-mismatch, 3 guarantee not certified, 4 internal invariant violation.
+Exit codes: 0 success/certified, 1 configuration, usage or I/O error, 2
+structural mismatch, 3 guarantee not certified, 4 internal invariant
+violation.
 """
 
 from __future__ import annotations
@@ -17,13 +18,9 @@ from .allocators import solve_complete
 from .allocators.pipeline import ALGORITHMS
 from .errors import (
     InvalidConfigError,
-    InvalidInstanceError,
     InvariantViolationError,
     OrdfairError,
-    ParseError,
-    PreconditionError,
     StructuralMismatchError,
-    ZeroMaximinError,
 )
 from .model import (
     GENERATOR_FAMILIES,
@@ -162,6 +159,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
                 for algo in algorithms:
                     stats[algo]["run"] += 1
                     solves += 1
+                    result = None
                     try:
                         result = solve_complete(inst, algo)
                         certified = result.certified
@@ -182,20 +180,20 @@ def cmd_experiment(args: argparse.Namespace) -> int:
                     else:
                         stats[algo]["violations"] += 1
                     rows.append((seed, args.family, n, m, algo, verdict, values, taus))
-                if args.oracle_limit and inst.m <= args.oracle_limit:
-                    # The allocators and the verifier take their shares
-                    # from thresholds, so that is the path cross-checked.
-                    d = (3 * n + 1) // 2
-                    shares_at_d = shares.thresholds(inst, d)
-                    for i in inst.agents:
-                        oracle = shares.mms_bruteforce(
-                            inst, i, d, oracle_limit=args.oracle_limit
+                    if result is None or not args.oracle_limit or inst.m > args.oracle_limit:
+                        continue
+                    # The allocator and the verifier took these thresholds,
+                    # at this algorithm's divisor, so they are what is
+                    # cross-checked.
+                    for i, tau in enumerate(result.thresholds):
+                        share = shares.mms_bruteforce(
+                            inst, i, result.divisor, oracle_limit=args.oracle_limit
                         ).value
-                        if shares_at_d[i] != oracle:
+                        if tau != share:
                             oracle_mismatches += 1
                             rows.append(
                                 (seed, args.family, n, m, "mms-oracle",
-                                 f"mismatch:agent{i}", "", "")
+                                 f"mismatch:{algo}:agent{i}", "", "")
                             )
     total_elapsed = time.perf_counter() - started
 
@@ -233,8 +231,18 @@ def _range_pair(text: str) -> tuple[int, int]:
     return (int(lo), int(hi or lo))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with the configuration-error code, not argparse's
+    2, which is the structural-mismatch code here.  Subparsers are built
+    from the same class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ordfair",
         description="Fair division with ordinal maximin-share and envy guarantees.",
     )
@@ -314,14 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantViolationError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (
-        InvalidConfigError,
-        InvalidInstanceError,
-        ParseError,
-        PreconditionError,
-        ZeroMaximinError,
-        OSError,
-    ) as exc:
+    except (OrdfairError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

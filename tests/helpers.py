@@ -273,7 +273,7 @@ def ref_top_k_set(inst: Instance, k: int):
 
 
 def ref_threshold_edges(inst: Instance, bags, levels) -> frozenset[tuple[int, int]]:
-    """``ThresholdGraph._from_levels``'s edges as it found them with one
+    """``ThresholdGraph.build``'s edges as it found them with one
     ``Instance.int_value`` call per (agent, bag) pair: (i, j) iff agent i's
     integer sum of bag j is at least i's level."""
     frozen = tuple(frozenset(b) for b in bags)

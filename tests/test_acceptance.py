@@ -157,10 +157,11 @@ def _assert_envy_free(edges, pairs):
 
 
 def _square_graph(size, edges):
-    return ThresholdGraph.from_edges(
-        bags=tuple(frozenset({j}) for j in range(size)),
+    return ThresholdGraph(
         agents=tuple(range(size)),
-        edges=edges,
+        neighbors=tuple(
+            tuple(i for i in range(size) if (i, j) in edges) for j in range(size)
+        ),
     )
 
 

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +12,8 @@ from ordfair import (
     top_k_set,
     write_instance,
 )
-from ordfair.cli import EXIT_CONFIG, main
+from ordfair import shares
+from ordfair.cli import EXIT_CONFIG, EXIT_NOT_CERTIFIED, main
 from ordfair.shares import mms_exact
 
 from helpers import EX51, I_A, I_B
@@ -175,6 +177,14 @@ class TestMms:
             assert code == 0
             assert out.startswith("value 3\n")
 
+    def test_oracle_past_its_limit_is_config_error(self, workdir, capsys):
+        inst_file = workdir / "wide.txt"
+        inst_file.write_text("n 1\nm 14\nvaluations\n" + " ".join(["1"] * 14) + "\n")
+        code = run_cli(["mms", str(inst_file), "--agent", "0", "--d", "3", "--oracle"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "error: 14 goods exceed the oracle limit" in err
+
 
 class TestNormalize:
     def test_scale_output_is_normalized(self, workdir, capsys):
@@ -243,6 +253,27 @@ class TestExperiment:
         result = solve_complete(inst, "a2")
         assert result.certified == ("certified" in row)
 
+    def test_oracle_checks_each_algorithms_thresholds(self, workdir, capsys, monkeypatch):
+        """Thresholds set wrong at a3's divisor only (4 * ceil(4/3) = 8, a1's
+        is 6) still certify, since the verifier takes them too; the oracle
+        cross-check of a3's solves is what fails the run."""
+        real = shares.thresholds
+
+        def wrong_at_8(inst, d):
+            return [Fraction(0)] * inst.n if d == 8 else real(inst, d)
+
+        monkeypatch.setattr(shares, "thresholds", wrong_at_8)
+        args = [
+            "experiment", "--family", "ordered", "--n-range", "4:4",
+            "--m-range", "8:9", "--count", "1", "--algorithms", "a1,a3",
+            "--oracle-limit", "9",
+        ]
+        assert run_cli(args) == EXIT_NOT_CERTIFIED
+        out = capsys.readouterr().out
+        mismatches = [ln for ln in out.splitlines() if ",mms-oracle," in ln]
+        assert mismatches and all(",mismatch:a3:agent" in ln for ln in mismatches)
+        assert "summary algorithm=a3 run=2 certified=2 violations=0" in out
+
     def test_console_entrypoint(self):
         proc = subprocess.run(
             [sys.executable, "-m", "ordfair.cli", "generate", "--family",
@@ -251,3 +282,32 @@ class TestExperiment:
             text=True,
         )
         assert proc.returncode == 0
+
+
+class TestUsageErrors:
+    def test_missing_required_option_is_config_error(self, workdir, capsys):
+        inst_file = workdir / "ia.txt"
+        inst_file.write_text(write_instance(I_A))
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["solve", str(inst_file)])
+        assert exc.value.code == EXIT_CONFIG
+        assert "the following arguments are required: --algorithm" in capsys.readouterr().err
+
+    def test_bad_option_values_are_config_errors(self, capsys):
+        for argv in (
+            [],
+            ["frobnicate"],
+            ["solve", "x.txt", "--algorithm", "a9"],
+            ["experiment", "--family", "ordered", "--n-range", "a:b", "--m-range", "2"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(argv)
+            assert exc.value.code == EXIT_CONFIG, argv
+        capsys.readouterr()
+
+    def test_help_exits_zero(self, capsys):
+        for argv in (["--help"], ["solve", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(argv)
+            assert exc.value.code == 0
+        assert "--algorithm" in capsys.readouterr().out

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from ordfair import (
     Instance,
-    ThresholdGraph,
     alloc_ordered_ef1_4n3,
     alloc_ordered_efx_3n2,
     alloc_topn_lone_divider,
@@ -27,12 +26,10 @@ from ordfair import (
     envy_cycle_elimination,
     is_ef1,
     is_efx,
-    lone_divider_partition,
     normalize_order_preserving,
     normalize_scale,
     pad_agents_to_multiple_of_three,
     pad_goods,
-    shrink_minimal,
     strip_dummies,
     strongly_envies,
     thresholds,
@@ -41,7 +38,7 @@ from ordfair import (
 from ordfair.allocators.bagfill import ceil_3n_over_2
 from ordfair.allocators.pipeline import _cleared, _to_caller
 from ordfair.errors import InvalidInstanceError, PreconditionError
-from ordfair.model import is_identity_ordered
+from ordfair.model import Allocation, is_identity_ordered
 from ordfair.verification import _worth
 
 from helpers import (
@@ -332,13 +329,23 @@ def test_model_transforms_match_per_element_references(inst, extra, rng):
 def test_unpadded_allocation_is_strip_dummies(inst, extra, rng):
     """On the padded copy a1 and a2 complete on (caller's flags cleared,
     goods permuted, zero goods appended), dropping the appended goods is
-    ``strip_dummies``' allocation."""
+    ``strip_dummies``' allocation.  So is a3's undo on its padded run (agents
+    padded to a multiple of three as well): the padding agents' bundles back
+    to the pool, then the appended goods dropped by position."""
     order = list(inst.goods)
     rng.shuffle(order)
     work = _cleared(inst).permute_goods(order)
     padded = pad_goods(work, work.m + extra)
     alloc = random_partial_allocation(padded, rng)
     assert _to_caller(alloc, range(work.m)) == strip_dummies(padded, alloc)[1]
+
+    padded = pad_goods(pad_agents_to_multiple_of_three(work), work.m + extra)
+    alloc = random_partial_allocation(padded, rng)
+    spare = alloc.bundles[work.n :]
+    unpadded = _to_caller(
+        Allocation(alloc.bundles[: work.n], alloc.pool.union(*spare)), range(work.m)
+    )
+    assert unpadded == strip_dummies(padded, alloc)[1]
 
 
 def test_derived_instances_keep_their_error_paths():
@@ -548,12 +555,19 @@ def test_bag_fill_threshold_between_levels():
 
 
 def test_lone_divider_threshold_between_levels():
-    unit = Instance.from_rows([[1] * 6])
-    _between_levels(
-        lambda tau: lone_divider_partition(unit, 0, range(6), 3, {0, 1, 2}, tau), 1
-    )
-    flat = Instance.from_rows([[2, 2, 2]])
-    _between_levels(lambda tau: shrink_minimal(flat, {0, 1, 2}, 0, [0], [tau]), 4)
+    """The partition into three unit bags and a shrink of one bag of three
+    goods, both decided on the level ``alloc_topn_lone_divider`` maps the
+    thresholds to."""
+
+    def solver(inst):
+        def run(tau):
+            alloc, trace = alloc_topn_lone_divider(inst, [tau] * inst.n)
+            return alloc, trace.to_text()
+
+        return run
+
+    _between_levels(solver(Instance.from_rows([[1] * 6] * 3)), 1)
+    _between_levels(solver(Instance.from_rows([[2, 2, 2]])), 4)
 
 
 @pytest.mark.parametrize(
@@ -562,10 +576,8 @@ def test_lone_divider_threshold_between_levels():
         alloc_ordered_efx_3n2,
         alloc_ordered_ef1_4n3,
         alloc_topn_lone_divider,
-        lambda inst, taus: ThresholdGraph.build(inst, [{0}, {1, 2}], inst.agents, taus),
-        lambda inst, taus: shrink_minimal(inst, {0, 1}, 0, inst.agents, taus),
     ],
-    ids=["efx_3n2", "ef1_4n3", "lone_divider", "threshold_graph", "shrink_minimal"],
+    ids=["efx_3n2", "ef1_4n3", "lone_divider"],
 )
 @pytest.mark.parametrize("short", [0, 2])
 def test_missing_thresholds_are_precondition_errors(run, short):
@@ -574,12 +586,6 @@ def test_missing_thresholds_are_precondition_errors(run, short):
     inst = Instance.from_rows([[3, 2, 1, 0, 0, 0]] * 3)
     with pytest.raises(PreconditionError, match="one threshold per agent required"):
         run(inst, [Fraction(1)] * short)
-
-
-def test_threshold_graph_threshold_between_levels():
-    inst = Instance.from_rows([[3, 2, 1], [1, 2, 3]])
-    bags = [{0}, {1}, {2}, {1, 2}]
-    _between_levels(lambda tau: ThresholdGraph.build(inst, bags, [0, 1], [tau, tau]).edges, 2)
 
 
 def _allocator_inputs(inst):

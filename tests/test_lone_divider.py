@@ -49,10 +49,15 @@ def shrink_cases(draw):
     return inst, bag, protected, holdings, taus
 
 
+def levels_of(inst, agents, taus):
+    """(agent, level) pairs of the thresholds ``taus``, indexed by agent."""
+    return [(i, inst.level(i, taus[i])) for i in agents]
+
+
 class TestLoneDividerPartition:
     def test_unit_goods_three_bags(self):
         inst = Instance.from_rows([[1] * 6])
-        bags = lone_divider_partition(inst, 0, range(6), 3, {0, 1, 2}, Fraction(1))
+        bags = lone_divider_partition(inst, 0, range(6), 3, {0, 1, 2}, inst.level(0, Fraction(1)))
         assert len(bags) == 3
         for bag in bags:
             assert inst.value(0, bag) >= 1
@@ -62,11 +67,11 @@ class TestLoneDividerPartition:
     def test_zero_bags_is_precondition_error(self):
         inst = Instance.from_rows([[4, 2, 1]])
         with pytest.raises(PreconditionError, match="at least one bag"):
-            lone_divider_partition(inst, 0, range(3), 0, set(), Fraction(1))
+            lone_divider_partition(inst, 0, range(3), 0, set(), inst.level(0, Fraction(1)))
 
     def test_single_bag_gets_whole_pool(self):
         inst = Instance.from_rows([[4, 2, 1]])
-        bags = lone_divider_partition(inst, 0, range(3), 1, {0}, Fraction(4))
+        bags = lone_divider_partition(inst, 0, range(3), 1, {0}, inst.level(0, Fraction(4)))
         assert bags == [frozenset({0, 1, 2})]
 
     def test_random_pools_postconditions(self):
@@ -78,7 +83,8 @@ class TestLoneDividerPartition:
             top = top_k_set(inst, n)
             divider = rng.randrange(n)
             tau = thresholds(inst, ceil_3n_over_2(n))[divider]
-            bags = lone_divider_partition(inst, divider, inst.goods, n, top, tau)
+            level = inst.level(divider, tau)
+            bags = lone_divider_partition(inst, divider, inst.goods, n, top, level)
             assert set().union(*bags) == set(inst.goods)
             for bag in bags:
                 assert inst.value(divider, bag) >= tau
@@ -88,18 +94,18 @@ class TestLoneDividerPartition:
 class TestShrinkMinimal:
     def test_shrinks_to_protected_singleton(self):
         inst = Instance.from_rows([[5, 0, 1, 1]])
-        kept = shrink_minimal(inst, {0, 2, 3}, 0, [0], [Fraction(5)])
+        kept = shrink_minimal(inst, {0, 2, 3}, 0, levels_of(inst, [0], [Fraction(5)]))
         assert kept == frozenset({0})
 
     def test_tight_bag_unchanged(self):
         inst = Instance.from_rows([[2, 2, 2]])
-        kept = shrink_minimal(inst, {0, 1, 2}, 0, [0], [Fraction(6)])
+        kept = shrink_minimal(inst, {0, 1, 2}, 0, levels_of(inst, [0], [Fraction(6)]))
         assert kept == frozenset({0, 1, 2})
 
     def test_precondition_requires_acceptance(self):
         inst = Instance.from_rows([[1, 1]])
         with pytest.raises(PreconditionError):
-            shrink_minimal(inst, {0, 1}, 0, [0], [Fraction(5)])
+            shrink_minimal(inst, {0, 1}, 0, levels_of(inst, [0], [Fraction(5)]))
 
     def test_minimality_exhaustive(self):
         rng = random.Random(18)
@@ -113,7 +119,7 @@ class TestShrinkMinimal:
             agents = list(range(n))
             if not any(inst.value(i, bag) >= taus[i] for i in agents):
                 continue
-            kept = shrink_minimal(inst, bag, protected, agents, taus)
+            kept = shrink_minimal(inst, bag, protected, levels_of(inst, agents, taus))
             assert protected in kept and kept <= bag
             assert any(inst.value(i, kept) >= taus[i] for i in agents)
             for x in kept - {protected}:
@@ -132,7 +138,7 @@ class TestSinglePassShrinks:
         agents = list(inst.agents)
         if not any(inst.value(i, bag) >= taus[i] for i in agents):
             return
-        kept = shrink_minimal(inst, bag, protected, agents, taus)
+        kept = shrink_minimal(inst, bag, protected, levels_of(inst, agents, taus))
         assert kept == ref_shrink_minimal(inst, bag, protected, agents, taus)
 
     def test_most_envious_shrink_matches_restart_loop(self):

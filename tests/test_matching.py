@@ -14,11 +14,19 @@ from helpers import ref_max_envy_free_matching, ref_threshold_edges
 
 
 def graph_from_edges(nbags: int, nagents: int, edges) -> ThresholdGraph:
-    return ThresholdGraph.from_edges(
-        bags=tuple(frozenset({j}) for j in range(nbags)),
+    """The graph on (agent, bag index) edges, each bag's agents ascending."""
+    edges = set(edges)
+    return ThresholdGraph(
         agents=tuple(range(nagents)),
-        edges=edges,
+        neighbors=tuple(
+            tuple(i for i in range(nagents) if (i, j) in edges) for j in range(nbags)
+        ),
     )
+
+
+def edges_of(graph: ThresholdGraph) -> frozenset[tuple[int, int]]:
+    """Every (agent, bag index) pair of the adjacency lists."""
+    return frozenset((i, j) for j, agents in enumerate(graph.neighbors) for i in agents)
 
 
 def assert_envy_free(graph: ThresholdGraph, pairs) -> None:
@@ -26,9 +34,10 @@ def assert_envy_free(graph: ThresholdGraph, pairs) -> None:
     matched_agents = {a for a, _ in pairs}
     matched_bags = {j for _, j in pairs}
     assert len(matched_agents) == len(pairs) and len(matched_bags) == len(pairs)
+    edges = edges_of(graph)
     for a, j in pairs:
-        assert (a, j) in graph.edges
-    for i, j in graph.edges:
+        assert (a, j) in edges
+    for i, j in edges:
         assert not (i not in matched_agents and j in matched_bags)
 
 
@@ -79,7 +88,7 @@ class TestEnvyFreeMatching:
             )
             g = graph_from_edges(nbags, nagents, edges)
             best = ref_max_envy_free_matching(g.agents, edges)
-            unservable = best == 0 or any(not g.neighbors_of_bag(j) for j in range(nbags))
+            unservable = best == 0 or any(not adj for adj in g.neighbors)
             try:
                 out = envy_free_matching(g)
             except PreconditionError as err:
@@ -190,14 +199,14 @@ class TestEnvyFreeMatching:
         inst = Instance.from_rows([[3, 1, 2], [1, 1, 1]])
         bags = [{0}, {1, 2}]
         taus = (Fraction(2), Fraction(2))
-        g = ThresholdGraph.build(inst, bags, [0, 1], taus)
+        g = ThresholdGraph.build(inst, bags, [(i, inst.level(i, taus[i])) for i in range(2)])
         expected = {
             (i, j)
             for i in range(2)
             for j, bag in enumerate(bags)
             if inst.value(i, bag) >= taus[i]
         }
-        assert g.edges == frozenset(expected)
+        assert edges_of(g) == frozenset(expected)
 
     @settings(max_examples=200, deadline=None)
     @given(graph_inputs())
@@ -205,33 +214,27 @@ class TestEnvyFreeMatching:
         """One pass per agent over the bags' goods gives the edges of one
         ``Instance.int_value`` call per (agent, bag) pair."""
         inst, bags, agents, taus = case
-        graph = ThresholdGraph.build(inst, bags, agents, taus)
         levels = [(i, inst.level(i, taus[i])) for i in agents]
-        assert graph.edges == ref_threshold_edges(inst, bags, levels)
+        graph = ThresholdGraph.build(inst, bags, levels)
+        assert edges_of(graph) == ref_threshold_edges(inst, bags, levels)
         assert graph.agents == tuple(agents)
-        assert graph.bags == tuple(frozenset(b) for b in bags)
+        assert len(graph.neighbors) == len(bags)
 
     @settings(max_examples=200, deadline=None)
     @given(graph_inputs())
     def test_adjacency_is_ascending_whatever_the_agent_order(self, case):
-        """Agents passed in descending order, to ``build`` and to
-        ``_from_levels``: the adjacency lists hold the per-pair reference's
-        edges, each bag's agents ascending, and ``agents`` keeps the order
-        given."""
+        """Agents passed in descending order: the adjacency lists hold the
+        per-pair reference's edges, each bag's agents ascending, and
+        ``agents`` keeps the order given."""
         inst, bags, agents, taus = case
         agents = sorted(agents, reverse=True)
         levels = [(i, inst.level(i, taus[i])) for i in agents]
-        expected = ref_threshold_edges(inst, bags, levels)
-        for graph in (
-            ThresholdGraph.build(inst, bags, agents, taus),
-            ThresholdGraph._from_levels(inst, bags, levels),
-        ):
-            assert graph.agents == tuple(agents)
-            assert len(graph.neighbors) == len(bags)
-            assert {(i, j) for j, adj in enumerate(graph.neighbors) for i in adj} == expected
-            for adj in graph.neighbors:
-                assert list(adj) == sorted(set(adj))
-            assert graph.edges == expected
+        graph = ThresholdGraph.build(inst, bags, levels)
+        assert graph.agents == tuple(agents)
+        assert len(graph.neighbors) == len(bags)
+        assert edges_of(graph) == ref_threshold_edges(inst, bags, levels)
+        for adj in graph.neighbors:
+            assert list(adj) == sorted(set(adj))
 
     def test_complete_graph_matches_in_kuhn_order(self):
         # Bags in order, each trying its agents in ascending order: bag k's
@@ -241,8 +244,9 @@ class TestEnvyFreeMatching:
         assert envy_free_matching(g) == tuple((23 - j, j) for j in range(24))
 
     def test_bag_neighbors_are_the_ascending_edge_scan(self):
-        # The adjacency lists keep the scan's order, so augmenting paths and
-        # matchings do not depend on how they are stored.
+        # The helper's adjacency lists keep the scan's order, as ``build``'s
+        # do, so augmenting paths and matchings here are those of the
+        # allocator's graphs.
         rng = random.Random(17)
         for _ in range(100):
             nbags, nagents = rng.randrange(1, 7), rng.randrange(1, 7)
@@ -254,4 +258,4 @@ class TestEnvyFreeMatching:
             }
             g = graph_from_edges(nbags, nagents, edges)
             for j in range(nbags):
-                assert list(g.neighbors_of_bag(j)) == sorted(i for i, b in edges if b == j)
+                assert list(g.neighbors[j]) == sorted(i for i, b in edges if b == j)

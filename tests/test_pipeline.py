@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordfair import (
+    Instance,
     alloc_ordered_ef1_4n3,
     alloc_ordered_efx_3n2,
     alloc_topn_lone_divider,
@@ -104,6 +105,40 @@ class TestSolveComplete:
         result = solve_complete(inst, "a1")
         assert result.certified
         assert result.allocation.is_complete(inst.m)
+
+    def test_flagged_agent_zero_and_last_good_solve_as_unflagged(self):
+        """The caller's flags mark nothing the pipelines use: with agent 0
+        flagged as a copy of agent 1 and the last good as a dummy, each
+        algorithm returns what it returns on the unflagged copy.  Agent 0's
+        flag is the one a3's agent padding, which copies agent 0, would
+        refuse."""
+        rng = random.Random(23)
+        cases = [Instance.from_rows([[5, 4, 3, 2, 1], [5, 4, 3, 2, 1], [6, 3, 3, 1, 1]])]
+        for family in ("ordered", "top_n"):
+            for n in (2, 4, 5):
+                inst = seeded_instance(family, n, rng.randrange(n, 3 * n), rng.randrange(2**32))
+                cases.append(Instance.from_rows([inst.values[1], *inst.values[1:]]))
+        checked = 0
+        for plain in cases:
+            plain = Instance.from_rows([[*row, 0] for row in plain.values])
+            flagged = Instance.from_rows(
+                plain.values, dummy_goods=[plain.m - 1], dummy_agents=[(0, 1)]
+            )
+            for algo in ALGORITHMS:
+                try:
+                    want = solve_complete(plain, algo)
+                except StructuralMismatchError:
+                    with pytest.raises(StructuralMismatchError):
+                        solve_complete(flagged, algo)
+                    continue
+                got = solve_complete(flagged, algo)
+                assert got.certified and want.certified
+                assert (got.divisor, got.thresholds) == (want.divisor, want.thresholds)
+                assert (got.partial, got.allocation) == (want.partial, want.allocation)
+                assert write_report(got.report) == write_report(want.report)
+                assert got.trace.to_text() == want.trace.to_text()
+                checked += 1
+        assert checked >= 10
 
 
 class TestBruteForceExistence:
