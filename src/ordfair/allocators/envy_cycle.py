@@ -3,9 +3,10 @@
 An unenvied agent takes their most valuable pool good, the lowest index on
 ties; when every agent is envied, bundles rotate along an envy cycle.  This
 works on any instance and preserves EF1.  On an identity-ordered instance
-whose pool is a suffix of the goods (the bag fillers' outputs after
-padding), the good taken is the next one in the common order, the paper's
-rule for keeping EFX; ``solve_complete`` certifies EFX independently.
+whose pool is a suffix of the goods (the bag fillers' outputs with the
+padding dropped), the good taken is the next one in the common order, the
+paper's rule for keeping EFX; ``solve_complete`` certifies EFX
+independently.
 
 Bundles live in slots that never move: ``held[a]`` is agent a's slot, and
 each agent's values of all slots live in one integer matrix, built once
@@ -15,15 +16,10 @@ only reassigns ``held`` for the cycle members.  Scaling a row keeps every
 comparison that agent makes, so the envy graph is exact.  The input's EF1
 check reads the matrix; a gift updates only the graph's edges into and out
 of the receiver's slot, and a rotation keeps each slot's enviers and
-recomputes the members' own edges.  Once no agent values any pool good, the
-source takes them all, lowest index first, one gift event each, as
-one-at-a-time gifts would: a gift worth 0 to everyone changes no edge, so
-the source stays unenvied.
+recomputes the members' own edges.
 """
 
 from __future__ import annotations
-
-from itertools import compress
 
 from ..errors import InvariantViolationError, PreconditionError
 from ..model import Allocation, Instance, check_allocation
@@ -86,8 +82,6 @@ def envy_cycle_elimination(
     pool = sorted(alloc.pool)
     start_values = [worth[i][i] for i in agents]
     incoming = _envy_edges(worth)
-    # Pool goods in a column with a positive entry.
-    valued = set(compress(inst.goods, map(any, zip(*rows)))).intersection(pool)
     iteration = 0
     cap = 10_000 + 100 * inst.n * inst.m
 
@@ -115,17 +109,9 @@ def envy_cycle_elimination(
             trace.emit(iteration, "cycle_rotation", cycle=tuple(cycle))
             continue
         slot = held[source]
-        if not valued:
-            if iteration + len(pool) - 1 > cap:
-                raise InvariantViolationError("envy-cycle run exceeded its event cap")
-            for iteration, good in enumerate(pool, iteration):
-                trace.emit(iteration, "source_gift", agent=source, good=good)
-            bundles[slot].update(pool)
-            break
         good = max(pool, key=rows[source].__getitem__)
         bundles[slot].add(good)
         pool.remove(good)
-        valued.discard(good)
         for agent_row, agent_worth in zip(rows, worth):
             agent_worth[slot] += agent_row[good]
         incoming[slot] = {i for i, w in enumerate(worth) if w[slot] > w[held[i]]}

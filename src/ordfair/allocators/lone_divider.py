@@ -223,7 +223,7 @@ def alloc_topn_lone_divider(
             pool |= bundles[winner]
             pool -= core
             bundles[winner] = core
-            trace.emit(iteration, "swap", agent=winner, goods=core)
+            trace.emit(iteration, "steal", agent=winner, goods=core)
             continue
 
         graph = ThresholdGraph.build(inst, shrunk, unserved_levels)

@@ -1,29 +1,22 @@
 """End-to-end solving: structure check, padding, thresholds, allocation,
-completion, cleanup, and certification against the independent verifiers.
+cleanup, completion, and certification against the independent verifiers.
 
 All three algorithms run one body, which branches only where they differ:
 a2 neither checks for nor applies a common order; a3 pads to a multiple of
-three agents and divides by 4n/3; each runs its own allocator; a1 and a2
-complete on the padded instance and then drop the padding goods, while a3
-first drops its padding (the padding agents' bundles back to the pool, the
-padding goods by position) and completes on the caller's agents and goods;
-and each certifies its own guarantee pair.  Completion is one envy-cycle
-rule for all three; a1's EFX after completion is checked by the
-certification, not by the completion step.  Only this body decides the
-divisor; the allocators take the thresholds it computes.  The layers are
-called through their module-level names, which the benchmark's traced run
-rebinds to time them.
+three agents and divides by 4n/3; each runs its own allocator; and each
+certifies its own guarantee pair.  Only this body decides the divisor; the
+allocators take the thresholds it computes.  The layers are called through
+their module-level names, which the benchmark's traced run rebinds to time
+them.
 
-``_to_caller`` maps both allocations back to the caller's goods once:
-position p is the p-th good of the common order (a2: good p), and positions
-past the caller's m, the goods ``pad_goods`` appended, are dropped.  a3's
-partial takes one more ``_to_caller`` before completion, on the identity
-order, to drop those positions.  a1 and a2 complete before that drop, on the
-padded instance: completion hands out the padding goods left in the pool
-too, and when every agent is envied each such gift first takes a cycle
-rotation.  Dropping them before completion changed 20 of the 408
-allocations of the golden sweep in ``tests/test_pipeline.py``, and the
-traces of 86 more.
+Right after the allocator, the padding is undone once: the padding agents'
+bundles (a3 only) go back to the pool, and ``_to_caller`` on the identity
+order drops the padding goods by position.  Completion, one envy-cycle rule
+for all three, then runs on the caller's agents and goods (permuted to the
+common order); a1's EFX after completion is checked by the certification,
+not by the completion step.  A second ``_to_caller`` maps both allocations
+back to the caller's goods: position p is the p-th good of the common order
+(a2: good p).
 
 The returned trace is in the run's own coordinates (see ``trace.replay``).
 """
@@ -70,21 +63,15 @@ def _to_caller(alloc: Allocation, goods: Sequence[int]) -> Allocation:
     """``alloc`` with position p as ``goods[p]`` and positions past
     ``len(goods)`` dropped: on an allocation of the caller's agents, the
     allocation of ``strip_dummies(padded, alloc)`` with the permutation
-    undone.  Not checked here: completion checks the allocation it starts
-    from and its output, both reports the caller's."""
+    undone.  The pipeline calls it on the identity order to drop the padding
+    goods before completion, and on the common order to map both allocations
+    back to the caller's goods.  Not checked here: completion checks the
+    allocation it starts from and its output, both reports the caller's."""
     m = len(goods)
     return Allocation(
         tuple(frozenset(goods[p] for p in b if p < m) for b in alloc.bundles),
         frozenset(goods[p] for p in alloc.pool if p < m),
     )
-
-
-def _cleared(inst: Instance) -> Instance:
-    """Copy without dummy flags: a3 pads agents by copying agent 0, which
-    ``pad_agents_to_multiple_of_three`` refuses when agent 0 is flagged as a
-    dummy, while the caller's flags mark nothing that the pipelines need.
-    Verdicts still use the caller's instance."""
-    return inst._derive(inst.int_rows, dummy_goods=frozenset(), dummy_agents=())
 
 
 def solve_complete(inst: Instance, algorithm: str) -> SolveResult:
@@ -105,9 +92,7 @@ def solve_complete(inst: Instance, algorithm: str) -> SolveResult:
         if order is None:
             raise StructuralMismatchError(f"algorithm {algorithm} needs an ordered instance")
 
-    caller = _cleared(inst)
-    if order is not None:
-        caller = caller.permute_goods(order)
+    caller = inst if order is None else inst.permute_goods(order)
     work = pad_agents_to_multiple_of_three(caller) if algorithm == "a3" else caller
     padded = pad_goods(work, max(work.m, 2 * work.n))
     d = 4 * (work.n // 3) if algorithm == "a3" else ceil_3n_over_2(inst.n)
@@ -119,19 +104,14 @@ def solve_complete(inst: Instance, algorithm: str) -> SolveResult:
     else:
         partial, trace = alloc_ordered_ef1_4n3(padded, taus)
 
-    if algorithm == "a3":
-        # Padding agents' goods go back to the pool, and completion
-        # reallocates them among the caller's agents without breaking EF1.
-        # It runs on the caller's agents and goods, a different coordinate
-        # space from the allocator's run, so its events are not merged into
-        # the trace.
-        spare = partial.bundles[inst.n :]
-        partial = _to_caller(
-            Allocation(partial.bundles[: inst.n], partial.pool.union(*spare)), range(inst.m)
-        )
-        complete, _ = envy_cycle_elimination(caller, partial)
-    else:
-        complete, completion_trace = envy_cycle_elimination(padded, partial)
+    spare = partial.bundles[inst.n :]
+    partial = _to_caller(
+        Allocation(partial.bundles[: inst.n], partial.pool.union(*spare)), range(inst.m)
+    )
+    complete, completion_trace = envy_cycle_elimination(caller, partial)
+    if algorithm != "a3":
+        # a3's trace names padding agents whose goods completion hands out,
+        # so its completion events would replay a good twice.
         trace.extend_offset(completion_trace)
     goods = range(inst.m) if order is None else order
     partial = _to_caller(partial, goods)

@@ -119,8 +119,8 @@ def replay(trace: AllocatorTrace, n: int, m: int, start: Allocation | None = Non
     allocation as ``start`` for a completion trace.  A ``solve_complete``
     trace is in its run's coordinates (goods in witness order, padded to at
     least 2n goods, a3's padding agents included): a1 and a2 traces replay to
-    the complete allocation before dummies are stripped, a3 traces to the
-    allocator's partial allocation only.
+    the complete allocation with the padding goods where the allocator left
+    them, a3 traces to the allocator's partial allocation.
 
     A trace that names an unknown bag or agent or lacks an argument raises
     ``ParseError``, as does one whose bundles hold a good outside
@@ -165,13 +165,9 @@ def _replay(trace: AllocatorTrace, n: int, m: int, start: Allocation | None) -> 
         elif kind == "claim":
             owner[agent_of(ev.get("agent"))] = ev.get("bag")
         elif kind == "swap":
-            agent = agent_of(ev.get("agent"))
-            try:
-                goods = ev.get("goods")
-            except KeyError:
-                owner[agent] = ev.get("to")
-            else:
-                bundles[agent] = set(goods)
+            owner[agent_of(ev.get("agent"))] = ev.get("to")
+        elif kind == "steal":
+            bundles[agent_of(ev.get("agent"))] = set(ev.get("goods"))
         elif kind == "lone_divider":
             pass
         elif kind == "shrink":

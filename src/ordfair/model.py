@@ -357,19 +357,21 @@ def pad_goods(inst: Instance, target: int) -> Instance:
 
 
 def pad_agents_to_multiple_of_three(inst: Instance) -> Instance:
-    """Copy agent 0's row until the agent count is a multiple of three."""
+    """Copy agent 0's row until the agent count is a multiple of three.
+
+    The copies name agent 0's own source when agent 0 is itself a copy: its
+    row is that source's, and the source is no copy."""
     n = inst.n
     target = 3 * ((n + 2) // 3)
     if target == n:
         return inst
-    if 0 in dict(inst.dummy_agents):
-        raise InvalidInstanceError("dummy agent source is itself dummy")
+    source = dict(inst.dummy_agents).get(0, 0)
     extra = target - n
     return inst._derive(
         inst.int_rows + (inst.int_rows[0],) * extra,
         values=inst.values + (inst.values[0],) * extra,
         agent_labels=inst.agent_labels + tuple(f"a{n + i}" for i in range(extra)),
-        dummy_agents=inst.dummy_agents + tuple((n + i, 0) for i in range(extra)),
+        dummy_agents=inst.dummy_agents + tuple((n + i, source) for i in range(extra)),
     )
 
 

@@ -163,14 +163,16 @@ def report(
     divisors: Sequence[int] = (),
     thresholds_by_divisor: Mapping[int, Sequence[Fraction]] | None = None,
 ) -> FairnessReport:
-    """Aggregate verdicts; thresholds are computed unless supplied."""
+    """Aggregate verdicts, one per distinct divisor in ascending order, as
+    ``read_report`` reads them back; thresholds are computed unless
+    supplied."""
     check_allocation(inst, alloc)
     worth = _worth(inst, alloc)
     efx, efx_wit = _efx(inst, alloc, worth)
     ef1, ef1_wit = (True, None) if efx else _ef1(inst, alloc, worth)
     values = tuple(Fraction(worth[i][i], lcm) for i, (_, lcm) in enumerate(inst.int_rows))
     verdicts = []
-    for d in divisors:
+    for d in sorted(set(divisors)):
         if thresholds_by_divisor is not None and d in thresholds_by_divisor:
             taus = tuple(thresholds_by_divisor[d])
         else:

@@ -36,7 +36,7 @@ from ordfair import (
     top_k_set,
 )
 from ordfair.allocators.bagfill import ceil_3n_over_2
-from ordfair.allocators.pipeline import _cleared, _to_caller
+from ordfair.allocators.pipeline import _to_caller
 from ordfair.errors import InvalidInstanceError, PreconditionError
 from ordfair.model import Allocation, is_identity_ordered
 from ordfair.verification import _worth
@@ -232,6 +232,8 @@ def test_derived_instances_equal_fresh_ones(inst, rng):
 
     n = inst.n
     copies = range(n, 3 * ((n + 2) // 3))
+    # When agent 0 is itself a copy, the new copies name its source.
+    source = dict(inst.dummy_agents).get(0, 0)
 
     def with_copies():
         return _fresh(
@@ -239,15 +241,10 @@ def test_derived_instances_equal_fresh_ones(inst, rng):
             list(inst.agent_labels) + [f"a{a}" for a in copies],
             inst.good_labels,
             inst.dummy_goods,
-            list(inst.dummy_agents) + [(a, 0) for a in copies],
+            list(inst.dummy_agents) + [(a, source) for a in copies],
         )
 
-    if copies and 0 in dict(inst.dummy_agents):
-        # Agent 0 is itself a copy: both ways reject it the same way.
-        for build in (lambda: pad_agents_to_multiple_of_three(inst), with_copies):
-            with pytest.raises(InvalidInstanceError, match="source is itself dummy"):
-                build()
-    elif copies:
+    if copies:
         _same_as_fresh(pad_agents_to_multiple_of_three(inst), with_copies())
 
     alloc = random_partial_allocation(inst, rng)
@@ -263,8 +260,6 @@ def test_derived_instances_equal_fresh_ones(inst, rng):
             [inst.good_labels[g] for g in keep_goods],
         ),
     )
-
-    _same_as_fresh(_cleared(inst), _fresh(inst.values, inst.agent_labels, inst.good_labels))
 
 
 def _ref_int_row(row):
@@ -327,14 +322,14 @@ def test_model_transforms_match_per_element_references(inst, extra, rng):
 @settings(max_examples=100, deadline=None)
 @given(flagged_instances(), st.integers(0, 4), st.randoms(use_true_random=False))
 def test_unpadded_allocation_is_strip_dummies(inst, extra, rng):
-    """On the padded copy a1 and a2 complete on (caller's flags cleared,
-    goods permuted, zero goods appended), dropping the appended goods is
+    """On the padded copy a1 and a2 allocate on (an unflagged caller's goods
+    permuted, zero goods appended), dropping the appended goods is
     ``strip_dummies``' allocation.  So is a3's undo on its padded run (agents
     padded to a multiple of three as well): the padding agents' bundles back
     to the pool, then the appended goods dropped by position."""
     order = list(inst.goods)
     rng.shuffle(order)
-    work = _cleared(inst).permute_goods(order)
+    work = _fresh(inst.values, inst.agent_labels, inst.good_labels).permute_goods(order)
     padded = pad_goods(work, work.m + extra)
     alloc = random_partial_allocation(padded, rng)
     assert _to_caller(alloc, range(work.m)) == strip_dummies(padded, alloc)[1]
@@ -355,9 +350,9 @@ def test_derived_instances_keep_their_error_paths():
             inst.permute_goods(order)
     with pytest.raises(PreconditionError, match="below good count"):
         pad_goods(inst, 2)
+    # Agent 0 is a copy: the padding's copies name its source, agent 1.
     copied = Instance.from_rows([[1, 2], [1, 2]], dummy_agents=[(0, 1)])
-    with pytest.raises(InvalidInstanceError, match="source is itself dummy"):
-        pad_agents_to_multiple_of_three(copied)
+    assert pad_agents_to_multiple_of_three(copied).dummy_agents == ((0, 1), (2, 1))
 
 
 def _rational_instances():
@@ -443,10 +438,11 @@ def test_completion_matches_fraction_reference():
 
 
 def _benchmark_shaped_starts():
-    """EF1 partials shaped like the light benchmark's completions: n 16-24,
-    goods padded to 2n, integer rows valued up to 4 and the same rows scaled
-    by random rationals.  Each instance gives the partial its pipeline
-    completes and a start of one random good per agent."""
+    """EF1 partials at the light benchmark's sizes: n 16-24, goods padded to
+    2n, so that pools end in goods no agent values, integer rows valued up
+    to 4 and the same rows scaled by random rationals.  Each instance gives
+    its allocator's partial (a3's with the padding stripped) and a start of
+    one random good per agent."""
     rng = random.Random(2612)
     for t in range(6):
         n = rng.randint(16, 24)
@@ -478,8 +474,8 @@ def _benchmark_shaped_starts():
 
 def _hand_out_event(inst, start, trace):
     """Index of the first gift made while every good left in the pool is
-    worth 0 to every agent, where completion hands the rest of the pool to
-    one source; None if the pool never gets there."""
+    worth 0 to every agent, from where on one source takes the rest of the
+    pool, one good per event; None if the pool never gets there."""
     unvalued = {g for g in inst.goods if not any(row[g] for row in inst.values)}
     pool = set(start.pool)
     for k, ev in enumerate(trace.events):
@@ -491,10 +487,10 @@ def _hand_out_event(inst, start, trace):
 
 
 def test_completion_matches_fraction_reference_at_benchmark_sizes():
-    """The envy graph updated in place after gifts and rotations, and the
-    pool of unvalued goods handed out at once, give the allocation and trace
-    of the reference, which builds the graph afresh in Fraction before every
-    event and hands out one good per event."""
+    """The envy graph updated in place after gifts and rotations gives the
+    allocation and trace of the reference, which builds the graph afresh in
+    Fraction before every event, also once the pool holds only goods no
+    agent values."""
     kinds = []
     hand_outs = after_rotation = 0
     for inst, start in _benchmark_shaped_starts():
@@ -508,8 +504,8 @@ def test_completion_matches_fraction_reference_at_benchmark_sizes():
             hand_outs += 1
             after_rotation += k > 0 and trace.events[k - 1].kind == "cycle_rotation"
     assert kinds.count("source_gift") > 100 and kinds.count("cycle_rotation") > 20
-    # The sweep reaches the hand-out, and at least once right after a
-    # rotation, which changes the source that takes the pool.
+    # The sweep reaches a pool of unvalued goods, and at least once right
+    # after a rotation, which changes the source that takes them.
     assert hand_outs > 3 and after_rotation >= 1
 
 

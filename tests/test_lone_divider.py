@@ -277,10 +277,7 @@ class TestLoneDividerAllocator:
         d = ceil_3n_over_2(2)
         taus = thresholds(inst, d)
         alloc, trace = alloc_topn_lone_divider(inst, taus)
-        steal_events = [
-            ev for ev in trace.events
-            if ev.kind == "swap" and "goods" in ev.args
-        ]
+        steal_events = [ev for ev in trace.events if ev.kind == "steal"]
         assert steal_events
         assert is_efx(inst, alloc)[0]
         assert is_ordinal_mms(inst, alloc, d, taus)[0]
@@ -306,7 +303,7 @@ class TestLoneDividerAllocator:
                     shrunk.append(ev.get("kept"))
                 elif ev.kind == "matching":
                     bundles.update(ev.get("pairs"))
-                elif ev.kind == "swap":
+                elif ev.kind == "steal":
                     envied = [
                         bag
                         for bag in shrunk

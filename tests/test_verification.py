@@ -217,8 +217,10 @@ class TestReport:
         for _ in range(10):
             inst = seeded_instance("general", 3, 5, rng.randrange(2**32))
             alloc = random_partial_allocation(inst, rng)
-            rep = report(inst, alloc, [2, 3])
-            assert read_report(write_report(rep)) == rep
+            # Unsorted and repeated divisors, as ``verify --d 3 --d 2`` passes.
+            for divisors in ([2, 3], [3, 2], [2, 2]):
+                rep = report(inst, alloc, divisors)
+                assert read_report(write_report(rep)) == rep
 
     @pytest.mark.parametrize(
         "line",
