@@ -1,12 +1,17 @@
 """Bag-filling allocators for identity-ordered instances.
 
 Both allocators share one engine.  Goods must be pre-permuted so that every
-agent's values are non-increasing by index, and there must be at least 2n
-goods (callers pad with zero-valued dummies).  Bags are initialized as
+agent's values are non-increasing by index.  Bags are initialized as
 {j, 2n-1-j} pairs, optionally after a singleton phase; leftover goods are
 then appended one at a time, in value order, to an open bag, while agents
 claim bags meeting their own share threshold and already-served agents may
 swap to an open bag they strictly prefer.
+
+The paper pads to at least 2n goods with zero-valued dummies; the engine
+takes positions m..2n-1 as those dummies and leaves them out of the bags.
+A zero good changes no claim and no swap, so no fill ever needs one.  The
+4n/3 allocator adds the paper's copies of agent 0, up to a multiple of three
+agents, inside its own run and returns the caller's agents' bundles only.
 
 The engine decides on integer rows: each agent's values and threshold on
 their own ``Instance.int_rows`` scale (``Instance.level``), which keeps every
@@ -33,19 +38,18 @@ def run_bag_fill(
     levels: Sequence[int],
     singleton_phase: bool,
     trace: AllocatorTrace,
-) -> tuple[dict[int, set[int]], dict[int, int], int]:
+) -> tuple[dict[int, set[int]], dict[int, int]]:
     """The shared engine, on good positions 0..m-1.
 
     ``rows`` holds per agent an integer row over the positions and its
     scale, shaped like ``Instance.int_rows``: each row must be
-    non-increasing, and m >= 2n.  ``levels`` are the agents' thresholds on
-    their own rows (``Instance.level``).  Returns the bags by id, each
-    served agent's bag id, and the first position never filled.
+    non-increasing.  ``levels`` are the agents' thresholds on their own
+    rows (``Instance.level``).  Positions m..2n-1, when m < 2n, are the
+    paper's zero-valued dummy goods: bags leave them out.  Returns the bags
+    by id and each served agent's bag id.
     """
     n = len(rows)
     m = len(rows[0][0]) if rows else 0
-    if m < 2 * n:
-        raise StructuralMismatchError(f"need at least {2 * n} goods, have {m}")
 
     def bag_value(agent: int, bag: set[int]) -> int:
         row = rows[agent][0]
@@ -55,7 +59,7 @@ def run_bag_fill(
     bags: dict[int, set[int]] = {}
     owner: dict[int, int] = {}
     k = 0
-    while singleton_phase:
+    while singleton_phase and k < m:
         claimant = next((i for i in sorted(unsatisfied) if rows[i][0][k] >= levels[i]), None)
         if claimant is None:
             break
@@ -65,7 +69,7 @@ def run_bag_fill(
         trace.emit(0, "singleton_claim", agent=claimant, good=k, bag=k)
         k += 1
     for j in range(k, n):
-        bags[j] = {j, 2 * n - 1 - j}
+        bags[j] = {p for p in (j, 2 * n - 1 - j) if p < m}
         trace.emit(0, "bag_init", bag=j, goods=frozenset(bags[j]))
     open_bags = set(range(k, n))
     next_fill = 2 * n - k
@@ -124,7 +128,7 @@ def run_bag_fill(
         trace.emit(iteration, "fill", good=next_fill, bag=target)
         next_fill += 1
 
-    return bags, owner, next_fill
+    return bags, owner
 
 
 def alloc_ordered_efx_3n2(
@@ -142,11 +146,13 @@ def alloc_ordered_efx_3n2(
 def alloc_ordered_ef1_4n3(
     inst: Instance, taus: Sequence[Fraction]
 ) -> tuple[Allocation, AllocatorTrace]:
-    """Bag filling without singletons: EF1 and 1-out-of-4n/3 MMS.
+    """Bag filling without singletons: EF1 and 1-out-of-4*ceil(n/3) MMS.
 
-    ``taus`` are the agents' thresholds, their 1-out-of-4n/3 shares for the
-    guarantee.  Requires the agent count to be a multiple of three (callers
-    pad by copying an agent).
+    ``taus`` are the agents' thresholds, their 1-out-of-4*ceil(n/3) shares
+    for the guarantee.  When n is not a multiple of three, the run adds
+    copies of agent 0 until it is, as the paper does; their bundles go back
+    to the pool.  Returns a partial EF1 allocation in which every agent's
+    bundle meets their own threshold.
     """
     return _alloc_bag_fill(inst, taus, singleton_phase=False)
 
@@ -154,27 +160,31 @@ def alloc_ordered_ef1_4n3(
 def _alloc_bag_fill(
     inst: Instance, taus: Sequence[Fraction], singleton_phase: bool
 ) -> tuple[Allocation, AllocatorTrace]:
-    """Check the input, run the engine and check that every agent is served."""
+    """Check the input, run the engine and check that every agent it served
+    meets their threshold.
+
+    Without the singleton phase the engine also serves the paper's copies of
+    agent 0, up to a multiple of three agents.  Their bags are not returned
+    and their claims and swaps leave the trace, so the trace replays to the
+    returned allocation: every good no caller's agent holds is in the pool.
+    """
     if not is_identity_ordered(inst):
         raise StructuralMismatchError(
             "instance must be pre-permuted to a common non-increasing order"
         )
-    if inst.m < 2 * inst.n:
-        raise StructuralMismatchError(
-            f"need at least {2 * inst.n} goods, have {inst.m}; pad first"
-        )
-    if not singleton_phase and inst.n % 3 != 0:
-        raise StructuralMismatchError("agent count must be a multiple of 3; pad first")
     trace = AllocatorTrace(
         "alloc_ordered_efx_3n2" if singleton_phase else "alloc_ordered_ef1_4n3"
     )
-    levels = inst.levels(taus)
-    bags, owner, next_fill = run_bag_fill(inst.int_rows, levels, singleton_phase, trace)
-    alloc = Allocation(
-        tuple(frozenset(bags[owner[i]]) if i in owner else frozenset() for i in inst.agents),
-        frozenset(range(next_fill, inst.m)),
-    )
-    for i in inst.agents:
-        if inst.int_value(i, alloc.bundles[i]) < levels[i]:
+    rows, levels = inst.int_rows, inst.levels(taus)
+    copies = 0 if singleton_phase else -inst.n % 3
+    if copies:
+        rows += (rows[0],) * copies
+        levels += [levels[0]] * copies
+    bags, owner = run_bag_fill(rows, levels, singleton_phase, trace)
+    for i, (row, _) in enumerate(rows):
+        if sum(map(row.__getitem__, bags[owner[i]])) < levels[i]:
             raise InvariantViolationError(f"agent {i} ended below their threshold")
-    return alloc, trace
+    if copies:
+        trace.events = [ev for ev in trace.events if ev.args.get("agent", 0) < inst.n]
+    bundles = tuple(frozenset(bags[owner[i]]) for i in inst.agents)
+    return Allocation(bundles, frozenset(inst.goods).difference(*bundles)), trace

@@ -3,10 +3,9 @@
 An unenvied agent takes their most valuable pool good, the lowest index on
 ties; when every agent is envied, bundles rotate along an envy cycle.  This
 works on any instance and preserves EF1.  On an identity-ordered instance
-whose pool is a suffix of the goods (the bag fillers' outputs with the
-padding dropped), the good taken is the next one in the common order, the
-paper's rule for keeping EFX; ``solve_complete`` certifies EFX
-independently.
+whose pool is a suffix of the goods (the output of a1's bag filling), the
+good taken is the next one in the common order, the paper's rule for
+keeping EFX; ``solve_complete`` certifies EFX independently.
 
 Bundles live in slots that never move: ``held[a]`` is agent a's slot, and
 each agent's values of all slots live in one integer matrix, built once

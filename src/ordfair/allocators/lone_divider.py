@@ -59,17 +59,16 @@ def lone_divider_partition(
         raise PreconditionError("need exactly one top good per requested bag")
     row, scale = inst.int_rows[divider]
     order = sorted(pool, key=lambda g: (-row[g], g not in top, g))
-    width = max(len(order), 2 * bag_count)
-    ordered_row = [row[g] for g in order] + [0] * (width - len(order))
+    ordered_row = [row[g] for g in order]
 
     scratch = AllocatorTrace("lone_divider_partition")
-    filled, owner, _ = run_bag_fill(
+    filled, owner = run_bag_fill(
         [(ordered_row, scale)] * bag_count, [level] * bag_count, True, scratch
     )
     used: set[int] = set()
     bags: list[set[int]] = []
     for copy in range(bag_count):
-        goods = {order[p] for p in filled[owner[copy]] if p < len(order)}
+        goods = {order[p] for p in filled[owner[copy]]}
         bags.append(goods)
         used |= goods
     leftovers = [g for g in order if g not in used]
@@ -159,7 +158,7 @@ def most_envious_shrink(
 def alloc_topn_lone_divider(
     inst: Instance, taus: Sequence[Fraction]
 ) -> tuple[Allocation, AllocatorTrace]:
-    """Lone-divider allocation on a top-n instance (m >= 2n, pre-padded).
+    """Lone-divider allocation on a top-n instance, with any number of goods.
 
     ``taus`` are the agents' thresholds, their 1-out-of-ceil(3n/2) shares
     for the guarantee.  Returns a partial allocation that is EFX with every
@@ -169,10 +168,6 @@ def alloc_topn_lone_divider(
     top = top_k_set(inst, n)
     if top is None:
         raise StructuralMismatchError("instance is not top-n")
-    if inst.m < 2 * n:
-        raise StructuralMismatchError(
-            f"need at least {2 * n} goods, have {inst.m}; pad first"
-        )
 
     trace = AllocatorTrace("alloc_topn_lone_divider")
     levels = inst.levels(taus)

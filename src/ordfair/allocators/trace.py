@@ -117,10 +117,10 @@ def replay(trace: AllocatorTrace, n: int, m: int, start: Allocation | None = Non
     events carry explicit good sets, so no allocator logic is re-run here.
     An allocator's trace replays to its output exactly; pass the partial
     allocation as ``start`` for a completion trace.  A ``solve_complete``
-    trace is in its run's coordinates (goods in witness order, padded to at
-    least 2n goods, a3's padding agents included): a1 and a2 traces replay to
-    the complete allocation with the padding goods where the allocator left
-    them, a3 traces to the allocator's partial allocation.
+    trace holds its allocator's events, then its completion's, on the
+    caller's agents and on the positions of the common order (a2: the
+    caller's goods); it replays to the complete allocation in those
+    positions.
 
     A trace that names an unknown bag or agent or lacks an argument raises
     ``ParseError``, as does one whose bundles hold a good outside

@@ -114,6 +114,12 @@ class Instance:
             object.__setattr__(self, "good_labels", _default_good_labels(m))
         if len(self.agent_labels) != n or len(self.good_labels) != m:
             raise InvalidInstanceError("label count mismatch")
+        for label in self.agent_labels + self.good_labels:
+            # The text format writes labels whitespace-separated on one line.
+            if not isinstance(label, str) or label.split() != [label]:
+                raise InvalidInstanceError(
+                    f"label {label!r} is not a non-empty string without whitespace"
+                )
         for g in self.dummy_goods:
             if not 0 <= g < m:
                 raise InvalidInstanceError(f"dummy good {g} out of range")

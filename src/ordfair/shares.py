@@ -390,10 +390,9 @@ def thresholds(inst: Instance, d: int) -> tuple[Fraction, ...]:
     """Per-agent 1-out-of-d share values; the allocators' acceptance levels.
 
     Only the values are needed, so no witness is built.  A share depends
-    only on the agent's value row, so agents with identical rows (such as
-    the copies of agent 0 that padding adds) share one solve.  Two rows are
-    equal iff their integer scalings and lcms are, which are cheaper to
-    compare.
+    only on the agent's value row, so agents with identical rows share one
+    solve.  Two rows are equal iff their integer scalings and lcms are,
+    which are cheaper to compare.
     """
     if d < 1:
         raise PreconditionError("d must be >= 1")

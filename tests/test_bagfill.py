@@ -4,17 +4,22 @@ from fractions import Fraction
 import pytest
 
 from ordfair import (
+    Allocation,
     Instance,
     alloc_ordered_ef1_4n3,
     alloc_ordered_efx_3n2,
+    alloc_topn_lone_divider,
     is_ef1,
     is_efx,
     is_ordinal_mms,
+    pad_agents_to_multiple_of_three,
+    pad_goods,
+    strip_dummies,
     thresholds,
 )
 from ordfair.allocators import replay
 from ordfair.allocators.bagfill import ceil_3n_over_2
-from ordfair.errors import InvariantViolationError, StructuralMismatchError
+from ordfair.errors import InvariantViolationError, OrdfairError, StructuralMismatchError
 
 from helpers import I_A, seeded_instance
 
@@ -35,11 +40,6 @@ class TestEfxBagFill:
 
     def test_rejects_unordered(self):
         inst = Instance.from_rows([[1, 2, 3, 4], [4, 3, 2, 1]])
-        with pytest.raises(StructuralMismatchError):
-            alloc_ordered_efx_3n2(inst, thresholds(inst, 3))
-
-    def test_rejects_too_few_goods(self):
-        inst = Instance.from_rows([[2, 1], [2, 1]])
         with pytest.raises(StructuralMismatchError):
             alloc_ordered_efx_3n2(inst, thresholds(inst, 3))
 
@@ -92,11 +92,6 @@ class TestEf1BagFill:
         assert is_ef1(inst, alloc)[0]
         assert is_ordinal_mms(inst, alloc, 4, taus)[0]
 
-    def test_rejects_agent_count_not_multiple_of_three(self):
-        inst = Instance.from_rows([[2, 1, 1, 1], [2, 1, 1, 1]])
-        with pytest.raises(StructuralMismatchError):
-            alloc_ordered_ef1_4n3(inst, thresholds(inst, 2))
-
     def test_seeded_ordered_instances_ef1_and_mms(self):
         rng = random.Random(14)
         for _ in range(40):
@@ -110,6 +105,50 @@ class TestEf1BagFill:
             assert is_ef1(inst, alloc)[0]
             assert is_ordinal_mms(inst, alloc, d, taus)[0]
             _check_trace_discipline(inst, trace, alloc)
+
+
+def _outcome(allocate, inst, taus):
+    """The allocation and trace, or the error's type and message."""
+    try:
+        return allocate(inst, taus)
+    except OrdfairError as err:
+        return type(err), str(err)
+
+
+def test_unpadded_inputs_match_padded_runs():
+    """Each entry point pads inside its own run.  On fewer than 2n goods
+    (fewer than n too) and, for the 4n/3 variant, n not a multiple of three,
+    it returns what its run on the explicitly padded instance returns with
+    the padding dropped by ``strip_dummies``, errors included; its own trace
+    replays to what it returns."""
+    rng = random.Random(2625)
+    runs = dict.fromkeys(("a1", "a2", "a3"), 0)
+    for _ in range(150):
+        n = rng.randrange(1, 8)
+        algo = rng.choice(tuple(runs))
+        m = rng.randrange(n if algo == "a2" else 1, 2 * n)
+        family = "top_n" if algo == "a2" else "ordered"
+        inst = seeded_instance(family, n, m, rng.randrange(2**32), rng.choice((2, 4, 20)))
+        if algo == "a2":
+            allocate, d, padded = alloc_topn_lone_divider, ceil_3n_over_2(n), inst
+        else:
+            inst = inst.permute_goods(_witness(inst))
+            padded = inst
+            if algo == "a1":
+                allocate, d = alloc_ordered_efx_3n2, ceil_3n_over_2(n)
+            else:
+                allocate, d = alloc_ordered_ef1_4n3, 4 * ((n + 2) // 3)
+                padded = pad_agents_to_multiple_of_three(inst)
+        padded = pad_goods(padded, 2 * padded.n)
+        got = _outcome(allocate, inst, thresholds(inst, d))
+        want = _outcome(allocate, padded, thresholds(padded, d))
+        if isinstance(want[0], Allocation):
+            assert got[0] == strip_dummies(padded, want[0])[1]
+            assert replay(got[1], n, m) == got[0]
+            runs[algo] += 1
+        else:
+            assert got == want
+    assert min(runs.values()) >= 30, runs
 
 
 def _witness(inst):

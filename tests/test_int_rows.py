@@ -36,9 +36,8 @@ from ordfair import (
     top_k_set,
 )
 from ordfair.allocators.bagfill import ceil_3n_over_2
-from ordfair.allocators.pipeline import _to_caller
 from ordfair.errors import InvalidInstanceError, PreconditionError
-from ordfair.model import Allocation, is_identity_ordered
+from ordfair.model import is_identity_ordered
 from ordfair.verification import _worth
 
 from helpers import (
@@ -320,27 +319,25 @@ def test_model_transforms_match_per_element_references(inst, extra, rng):
 
 
 @settings(max_examples=100, deadline=None)
-@given(flagged_instances(), st.integers(0, 4), st.randoms(use_true_random=False))
-def test_unpadded_allocation_is_strip_dummies(inst, extra, rng):
-    """On the padded copy a1 and a2 allocate on (an unflagged caller's goods
-    permuted, zero goods appended), dropping the appended goods is
-    ``strip_dummies``' allocation.  So is a3's undo on its padded run (agents
-    padded to a multiple of three as well): the padding agents' bundles back
-    to the pool, then the appended goods dropped by position."""
-    order = list(inst.goods)
-    rng.shuffle(order)
-    work = _fresh(inst.values, inst.agent_labels, inst.good_labels).permute_goods(order)
-    padded = pad_goods(work, work.m + extra)
-    alloc = random_partial_allocation(padded, rng)
-    assert _to_caller(alloc, range(work.m)) == strip_dummies(padded, alloc)[1]
-
-    padded = pad_goods(pad_agents_to_multiple_of_three(work), work.m + extra)
-    alloc = random_partial_allocation(padded, rng)
-    spare = alloc.bundles[work.n :]
-    unpadded = _to_caller(
-        Allocation(alloc.bundles[: work.n], alloc.pool.union(*spare)), range(work.m)
-    )
-    assert unpadded == strip_dummies(padded, alloc)[1]
+@given(flagged_instances())
+def test_unpadded_allocation_is_strip_dummies(inst):
+    """Each allocator, on rational rows sorted to a common order, returns
+    what its run on the padded copy returns with the padding removed by
+    ``strip_dummies``: zero goods up to 2n and, for the 4n/3 variant, copies
+    of agent 0 up to a multiple of three agents."""
+    work = Instance.from_rows([sorted(row, reverse=True) for row in inst.values])
+    n = work.n
+    runs = [
+        (alloc_ordered_efx_3n2, work, ceil_3n_over_2(n)),
+        (alloc_ordered_ef1_4n3, pad_agents_to_multiple_of_three(work), 4 * ((n + 2) // 3)),
+    ]
+    if top_k_set(work, n) is not None:
+        runs.append((alloc_topn_lone_divider, work, ceil_3n_over_2(n)))
+    for allocate, grown, d in runs:
+        padded = pad_goods(grown, max(grown.m, 2 * grown.n))
+        alloc, _ = allocate(work, thresholds(work, d))
+        want, _ = allocate(padded, thresholds(padded, d))
+        assert alloc == strip_dummies(padded, want)[1]
 
 
 def test_derived_instances_keep_their_error_paths():

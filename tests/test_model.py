@@ -60,6 +60,16 @@ class TestInstanceValidation:
         with pytest.raises(InvalidInstanceError):
             Instance.from_rows([[1, 2], [2, 1]], dummy_agents=[(1, 0)])
 
+    @pytest.mark.parametrize("label", ["x y", "", "x\ty", "\u2028", 1])
+    def test_rejects_labels_the_text_format_cannot_carry(self, label):
+        """``write_instance`` joins labels with spaces, so ``read_instance``
+        could not read any of these back."""
+        bad_label = "not a non-empty string without whitespace"
+        with pytest.raises(InvalidInstanceError, match=bad_label):
+            Instance.from_rows([[1, 2], [2, 1]], good_labels=(label, "z"))
+        with pytest.raises(InvalidInstanceError, match=bad_label):
+            Instance.from_rows([[1, 2], [2, 1]], agent_labels=("a", label))
+
     def test_allocation_overlap_detected(self):
         inst = Instance.from_rows([[1, 1], [1, 1]])
         with pytest.raises(InvalidInstanceError):

@@ -3,11 +3,10 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from ordfair import (
-    Allocation,
     Instance,
     alloc_ordered_ef1_4n3,
     alloc_ordered_efx_3n2,
@@ -17,6 +16,7 @@ from ordfair import (
     is_ef1,
     is_efx,
     is_ordinal_mms,
+    mms_bruteforce,
     pad_agents_to_multiple_of_three,
     pad_goods,
     solve_complete,
@@ -103,8 +103,8 @@ class TestSolveComplete:
 
     def test_completion_runs_on_the_callers_agents_and_goods(self, monkeypatch):
         """Every algorithm completes on the caller's n agents and m goods,
-        from a partial that holds no padding good: a1 and a2 below m = 2n
-        pad goods, and a3 pads agents too."""
+        from a partial that holds no padding good, also where the allocators
+        pad: below m = 2n and, for a3, at n not a multiple of three."""
         calls = []
 
         def completing(inst, partial):
@@ -132,8 +132,7 @@ class TestSolveComplete:
     def test_flagged_agent_zero_and_last_good_solve_as_unflagged(self):
         """The caller's flags mark nothing the pipelines use: with agent 0
         flagged as a copy of agent 1 and the last good as a dummy, each
-        algorithm returns what it returns on the unflagged copy.  a3's agent
-        padding copies agent 0, so its copies name agent 0's source."""
+        algorithm returns what it returns on the unflagged copy."""
         rng = random.Random(23)
         cases = [Instance.from_rows([[5, 4, 3, 2, 1], [5, 4, 3, 2, 1], [6, 3, 3, 1, 1]])]
         for family in ("ordered", "top_n"):
@@ -228,19 +227,15 @@ class TestBruteForceExistence:
             assert result.allocation in satisfying
 
 
-def _allocator_run(algorithm, inst):
-    """The allocator of `algorithm` on `inst` after the pipeline's padding:
-    the padded instance, the partial allocation and the trace."""
+def _allocator_run(algorithm, inst, d):
+    """The allocator of `algorithm` on `inst` as ``solve_complete`` runs it,
+    on the caller's goods (permuted to the common order for a1 and a3) at
+    divisor `d`: the partial allocation and the trace."""
     if algorithm == "a2":
-        work = pad_goods(inst, max(inst.m, 2 * inst.n))
-        return (work, *alloc_topn_lone_divider(work, thresholds(work, ceil_3n_over_2(inst.n))))
+        return alloc_topn_lone_divider(inst, thresholds(inst, d))
     work = inst.permute_goods(detect_structure(inst))
-    if algorithm == "a3":
-        work = pad_agents_to_multiple_of_three(work)
-    work = pad_goods(work, max(work.m, 2 * work.n))
-    if algorithm == "a1":
-        return (work, *alloc_ordered_efx_3n2(work, thresholds(work, ceil_3n_over_2(work.n))))
-    return (work, *alloc_ordered_ef1_4n3(work, thresholds(work, 4 * (work.n // 3))))
+    allocate = alloc_ordered_efx_3n2 if algorithm == "a1" else alloc_ordered_ef1_4n3
+    return allocate(work, thresholds(work, d))
 
 
 _KINDS = (
@@ -304,36 +299,24 @@ class TestTraceSerialization:
         st.integers(0, 2**32 - 1),
     )
     def test_seeded_traces_round_trip_and_replay(self, algorithm, n, extra, seed):
-        """A solve's trace, in its run's coordinates, and its allocator's
-        trace print, parse back to equal typed events and print the same
-        text; the parsed trace replays as the emitted one does.  Mapped back
-        to the caller's goods, a1's and a2's solve trace replays to the
-        returned allocation, and a3's, with the padding agents' bundles back
-        in the pool, to the returned partial."""
+        """A solve's trace and its allocator's trace print, parse back to
+        equal typed events and print the same text; the parsed trace replays
+        as the emitted one does.  The allocator's trace replays to its
+        partial allocation, and the solve's trace, mapped back to the
+        caller's goods, to the returned allocation."""
         m = n + extra % (2 * n + 1)
         inst = seeded_instance("top_n" if algorithm == "a2" else "ordered", n, m, seed, 20)
         result = solve_complete(inst, algorithm)
-        agents = 3 * ((n + 2) // 3) if algorithm == "a3" else n
-        run_shape = (agents, max(m, 2 * agents))
-        work, partial, trace = _allocator_run(algorithm, inst)
-        replayed = replay(result.trace, *run_shape)
-        for original, rebuilt, shape in (
-            (result.trace, replayed, run_shape),
-            (trace, partial, (work.n, work.m)),
-        ):
+        partial, trace = _allocator_run(algorithm, inst, result.divisor)
+        replayed = replay(result.trace, n, m)
+        goods = range(m) if algorithm == "a2" else detect_structure(inst)
+        assert _to_caller(replayed, goods) == result.allocation
+        for original, rebuilt in ((result.trace, replayed), (trace, partial)):
             text = original.to_text()
             parsed = AllocatorTrace.from_text(text)
             assert parsed.to_text() == text
             assert parsed == original
-            assert replay(parsed, *shape) == rebuilt
-
-        goods = range(m) if algorithm == "a2" else detect_structure(inst)
-        if algorithm == "a3":
-            spare = replayed.bundles[n:]
-            unpadded = Allocation(replayed.bundles[:n], replayed.pool.union(*spare))
-            assert _to_caller(unpadded, goods) == result.partial
-        else:
-            assert _to_caller(replayed, goods) == result.allocation
+            assert replay(parsed, n, m) == rebuilt
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -494,12 +477,12 @@ class TestGoldenOutputs:
     """Every output of solve_complete is pinned, so a change to the pipeline
     that is meant to keep behaviour is checked rather than assumed."""
 
-    # Re-recorded when a1 and a2 began to drop their padding goods before
-    # completion, as a3 does: 20 of the 408 solves (a1 8, a2 12) return
-    # another allocation and report, and 106 (a1 56, a2 50) another trace.
-    # Partials, thresholds, partial reports and a3's outputs are unchanged,
+    # Re-recorded when the allocators began to add the paper's padding
+    # inside their own runs: only traces changed, 171 of the 408 (a1 3, a2
+    # 50, a3 118), which now name no padding good or agent.  Allocations,
+    # partials, thresholds, divisors, both reports and errors are unchanged,
     # and every solve stays certified.
-    GOLDEN = "93d074a7aa7cfcae4c7864c7aef0b6442352b898d709a3afe584bcd283b25638"
+    GOLDEN = "50f53a66851ff1e71ede6e4aace953cd66091ef851caf7a28a0888aa537765de"
 
     def test_outputs_unchanged(self):
         assert pipeline_sweep_digest() == self.GOLDEN
@@ -546,13 +529,12 @@ class TestGoldenRareBranches:
     """Every output of the solves of ``rare_branch_sweep`` is pinned, errors
     included, and the sweep is held to keep reaching each rare branch."""
 
-    # Re-recorded for two changes.  a1 and a2 drop their padding goods
-    # before completion: 27 of the 1,008 solves (a1 6, a2 21) return another
-    # allocation and report, and 148 (a1 80, a2 68) another trace; partials,
-    # partial reports and a3's outputs are unchanged.  The lone divider's
-    # steal is a ``steal`` event, no longer a ``swap`` with goods: 37 lines
-    # in 23 a2 traces.  Every solve stays certified.
-    GOLDEN = "75d0c8af9ac829de1bf03993a307b029651e62a345fca2100a712151dabcbaf1"
+    # Re-recorded when the allocators began to add the paper's padding
+    # inside their own runs: only traces changed, 412 of the 1,008 (a1 12,
+    # a2 68, a3 332), which now name no padding good or agent.  Allocations,
+    # partials and both reports are unchanged, every solve stays certified,
+    # and the branch counts below are the same.
+    GOLDEN = "3f984f43a8db656d8c4b0d9cd207559984d647c85fb0a5d0634b6c0948f38779"
 
     def test_outputs_unchanged_and_branches_reached(self):
         h = hashlib.sha256()
@@ -583,3 +565,85 @@ class TestGoldenRareBranches:
         assert counts["hall"] >= 40 and counts["steal"] >= 13
         assert counts["fill"] >= 100 and counts["bag_swap"] >= 5
         assert h.hexdigest() == self.GOLDEN
+
+
+# Small values, so that zeros and ties are common.
+_VALUES = st.integers(0, 3) | st.integers(0, 12)
+
+
+@st.composite
+def _agent_rows(draw, n, draw_row):
+    """n rows, drawn from at most n distinct ones, so that some agents are
+    identical."""
+    distinct = draw(st.lists(draw_row, min_size=1, max_size=n))
+    return [list(distinct[draw(st.integers(0, len(distinct) - 1))]) for _ in range(n)]
+
+
+@st.composite
+def _ordered_instances(draw):
+    """Rows non-increasing in one hidden common order: n <= 5 and m <= 8,
+    so both m < n and m < 2n occur, as do n not a multiple of three."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    row = st.lists(_VALUES, min_size=m, max_size=m).map(lambda r: sorted(r, reverse=True))
+    rows = draw(_agent_rows(n, row))
+    if n > 1 and draw(st.booleans()):
+        # Nearly identical: the last row is the first with one good raised
+        # as far as the common order allows.
+        g = draw(st.integers(0, m - 1))
+        last = list(rows[0])
+        last[g] = last[g - 1] if g else last[g] + 1
+        rows[-1] = last
+    order = draw(st.permutations(range(m)))
+    return Instance.from_rows([[row[order.index(g)] for g in range(m)] for row in rows])
+
+
+@st.composite
+def _top_n_instances(draw):
+    """A common set of n top goods, each worth at least an agent's best
+    outside good to that agent and often exactly as much: n <= 5 and
+    n <= m <= 8."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(n, 8))
+    top = set(draw(st.permutations(range(m)))[:n])
+
+    @st.composite
+    def row(draw):
+        values = draw(st.lists(_VALUES, min_size=m, max_size=m))
+        best = max((v for g, v in enumerate(values) if g not in top), default=0)
+        lifts = st.integers(0, 0) | st.integers(0, 3)
+        return [best + draw(lifts) if g in top else v for g, v in enumerate(values)]
+
+    return Instance.from_rows(draw(_agent_rows(n, row())))
+
+
+class TestPipelineProperties:
+    """Every pipeline on small instances with zeros, ties, identical agents
+    and few goods: the solve is certified, its thresholds are the
+    brute-force oracle's shares at its divisor, and its trace, mapped back
+    to the caller's goods, replays to the complete allocation.  The search
+    is steered toward solves that reach the allocators' rare branches."""
+
+    @staticmethod
+    def _check(inst, algorithm):
+        result = solve_complete(inst, algorithm)
+        assert result.certified
+        d = result.divisor
+        assert result.thresholds == tuple(
+            mms_bruteforce(inst, i, d).value for i in inst.agents
+        )
+        goods = range(inst.m) if algorithm == "a2" else detect_structure(inst)
+        assert _to_caller(replay(result.trace, inst.n, inst.m), goods) == result.allocation
+        counts = dict.fromkeys(("hall", "steal", "fill", "bag_swap"), 0)
+        rare_branch_counts(result.trace, counts)
+        for label, count in counts.items():
+            target(count, label=label)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ordered_instances(), st.sampled_from(("a1", "a3")))
+    def test_ordered_pipelines(self, inst, algorithm):
+        self._check(inst, algorithm)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_top_n_instances())
+    def test_top_n_pipeline(self, inst):
+        self._check(inst, "a2")
