@@ -43,6 +43,15 @@ class TestEfxBagFill:
         with pytest.raises(StructuralMismatchError):
             alloc_ordered_efx_3n2(inst, thresholds(inst, 3))
 
+    def test_pads_too_few_goods_itself(self):
+        # Two agents, two goods: positions 2 and 3 are the paper's dummy
+        # goods, so the run equals the one on the padded instance.
+        inst = Instance.from_rows([[2, 1], [2, 1]])
+        alloc, trace = alloc_ordered_efx_3n2(inst, thresholds(inst, 3))
+        assert alloc == Allocation((frozenset({0}), frozenset({1})), frozenset())
+        assert alloc == _padded_run(alloc_ordered_efx_3n2, inst, 3)
+        assert replay(trace, inst.n, inst.m) == alloc
+
     def test_exhaustion_is_surfaced(self):
         inst = Instance.from_rows([[1, 1, 1, 1], [1, 1, 1, 1]])
         with pytest.raises(InvariantViolationError):
@@ -92,6 +101,15 @@ class TestEf1BagFill:
         assert is_ef1(inst, alloc)[0]
         assert is_ordinal_mms(inst, alloc, 4, taus)[0]
 
+    def test_pads_agent_count_to_multiple_of_three_itself(self):
+        # Two agents: the run adds a copy of agent 0 and its goods, and
+        # returns what the explicitly padded run returns for the two.
+        inst = Instance.from_rows([[2, 1, 1, 1], [2, 1, 1, 1]])
+        alloc, trace = alloc_ordered_ef1_4n3(inst, thresholds(inst, 4))
+        assert alloc == Allocation((frozenset({0}), frozenset({1})), frozenset({2, 3}))
+        assert alloc == _padded_run(alloc_ordered_ef1_4n3, inst, 4)
+        assert replay(trace, inst.n, inst.m) == alloc
+
     def test_seeded_ordered_instances_ef1_and_mms(self):
         rng = random.Random(14)
         for _ in range(40):
@@ -105,6 +123,17 @@ class TestEf1BagFill:
             assert is_ef1(inst, alloc)[0]
             assert is_ordinal_mms(inst, alloc, d, taus)[0]
             _check_trace_discipline(inst, trace, alloc)
+
+
+def _padded_run(allocate, inst, d):
+    """The allocator's run on ``inst`` padded by hand to a multiple of three
+    agents (4n/3 variant only) and 2n goods, with the padding dropped."""
+    padded = inst
+    if allocate is alloc_ordered_ef1_4n3:
+        padded = pad_agents_to_multiple_of_three(padded)
+    padded = pad_goods(padded, 2 * padded.n)
+    alloc, _ = allocate(padded, thresholds(padded, d))
+    return strip_dummies(padded, alloc)[1]
 
 
 def _outcome(allocate, inst, taus):
