@@ -8,11 +8,12 @@ allocators decide on these rows: ``Instance.int_value`` sums a set of goods
 on one and ``Instance.level`` maps a threshold onto the same scale.
 Instances and allocations are immutable and safe to share.  Permuted, padded
 and stripped instances skip checks that hold by construction and carry
-``int_rows`` over; dummy goods are zero, so no row's lcm changes.
+``int_rows`` over; padding goods are zero, so no row's lcm changes.  Padding
+is appended, so ``strip_dummies`` undoes it from the caller's n and m alone.
 
-The per-row passes run in C-implemented builtins: a permutation or strip
-gathers each int row, Fraction row and label tuple with one
-``operator.itemgetter`` call (``_gather``), an order check compares a row
+The per-row passes run in C-implemented builtins: a permutation gathers each
+int row, Fraction row and label tuple with one ``operator.itemgetter`` call
+(``_gather``), a strip slices them, an order check compares a row
 with itself shifted by one (``all(map(ge, row, row[1:]))``), and ``int_rows``
 scales a row from one ``map(Fraction.as_integer_ratio, row)`` pass.
 
@@ -82,17 +83,11 @@ def _default_good_labels(m: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class Instance:
-    """A fair-division instance: n agents, m goods, additive valuations.
-
-    ``dummy_goods`` are zero-valued padding goods; ``dummy_agents`` holds
-    (agent, source) pairs for padding agents that copy the source's row.
-    """
+    """A fair-division instance: n agents, m goods, additive valuations."""
 
     values: tuple[tuple[Fraction, ...], ...]
     agent_labels: tuple[str, ...] = ()
     good_labels: tuple[str, ...] = ()
-    dummy_goods: frozenset[int] = frozenset()
-    dummy_agents: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
         n = len(self.values)
@@ -120,26 +115,6 @@ class Instance:
                 raise InvalidInstanceError(
                     f"label {label!r} is not a non-empty string without whitespace"
                 )
-        for g in self.dummy_goods:
-            if not 0 <= g < m:
-                raise InvalidInstanceError(f"dummy good {g} out of range")
-            for i in range(n):
-                if self.values[i][g] != 0:
-                    raise InvalidInstanceError(
-                        f"dummy good {g} has nonzero value for agent {i}"
-                    )
-        dummy_ids = {a for a, _ in self.dummy_agents}
-        if len(dummy_ids) != len(self.dummy_agents):
-            raise InvalidInstanceError("repeated dummy agent")
-        for a, src in self.dummy_agents:
-            if not 0 <= a < n or not 0 <= src < n:
-                raise InvalidInstanceError("dummy agent index out of range")
-            if src in dummy_ids:
-                raise InvalidInstanceError("dummy agent source is itself dummy")
-            if self.values[a] != self.values[src]:
-                raise InvalidInstanceError(
-                    f"dummy agent {a} row differs from source {src}"
-                )
 
     @classmethod
     def from_rows(
@@ -147,16 +122,12 @@ class Instance:
         rows: Sequence[Sequence[int | str | Fraction]],
         agent_labels: Sequence[str] = (),
         good_labels: Sequence[str] = (),
-        dummy_goods: Iterable[int] = (),
-        dummy_agents: Iterable[tuple[int, int]] = (),
     ) -> "Instance":
         values = tuple(tuple(as_rational(v) for v in row) for row in rows)
         return cls(
             values=values,
             agent_labels=tuple(agent_labels),
             good_labels=tuple(good_labels),
-            dummy_goods=frozenset(dummy_goods),
-            dummy_agents=tuple(sorted(dummy_agents)),
         )
 
     @property
@@ -174,11 +145,6 @@ class Instance:
     @property
     def goods(self) -> range:
         return range(self.m)
-
-    @property
-    def real_agents(self) -> tuple[int, ...]:
-        dummies = {a for a, _ in self.dummy_agents}
-        return tuple(i for i in self.agents if i not in dummies)
 
     @cached_property
     def int_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -232,21 +198,19 @@ class Instance:
         return new
 
     def with_values(self, values: Sequence[Sequence[Fraction]]) -> "Instance":
-        """Same shape, labels and flags, different valuation matrix."""
+        """Same shape and labels, different valuation matrix."""
         return replace(self, values=tuple(tuple(row) for row in values))
 
     def permute_goods(self, order: Sequence[int]) -> "Instance":
         """Reindex goods so new position p holds old good order[p]."""
         if sorted(order) != list(range(self.m)):
             raise InvalidInstanceError("not a permutation of goods")
-        inv = {old: new for new, old in enumerate(order)}
         gather = _gather(order)
         ints, denoms = zip(*self.int_rows)
         return self._derive(
             tuple(zip(map(gather, ints), denoms)),
             values=tuple(map(gather, self.values)),
             good_labels=gather(self.good_labels),
-            dummy_goods=frozenset(inv[g] for g in self.dummy_goods),
         )
 
 
@@ -347,7 +311,7 @@ def is_identity_ordered(inst: Instance) -> bool:
 
 
 def pad_goods(inst: Instance, target: int) -> Instance:
-    """Append zero-valued dummy goods until the instance has `target` goods."""
+    """Append zero-valued goods until the instance has `target` goods."""
     if target < inst.m:
         raise PreconditionError(f"pad target {target} below good count {inst.m}")
     if target == inst.m:
@@ -358,61 +322,41 @@ def pad_goods(inst: Instance, target: int) -> Instance:
         tuple((ints + int_zeros, denom) for ints, denom in inst.int_rows),
         values=tuple(row + zeros for row in inst.values),
         good_labels=inst.good_labels + tuple(f"g{inst.m + j}" for j in range(extra)),
-        dummy_goods=inst.dummy_goods | frozenset(range(inst.m, target)),
     )
 
 
 def pad_agents_to_multiple_of_three(inst: Instance) -> Instance:
-    """Copy agent 0's row until the agent count is a multiple of three.
-
-    The copies name agent 0's own source when agent 0 is itself a copy: its
-    row is that source's, and the source is no copy."""
+    """Append copies of agent 0 until the agent count is a multiple of three."""
     n = inst.n
     target = 3 * ((n + 2) // 3)
     if target == n:
         return inst
-    source = dict(inst.dummy_agents).get(0, 0)
     extra = target - n
     return inst._derive(
         inst.int_rows + (inst.int_rows[0],) * extra,
         values=inst.values + (inst.values[0],) * extra,
         agent_labels=inst.agent_labels + tuple(f"a{n + i}" for i in range(extra)),
-        dummy_agents=inst.dummy_agents + tuple((n + i, source) for i in range(extra)),
     )
 
 
 def strip_dummies(
-    inst: Instance, alloc: Allocation
+    inst: Instance, alloc: Allocation, n: int, m: int
 ) -> tuple[Instance, Allocation]:
-    """Remove dummy goods and agents; dummy agents' bundles join the pool.
-
-    Surviving goods and agents keep their labels, which carry the mapping
-    back to the original indices.
-    """
+    """Keep agents below n and goods below m: the caller's instance before
+    padding, with its indices and labels.  Padding agents' bundles join the
+    pool, minus padding goods."""
+    if not 1 <= n <= inst.n or not 0 <= m <= inst.m:
+        raise PreconditionError(f"cannot strip {inst.n} agents, {inst.m} goods to {n}, {m}")
     check_allocation(inst, alloc)
-    keep_goods = [g for g in inst.goods if g not in inst.dummy_goods]
-    good_map = {g: p for p, g in enumerate(keep_goods)}
-    dummy_agent_ids = {a for a, _ in inst.dummy_agents}
-    keep_agents = [i for i in inst.agents if i not in dummy_agent_ids]
-
-    gather_goods, gather_agents = _gather(keep_goods), _gather(keep_agents)
-    ints, denoms = zip(*gather_agents(inst.int_rows))
     new_inst = inst._derive(
-        tuple(zip(map(gather_goods, ints), denoms)),
-        values=tuple(map(gather_goods, gather_agents(inst.values))),
-        agent_labels=gather_agents(inst.agent_labels),
-        good_labels=gather_goods(inst.good_labels),
-        dummy_goods=frozenset(), dummy_agents=(),
+        tuple((ints[:m], denom) for ints, denom in inst.int_rows[:n]),
+        values=tuple(row[:m] for row in inst.values[:n]),
+        agent_labels=inst.agent_labels[:n],
+        good_labels=inst.good_labels[:m],
     )
-    pool = set(alloc.pool)
-    for a in dummy_agent_ids:
-        pool |= alloc.bundles[a]
-    bundles = tuple(
-        frozenset(good_map[g] for g in alloc.bundles[i] if g in good_map)
-        for i in keep_agents
-    )
-    new_pool = frozenset(good_map[g] for g in pool if g in good_map)
-    return new_inst, Allocation(bundles, new_pool)
+    bundles = tuple(frozenset(g for g in b if g < m) for b in alloc.bundles[:n])
+    pool = frozenset(g for g in alloc.pool.union(*alloc.bundles[n:]) if g < m)
+    return new_inst, Allocation(bundles, pool)
 
 
 # ---------------------------------------------------------------------------
@@ -493,13 +437,6 @@ def write_instance(inst: Instance) -> str:
     lines = [f"n {inst.n}", f"m {inst.m}", "valuations"]
     for row in inst.values:
         lines.append(" ".join(format_rational(v) for v in row))
-    if inst.dummy_goods:
-        lines.append("dummy_goods " + " ".join(str(g) for g in sorted(inst.dummy_goods)))
-    if inst.dummy_agents:
-        lines.append(
-            "dummy_agents "
-            + " ".join(f"{a}:{src}" for a, src in inst.dummy_agents)
-        )
     if inst.agent_labels != _default_agent_labels(inst.n):
         lines.append("agent_labels " + " ".join(inst.agent_labels))
     if inst.good_labels != _default_good_labels(inst.m):
@@ -539,30 +476,17 @@ def read_instance(text: str) -> Instance:
             n = _parse_int(rest, "agent count")
         elif key == "m":
             m = _parse_int(rest, "good count")
-        elif key in ("dummy_goods", "dummy_agents", "agent_labels", "good_labels"):
+        elif key in ("agent_labels", "good_labels"):
             fields[key] = rest
         else:
             raise ParseError(f"unknown instance field {key!r}")
         i += 1
     if n is None or m is None or len(rows) != n:
         raise ParseError("incomplete instance file")
-    dummy_goods = [
-        _parse_int(t, "dummy good") for t in fields.get("dummy_goods", "").split()
-    ]
-    dummy_agents = []
-    for tok in fields.get("dummy_agents", "").split():
-        a, _, src = tok.partition(":")
-        if not src:
-            raise ParseError(f"dummy agent entry {tok!r} needs index:source")
-        dummy_agents.append(
-            (_parse_int(a, "dummy agent"), _parse_int(src, "dummy agent source"))
-        )
     return Instance.from_rows(
         rows,
         agent_labels=tuple(fields["agent_labels"].split()) if "agent_labels" in fields else (),
         good_labels=tuple(fields["good_labels"].split()) if "good_labels" in fields else (),
-        dummy_goods=dummy_goods,
-        dummy_agents=dummy_agents,
     )
 
 

@@ -1,8 +1,8 @@
 """Allocation-agnostic fairness checkers: EFX, EF1, ordinal MMS.
 
 These are the source of truth used to certify allocator outputs; they never
-share state with the allocators.  Agents flagged dummy in the instance are
-skipped by the MMS verdict (they only exist as padding).
+share state with the allocators.  The MMS verdict checks every agent of the
+instance it is given.
 
 EFX and EF1 compare bundles within one agent's valuation, so they read one
 integer matrix: ``worth[i][j]`` is agent i's value of bundle j on i's row of
@@ -110,7 +110,7 @@ def is_ordinal_mms(
     d: int,
     agent_thresholds: Sequence[Fraction],
 ) -> tuple[bool, tuple[int, Fraction] | None]:
-    """Every non-dummy agent's bundle meets their 1-out-of-d share.
+    """Every agent's bundle meets their 1-out-of-d share.
 
     Witness: the agent with the worst shortfall (lowest index on ties).
     """
@@ -122,7 +122,7 @@ def _mms(inst: Instance, own: Sequence[Fraction], agent_thresholds: Sequence[Fra
     if len(agent_thresholds) != inst.n:
         raise PreconditionError("one threshold per agent required")
     worst: tuple[int, Fraction] | None = None
-    for i in inst.real_agents:
+    for i in inst.agents:
         if agent_thresholds[i] > own[i]:
             gap = agent_thresholds[i] - own[i]
             if worst is None or gap > worst[1]:

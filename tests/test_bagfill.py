@@ -133,7 +133,7 @@ def _padded_run(allocate, inst, d):
         padded = pad_agents_to_multiple_of_three(padded)
     padded = pad_goods(padded, 2 * padded.n)
     alloc, _ = allocate(padded, thresholds(padded, d))
-    return strip_dummies(padded, alloc)[1]
+    return strip_dummies(padded, alloc, inst.n, inst.m)[1]
 
 
 def _outcome(allocate, inst, taus):
@@ -172,7 +172,7 @@ def test_unpadded_inputs_match_padded_runs():
         got = _outcome(allocate, inst, thresholds(inst, d))
         want = _outcome(allocate, padded, thresholds(padded, d))
         if isinstance(want[0], Allocation):
-            assert got[0] == strip_dummies(padded, want[0])[1]
+            assert got[0] == strip_dummies(padded, want[0], n, m)[1]
             assert replay(got[1], n, m) == got[0]
             runs[algo] += 1
         else:

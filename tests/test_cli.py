@@ -150,6 +150,22 @@ class TestVerify:
         assert code == EXIT_CONFIG
         assert "listed twice" in capsys.readouterr().err
 
+    def test_dummy_agents_line_is_rejected_not_obeyed(self, workdir, capsys):
+        """Three agents with rows ``3 3 3 3``, agent 2 given nothing, fail
+        MMS at d = 3; a ``dummy_agents`` line naming agent 2 does not excuse
+        it but makes the instance file an error."""
+        plain = "n 3\nm 4\nvaluations\n3 3 3 3\n3 3 3 3\n3 3 3 3\n"
+        inst_file = workdir / "inst.txt"
+        alloc_file = workdir / "alloc.txt"
+        alloc_file.write_text("agents 3\nbundles\n0: 0 1\n1: 2 3\n2:\npool\n")
+        args = ["verify", str(inst_file), str(alloc_file), "--d", "3", "--require", "mms"]
+        inst_file.write_text(plain)
+        assert run_cli(args) == EXIT_NOT_CERTIFIED
+        assert "mms d=3 ok=false witness=2" in capsys.readouterr().out
+        inst_file.write_text(plain + "dummy_agents 2:0\n")
+        assert run_cli(args) == EXIT_CONFIG
+        assert "unknown instance field 'dummy_agents'" in capsys.readouterr().err
+
 
 class TestMms:
     def test_value_and_witness_file(self, workdir, capsys):

@@ -107,30 +107,28 @@ def test_allocations_of_lone_goods_are_efx_and_ef1(inst, rng):
 
 
 @st.composite
-def flagged_allocations(draw):
-    """A flagged instance (rational rows, pre-flagged dummy goods and agents),
+def padded_allocations(draw):
+    """A caller's instance (rational rows, zero columns, repeated rows),
     then padded with ``pad_goods``, and a partial allocation of it."""
-    inst = draw(flagged_instances())
+    inst = draw(caller_instances())
     inst = pad_goods(inst, inst.m + draw(st.integers(0, 3)))
     slots = draw(st.lists(st.integers(0, inst.n), min_size=inst.m, max_size=inst.m))
     bundles = [[g for g, s in enumerate(slots) if s == i] for i in inst.agents]
     return inst, make_allocation(bundles, [g for g, s in enumerate(slots) if s == inst.n])
 
 
-# Every shape at once: rational rows, a pre-flagged dummy good and agent, a
-# padding good, an empty bundle and a non-empty pool.
+# Every shape at once: rational rows, a zero column, a padding copy of agent
+# 0, a padding good, an empty bundle and a non-empty pool.
 _ALL_SHAPES = pad_goods(
-    Instance.from_rows(
-        [["1/2", "2/3", 0, 1], ["1/3", 1, 0, "5/6"], ["1/2", "2/3", 0, 1]],
-        dummy_goods=[2],
-        dummy_agents=[(2, 0)],
+    pad_agents_to_multiple_of_three(
+        Instance.from_rows([["1/2", "2/3", 0, 1], ["1/3", 1, 0, "5/6"]])
     ),
     5,
 )
 
 
 @settings(max_examples=150, deadline=None)
-@given(flagged_allocations())
+@given(padded_allocations())
 @example((_ALL_SHAPES, make_allocation([[0], [], [3]], [1, 2, 4])))
 def test_worth_matches_per_pair_sums(case):
     """The one-pass worth matrix equals each agent's sum over each bundle,
@@ -145,26 +143,20 @@ def test_worth_matches_per_pair_sums(case):
 
 
 @st.composite
-def flagged_instances(draw):
-    """Rational rows with pre-flagged dummies: zero columns flagged as dummy
-    goods at random positions, and copies of real rows flagged as dummy
-    agents (agent 0 real or not), with default or custom labels."""
+def caller_instances(draw):
+    """Rational rows with zero columns at random positions and copies of
+    rows at random positions (agent 0's or not), with default or custom
+    labels: the shapes that padding appends, here in the caller's own
+    instance."""
     n = draw(st.integers(1, 4))
     m = draw(st.integers(0, 6))
     rows = draw(st.lists(st.lists(values, min_size=m, max_size=m), min_size=n, max_size=n))
     for _ in range(draw(st.integers(0, 3))):
         col = draw(st.integers(0, len(rows[0])))
         for row in rows:
-            row.insert(col, None)  # marks a dummy good until the agents are final
-    sources = draw(st.lists(st.integers(0, n - 1), max_size=3))
-    rows += [list(rows[src]) for src in sources]
-    order = draw(st.permutations(range(len(rows))))
-    dummy_agents = [
-        (order.index(n + k), order.index(src)) for k, src in enumerate(sources)
-    ]
-    rows = [rows[a] for a in order]
-    dummy_goods = [g for g, v in enumerate(rows[0]) if v is None]
-    rows = [[Fraction(0) if v is None else v for v in row] for row in rows]
+            row.insert(col, Fraction(0))
+    rows += [list(rows[src]) for src in draw(st.lists(st.integers(0, n - 1), max_size=3))]
+    rows = draw(st.permutations(rows))
     if not rows[0]:
         rows = [[Fraction(0)] for _ in rows]
     labels = {}
@@ -173,16 +165,14 @@ def flagged_instances(draw):
             "agent_labels": [f"x{i}" for i in range(len(rows))],
             "good_labels": [f"y{g}" for g in range(len(rows[0]))],
         }
-    return Instance.from_rows(rows, dummy_goods=dummy_goods, dummy_agents=dummy_agents, **labels)
+    return Instance.from_rows(rows, **labels)
 
 
-def _fresh(values, agent_labels, good_labels, dummy_goods=(), dummy_agents=()):
+def _fresh(values, agent_labels, good_labels):
     return Instance(
         values=tuple(tuple(row) for row in values),
         agent_labels=tuple(agent_labels),
         good_labels=tuple(good_labels),
-        dummy_goods=frozenset(dummy_goods),
-        dummy_agents=tuple(dummy_agents),
     )
 
 
@@ -193,72 +183,57 @@ def _same_as_fresh(derived, expected):
     assert derived == expected
     assert "int_rows" in vars(derived)
     assert derived.int_rows == expected.int_rows
-    rebuilt = _fresh(
-        derived.values, derived.agent_labels, derived.good_labels,
-        derived.dummy_goods, derived.dummy_agents,
-    )
+    rebuilt = _fresh(derived.values, derived.agent_labels, derived.good_labels)
     assert derived.int_rows == rebuilt.int_rows
 
 
 @settings(max_examples=100, deadline=None)
-@given(flagged_instances(), st.randoms(use_true_random=False))
+@given(caller_instances(), st.randoms(use_true_random=False))
 def test_derived_instances_equal_fresh_ones(inst, rng):
+    """Permuted and padded instances equal fresh builds, and stripping both
+    kinds of padding gives back the caller's instance: a padding agent's
+    goods join the pool, and padding goods leave every bundle and the
+    pool."""
     order = list(inst.goods)
     rng.shuffle(order)
-    inv = {old: new for new, old in enumerate(order)}
     _same_as_fresh(
         inst.permute_goods(order),
         _fresh(
             [[row[g] for g in order] for row in inst.values],
             inst.agent_labels,
             [inst.good_labels[g] for g in order],
-            {inv[g] for g in inst.dummy_goods},
-            inst.dummy_agents,
         ),
     )
 
     extra = rng.randint(1, 4)
+    padded = pad_goods(inst, inst.m + extra)
     _same_as_fresh(
-        pad_goods(inst, inst.m + extra),
+        padded,
         _fresh(
             [list(row) + [Fraction(0)] * extra for row in inst.values],
             inst.agent_labels,
             list(inst.good_labels) + [f"g{inst.m + j}" for j in range(extra)],
-            set(inst.dummy_goods) | set(range(inst.m, inst.m + extra)),
-            inst.dummy_agents,
         ),
     )
 
     n = inst.n
     copies = range(n, 3 * ((n + 2) // 3))
-    # When agent 0 is itself a copy, the new copies name its source.
-    source = dict(inst.dummy_agents).get(0, 0)
-
-    def with_copies():
-        return _fresh(
-            list(inst.values) + [inst.values[0]] * len(copies),
-            list(inst.agent_labels) + [f"a{a}" for a in copies],
-            inst.good_labels,
-            inst.dummy_goods,
-            list(inst.dummy_agents) + [(a, source) for a in copies],
-        )
-
-    if copies:
-        _same_as_fresh(pad_agents_to_multiple_of_three(inst), with_copies())
-
-    alloc = random_partial_allocation(inst, rng)
-    dummy_agents = dict(inst.dummy_agents)
-    keep_agents = [i for i in inst.agents if i not in dummy_agents]
-    keep_goods = [g for g in inst.goods if g not in inst.dummy_goods]
-    stripped, _ = strip_dummies(inst, alloc)
+    grown = pad_agents_to_multiple_of_three(padded)
     _same_as_fresh(
-        stripped,
+        grown,
         _fresh(
-            [[inst.values[i][g] for g in keep_goods] for i in keep_agents],
-            [inst.agent_labels[i] for i in keep_agents],
-            [inst.good_labels[g] for g in keep_goods],
+            list(padded.values) + [padded.values[0]] * len(copies),
+            list(padded.agent_labels) + [f"a{a}" for a in copies],
+            padded.good_labels,
         ),
     )
+
+    alloc = random_partial_allocation(grown, rng)
+    stripped, stripped_alloc = strip_dummies(grown, alloc, n, inst.m)
+    _same_as_fresh(stripped, _fresh(inst.values, inst.agent_labels, inst.good_labels))
+    caller_goods = frozenset(inst.goods)
+    assert stripped_alloc.bundles == tuple(b & caller_goods for b in alloc.bundles[:n])
+    assert stripped_alloc.pool == alloc.pool.union(*alloc.bundles[n:]) & caller_goods
 
 
 def _ref_int_row(row):
@@ -271,16 +246,16 @@ def _ref_identity_ordered(inst):
 
 
 # One good, where ``itemgetter`` on one index returns the item itself; and
-# goods that are all dummies, so stripping leaves none.
-_ONE_GOOD = Instance.from_rows([["1/2"], ["2/3"], ["1/2"]], dummy_agents=[(2, 0)])
-_ALL_DUMMY = Instance.from_rows([[0, 0], [0, 0]], dummy_goods=[0, 1], dummy_agents=[(1, 0)])
+# no goods, so that stripping the padding leaves none.
+_ONE_GOOD = Instance.from_rows([["1/2"], ["2/3"], ["1/2"]])
+_NO_GOODS = Instance.from_rows([[], []])
 
 
 @settings(max_examples=150, deadline=None)
-@given(flagged_instances(), st.integers(0, 3), st.randoms(use_true_random=False))
+@given(caller_instances(), st.integers(0, 3), st.randoms(use_true_random=False))
 @example(_ONE_GOOD, 0, random.Random(0))
 @example(_ONE_GOOD, 2, random.Random(0))
-@example(_ALL_DUMMY, 0, random.Random(0))
+@example(_NO_GOODS, 2, random.Random(0))
 def test_model_transforms_match_per_element_references(inst, extra, rng):
     """The model's gathers and scans, run in ``itemgetter`` and ``map``
     calls, give what one generator step per element gives."""
@@ -299,27 +274,31 @@ def test_model_transforms_match_per_element_references(inst, extra, rng):
     assert padded.values == tuple(tuple(row) + (Fraction(0),) * extra for row in inst.values)
     assert padded.int_rows == tuple((ints + (0,) * extra, d) for ints, d in inst.int_rows)
 
-    dummy_agents = dict(inst.dummy_agents)
-    keep_agents = [i for i in inst.agents if i not in dummy_agents]
-    keep_goods = [g for g in padded.goods if g not in padded.dummy_goods]
-    stripped, _ = strip_dummies(padded, random_partial_allocation(padded, rng))
+    grown = pad_agents_to_multiple_of_three(padded)
+    copies = grown.n - inst.n
+    assert grown.values == padded.values + tuple(padded.values[0] for _ in range(copies))
+    assert grown.int_rows == padded.int_rows + tuple(padded.int_rows[0] for _ in range(copies))
+
+    # Strip to any prefix: the slices may cut caller rows and goods too.
+    n, m = rng.randint(1, grown.n), rng.randint(0, grown.m)
+    stripped, _ = strip_dummies(grown, random_partial_allocation(grown, rng), n, m)
     assert stripped.values == tuple(
-        tuple(padded.values[i][g] for g in keep_goods) for i in keep_agents
+        tuple(grown.values[i][g] for g in range(m)) for i in range(n)
     )
     assert stripped.int_rows == tuple(
-        (tuple(padded.int_rows[i][0][g] for g in keep_goods), padded.int_rows[i][1])
-        for i in keep_agents
+        (tuple(grown.int_rows[i][0][g] for g in range(m)), grown.int_rows[i][1])
+        for i in range(n)
     )
-    assert stripped.agent_labels == tuple(padded.agent_labels[i] for i in keep_agents)
-    assert stripped.good_labels == tuple(padded.good_labels[g] for g in keep_goods)
+    assert stripped.agent_labels == tuple(grown.agent_labels[i] for i in range(n))
+    assert stripped.good_labels == tuple(grown.good_labels[g] for g in range(m))
 
-    for x in (inst, permuted, padded, stripped):
+    for x in (inst, permuted, padded, grown, stripped):
         assert detect_structure(x) == ref_detect_structure(x)
         assert is_identity_ordered(x) == _ref_identity_ordered(x)
 
 
 @settings(max_examples=100, deadline=None)
-@given(flagged_instances())
+@given(caller_instances())
 def test_unpadded_allocation_is_strip_dummies(inst):
     """Each allocator, on rational rows sorted to a common order, returns
     what its run on the padded copy returns with the padding removed by
@@ -337,19 +316,20 @@ def test_unpadded_allocation_is_strip_dummies(inst):
         padded = pad_goods(grown, max(grown.m, 2 * grown.n))
         alloc, _ = allocate(work, thresholds(work, d))
         want, _ = allocate(padded, thresholds(padded, d))
-        assert alloc == strip_dummies(padded, want)[1]
+        assert alloc == strip_dummies(padded, want, n, work.m)[1]
 
 
 def test_derived_instances_keep_their_error_paths():
-    inst = Instance.from_rows([["1/2", 1, 0], ["1/3", 2, 0]], dummy_goods=[2])
+    inst = Instance.from_rows([["1/2", 1, 0], ["1/3", 2, 0]])
     for order in ([0, 0, 1], [0, 1], [0, 1, 2, 3], [2, 1, 3]):
         with pytest.raises(InvalidInstanceError, match="not a permutation"):
             inst.permute_goods(order)
     with pytest.raises(PreconditionError, match="below good count"):
         pad_goods(inst, 2)
-    # Agent 0 is a copy: the padding's copies name its source, agent 1.
-    copied = Instance.from_rows([[1, 2], [1, 2]], dummy_agents=[(0, 1)])
-    assert pad_agents_to_multiple_of_three(copied).dummy_agents == ((0, 1), (2, 1))
+    alloc = make_allocation([[0], [1]], [2])
+    for n, m in ((0, 3), (3, 3), (2, 4), (2, -1)):
+        with pytest.raises(PreconditionError, match="cannot strip"):
+            strip_dummies(inst, alloc, n, m)
 
 
 def _rational_instances():
@@ -462,7 +442,7 @@ def _benchmark_shaped_starts():
                 work = pad_agents_to_multiple_of_three(work)
                 padded = pad_goods(work, 2 * work.n)
                 partial, _ = alloc_ordered_ef1_4n3(padded, thresholds(padded, 4 * (work.n // 3)))
-                padded, partial = strip_dummies(padded, partial)
+                padded, partial = strip_dummies(padded, partial, n, m)
         yield padded, partial
         goods = list(padded.goods)
         rng.shuffle(goods)
@@ -608,8 +588,6 @@ def test_allocators_ignore_row_scaling():
         for allocate, padded, taus in _allocator_inputs(inst):
             alloc, trace = allocate(padded, taus)
             factors = [Fraction(rng.randint(1, 30), rng.randint(1, 30)) for _ in padded.agents]
-            for a, source in padded.dummy_agents:
-                factors[a] = factors[source]
             scaled = padded.with_values(
                 [[v * c for v in row] for row, c in zip(padded.values, factors)]
             )

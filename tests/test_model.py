@@ -52,14 +52,6 @@ class TestInstanceValidation:
         with pytest.raises(InvalidInstanceError):
             Instance.from_rows([[0.5, 1]])
 
-    def test_rejects_nonzero_dummy_good(self):
-        with pytest.raises(InvalidInstanceError):
-            Instance.from_rows([[1, 2]], dummy_goods=[1])
-
-    def test_rejects_dummy_agent_row_mismatch(self):
-        with pytest.raises(InvalidInstanceError):
-            Instance.from_rows([[1, 2], [2, 1]], dummy_agents=[(1, 0)])
-
     @pytest.mark.parametrize("label", ["x y", "", "x\ty", "\u2028", 1])
     def test_rejects_labels_the_text_format_cannot_carry(self, label):
         """``write_instance`` joins labels with spaces, so ``read_instance``
@@ -153,7 +145,7 @@ class TestPadding:
         inst = seeded_instance("general", 3, 4, 5)
         padded = pad_goods(inst, 6)
         assert padded.m == 6
-        assert padded.dummy_goods == frozenset({4, 5})
+        assert padded.good_labels == ("g0", "g1", "g2", "g3", "g4", "g5")
         for i in padded.agents:
             assert padded.values[i][4] == 0 and padded.values[i][5] == 0
             assert padded.values[i][:4] == inst.values[i]
@@ -170,7 +162,7 @@ class TestPadding:
         inst = seeded_instance("general", 2, 4, 17)
         padded = pad_goods(inst, 8)
         alloc = make_allocation([[], []], range(8))
-        back, alloc_back = strip_dummies(padded, alloc)
+        back, alloc_back = strip_dummies(padded, alloc, 2, 4)
         assert back == inst
         assert alloc_back.pool == frozenset(range(4))
 
@@ -194,7 +186,7 @@ class TestPadding:
         inst = seeded_instance("general", 4, 4, 5)
         grown = pad_agents_to_multiple_of_three(inst)
         assert grown.n == 6
-        assert grown.dummy_agents == ((4, 0), (5, 0))
+        assert grown.agent_labels == ("a0", "a1", "a2", "a3", "a4", "a5")
         assert grown.values[4] == inst.values[0]
         assert grown.values[5] == inst.values[0]
         # 4*ceil(n/3) on the original equals 4*(n'/3) on the padded instance
@@ -205,15 +197,16 @@ class TestStripDummies:
     def test_no_dummies_is_identity(self):
         inst = seeded_instance("general", 2, 3, 9)
         alloc = make_allocation([[0], [1]], [2])
-        back, alloc_back = strip_dummies(inst, alloc)
+        back, alloc_back = strip_dummies(inst, alloc, inst.n, inst.m)
         assert back == inst and alloc_back == alloc
 
     def test_dummy_agent_bundle_released_to_pool(self):
         grown = pad_agents_to_multiple_of_three(seeded_instance("general", 2, 4, 9))
-        alloc = make_allocation([[0], [1], [3]], [2])
-        stripped, alloc_back = strip_dummies(grown, alloc)
-        assert stripped.n == 2
-        assert alloc_back.pool == frozenset({2, 3})
+        padded = pad_goods(grown, 6)
+        alloc = make_allocation([[0], [1], [3, 5]], [2, 4])
+        stripped, alloc_back = strip_dummies(padded, alloc, 2, 4)
+        assert stripped.n == 2 and stripped.m == 4
+        assert alloc_back == make_allocation([[0], [1]], [2, 3])
 
     def test_efx_never_lost_by_dropping_zero_dummy_goods(self):
         # Literal EFX quantifies over zero-valued removals too, so deleting a
@@ -225,7 +218,7 @@ class TestStripDummies:
             inst = seeded_instance("general", 3, rng.randrange(2, 6), rng.randrange(2**32))
             padded = pad_goods(inst, inst.m + 2)
             alloc = random_partial_allocation(padded, rng)
-            stripped_inst, stripped_alloc = strip_dummies(padded, alloc)
+            stripped_inst, stripped_alloc = strip_dummies(padded, alloc, inst.n, inst.m)
             before = is_efx(padded, alloc)[0]
             after = is_efx(stripped_inst, stripped_alloc)[0]
             if before:
@@ -274,6 +267,20 @@ class TestFileFormats:
             inst = pad_goods(inst, inst.m + 1)
             inst = pad_agents_to_multiple_of_three(inst)
             assert read_instance(write_instance(inst)) == inst
+
+    @pytest.mark.parametrize("line", ["dummy_goods 1", "dummy_agents 1:0"])
+    def test_dummy_flag_lines_are_rejected(self, line):
+        """The format has no dummy flags: a file with such a line is an
+        error wherever the line sits, never read as if it were absent.  In
+        the valuation matrix it is a bad row; elsewhere an unknown field."""
+        inst = Instance.from_rows([[1, 0], [1, 0]], agent_labels=("x", "y"))
+        lines = write_instance(inst).splitlines()
+        matrix = range(3, 3 + inst.n)
+        for k in range(len(lines) + 1):
+            text = "\n".join(lines[:k] + [line] + lines[k:]) + "\n"
+            field = None if k in matrix else f"unknown instance field {line.split()[0]!r}"
+            with pytest.raises(ParseError, match=field):
+                read_instance(text)
 
     def test_instance_round_trip_with_fractions(self):
         inst = Instance.from_rows([["1/3", "2/3"], ["7/2", 0]])

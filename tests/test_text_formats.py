@@ -5,8 +5,7 @@ splices, dropped, repeated and swapped lines) and reads it back.  The reader
 must either return an object that its writer prints and it reads back to
 the same object, or raise ``ParseError``; the instance reader may also raise
 ``InvalidInstanceError`` for a text that parses to an invalid instance (a
-negative value, a dummy good with a nonzero value).  Nothing else may
-escape.
+negative value).  Nothing else may escape.
 """
 
 from fractions import Fraction
@@ -59,25 +58,14 @@ def mutated(draw, objects, write):
 
 @st.composite
 def instances(draw):
-    """Small rational rows, with at most one dummy good, possibly the last
-    agent as a dummy copy of agent 0, and possibly custom labels."""
+    """Small rational rows, possibly with custom labels."""
     n, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     rows = [[draw(_fractions) for _ in range(m)] for _ in range(n)]
-    dummy_goods = draw(st.sets(st.integers(0, m - 1), max_size=1))
-    for row in rows:
-        for g in dummy_goods:
-            row[g] = Fraction(0)
-    dummy_agents = []
-    if n > 1 and draw(st.booleans()):
-        rows[-1] = list(rows[0])
-        dummy_agents = [(n - 1, 0)]
     labelled = draw(st.booleans())
     return Instance.from_rows(
         rows,
         agent_labels=[f"agent{i}" for i in range(n)] if labelled else (),
         good_labels=[f"g{g}" for g in range(m)] if labelled else (),
-        dummy_goods=dummy_goods,
-        dummy_agents=dummy_agents,
     )
 
 

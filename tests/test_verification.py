@@ -146,27 +146,31 @@ class TestOrdinalMms:
         alloc = make_allocation([[], []], range(3))
         assert is_ordinal_mms(inst, alloc, 9, taus)[0]
 
-    def test_dummy_agents_excluded(self):
+    def test_copy_of_agent_zero_holding_nothing_fails(self):
+        """A padding copy of agent 0 is an agent like any other: holding
+        nothing, it falls short of its share and is the witness."""
         grown = pad_agents_to_multiple_of_three(
             Instance.from_rows([[4, 4, 4, 4], [4, 4, 4, 4]])
         )
         taus = thresholds(grown, 2)
         alloc = make_allocation([[0, 1], [2, 3], []], [])
-        assert is_ordinal_mms(grown, alloc, 2, taus)[0]
+        assert is_ordinal_mms(grown, alloc, 2, taus) == (False, (2, 8))
 
     def test_worst_gap_wins_lowest_index_on_ties(self):
         """Several agents below threshold: the largest gap is the witness,
-        the lowest index among equal gaps, and an agent exactly at its
-        threshold is not below it.  The dummy agent's larger gap is skipped."""
+        first that of the fifth agent, a copy of the fourth holding nothing;
+        the lowest index among equal gaps; and an agent exactly at its
+        threshold is not below it."""
         inst = Instance.from_rows(
-            [[1, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 3, 0, 0], [0, 0, 0, 4, 0], [0, 0, 0, 4, 0]],
-            dummy_agents=[(4, 3)],
+            [[1, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 3, 0, 0], [0, 0, 0, 4, 0], [0, 0, 0, 4, 0]]
         )
         alloc = make_allocation([[0], [1], [2], [3], []], [4])
         taus = tuple(map(Fraction, (2, 5, 6, 4, 99)))
-        assert is_ordinal_mms(inst, alloc, 2, taus) == (False, (1, 3))
-        assert report(inst, alloc, [2], {2: taus}).mms[0].witness == (1, 3)
-        met = (Fraction(1), Fraction(2), Fraction(3), Fraction(4), Fraction(99))
+        assert is_ordinal_mms(inst, alloc, 2, taus) == (False, (4, 99))
+        assert report(inst, alloc, [2], {2: taus}).mms[0].witness == (4, 99)
+        gaps = tuple(map(Fraction, (2, 5, 6, 4, 3)))
+        assert is_ordinal_mms(inst, alloc, 2, gaps) == (False, (1, 3))
+        met = (Fraction(1), Fraction(2), Fraction(3), Fraction(4), Fraction(0))
         assert is_ordinal_mms(inst, alloc, 2, met) == (True, None)
 
     def test_threshold_count_checked(self):
@@ -243,7 +247,7 @@ class TestReport:
     def test_matches_reference_on_random_allocations(self):
         """One worth matrix per report gives the verdicts, witnesses and
         values of the public checkers run one by one, on partial and
-        complete allocations, rational rows and dummy agents.  Both sides
+        complete allocations, rational rows and copies of agent 0.  Both sides
         of the EFX => EF1 shortcut run, and EF1 fails too."""
         rng = random.Random(2611)
         seen = {"efx": 0, "ef1 only": 0, "neither": 0}
