@@ -8,10 +8,11 @@ good taken is the next one in the common order, the paper's rule for
 keeping EFX; ``solve_complete`` certifies EFX independently.
 
 Bundles live in slots that never move: ``held[a]`` is agent a's slot, and
-each agent's values of all slots live in one integer matrix, built once
-from the agent's integer-scaled row (``Instance.int_rows``) and updated in
-place: a gift adds one value to the receiver's slot column, and a rotation
-only reassigns ``held`` for the cycle members.  Scaling a row keeps every
+each agent's values of all slots live in one integer matrix on the agents'
+integer-scaled rows (``Instance.int_rows``), built once by the verifier's
+``_worth`` (the model's column kernel, which the output's EF1 check runs
+again) and updated in place: a gift adds one value to the receiver's slot
+column, and a rotation only reassigns ``held`` for the cycle members.  Scaling a row keeps every
 comparison that agent makes, so the envy graph is exact.  The input's EF1
 check reads the matrix; a gift updates only the graph's edges into and out
 of the receiver's slot, and a rotation keeps each slot's enviers and

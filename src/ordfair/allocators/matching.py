@@ -17,12 +17,12 @@ reached.
 ``ThresholdGraph.build`` takes each agent's threshold as its level
 (``Instance.level``), which the lone divider maps once, and decides each edge
 on the agent's integer row: the bag's sum on that row (what
-``Instance.int_value`` gives), at or above that level.  Each agent's bag
-sums come from one pass over the bags' (good, bag) pairs, and in the same
-pass each bag the agent accepts appends the agent to its list.  The graph is
-the eligible agents and these adjacency lists, each bag's agents in
-ascending order: what the maximum matching, the alternating-path walk and
-the envy-freeness check read.
+``Instance.int_value`` gives), at or above that level.  Every agent's bag
+sums come from one call of the model's column kernel (``_bundle_sums``);
+then, agent by agent in ascending order, each bag the agent accepts
+appends the agent to its list.  The graph is the eligible agents and these
+adjacency lists, each bag's agents in ascending order: what the maximum
+matching, the alternating-path walk and the envy-freeness check read.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ..errors import InvariantViolationError, PreconditionError
-from ..model import Instance
+from ..model import Instance, _bundle_sums
 
 
 @dataclass(frozen=True)
@@ -50,14 +50,10 @@ class ThresholdGraph:
         """The graph of (agent, ``Instance.level``) pairs.  ``agents`` keeps
         the pairs' order; each bag's list is ascending whatever that order."""
         frozen = tuple(frozenset(b) for b in bags)
-        pairs = [(g, j) for j, bag in enumerate(frozen) for g in bag]
+        worth = _bundle_sums(inst, frozen)
         adjacent: list[list[int]] = [[] for _ in frozen]
         for i, level in sorted(levels):
-            row = inst.int_rows[i][0]
-            sums = [0] * len(frozen)
-            for g, j in pairs:
-                sums[j] += row[g]
-            for j, total in enumerate(sums):
+            for j, total in enumerate(worth[i]):
                 if total >= level:
                     adjacent[j].append(i)
         return cls(tuple(i for i, _ in levels), tuple(map(tuple, adjacent)))

@@ -6,16 +6,21 @@ boundary.  Comparisons within one agent's valuation run on that agent's row
 scaled to integers (``Instance.int_rows``), which keeps them exact.  The
 allocators decide on these rows: ``Instance.int_value`` sums a set of goods
 on one and ``Instance.level`` maps a threshold onto the same scale.
+``_bundle_sums`` gives every agent's value of every bundle at once, from
+per-good columns of those rows cached next to them.
 Instances and allocations are immutable and safe to share.  Permuted, padded
 and stripped instances skip checks that hold by construction and carry
-``int_rows`` over; padding goods are zero, so no row's lcm changes.  Padding
-is appended, so ``strip_dummies`` undoes it from the caller's n and m alone.
+``int_rows`` over; a permuted copy also takes its parent's columns in the
+new order, and no copy keeps anything else its parent cached.  Padding
+goods are zero, so no row's lcm changes.  Padding is appended, so
+``strip_dummies`` undoes it from the caller's n and m alone.
 
 The per-row passes run in C-implemented builtins: a permutation gathers each
-int row, Fraction row and label tuple with one ``operator.itemgetter`` call
-(``_gather``), a strip slices them, an order check compares a row
-with itself shifted by one (``all(map(ge, row, row[1:]))``), and ``int_rows``
-scales a row from one ``map(Fraction.as_integer_ratio, row)`` pass.
+int row, Fraction row and label tuple, and the tuple of columns, with one
+``operator.itemgetter`` call (``_gather``), a strip slices them, an order
+check compares a row with itself shifted by one
+(``all(map(ge, row, row[1:]))``), and ``int_rows`` scales a row from one
+``map(Fraction.as_integer_ratio, row)`` pass.
 
 Good and agent indices are 0-based everywhere, including the file formats.
 """
@@ -28,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from math import lcm
-from operator import floordiv, ge, itemgetter, mul
+from operator import add, floordiv, ge, itemgetter, mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -167,6 +172,12 @@ class Instance:
             out.append((nums, denom))
         return tuple(out)
 
+    @cached_property
+    def _int_columns(self) -> tuple[tuple[int, ...], ...]:
+        """``int_rows`` transposed: per good, every agent's value of it on
+        their own scale.  ``_bundle_sums`` adds these columns."""
+        return tuple(zip(*(ints for ints, _ in self.int_rows)))
+
     def value(self, agent: int, goods: Iterable[int]) -> Fraction:
         row = self.values[agent]
         return sum((row[g] for g in goods), Fraction(0))
@@ -192,9 +203,16 @@ class Instance:
         return [self.level(i, tau) for i, tau in enumerate(taus)]
 
     def _derive(self, int_rows, **changes) -> "Instance":
-        """``replace`` without ``__post_init__``; callers keep its checks and ``int_rows`` exact."""
+        """``replace`` without ``__post_init__``; callers keep its checks and
+        ``int_rows`` exact.  The copy holds the three fields, ``changes`` and
+        ``int_rows`` only, so no other cached property of ``self`` (such as
+        ``_int_columns``) carries over to values it does not describe."""
         new = object.__new__(type(self))
-        vars(new).update(vars(self), **changes, int_rows=int_rows)
+        state = vars(new)
+        state.update(
+            values=self.values, agent_labels=self.agent_labels, good_labels=self.good_labels
+        )
+        state.update(changes, int_rows=int_rows)
         return new
 
     def with_values(self, values: Sequence[Sequence[Fraction]]) -> "Instance":
@@ -202,7 +220,8 @@ class Instance:
         return replace(self, values=tuple(tuple(row) for row in values))
 
     def permute_goods(self, order: Sequence[int]) -> "Instance":
-        """Reindex goods so new position p holds old good order[p]."""
+        """Reindex goods so new position p holds old good order[p].  The
+        copy's columns are this instance's, gathered in the new order."""
         if sorted(order) != list(range(self.m)):
             raise InvalidInstanceError("not a permutation of goods")
         gather = _gather(order)
@@ -211,6 +230,7 @@ class Instance:
             tuple(zip(map(gather, ints), denoms)),
             values=tuple(map(gather, self.values)),
             good_labels=gather(self.good_labels),
+            _int_columns=gather(self._int_columns),
         )
 
 
@@ -229,6 +249,28 @@ class Allocation:
 
     def is_complete(self, m: int) -> bool:
         return not self.pool and self.allocated() == frozenset(range(m))
+
+
+def _bundle_sums(inst: Instance, bundles: Sequence[frozenset[int]]) -> list[list[int]]:
+    """worth[i][j]: agent i's value of bundle j on i's ``int_rows`` scale.
+
+    Each bundle's goods' columns (``Instance._int_columns``) are added
+    element-wise with ``map(add, ...)``, starting from the first good's
+    column, and the per-bundle sums are transposed once.  The sums are
+    exact integers, so the order of addition does not matter.  Each row is
+    a new list, which callers may update in place."""
+    cols = inst._int_columns
+    zero = (0,) * inst.n
+    sums = []
+    for b in bundles:
+        goods = iter(b)
+        acc = cols[next(goods)] if b else zero
+        for g in goods:
+            acc = [*map(add, acc, cols[g])]
+        sums.append(acc)
+    if not sums:
+        return [[] for _ in inst.agents]
+    return [*map(list, zip(*sums))]
 
 
 def check_allocation(inst: Instance, alloc: Allocation) -> None:
@@ -258,7 +300,8 @@ def detect_structure(inst: Instance) -> tuple[int, ...] | None:
     agent, or None when the instance is not ordered.  For a common set of
     the k most valuable goods use ``top_k_set``.
 
-    Goods are sorted by (-column sum of the integer rows, index), then the
+    Goods are sorted by (-column sum of the integer rows, index), summing
+    the cached columns that ``_bundle_sums`` reads later, then the
     order is checked.  If a common order exists, every row values one of any
     two goods, say g, at least as much as the other, h; rows are scaled by
     positive constants, so g's column sum is larger unless the two columns
@@ -266,7 +309,7 @@ def detect_structure(inst: Instance) -> tuple[int, ...] | None:
     ties by index.  So it finds a common order whenever one exists, the
     identity when that is one; when none exists, no candidate passes."""
     rows = [row for row, _ in inst.int_rows]
-    sums = [sum(column) for column in zip(*rows)]
+    sums = list(map(sum, inst._int_columns))
     # A reverse sort is stable too: equal sums keep ascending indices.
     candidate = sorted(inst.goods, key=sums.__getitem__, reverse=True)
     gather = _gather(candidate)

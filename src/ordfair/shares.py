@@ -54,6 +54,7 @@ from .errors import (
 from .model import Instance, detect_structure
 
 DEFAULT_ORACLE_LIMIT = 12
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -391,20 +392,25 @@ def thresholds(inst: Instance, d: int) -> tuple[Fraction, ...]:
 
     Only the values are needed, so no witness is built.  A share depends
     only on the agent's value row, so agents with identical rows share one
-    solve.  Two rows are equal iff their integer scalings and lcms are,
-    which are cheaper to compare.
+    solve: rows are keyed by their integer scalings and lcms, which are
+    equal iff the rows are.  A row with fewer than d positive goods leaves
+    some bundle without one, so its share is 0 with no sort or search
+    (``_share_value`` applies the same rule).
     """
     if d < 1:
         raise PreconditionError("d must be >= 1")
-    rows = inst.int_rows
+    solved: dict[tuple[tuple[int, ...], int], Fraction] = {}
     out: list[Fraction] = []
-    for i, row in enumerate(rows):
-        first = rows.index(row)
-        if first < i:
-            out.append(out[first])
-        else:
+    for row in inst.int_rows:
+        share = solved.get(row)
+        if share is None:
             ints, denom = row
-            out.append(Fraction(_share_value(sorted(ints, reverse=True), d), denom))
+            if len(ints) - ints.count(0) < d:
+                share = _ZERO
+            else:
+                share = Fraction(_share_value(sorted(ints, reverse=True), d), denom)
+            solved[row] = share
+        out.append(share)
     return tuple(out)
 
 

@@ -6,14 +6,15 @@ instance it is given.
 
 EFX and EF1 compare bundles within one agent's valuation, so they read one
 integer matrix: ``worth[i][j]`` is agent i's value of bundle j on i's row of
-``Instance.int_rows``, built in one pass per row over the allocated goods;
-the scans walk its rows and open a bundle only where i envies it and it
-holds two or more goods (a lone good dropped leaves 0).  ``report``
-builds it once, takes bundle values as ``Fraction(worth[i][i], lcm_i)``, and
-skips EF1's pass when EFX holds: then ``worth[i][j] - min <= worth[i][i]``
-for every envied pair, and max >= min.  The public checkers validate the
-allocation against the instance first (``check_allocation``), as ``report``
-does.
+``Instance.int_rows``, which the model's column kernel (``_bundle_sums``)
+adds up from the instance's cached per-good columns; the scans walk its
+rows and open a bundle only where i envies it and it holds two or more
+goods (a lone good dropped leaves 0).  ``report`` builds it once, takes
+bundle values as ``Fraction(worth[i][i], lcm_i)`` (one-argument
+``Fraction`` when the lcm is 1, which needs no gcd), and skips EF1's pass
+when EFX holds: then ``worth[i][j] - min <= worth[i][i]`` for every envied
+pair, and max >= min.  The public checkers validate the allocation against
+the instance first (``check_allocation``), as ``report`` does.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .errors import ParseError, PreconditionError
-from .model import Allocation, Instance, check_allocation, format_rational
+from .model import Allocation, Instance, _bundle_sums, check_allocation, format_rational
 from . import shares
 
 
@@ -57,16 +58,9 @@ def _strong_envy_drop(
 
 
 def _worth(inst: Instance, alloc: Allocation) -> list[list[int]]:
-    """worth[i][j]: agent i's value of bundle j on i's integer row, summed in
-    one pass per row over the allocated goods (exact, so in any order)."""
-    pairs = [(g, j) for j, b in enumerate(alloc.bundles) for g in b]
-    worth = []
-    for row, _ in inst.int_rows:
-        w = [0] * len(alloc.bundles)
-        for g, j in pairs:
-            w[j] += row[g]
-        worth.append(w)
-    return worth
+    """worth[i][j]: agent i's value of bundle j on i's integer row, from the
+    model's column kernel (``model._bundle_sums``)."""
+    return _bundle_sums(inst, alloc.bundles)
 
 
 def _efx(inst: Instance, alloc: Allocation, worth: list[list[int]]):
@@ -170,7 +164,10 @@ def report(
     worth = _worth(inst, alloc)
     efx, efx_wit = _efx(inst, alloc, worth)
     ef1, ef1_wit = (True, None) if efx else _ef1(inst, alloc, worth)
-    values = tuple(Fraction(worth[i][i], lcm) for i, (_, lcm) in enumerate(inst.int_rows))
+    values = tuple(
+        Fraction(row[i]) if lcm == 1 else Fraction(row[i], lcm)
+        for i, (row, (_, lcm)) in enumerate(zip(worth, inst.int_rows))
+    )
     verdicts = []
     for d in sorted(set(divisors)):
         if thresholds_by_divisor is not None and d in thresholds_by_divisor:

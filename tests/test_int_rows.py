@@ -11,6 +11,7 @@ at thresholds between two levels and under per-agent row scaling.
 
 import random
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 import pytest
@@ -126,17 +127,38 @@ _ALL_SHAPES = pad_goods(
     5,
 )
 
+# One good, where ``itemgetter`` on one index returns the item itself; and
+# no goods, so that stripping the padding leaves none and every bundle of
+# the worth matrix is empty.
+_ONE_GOOD = Instance.from_rows([["1/2"], ["2/3"], ["1/2"]])
+_NO_GOODS = Instance.from_rows([[], []])
+
+
+def _permuted_after_parent_columns():
+    """A permuted copy of an instance whose own columns were built first:
+    the copy's columns must follow the new order of the goods."""
+    parent = Instance.from_rows([["1/2", 3, 0, "2/5"], [1, "1/3", 2, 0]])
+    assert parent._int_columns
+    return parent.permute_goods([3, 1, 0, 2])
+
 
 @settings(max_examples=150, deadline=None)
 @given(padded_allocations())
 @example((_ALL_SHAPES, make_allocation([[0], [], [3]], [1, 2, 4])))
+@example((_ALL_SHAPES, make_allocation([[0, 1, 2, 3, 4], [], []], [])))
+@example((_NO_GOODS, make_allocation([[], []], [])))
+@example((_ONE_GOOD, make_allocation([[], [0], []], [])))
+@example((_ONE_GOOD, make_allocation([[], [], []], [0])))
+@example((_permuted_after_parent_columns(), make_allocation([[0, 1], [2]], [3])))
 def test_worth_matches_per_pair_sums(case):
-    """The one-pass worth matrix equals each agent's sum over each bundle,
-    including empty bundles; pool goods are in no column."""
+    """The column kernel's worth matrix equals each agent's sum over each
+    bundle, including empty bundles; pool goods are in no column.  Its rows
+    are fresh lists, which envy-cycle completion updates in place."""
     inst, alloc = case
-    assert _worth(inst, alloc) == [
-        [inst.int_value(i, b) for b in alloc.bundles] for i in inst.agents
-    ]
+    worth = _worth(inst, alloc)
+    assert worth == [[inst.int_value(i, b) for b in alloc.bundles] for i in inst.agents]
+    assert all(type(row) is list for row in worth)
+    assert len({id(row) for row in worth}) == inst.n
 
 
 # --- derived instances carry int_rows -------------------------------------
@@ -176,15 +198,30 @@ def _fresh(values, agent_labels, good_labels):
     )
 
 
+_CACHED = [
+    name for name, attr in vars(Instance).items() if isinstance(attr, cached_property)
+]
+
+
+def _warm(inst):
+    """``inst`` with every cached property computed, so that a copy derived
+    from it could pick up any of them."""
+    for name in _CACHED:
+        getattr(inst, name)
+    return inst
+
+
 def _same_as_fresh(derived, expected):
     """``derived`` equals the instance built through ``Instance(...)``, its
-    carried ``int_rows`` equal that instance's fresh ones, and so do those
-    of an instance rebuilt from its own fields."""
+    carried ``int_rows`` and every other cached property equal that
+    instance's fresh ones, and so do those of an instance rebuilt from its
+    own fields."""
     assert derived == expected
     assert "int_rows" in vars(derived)
-    assert derived.int_rows == expected.int_rows
     rebuilt = _fresh(derived.values, derived.agent_labels, derived.good_labels)
-    assert derived.int_rows == rebuilt.int_rows
+    for name in _CACHED:
+        assert getattr(derived, name) == getattr(expected, name), name
+        assert getattr(derived, name) == getattr(rebuilt, name), name
 
 
 @settings(max_examples=100, deadline=None)
@@ -193,11 +230,13 @@ def test_derived_instances_equal_fresh_ones(inst, rng):
     """Permuted and padded instances equal fresh builds, and stripping both
     kinds of padding gives back the caller's instance: a padding agent's
     goods join the pool, and padding goods leave every bundle and the
-    pool."""
+    pool.  Each parent has every cached property computed before a copy is
+    derived from it, and no copy keeps one that describes its parent."""
+    assert {"int_rows", "_int_columns"} <= set(_CACHED)
     order = list(inst.goods)
     rng.shuffle(order)
     _same_as_fresh(
-        inst.permute_goods(order),
+        _warm(inst).permute_goods(order),
         _fresh(
             [[row[g] for g in order] for row in inst.values],
             inst.agent_labels,
@@ -208,7 +247,7 @@ def test_derived_instances_equal_fresh_ones(inst, rng):
     extra = rng.randint(1, 4)
     padded = pad_goods(inst, inst.m + extra)
     _same_as_fresh(
-        padded,
+        _warm(padded),
         _fresh(
             [list(row) + [Fraction(0)] * extra for row in inst.values],
             inst.agent_labels,
@@ -220,7 +259,7 @@ def test_derived_instances_equal_fresh_ones(inst, rng):
     copies = range(n, 3 * ((n + 2) // 3))
     grown = pad_agents_to_multiple_of_three(padded)
     _same_as_fresh(
-        grown,
+        _warm(grown),
         _fresh(
             list(padded.values) + [padded.values[0]] * len(copies),
             list(padded.agent_labels) + [f"a{a}" for a in copies],
@@ -243,12 +282,6 @@ def _ref_int_row(row):
 
 def _ref_identity_ordered(inst):
     return all(row[g] >= row[g + 1] for row, _ in inst.int_rows for g in range(inst.m - 1))
-
-
-# One good, where ``itemgetter`` on one index returns the item itself; and
-# no goods, so that stripping the padding leaves none.
-_ONE_GOOD = Instance.from_rows([["1/2"], ["2/3"], ["1/2"]])
-_NO_GOODS = Instance.from_rows([[], []])
 
 
 @settings(max_examples=150, deadline=None)

@@ -552,6 +552,39 @@ class TestThresholds:
     def test_i_a_d3(self):
         assert thresholds(I_A, 3) == (3, 3)
 
+    @staticmethod
+    def _assert_exact(inst, d):
+        assert thresholds(inst, d) == tuple(mms_exact(inst, i, d).value for i in inst.agents)
+
+    def test_zero_share_boundary_at_d_positive_goods(self):
+        """A row with d - 1 positive goods has share 0 whatever the values;
+        one with exactly d has its smallest positive value."""
+        inst = Instance.from_rows([
+            [5, 4, 0, 0, 0],
+            [5, 4, 3, 0, 0],
+            ["1/2", 0, "7/3", 0, 0],
+            ["1/2", "5/6", "7/3", 0, 0],
+        ])
+        assert thresholds(inst, 3) == (0, 3, 0, Fraction(1, 2))
+        for d in range(1, 7):
+            self._assert_exact(inst, d)
+
+    def test_duplicate_rows_share_one_value(self):
+        inst = Instance.from_rows([[3, 1, 1, 0], [2, 2, 2, 0], [3, 1, 1, 0], [2, 2, 2, 0]])
+        for d in range(1, 6):
+            self._assert_exact(inst, d)
+        assert thresholds(inst, 2) == (2, 2, 2, 2)
+
+    def test_scaled_duplicates_keep_their_own_values(self):
+        """``1 2`` and ``2 4`` are one valuation up to scale, but their
+        integer rows differ, and so do their shares; ``1/2 1`` has the
+        integer row ``1 2`` with lcm 2."""
+        inst = Instance.from_rows([[1, 2, 0], [2, 4, 0], ["1/2", 1, 0], [1, 2, 0]])
+        assert thresholds(inst, 2) == (1, 2, Fraction(1, 2), 1)
+        assert thresholds(inst, 3) == (0, 0, 0, 0)
+        for d in range(1, 5):
+            self._assert_exact(inst, d)
+
 
 class TestShareBandReduction:
     """Removing the second quality band [k+1, 3n-k] of an ordered instance
