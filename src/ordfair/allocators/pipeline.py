@@ -16,6 +16,13 @@ after completion is checked by the certification, not by the completion
 step.  ``_to_caller`` maps both allocations back to the caller's goods:
 position p is the p-th good of the common order (a2: good p).
 
+When the allocator has handed out every good, completion returns the
+allocation it was given (after checking that it is EF1).  The two
+allocations are then equal, so the body maps and certifies once and the
+partial report is also the final one: ``report`` depends only on the
+instance, the allocation, the divisor and the thresholds, so this changes
+no output.
+
 The returned trace is in the same positions and replays to the complete
 allocation (see ``trace.replay``).
 """
@@ -91,13 +98,14 @@ def solve_complete(inst: Instance, algorithm: str) -> SolveResult:
         partial, trace = alloc_ordered_ef1_4n3(caller, taus)
     complete, completion_trace = envy_cycle_elimination(caller, partial)
     trace.extend_offset(completion_trace)
+    unchanged = complete == partial
     if order is not None:
         partial = _to_caller(partial, order)
-        complete = _to_caller(complete, order)
+        complete = partial if unchanged else _to_caller(complete, order)
 
     cache = {d: taus}
     partial_report = report(inst, partial, [d], cache)
-    final_report = report(inst, complete, [d], cache)
+    final_report = partial_report if unchanged else report(inst, complete, [d], cache)
     certified = (
         final_report.complete
         and (final_report.efx if algorithm == "a1" else final_report.ef1)

@@ -19,6 +19,7 @@ from ordfair import (
     mms_bruteforce,
     pad_agents_to_multiple_of_three,
     pad_goods,
+    report,
     solve_complete,
     thresholds,
     write_instance,
@@ -435,6 +436,27 @@ def pipeline_sweep_digest():
     return h.hexdigest()
 
 
+class TestReportsOnBothPaths:
+    """Where completion hands back the allocator's allocation, the pipeline
+    certifies once and reuses the partial report as the final one; where
+    completion moves goods, it certifies the complete allocation anew.
+    Each report must equal the verifier's own, which computes its own
+    thresholds, on both paths, and the sweep must reach both."""
+
+    def test_reports_equal_the_verifiers_on_both_paths(self):
+        counts = {"unchanged": 0, "changed": 0}
+        for algo, inst in pipeline_sweep():
+            try:
+                result = solve_complete(inst, algo)
+            except StructuralMismatchError:
+                continue
+            counts["unchanged" if result.allocation == result.partial else "changed"] += 1
+            d = [result.divisor]
+            assert result.partial_report == report(inst, result.partial, d)
+            assert result.report == report(inst, result.allocation, d)
+        assert counts["unchanged"] > 0 and counts["changed"] > 0, counts
+
+
 class TestGoldenOutputs:
     """Every output of solve_complete is pinned, so a change to the pipeline
     that is meant to keep behaviour is checked rather than assumed."""
@@ -591,6 +613,8 @@ class TestPipelineProperties:
         result = solve_complete(inst, algorithm)
         assert result.certified
         d = result.divisor
+        assert result.partial_report == report(inst, result.partial, [d])
+        assert result.report == report(inst, result.allocation, [d])
         assert result.thresholds == tuple(
             mms_bruteforce(inst, i, d).value for i in inst.agents
         )
