@@ -13,8 +13,8 @@ order for a1 and a3: the paper's dummy goods and a3's copies of agent 0
 live inside the allocators' own runs.  Completion, one envy-cycle rule for
 all three, continues from the allocator's partial allocation; a1's EFX
 after completion is checked by the certification, not by the completion
-step.  ``_to_caller`` maps both allocations back to the caller's goods:
-position p is the p-th good of the common order (a2: good p).
+step.  The body maps both allocations and the trace back to the caller's
+goods, in one place: position p is the p-th good of the common order.
 
 When the allocator has handed out every good, completion returns the
 allocation it was given (after checking that it is EF1).  The two
@@ -22,9 +22,6 @@ allocations are then equal, so the body maps and certifies once and the
 partial report is also the final one: ``report`` depends only on the
 instance, the allocation, the divisor and the thresholds, so this changes
 no output.
-
-The returned trace is in the same positions and replays to the complete
-allocation (see ``trace.replay``).
 """
 
 from __future__ import annotations
@@ -47,6 +44,10 @@ ALGORITHMS = ("a1", "a2", "a3")
 
 @dataclass(frozen=True)
 class SolveResult:
+    """One solve and its certification.  Every field is in the caller's
+    agents and goods: the trace replays on the caller's instance to
+    ``allocation``."""
+
     algorithm: str
     divisor: int
     thresholds: tuple[Fraction, ...]
@@ -102,6 +103,7 @@ def solve_complete(inst: Instance, algorithm: str) -> SolveResult:
     if order is not None:
         partial = _to_caller(partial, order)
         complete = partial if unchanged else _to_caller(complete, order)
+        trace.rename_goods(order)
 
     cache = {d: taus}
     partial_report = report(inst, partial, [d], cache)

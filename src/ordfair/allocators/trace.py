@@ -2,7 +2,10 @@
 
 Every allocator emits an ordered event list; replaying the events against the
 instance the allocator ran on rebuilds its output allocation exactly, which
-the tests assert.
+the tests assert.  a1 and a3 run on the goods permuted to the common order,
+so ``solve_complete`` renames their trace's goods back with
+``AllocatorTrace.rename_goods``: a solve's trace names the caller's agents
+and goods, as every other field of its result does.
 
 An event keeps its arguments typed, as emitted: ints, frozensets of goods
 (``goods``, ``kept``), a rotation's ``cycle`` as a tuple in order and a
@@ -16,7 +19,7 @@ ascending and comma-separated and pairs as ``agent:goods`` joined by ``;``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from ..errors import ParseError
 from ..model import Allocation
@@ -47,6 +50,16 @@ _CODECS = {
     ),
 }
 _INT = (str, int)
+
+
+# Argument key -> the argument with each good g it names renamed to name(g);
+# no other key names a good.
+_GOOD_ARGS = {
+    "good": lambda name, good: name(good),
+    "goods": lambda name, goods: frozenset(map(name, goods)),
+    "kept": lambda name, goods: frozenset(map(name, goods)),
+    "pairs": lambda name, pairs: tuple((a, frozenset(map(name, goods))) for a, goods in pairs),
+}
 
 
 @dataclass(slots=True)
@@ -96,6 +109,18 @@ class AllocatorTrace:
         for ev in other.events:
             self.events.append(TraceEvent(ev.iteration + base, ev.kind, ev.args))
 
+    def rename_goods(self, goods: Sequence[int]) -> None:
+        """Rename, in place, every good g that an event names to ``goods[g]``.
+        Only good-valued arguments change; agents, bag ids and cycles keep
+        their numbers."""
+        name = goods.__getitem__
+        for ev in self.events:
+            args = ev.args
+            for key, value in args.items():
+                rename = _GOOD_ARGS.get(key)
+                if rename is not None:
+                    args[key] = rename(name, value)
+
     def to_text(self) -> str:
         lines = [f"# trace {self.algorithm}"]
         lines += [ev.to_line() for ev in self.events]
@@ -118,9 +143,7 @@ def replay(trace: AllocatorTrace, n: int, m: int, start: Allocation | None = Non
     An allocator's trace replays to its output exactly; pass the partial
     allocation as ``start`` for a completion trace.  A ``solve_complete``
     trace holds its allocator's events, then its completion's, on the
-    caller's agents and on the positions of the common order (a2: the
-    caller's goods); it replays to the complete allocation in those
-    positions.
+    caller's agents and goods; it replays to the complete allocation.
 
     A trace that names an unknown bag or agent or lacks an argument raises
     ``ParseError``, as does one whose bundles hold a good outside

@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapreplace
-from math import inf, lcm
+from math import inf
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -71,32 +71,10 @@ class MaximinResult:
             raise InvariantViolationError("witness is not a d-partition")
 
 
-def _scaled_row(inst: Instance, agent: int, goods: Sequence[int]):
-    """Integer-scaled values for one agent restricted to `goods` (distinct,
-    ascending), with the lcm of their denominators."""
-    if len(goods) == inst.m:
-        ints, denom = inst.int_rows[agent]
-        return list(ints), denom
-    row = inst.values[agent]
-    denom = lcm(*(row[g].denominator for g in goods)) if goods else 1
-    return [int(row[g] * denom) for g in goods], denom
-
-
-def _pick_goods(inst: Instance, goods: Sequence[int] | None) -> list[int]:
-    if goods is None:
-        return list(inst.goods)
-    out = sorted(set(goods))
-    for g in out:
-        if not 0 <= g < inst.m:
-            raise PreconditionError(f"good {g} out of range")
-    return out
-
-
 def mms_bruteforce(
     inst: Instance,
     agent: int,
     d: int,
-    goods: Sequence[int] | None = None,
     oracle_limit: int = DEFAULT_ORACLE_LIMIT,
 ) -> MaximinResult:
     """Exhaustive oracle: enumerate all partitions into at most d blocks.
@@ -106,13 +84,10 @@ def mms_bruteforce(
     """
     if d < 1:
         raise PreconditionError("d must be >= 1")
-    chosen = _pick_goods(inst, goods)
-    if len(chosen) > oracle_limit:
-        raise OracleLimitError(
-            f"{len(chosen)} goods exceed the oracle limit {oracle_limit}"
-        )
-    vals, denom = _scaled_row(inst, agent, chosen)
-    k = len(chosen)
+    k = inst.m
+    if k > oracle_limit:
+        raise OracleLimitError(f"{k} goods exceed the oracle limit {oracle_limit}")
+    vals, denom = inst.int_rows[agent]
     best = -1
     best_blocks: list[list[int]] = []
     blocks: list[list[int]] = []
@@ -141,7 +116,7 @@ def mms_bruteforce(
             sums.pop()
 
     rec(0)
-    parts = [frozenset(chosen[i] for i in blk) for blk in best_blocks]
+    parts = [frozenset(blk) for blk in best_blocks]
     parts += [frozenset()] * (d - len(parts))
     return MaximinResult(
         value=Fraction(best, denom), partition=tuple(parts), agent=agent, divisor=d

@@ -135,10 +135,12 @@ def test_05_reduction_inequality():
         )
         order = detect_structure(inst)
         removed = {order[p] for p in range(n, 2 * n)}
-        kept = [g for g in inst.goods if g not in removed]
+        kept = Instance.from_rows(
+            [[v for g, v in enumerate(row) if g not in removed] for row in inst.values]
+        )
         d = ceil_3n_over_2(n)
         for i in inst.agents:
-            reduced = mms_bruteforce(inst, i, n, goods=kept).value
+            reduced = mms_bruteforce(kept, i, n).value
             full = mms_bruteforce(inst, i, d).value
             assert reduced >= full, (n, m, i)
             checks += 1

@@ -27,7 +27,6 @@ from ordfair import (
 )
 from ordfair.allocators import ALGORITHMS, AllocatorTrace, pipeline, replay
 from ordfair.allocators.bagfill import ceil_3n_over_2
-from ordfair.allocators.pipeline import _to_caller
 from ordfair.cli import _instance_seed
 from ordfair.errors import OrdfairError, ParseError, StructuralMismatchError
 from ordfair.model import format_rational
@@ -251,6 +250,18 @@ def _well_formed_traces(draw):
     return trace, n, m
 
 
+# The rational ordered instance of the command-line certification step; its
+# common order is (2, 4, 0, 1, 8, 5, 6, 3, 7).
+RATIONAL_ORDERED = Instance.from_rows(
+    [
+        ["7/3", 2, 3, "1/6", "5/2", "3/4", "1/2", 0, "4/5"],
+        ["3/4", "2/3", 1, "1/9", "5/6", "1/3", "1/4", "1/12", "1/2"],
+        ["13/2", 6, "15/2", "1/5", 7, "5/2", 2, 0, 3],
+        ["8/7", 1, "10/7", "1/7", "9/7", "5/7", "3/7", "1/14", "6/7"],
+    ]
+)
+
+
 class TestTraceSerialization:
     @settings(max_examples=100, deadline=None)
     @given(
@@ -263,16 +274,13 @@ class TestTraceSerialization:
         """A solve's trace and its allocator's trace print, parse back to
         equal typed events and print the same text; the parsed trace replays
         as the emitted one does.  The allocator's trace replays to its
-        partial allocation, and the solve's trace, mapped back to the
-        caller's goods, to the returned allocation."""
+        partial allocation, and the solve's trace to the returned
+        allocation."""
         m = n + extra % (2 * n + 1)
         inst = seeded_instance("top_n" if algorithm == "a2" else "ordered", n, m, seed, 20)
         result = solve_complete(inst, algorithm)
         partial, trace = _allocator_run(algorithm, inst, result.divisor)
-        replayed = replay(result.trace, n, m)
-        goods = range(m) if algorithm == "a2" else detect_structure(inst)
-        assert _to_caller(replayed, goods) == result.allocation
-        for original, rebuilt in ((result.trace, replayed), (trace, partial)):
+        for original, rebuilt in ((result.trace, result.allocation), (trace, partial)):
             text = original.to_text()
             parsed = AllocatorTrace.from_text(text)
             assert parsed.to_text() == text
@@ -355,20 +363,37 @@ class TestTraceSerialization:
             replay(AllocatorTrace.from_text("# trace a1\n" + events), 2, 1)
 
     def test_pipeline_trace_includes_completion_and_replays(self):
-        # I_A needs neither padding nor permuting, so the pipeline trace is
-        # in original coordinates and must replay to the final allocation.
+        """A solve's trace holds completion's gifts and replays on the
+        caller's instance to the returned allocation.  Where the common
+        order is not the identity, each good that a1's or a3's trace puts in
+        a bag is the caller's good at the position that the allocator's own
+        run on the permuted goods names, and bag ids keep their numbers."""
         result = solve_complete(I_A, "a1")
-        kinds = {e.kind for e in result.trace.events}
-        assert "source_gift" in kinds
+        assert "source_gift" in {e.kind for e in result.trace.events}
         assert replay(result.trace, I_A.n, I_A.m) == result.allocation
+        inst = RATIONAL_ORDERED
+        order = detect_structure(inst)
+        assert order != tuple(inst.goods)
+        for algorithm in ("a1", "a3"):
+            result = solve_complete(inst, algorithm)
+            assert replay(result.trace, inst.n, inst.m) == result.allocation
+            _, positional = _allocator_run(algorithm, inst, result.divisor)
+            moved = 0
+            for ev, pos in zip(result.trace.events, positional.events):
+                assert (ev.kind, ev.args.get("bag")) == (pos.kind, pos.args.get("bag"))
+                if ev.kind in ("singleton_claim", "fill"):
+                    assert ev.get("good") == order[pos.get("good")]
+                    moved += ev.get("good") != pos.get("good")
+                elif ev.kind == "bag_init":
+                    assert ev.get("goods") == {order[p] for p in pos.get("goods")}
+                    moved += ev.get("goods") != pos.get("goods")
+            assert moved, algorithm
 
     def test_a2_pipeline_trace_replays(self):
         result = solve_complete(I_B, "a2")
         assert replay(result.trace, I_B.n, I_B.m) == result.allocation
 
     def test_lone_divider_trace_replays_partial(self):
-        from ordfair import alloc_topn_lone_divider, pad_goods
-
         rng = random.Random(44)
         for _ in range(15):
             n = rng.randrange(2, 5)
@@ -461,13 +486,14 @@ class TestGoldenOutputs:
     """Every output of solve_complete is pinned, so a change to the pipeline
     that is meant to keep behaviour is checked rather than assumed."""
 
-    # Re-recorded when the instance lost its dummy flags: the digest hashes
-    # ``write_instance(inst)``, and 49 of the sweep's 60 caller-padded inputs
-    # no longer write a ``dummy_goods`` or ``dummy_agents`` line.  A per-solve
-    # comparison with the flagged instances found all 408 solves (379 solved,
-    # 29 structural mismatches) unchanged: allocations, partials,
-    # thresholds, divisors, both reports, traces, certification and errors.
-    GOLDEN = "5173a54c36b8c760b1cb6f54bce1fc90da427e691fed3557e0ee6638f0b1f215"
+    # Re-recorded when a1's and a3's traces began to name the caller's goods
+    # instead of positions of the common order.  A per-solve comparison with
+    # the positional traces found all 408 solves (379 solved, 29 structural
+    # mismatches) unchanged in allocations, partials, thresholds, divisors,
+    # both reports, certification and errors.  Only traces changed: a1 112
+    # of 128, a2 0 of 125, a3 112 of 126, each the old trace with every good
+    # p renamed to ``detect_structure(inst)[p]``.
+    GOLDEN = "dd136c462d0a88feece3cf78bbb3062aee6b128669fb676f45ba06d85bead3c5"
 
     def test_outputs_unchanged(self):
         assert pipeline_sweep_digest() == self.GOLDEN
@@ -514,12 +540,13 @@ class TestGoldenRareBranches:
     """Every output of the solves of ``rare_branch_sweep`` is pinned, errors
     included, and the sweep is held to keep reaching each rare branch."""
 
-    # Re-recorded when the allocators began to add the paper's padding
-    # inside their own runs: only traces changed, 412 of the 1,008 (a1 12,
-    # a2 68, a3 332), which now name no padding good or agent.  Allocations,
-    # partials and both reports are unchanged, every solve stays certified,
-    # and the branch counts below are the same.
-    GOLDEN = "3f984f43a8db656d8c4b0d9cd207559984d647c85fb0a5d0634b6c0948f38779"
+    # Re-recorded when a1's and a3's traces began to name the caller's goods
+    # instead of positions of the common order: only traces changed, 670 of
+    # the 1,008 (a1 335 of 340, a2 0 of 328, a3 335 of 340), each the old
+    # trace with every good p renamed to ``detect_structure(inst)[p]``.
+    # Allocations, partials, both reports and errors are unchanged, and so
+    # are the branch counts below.
+    GOLDEN = "65a1467962ffcb4bb3a249ce0ec795e3f481f2dd0f2d75b25821bd5112376b7e"
 
     def test_outputs_unchanged_and_branches_reached(self):
         h = hashlib.sha256()
@@ -604,9 +631,9 @@ def _top_n_instances(draw):
 class TestPipelineProperties:
     """Every pipeline on small instances with zeros, ties, identical agents
     and few goods: the solve is certified, its thresholds are the
-    brute-force oracle's shares at its divisor, and its trace, mapped back
-    to the caller's goods, replays to the complete allocation.  The search
-    is steered toward solves that reach the allocators' rare branches."""
+    brute-force oracle's shares at its divisor, and its trace replays to
+    the complete allocation.  The search is steered toward solves that
+    reach the allocators' rare branches."""
 
     @staticmethod
     def _check(inst, algorithm):
@@ -618,8 +645,7 @@ class TestPipelineProperties:
         assert result.thresholds == tuple(
             mms_bruteforce(inst, i, d).value for i in inst.agents
         )
-        goods = range(inst.m) if algorithm == "a2" else detect_structure(inst)
-        assert _to_caller(replay(result.trace, inst.n, inst.m), goods) == result.allocation
+        assert replay(result.trace, inst.n, inst.m) == result.allocation
         counts = dict.fromkeys(("hall", "steal", "fill", "bag_swap"), 0)
         rare_branch_counts(result.trace, counts)
         for label, count in counts.items():

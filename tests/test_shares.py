@@ -31,7 +31,6 @@ from ordfair.shares import (
     _max_pairs,
     _minimal_completions,
     _pairing_refutes,
-    _scaled_row,
     _share_value,
 )
 
@@ -207,8 +206,8 @@ class TestCanonicalWitness:
         for _, inst, i, d in witness_sweep():
             if inst.m > 10 or i != 0 or d > inst.m:
                 continue
-            vals, denom = _scaled_row(inst, i, inst.goods)
-            vals.sort(reverse=True)
+            ints, denom = inst.int_rows[i]
+            vals = sorted(ints, reverse=True)
             best = mms_bruteforce(inst, i, d).value * denom
             assert best.denominator == 1
             assert ref_cover(vals, d, int(best)) is not None, (inst, d)
@@ -602,8 +601,10 @@ class TestShareBandReduction:
                 full = mms_bruteforce(inst, i, d).value
                 for k in range(n, d + 1):
                     removed = {order[p] for p in range(k, min(3 * n - k, m))}
-                    kept = [g for g in inst.goods if g not in removed]
-                    reduced = mms_bruteforce(inst, i, k, goods=kept).value
+                    kept = Instance.from_rows(
+                        [[v for g, v in enumerate(row) if g not in removed] for row in inst.values]
+                    )
+                    reduced = mms_bruteforce(kept, i, k).value
                     assert reduced >= full, (n, m, i, k)
 
 
