@@ -19,7 +19,8 @@ The per-row passes run in C-implemented builtins: a permutation gathers each
 int row, Fraction row and label tuple, and the tuple of columns, with one
 ``operator.itemgetter`` call (``_gather``), a strip slices them, an order
 check compares a row with itself shifted by one
-(``all(map(ge, row, row[1:]))``), and ``int_rows`` scales a row from one
+(``all(map(ge, row, row[1:]))``), the top-k check gathers each row once in
+the column-sum ranking, and ``int_rows`` scales a row from one
 ``map(Fraction.as_integer_ratio, row)`` pass.
 
 Good and agent indices are 0-based everywhere, including the file formats.
@@ -295,23 +296,28 @@ def check_allocation(inst: Instance, alloc: Allocation) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _by_column_sum(inst: Instance) -> list[int]:
+    """Goods by (-column sum of the integer rows, index), summing the cached
+    columns that ``_bundle_sums`` reads later."""
+    sums = list(map(sum, inst._int_columns))
+    # A reverse sort is stable too: equal sums keep ascending indices.
+    return sorted(inst.goods, key=sums.__getitem__, reverse=True)
+
+
 def detect_structure(inst: Instance) -> tuple[int, ...] | None:
     """A common order: good indices from most to least valuable for every
     agent, or None when the instance is not ordered.  For a common set of
     the k most valuable goods use ``top_k_set``.
 
-    Goods are sorted by (-column sum of the integer rows, index), summing
-    the cached columns that ``_bundle_sums`` reads later, then the
-    order is checked.  If a common order exists, every row values one of any
-    two goods, say g, at least as much as the other, h; rows are scaled by
-    positive constants, so g's column sum is larger unless the two columns
-    are identical, and the sort places g and h as the common order does,
-    ties by index.  So it finds a common order whenever one exists, the
+    Goods are sorted by (-column sum of the integer rows, index)
+    (``_by_column_sum``), then the order is checked.  If a common order
+    exists, every row values one of any two goods, say g, at least as much
+    as the other, h; rows are scaled by positive constants, so g's column
+    sum is larger unless the two columns are identical, and the sort places
+    g and h as the common order does, ties by index.  So it finds a common order whenever one exists, the
     identity when that is one; when none exists, no candidate passes."""
     rows = [row for row, _ in inst.int_rows]
-    sums = list(map(sum, inst._int_columns))
-    # A reverse sort is stable too: equal sums keep ascending indices.
-    candidate = sorted(inst.goods, key=sums.__getitem__, reverse=True)
+    candidate = _by_column_sum(inst)
     gather = _gather(candidate)
     return tuple(candidate) if all(map(_ordered, map(gather, rows))) else None
 
@@ -319,28 +325,36 @@ def detect_structure(inst: Instance) -> tuple[int, ...] | None:
 def top_k_set(inst: Instance, k: int) -> frozenset[int] | None:
     """A common set of the k most valuable goods, or None.
 
-    A set S works for agent i iff every good strictly above i's k-th largest
-    value is in S and S stays within the goods weakly above it.  Boundary
-    ties are therefore free to be counted inside S.
+    A set S of k goods works for agent i iff i's lowest value inside S is at
+    least its highest value outside; boundary ties may fall either way.
+    Goods are ranked by (-column sum of the integer rows, index), as in
+    ``detect_structure`` (``_by_column_sum``), and the first k are accepted iff they work for
+    every agent.  That finds a common set whenever one exists, and the one
+    that takes, of the goods free to be in or out, those of lowest index:
+
+    - If S works for every agent, each row values every good in S at least
+      as much as every good outside, so each good in S has a column sum at
+      least that of each good outside, equal only for identical columns.
+      The first k therefore differ from S only by goods of identical
+      columns, and work too.
+    - A good that is in some common sets and not in others has, in every
+      row, exactly that row's k-th largest value: all such goods share one
+      column.  Each good in every common set has a row above that value and
+      none below, each good in none has a row below and none above, so
+      they rank before and after it; the free goods in between keep
+      ascending indices.
     """
-    if not 1 <= k <= inst.m:
+    m = inst.m
+    if not 1 <= k <= m:
         return None
-    must: set[int] = set()
-    may: set[int] | None = None
-    for row, _ in inst.int_rows:
-        kth = sorted(row, reverse=True)[k - 1]
-        agent_may: set[int] = set()
-        for g, v in enumerate(row):
-            if v >= kth:
-                agent_may.add(g)
-                if v > kth:
-                    must.add(g)
-        may = agent_may if may is None else may & agent_may
-    assert may is not None
-    if not must <= may or len(must) > k or len(may) < k:
-        return None
-    fill = sorted(may - must)[: k - len(must)]
-    return frozenset(must | set(fill))
+    ranked = _by_column_sum(inst)
+    if k < m:
+        gather = _gather(ranked)
+        for row, _ in inst.int_rows:
+            vals = gather(row)
+            if min(vals[:k]) < max(vals[k:]):
+                return None
+    return frozenset(ranked[:k])
 
 
 def is_identity_ordered(inst: Instance) -> bool:

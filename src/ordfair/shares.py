@@ -10,11 +10,14 @@ share value in ``_share_value``:
   most k bundles;
 - zero-valued goods are dropped first: they change no bundle's value;
 - each probe is decided by ``_find_covering``, a bin-completion search
-  that fills one whole bundle at a time.  At each node it applies the
-  ceiling and a counting bound (``_pairing_refutes``) that proves many
-  levels infeasible from how many goods the bundles need, and it skips
-  (goods left, bundles left) states that failed before.  A covering found
-  lifts the lower end to its lowest bundle sum.
+  that fills one whole bundle at a time.  It splits the row once into the
+  goods that reach the probe alone, the zeros and the small positive goods
+  between them; only the small goods enter the search (``_complete``).  At
+  each node it applies the ceiling and a counting bound
+  (``_pairing_refutes``) that proves many levels infeasible from how many
+  goods the bundles need, and it skips (goods left, bundles left) states
+  that failed before.  A covering found lifts the lower end to its lowest
+  bundle sum.
 
 Both directions of the value are sound.  Every covering used is checked on
 the integer row (``_covering_floor``: each good in one of the d bundles,
@@ -168,7 +171,7 @@ def _covering_floor(vals: list[int], d: int, target: int, assign: list[int]) -> 
     return floor
 
 
-def _max_pairs(small: list[int], target: int) -> int:
+def _max_pairs(small: Sequence[int], target: int) -> int:
     """The most disjoint pairs of `small` (sorted desc) that each sum to at
     least `target`.  Greedy, and exact: pair the largest good left with the
     smallest one that closes the gap, and drop a smallest good that not even
@@ -182,22 +185,18 @@ def _max_pairs(small: list[int], target: int) -> int:
     return pairs
 
 
-def _pairing_refutes(vals: list[int], d: int, target: int) -> bool:
-    """True only when no d-partition of vals (sorted desc) has every bundle
-    at least target > 0; False proves nothing.
+def _pairing_refutes(goods: tuple[int, ...], bundles: int, target: int) -> bool:
+    """True only when `bundles` bundles, each at least target, cannot be cut
+    from goods (sorted desc, each 0 < v < target); False proves nothing.
 
-    When only `big` < d goods reach `target` alone, at least d - big bundles
-    hold only small goods (0 < v < target), two or more each.  A bundle of
-    exactly two is one of at most p disjoint pairs that reach `target`; the
-    others take three or more.  So with s small goods, at most
-    p + (s - 2p) // 3 bundles can be covered that way.
+    No good reaches target alone, so every bundle holds two or more.  A
+    bundle of exactly two is one of at most p disjoint pairs that reach
+    `target`; the others take three or more.  So with s goods, at most
+    p + (s - 2p) // 3 bundles can be covered.  These are exactly the goods
+    ``_complete`` receives, so it applies the bound to them directly.
     """
-    big = sum(1 for v in vals if v >= target)
-    if big >= d:
-        return False
-    small = [v for v in vals[big:] if v > 0]
-    pairs = _max_pairs(small, target)
-    return pairs + (len(small) - 2 * pairs) // 3 < d - big
+    pairs = _max_pairs(goods, target)
+    return pairs + (len(goods) - 2 * pairs) // 3 < bundles
 
 
 def _minimal_completions(
@@ -252,7 +251,9 @@ def _complete(
     Bundles are filled one at a time, each around the largest good left, a,
     with a minimal completion (``_minimal_completions``) of target - a: in
     any covering, the goods a's bundle can spare move to another covered
-    bundle.
+    bundle.  The goods left after a completion are a sub-multiset of goods,
+    so every node keeps the contract, and each node applies the ceiling and
+    the counting bound (``_pairing_refutes``) to its goods directly.
     """
     if len(goods) < 2 * bundles:
         return False
@@ -289,16 +290,21 @@ def _find_covering(vals: list[int], d: int, target: int) -> list[int] | None:
     packing", AAAI 2002).  Returns the bundle index per good, or None when no
     such partition exists.
 
-    While fewer than d goods reach target, some covering gives each of them
-    a bundle of its own: whatever shares a bundle with one of them can move
-    to a bundle that holds none.  So ``_complete`` cuts the other bundles
-    from the smaller positive goods.  Zero-valued goods and any surplus go
-    to bundle 0."""
-    big = sum(1 for v in vals if v >= target)
+    The row splits, scanning in from each end, into the big goods that
+    reach target alone, the zeros, and the small positive goods between.
+    While fewer than d goods are big, some covering gives each of them a
+    bundle of its own: whatever shares a bundle with one of them can move to
+    a bundle that holds none.  So ``_complete`` cuts the other bundles from
+    the small goods, which are exactly the goods its contract admits.  Zeros
+    and any surplus go to bundle 0."""
+    big, end = 0, len(vals)
+    while big < end and vals[big] >= target:
+        big += 1
     filled = [(v,) for v in vals[: min(big, d)]]
     if big < d:
-        small = tuple(v for v in vals[big:] if v > 0)
-        if not _complete(small, d - big, target, set(), filled):
+        while end > big and vals[end - 1] == 0:
+            end -= 1
+        if not _complete(tuple(vals[big:end]), d - big, target, set(), filled):
             return None
     slots: dict[int, list[int]] = {}
     for i in range(len(vals) - 1, -1, -1):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordfair import (
     GeneratorConfig,
@@ -130,6 +132,41 @@ class TestDetectStructure:
                 assert top == ref_top_k_set(inst, k)
                 found["top_k" if top else "no_top_k"] += 1
         assert min(found.values()) > 50, found
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 4), m=st.integers(1, 9), data=st.data())
+    def test_top_k_set_matches_reference(self, n, m, data):
+        # Each row is free, sorted, or split after a shared point into goods
+        # valued 2-3 and goods valued 0-2, so common top sets, ties across
+        # their boundary and disagreements all occur.  Then the goods are
+        # permuted and each row is scaled by its own rational.
+        split = data.draw(st.integers(0, m))
+        free = st.lists(st.integers(0, 3), min_size=m, max_size=m)
+        rows = []
+        for _ in range(n):
+            shape = data.draw(st.sampled_from(("free", "sorted", "split")))
+            if shape == "split":
+                top = data.draw(st.lists(st.integers(2, 3), min_size=split, max_size=split))
+                rest = data.draw(
+                    st.lists(st.integers(0, 2), min_size=m - split, max_size=m - split)
+                )
+                row = top + rest
+            else:
+                row = data.draw(free)
+                if shape == "sorted":
+                    row.sort(reverse=True)
+            rows.append(row)
+        goods = data.draw(st.permutations(range(m)))
+        scales = data.draw(
+            st.lists(
+                st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9),
+                min_size=n,
+                max_size=n,
+            )
+        )
+        inst = Instance.from_rows([[row[g] * c for g in goods] for row, c in zip(rows, scales)])
+        for k in range(m + 2):
+            assert top_k_set(inst, k) == ref_top_k_set(inst, k), k
 
     def test_ordered_implies_top_k_for_all_k(self):
         rng = random.Random(11)

@@ -14,6 +14,7 @@ from ordfair import (
     mms_exact,
     normalize_order_preserving,
     normalize_scale,
+    shares,
     thresholds,
 )
 from ordfair.errors import (
@@ -345,16 +346,29 @@ def brute_max_pairs(goods, target):
     return best
 
 
+def search_goods(vals, d, target):
+    """The goods and bundle count ``_find_covering`` hands ``_complete`` for
+    a probe: the positive goods below target, and d less the goods that
+    reach it alone.  None when d goods reach it and no search runs."""
+    big = sum(1 for v in vals if v >= target)
+    if big >= d:
+        return None
+    return tuple(v for v in vals if 0 < v < target), d - big
+
+
 class TestPairingBound:
     """_pairing_refutes may lower the share search's upper end, so every
     level it refutes must really have no covering.  Comparing thresholds
     with mms_exact cannot show this, since both take _share_value's value;
-    ref_cover, checked against the oracle above, decides it here instead."""
+    ref_cover, checked against the oracle above, decides it here instead.
+    The bound takes only goods below the target, so each row is first
+    reduced as _find_covering reduces it (search_goods)."""
 
     def test_refutations_are_infeasible_on_sweep(self):
         refuted = 0
         for vals, d, target in bound_sweep():
-            if _pairing_refutes(vals, d, target):
+            searched = search_goods(vals, d, target)
+            if searched is not None and _pairing_refutes(*searched, target):
                 assert ref_cover(vals, d, target) is None, (vals, d, target)
                 refuted += 1
         assert refuted > 1000
@@ -370,7 +384,8 @@ class TestPairingBound:
         vals = sorted(goods, reverse=True)
         d = data.draw(st.integers(1, len(vals) + 1))
         target = data.draw(st.integers(1, _cover_ceiling(vals, d) + 1))
-        if _pairing_refutes(vals, d, target):
+        searched = search_goods(vals, d, target)
+        if searched is not None and _pairing_refutes(*searched, target):
             assert ref_cover(vals, d, target) is None
 
     def test_pair_count_is_a_maximum_matching(self):
@@ -385,12 +400,8 @@ class TestPairingBound:
     def test_refutes_a_level_cover_finds_slow(self):
         vals = [20, 19, 19, 17, 17, 17, 16, 16, 15, 15, 14, 14, 14, 14, 14,
                 13, 12, 12, 10, 10, 9, 9, 8, 7, 6, 5, 3, 1, 0, 0]
-        assert _pairing_refutes(vals, 15, 20)
+        assert _pairing_refutes(*search_goods(vals, 15, 20), 20)
         assert ref_cover(vals, 15, 20) is None
-
-    def test_no_refutation_once_d_goods_reach_target(self):
-        assert not _pairing_refutes([5, 5, 1], 2, 5)
-        assert _pairing_refutes([5, 1, 1], 2, 5)
 
 
 # The slowest probes ref_cover's search decided in a seed-1 solve-topn run: one level
@@ -435,7 +446,7 @@ class TestFindCovering:
 
     def test_slow_infeasible_probe(self):
         vals, d, target = SLOW_INFEASIBLE
-        assert not _pairing_refutes(vals, d, target)
+        assert not _pairing_refutes(*search_goods(vals, d, target), target)
         assert _find_covering(vals, d, target) is None
         assert ref_cover(vals, d, target) is None
 
@@ -473,12 +484,73 @@ class TestFindCovering:
         assert sorted(sum(filled, ())) == sorted(small)
         assert min(map(sum, filled)) >= target
 
+    def test_search_takes_the_goods_between_big_and_zero(self, monkeypatch):
+        # _find_covering splits the row by scanning in from each end; the
+        # search must receive exactly the filtered reduction, and none runs
+        # once d goods reach the target.
+        searched = []
+
+        def first_node(goods, bundles, target, dead, filled):
+            searched.append((goods, bundles))
+            return False
+
+        monkeypatch.setattr(shares, "_complete", first_node)
+        runs = 0
+        for vals, d, target in bound_sweep():
+            searched.clear()
+            _find_covering(vals, d, target)
+            expected = search_goods(vals, d, target)
+            assert searched == ([] if expected is None else [expected]), (vals, d, target)
+            runs += expected is not None
+        assert runs > 1000
+
+    def test_no_search_once_d_goods_reach_target(self):
+        # Two goods reach 5, so each covers a bundle alone and the 1 joins
+        # bundle 0; with one such good, the two 1s cannot cover the other.
+        assert _find_covering([5, 5, 1], 2, 5) == [0, 1, 0]
+        assert _pairing_refutes(*search_goods([5, 1, 1], 2, 5), 5)
+        assert _find_covering([5, 1, 1], 2, 5) is None
+
     def test_zero_goods_and_surplus_join_covered_bundles(self):
         # A good at the target covers a bundle alone; the last bundle takes
         # every positive good left; zeros and unneeded goods go to bundle 0.
         assert _find_covering([5, 3, 2, 1, 0], 2, 5) == [0, 1, 1, 1, 0]
         assert _find_covering([5, 5, 5, 1, 0], 2, 5) == [0, 1, 0, 0, 0]
         assert _find_covering([5, 3, 0], 3, 1) is None
+
+
+class TestSearchWork:
+    """The bounds, the memo of failed states and the node order decide how
+    much the share search does.  A change meant to make each node cheaper
+    must leave these counts as they are; one that moves them changed what
+    the search visits, and with it possibly the canonical witness."""
+
+    # Recorded when the counting bound stopped re-counting _complete's
+    # precondition at each node, on the code before and after: equal.
+    VALUE_PROBES, VALUE_NODES = 757, 2710
+    SWEEP_PROBES, SWEEP_NODES = 50431, 64287
+
+    def test_probe_and_node_counts_unchanged(self, monkeypatch):
+        calls = {"_find_covering": 0, "_complete": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(shares, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(shares, name, counted)
+        for vals, d in row_sweep():
+            _share_value(vals, d)
+        assert (calls["_find_covering"], calls["_complete"]) == (
+            self.VALUE_PROBES,
+            self.VALUE_NODES,
+        )
+        calls.update(dict.fromkeys(calls, 0))
+        for vals, d, target in bound_sweep():
+            shares._find_covering(vals, d, target)
+        assert (calls["_find_covering"], calls["_complete"]) == (
+            self.SWEEP_PROBES,
+            self.SWEEP_NODES,
+        )
 
 
 class TestShareAgainstCover:
