@@ -11,6 +11,7 @@ import argparse
 import sys
 import time
 import zlib
+from collections import Counter
 from pathlib import Path
 
 from . import shares, verification
@@ -82,24 +83,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     inst = _read_instance_file(args.instance)
     alloc = read_allocation(Path(args.allocation).read_text())
     rep = verification.report(inst, alloc, args.d)
+    verdicts = {"complete": rep.complete, "efx": rep.efx, "ef1": rep.ef1}
+    if rep.mms:
+        verdicts["mms"] = all(v.ok for v in rep.mms)
+    required = [r.strip() for r in args.require.split(",") if r.strip()]
+    for prop in required:
+        if prop == "mms" and not rep.mms:
+            raise InvalidConfigError("requiring mms needs a divisor: pass --d")
+        if prop not in verdicts:
+            raise InvalidConfigError(f"unknown property {prop!r}")
     text = verification.write_report(rep)
     if args.out:
         Path(args.out).write_text(text)
     print(text, end="")
-    required = [r.strip() for r in args.require.split(",") if r.strip()]
-    ok = True
-    for prop in required:
-        if prop == "complete":
-            ok &= rep.complete
-        elif prop == "efx":
-            ok &= rep.efx
-        elif prop == "ef1":
-            ok &= rep.ef1
-        elif prop == "mms":
-            ok &= all(v.ok for v in rep.mms)
-        else:
-            raise InvalidConfigError(f"unknown property {prop!r}")
-    return EXIT_OK if ok else EXIT_NOT_CERTIFIED
+    return EXIT_OK if all(verdicts[p] for p in required) else EXIT_NOT_CERTIFIED
 
 
 def cmd_mms(args: argparse.Namespace) -> int:
@@ -141,46 +138,30 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if n_lo > n_hi or m_lo > m_hi or args.count < 1:
         raise InvalidConfigError("empty experiment ranges")
 
+    # One row per solve and one per oracle mismatch: the summary, the
+    # solve count and the exit code are all read off the rows.
     rows: list[tuple] = []
-    stats = {a: {"run": 0, "certified": 0, "violations": 0} for a in algorithms}
-    oracle_mismatches = 0
-    solves = 0
     started = time.perf_counter()
     for n in range(n_lo, n_hi + 1):
-        for m in range(m_lo, m_hi + 1):
-            if m < 1 or (args.family == "top_n" and m < n):
-                continue
+        # An instance needs a good, and a top-n instance at least n goods.
+        m_min = max(m_lo, 1, n if args.family == "top_n" else 1)
+        for m in range(m_min, m_hi + 1):
             for index in range(args.count):
                 seed = _instance_seed(args.seed, args.family, n, m, index)
-                cfg = GeneratorConfig(
-                    family=args.family, n=n, m=m, max_value=args.max_value, seed=seed
-                )
-                inst = generate(cfg)
+                inst = generate(GeneratorConfig(args.family, n, m, args.max_value, seed))
+                cell = (seed, args.family, n, m)
                 for algo in algorithms:
-                    stats[algo]["run"] += 1
-                    solves += 1
-                    result = None
                     try:
                         result = solve_complete(inst, algo)
-                        certified = result.certified
-                        verdict = "certified" if certified else "uncertified"
-                        rep = result.report
-                        values = " ".join(
-                            format_rational(v) for v in rep.bundle_values
-                        )
-                        taus = " ".join(
-                            format_rational(t) for t in result.thresholds
-                        )
                     except OrdfairError as exc:
-                        certified = False
                         verdict = f"error:{type(exc).__name__}"
-                        values = taus = ""
-                    if certified:
-                        stats[algo]["certified"] += 1
-                    else:
-                        stats[algo]["violations"] += 1
-                    rows.append((seed, args.family, n, m, algo, verdict, values, taus))
-                    if result is None or not args.oracle_limit or inst.m > args.oracle_limit:
+                        rows.append((*cell, algo, verdict, "", ""))
+                        continue
+                    verdict = "certified" if result.certified else "uncertified"
+                    values = " ".join(map(format_rational, result.report.bundle_values))
+                    taus = " ".join(map(format_rational, result.thresholds))
+                    rows.append((*cell, algo, verdict, values, taus))
+                    if not args.oracle_limit or m > args.oracle_limit:
                         continue
                     # The allocator and the verifier took these thresholds,
                     # at this algorithm's divisor, so they are what is
@@ -190,40 +171,35 @@ def cmd_experiment(args: argparse.Namespace) -> int:
                             inst, i, result.divisor, oracle_limit=args.oracle_limit
                         ).value
                         if tau != share:
-                            oracle_mismatches += 1
-                            rows.append(
-                                (seed, args.family, n, m, "mms-oracle",
-                                 f"mismatch:{algo}:agent{i}", "", "")
-                            )
+                            mismatch = f"mismatch:{algo}:agent{i}"
+                            rows.append((*cell, "mms-oracle", mismatch, "", ""))
     total_elapsed = time.perf_counter() - started
 
     # Rows and summary are a pure function of the flags; timing goes to
     # stderr so repeated runs emit byte-identical reports.
+    run = Counter(row[4] for row in rows)
+    certified = Counter(row[4] for row in rows if row[5] == "certified")
     out_lines = ["seed,family,n,m,algorithm,verdict,values,thresholds"]
-    for row in sorted(rows, key=lambda r: (r[0], r[4])):
-        seed, family, n, m, algo, verdict, values, taus = row
-        out_lines.append(
-            f"{seed},{family},{n},{m},{algo},{verdict},{values},{taus}"
-        )
+    rows.sort(key=lambda r: (r[0], r[4]))
+    out_lines += [",".join(map(str, row)) for row in rows]
     out_lines.append("")
     for algo in algorithms:
-        s = stats[algo]
         out_lines.append(
-            f"summary algorithm={algo} run={s['run']} "
-            f"certified={s['certified']} violations={s['violations']}"
+            f"summary algorithm={algo} run={run[algo]} "
+            f"certified={certified[algo]} violations={run[algo] - certified[algo]}"
         )
-    out_lines.append(f"summary oracle_mismatches={oracle_mismatches}")
+    out_lines.append(f"summary oracle_mismatches={run['mms-oracle']}")
     text = "\n".join(out_lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     print(text, end="")
+    solves = len(rows) - run["mms-oracle"]
     mean = total_elapsed / solves if solves else 0.0
     print(
         f"runtime total={total_elapsed:.2f}s solves={solves} mean={mean * 1000:.1f}ms",
         file=sys.stderr,
     )
-    bad = oracle_mismatches + sum(s["violations"] for s in stats.values())
-    return EXIT_OK if bad == 0 else EXIT_NOT_CERTIFIED
+    return EXIT_OK if all(row[5] == "certified" for row in rows) else EXIT_NOT_CERTIFIED
 
 
 def _range_pair(text: str) -> tuple[int, int]:

@@ -522,6 +522,9 @@ def read_instance(text: str) -> Instance:
             if n is None or m is None:
                 raise ParseError("valuations before n/m")
             for r in range(n):
+                if m == 0:  # a row of no goods is a blank line, dropped above
+                    rows.append([])
+                    continue
                 i += 1
                 if i >= len(lines):
                     raise ParseError("truncated valuation matrix")

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -150,6 +151,24 @@ class TestVerify:
         assert code == EXIT_CONFIG
         assert "listed twice" in capsys.readouterr().err
 
+    def test_mms_required_without_divisor_is_config_error(self, workdir, capsys):
+        """Agent 0 gets nothing of two goods both agents value.  With no
+        ``--d`` there is no MMS verdict to read, so requiring ``mms``, as the
+        default ``--require`` does, is an error that names ``--d``, not a
+        pass; given ``--d 2`` the allocation fails."""
+        inst_file = workdir / "inst.txt"
+        inst_file.write_text("n 2\nm 2\nvaluations\n1 1\n1 1\n")
+        alloc_file = workdir / "alloc.txt"
+        alloc_file.write_text("agents 2\nbundles\n0:\n1: 0 1\npool\n")
+        args = ["verify", str(inst_file), str(alloc_file)]
+        for require in ([], ["--require", "mms"]):
+            assert run_cli(args + require) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--d" in captured.err
+        assert run_cli(args + ["--require", "mms", "--d", "2"]) == EXIT_NOT_CERTIFIED
+        assert "mms d=2 ok=false witness=0" in capsys.readouterr().out
+
     def test_dummy_agents_line_is_rejected_not_obeyed(self, workdir, capsys):
         """Three agents with rows ``3 3 3 3``, agent 2 given nothing, fail
         MMS at d = 3; a ``dummy_agents`` line naming agent 2 does not excuse
@@ -289,6 +308,43 @@ class TestExperiment:
         mismatches = [ln for ln in out.splitlines() if ",mms-oracle," in ln]
         assert mismatches and all(",mismatch:a3:agent" in ln for ln in mismatches)
         assert "summary algorithm=a3 run=2 certified=2 violations=0" in out
+
+    @pytest.mark.parametrize(
+        "grid, code, digest",
+        [
+            (
+                ["--family", "ordered", "--n-range", "2:3", "--m-range", "4:8",
+                 "--count", "2", "--seed", "5", "--algorithms", "a1,a3",
+                 "--oracle-limit", "7"],
+                0,
+                "361d44a381a3cf11a9aaa5b13a17b18bb787be0dcccea3115dbacf7037c64a4e",
+            ),
+            (
+                ["--family", "general", "--n-range", "2:3", "--m-range", "2:5",
+                 "--algorithms", "a1,a2,a3", "--oracle-limit", "5"],
+                EXIT_NOT_CERTIFIED,
+                "f337ef1868f2b4718b16e8ee210d8d04ffc55710cc42d5b676ac35b3b04b5aea",
+            ),
+            (
+                ["--family", "top_n", "--n-range", "1:5", "--m-range", "1:5",
+                 "--count", "3", "--algorithms", "a2", "--max-value", "3",
+                 "--oracle-limit", "5"],
+                0,
+                "e122391feb84df71e43b32418835af23db4b19075428ba52c7f0fbbf87c70d30",
+            ),
+        ],
+        ids=["acceptance-10", "general-errors", "top_n-smallest"],
+    )
+    def test_out_file_digest(self, workdir, capsys, grid, code, digest):
+        """The ``--out`` bytes and exit code of three recorded grids: the
+        acceptance [10] run, a general grid whose a1/a3 rows are
+        ``error:StructuralMismatchError`` (exit 3), and the smallest top-n
+        shapes with oracle rows.  A change to how the rows and summary are
+        built must leave them unchanged."""
+        out = workdir / "rows.csv"
+        assert run_cli(["experiment", *grid, "--out", str(out)]) == code
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_console_entrypoint(self):
         proc = subprocess.run(

@@ -304,6 +304,13 @@ class TestFileFormats:
             inst = pad_goods(inst, inst.m + 1)
             inst = pad_agents_to_multiple_of_three(inst)
             assert read_instance(write_instance(inst)) == inst
+        # With no goods each valuation row is written as a blank line.
+        for inst in (
+            Instance.from_rows([[]]),
+            Instance.from_rows([[], [], []], agent_labels=("x", "y", "z")),
+        ):
+            assert inst.m == 0
+            assert read_instance(write_instance(inst)) == inst
 
     @pytest.mark.parametrize("line", ["dummy_goods 1", "dummy_agents 1:0"])
     def test_dummy_flag_lines_are_rejected(self, line):
