@@ -99,8 +99,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all(verdicts[p] for p in required) else EXIT_NOT_CERTIFIED
 
 
+def _check_divisor(m: int, d: int) -> None:
+    """Cap a share command's ``--d`` at max(m, 1): the share is 0 for every
+    d > m, and the witness would still have d bundles."""
+    cap = max(m, 1)
+    if d > cap:
+        raise InvalidConfigError(
+            f"--d must be at most max(m, 1) = {cap}: the share is 0 for every d > m"
+        )
+
+
 def cmd_mms(args: argparse.Namespace) -> int:
     inst = _read_instance_file(args.instance)
+    _check_divisor(inst.m, args.d)
     if not 0 <= args.agent < inst.n:
         raise InvalidConfigError(f"agent {args.agent} out of range")
     fn = shares.mms_bruteforce if args.oracle else shares.mms_exact
@@ -113,6 +124,7 @@ def cmd_mms(args: argparse.Namespace) -> int:
 
 def cmd_normalize(args: argparse.Namespace) -> int:
     inst = _read_instance_file(args.instance)
+    _check_divisor(inst.m, args.d)
     if args.method == "scale":
         out = shares.normalize_scale(inst, args.d)
     else:

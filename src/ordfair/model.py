@@ -29,6 +29,8 @@ Good and agent indices are 0-based everywhere, including the file formats.
 from __future__ import annotations
 
 import random
+import re
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -47,17 +49,49 @@ from .errors import (
 GENERATOR_FAMILIES = ("ordered", "top_n", "general")
 
 
+# An exponent follows a digit or the decimal point in every literal
+# ``Fraction`` accepts.  Digit runs are what ``int`` converts, underscores
+# aside.
+_EXPONENT = re.compile(r"[\d.][eE]")
+_DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")
+_ECHO = 24
+
+
+def _echo(token: str) -> str:
+    """``token`` quoted for an error message, cut to its first characters."""
+    return repr(token) if len(token) <= _ECHO else repr(token[:_ECHO]) + "..."
+
+
+def _check_digits(token: str, what: str) -> None:
+    """Reject a literal with a digit run longer than Python converts
+    (``sys.get_int_max_str_digits``), naming that limit and echoing a prefix:
+    the conversion would fail anyway, with the whole token in its message."""
+    # 0 means no limit, as on interpreters older than 3.10.7, which lack one.
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and len(token) > limit:
+        if any(len(run) - run.count("_") > limit for run in _DIGIT_RUN.findall(token)):
+            raise ParseError(f"{what} {_echo(token)} is past Python's {limit}-digit limit")
+
+
 def as_rational(x: int | str | Fraction) -> Fraction:
-    """Coerce an exact input to Fraction; floats are deliberately rejected."""
+    """Coerce an exact input to Fraction; floats are deliberately rejected.
+
+    A string takes ``Fraction``'s forms without an exponent, whose value
+    ``Fraction`` would expand in full, and within ``int``'s digit limit, so
+    its cost is bounded by its length.
+    """
     if isinstance(x, bool):
         raise InvalidInstanceError(f"not an exact rational: {x!r}")
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if isinstance(x, str):
+        if _EXPONENT.search(x):
+            raise ParseError(f"bad rational literal {_echo(x)}: exponents are not accepted")
+        _check_digits(x, "rational literal")
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational literal {x!r}") from exc
+            raise ParseError(f"bad rational literal {_echo(x)}") from exc
     raise InvalidInstanceError(f"not an exact rational: {x!r}")
 
 
@@ -502,10 +536,11 @@ def write_instance(inst: Instance) -> str:
 
 
 def _parse_int(token: str, what: str) -> int:
+    _check_digits(token, what)
     try:
         return int(token)
     except ValueError as exc:
-        raise ParseError(f"bad {what} {token!r}") from exc
+        raise ParseError(f"bad {what} {_echo(token)}") from exc
 
 
 def read_instance(text: str) -> Instance:

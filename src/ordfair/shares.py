@@ -437,6 +437,26 @@ def _witness_for(
     return mu, parts
 
 
+def _scaled_rows(
+    inst: Instance,
+    d: int,
+    witnesses: Mapping[int, Sequence[Iterable[int]]] | None,
+):
+    """Per agent, its share mu and its row with each good divided by the
+    value of its witness bundle, so that every witness bundle is worth 1."""
+    for i in inst.agents:
+        mu, partition = _witness_for(inst, i, d, witnesses)
+        if mu == 0:
+            raise ZeroMaximinError(f"agent {i} has zero 1-out-of-{d} share")
+        row = inst.values[i]
+        scaled = list(row)
+        for part in partition:
+            pv = inst.value(i, part)
+            for g in part:
+                scaled[g] = row[g] / pv
+        yield mu, scaled
+
+
 def normalize_scale(
     inst: Instance,
     d: int,
@@ -448,18 +468,7 @@ def normalize_scale(
     the scaled share is 1.  Requires a positive share for every agent.
     Witness partitions are computed unless supplied per agent.
     """
-    rows: list[list[Fraction]] = []
-    for i in inst.agents:
-        mu, partition = _witness_for(inst, i, d, witnesses)
-        if mu == 0:
-            raise ZeroMaximinError(f"agent {i} has zero 1-out-of-{d} share")
-        factor = {}
-        for part in partition:
-            pv = inst.value(i, part)
-            for g in part:
-                factor[g] = pv
-        rows.append([inst.values[i][g] / factor[g] for g in inst.goods])
-    return inst.with_values(rows)
+    return inst.with_values([scaled for _, scaled in _scaled_rows(inst, d, witnesses)])
 
 
 def normalize_order_preserving(
@@ -467,104 +476,24 @@ def normalize_order_preserving(
     d: int,
     witnesses: Mapping[int, Sequence[Iterable[int]]] | None = None,
 ) -> Instance:
-    """Order-preserving normalization for ordered instances.
+    """Order-preserving normalization for ordered instances: each agent's
+    ``normalize_scale`` row, sorted non-increasingly along the common order.
 
-    Per agent, work in the share-1 scale and push each over-valued witness
-    bundle's value down to 1 by uniformly shrinking its members.  Whenever a
-    shrinking member is about to drop below a good sitting later in the
-    common order, the two goods trade bundle slots instead (the latest-placed
-    equal-valued good is chosen), so the common order keeps sorting the new
-    values.  Output satisfies: every witness bundle has value exactly 1, no
-    good gained value relative to v/mu, and the input order still sorts it.
+    Sorting keeps the row's multiset of values, on which alone a share
+    depends, so the share stays 1 and the values still sum to d; the common
+    order sorts the row by construction.  No good gains value over v/mu: the
+    scaled row is at most v/mu good by good (each witness bundle is worth at
+    least mu), so its p-th largest value is at most the p-th largest of
+    v/mu, which the order puts at position p.
     """
     order = detect_structure(inst)
     if order is None:
         raise StructuralMismatchError("order-preserving normalization needs an ordered instance")
-    pos_of = {g: p for p, g in enumerate(order)}
-    m = inst.m
-    event_cap = 4 * (m + 2) * (m + 2)
-
     rows: list[list[Fraction]] = []
-    for i in inst.agents:
-        mu, partition = _witness_for(inst, i, d, witnesses)
-        if mu == 0:
-            raise ZeroMaximinError(f"agent {i} has zero 1-out-of-{d} share")
-        current = [inst.values[i][g] / mu for g in inst.goods]
-        slots = [set(part) for part in partition]
-        slot_of = {g: j for j, part in enumerate(slots) for g in part}
-
-        for j in range(d):
-            events = 0
-            while True:
-                events += 1
-                if events > event_cap:
-                    raise InvariantViolationError(
-                        f"normalization event cap hit on agent {i} bundle {j}"
-                    )
-                members = slots[j]
-                bag_value = sum((current[g] for g in members), Fraction(0))
-                if bag_value < 1:
-                    raise InvariantViolationError("witness bundle below the share")
-                if bag_value == 1:
-                    break
-                t_bag = Fraction(1) / bag_value
-                # Crossing events: member g meets the largest good placed
-                # after it in the order that is not in this bundle.
-                best_t: Fraction | None = None
-                best_g: int | None = None
-                for g in members:
-                    if current[g] == 0:
-                        continue
-                    barrier: Fraction | None = None
-                    for p in range(pos_of[g] + 1, m):
-                        h = order[p]
-                        if h in members:
-                            continue
-                        if barrier is None or current[h] > barrier:
-                            barrier = current[h]
-                    if barrier is None or barrier == 0:
-                        continue
-                    t_g = barrier / current[g]
-                    if t_g > 1:
-                        raise InvariantViolationError("ordering already violated")
-                    if (
-                        best_t is None
-                        or t_g > best_t
-                        or (t_g == best_t and pos_of[g] < pos_of[best_g])
-                    ):
-                        best_t, best_g = t_g, g
-                if best_t is None or t_bag >= best_t:
-                    for g in members:
-                        current[g] *= t_bag
-                    break
-                for g in members:
-                    current[g] *= best_t
-                # Swap best_g with the latest-placed good of equal value.
-                level = current[best_g]
-                partner = None
-                for p in range(m - 1, pos_of[best_g], -1):
-                    h = order[p]
-                    if h not in members and current[h] == level:
-                        partner = h
-                        break
-                if partner is None:
-                    raise InvariantViolationError("crossing event lost its partner")
-                k = slot_of[partner]
-                slots[k].remove(partner)
-                slots[k].add(best_g)
-                slots[j].remove(best_g)
-                slots[j].add(partner)
-                slot_of[best_g] = k
-                slot_of[partner] = j
-
-        for j in range(d):
-            if sum((current[g] for g in slots[j]), Fraction(0)) != 1:
-                raise InvariantViolationError("bundle not normalized to 1")
-        for g in inst.goods:
-            if current[g] > inst.values[i][g] / mu:
-                raise InvariantViolationError("normalization increased a value")
-        for p in range(m - 1):
-            if current[order[p]] < current[order[p + 1]]:
-                raise InvariantViolationError("normalization broke the order")
-        rows.append(current)
+    for (mu, scaled), row in zip(_scaled_rows(inst, d, witnesses), inst.values):
+        for g, v in zip(order, sorted(scaled, reverse=True)):
+            scaled[g] = v
+        if any(v > w / mu for v, w in zip(scaled, row)):
+            raise InvariantViolationError("normalization increased a value")
+        rows.append(scaled)
     return inst.with_values(rows)

@@ -24,7 +24,14 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .errors import ParseError, PreconditionError
-from .model import Allocation, Instance, _bundle_sums, check_allocation, format_rational
+from .model import (
+    Allocation,
+    Instance,
+    _bundle_sums,
+    as_rational,
+    check_allocation,
+    format_rational,
+)
 from . import shares
 
 
@@ -251,18 +258,18 @@ def read_report(text: str) -> FairnessReport:
             witness = None
             if wit != "none":
                 a, gap = wit.split()
-                witness = (int(a), Fraction(gap))
+                witness = (int(a), as_rational(gap))
             verdicts.append(
                 MmsVerdict(
                     divisor=d,
                     ok=entry["ok"] == "true",
-                    thresholds=tuple(Fraction(t) for t in entry["thresholds"].split()),
+                    thresholds=tuple(map(as_rational, entry["thresholds"].split())),
                     witness=witness,
                 )
             )
         return FairnessReport(
             complete=fields["complete"] == "true",
-            bundle_values=tuple(Fraction(v) for v in fields["values"].split()),
+            bundle_values=tuple(map(as_rational, fields["values"].split())),
             efx=fields["efx"] == "true",
             efx_witness=None
             if efx_wit == "none"

@@ -107,6 +107,21 @@ class TestSolve:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["1e5000", "1" * 5000], ids=["exponent", "digits"])
+    def test_oversized_literal_is_one_line_parse_error(self, workdir, capsys, value):
+        """An exponent once parsed to a value too long to print, so the
+        solve ran and its report ended in a traceback; a long run of digits
+        gave a message as long as the literal."""
+        inst_file = workdir / "huge.txt"
+        inst_file.write_text(f"n 1\nm 2\nvaluations\n{value} 1\n")
+        code = run_cli(["solve", str(inst_file), "--algorithm", "a1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ") and len(captured.err) < 110
+        assert "Traceback" not in captured.err
+
 
 class TestVerify:
     def test_ex51_allocation_files(self, workdir, capsys):
@@ -219,6 +234,20 @@ class TestMms:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert "error: 14 goods exceed the oracle limit" in err
+
+
+    @pytest.mark.parametrize("d", ["3", "100000000000"])
+    def test_divisor_past_the_goods_is_config_error(self, workdir, capsys, d):
+        """Every share past d = m is 0, and the witness would still have d
+        bundles, so ``--d`` is capped at max(m, 1) before any share work."""
+        inst_file = workdir / "two.txt"
+        inst_file.write_text("n 1\nm 2\nvaluations\n1 1\n")
+        for command in (["mms", "--agent", "0"], ["normalize"]):
+            code = run_cli([command[0], str(inst_file), *command[1:], "--d", d])
+            err = capsys.readouterr().err
+            assert code == EXIT_CONFIG
+            assert err.startswith("error: --d must be at most max(m, 1) = 2:")
+            assert len(err.splitlines()) == 1
 
 
 class TestNormalize:

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -329,6 +330,37 @@ class TestFileFormats:
     def test_instance_round_trip_with_fractions(self):
         inst = Instance.from_rows([["1/3", "2/3"], ["7/2", 0]])
         assert read_instance(write_instance(inst)) == inst
+
+    @pytest.mark.parametrize("token", ["1e5000", "1E5", "2.5e-3", "1.e2", "7e0"])
+    def test_exponent_literals_are_parse_errors(self, token):
+        """``Fraction`` expands an exponent in full, so a short literal could
+        stand for a number too long to print or to parse in time."""
+        with pytest.raises(ParseError, match="exponent"):
+            read_instance(f"n 1\nm 2\nvaluations\n{token} 1\n")
+        with pytest.raises(ParseError, match="exponent"):
+            Instance.from_rows([[token, 1]])
+
+    def test_literals_without_exponent_keep_their_values(self):
+        long = "7" * 4000
+        for token in ("12", "+3", "1_000", ".5", "2.", "0.25", "3/4", f"{long}/{long}1"):
+            assert Instance.from_rows([[token]]).values[0][0] == Fraction(token)
+
+    def test_literal_past_the_digit_limit_is_a_short_parse_error(self):
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if not 0 < limit < 5000:
+            pytest.skip("needs an int digit limit below 5000")
+        digits = "1" * 5000
+        for text in (
+            f"n 1\nm 1\nvaluations\n{digits}\n",
+            f"n 1\nm 1\nvaluations\n1/{digits}\n",
+            f"n {digits}\nm 1\nvaluations\n1\n",
+        ):
+            with pytest.raises(ParseError, match=f"{limit}-digit limit") as caught:
+                read_instance(text)
+            assert len(str(caught.value)) < 100
+        with pytest.raises(ParseError, match=f"{limit}-digit limit") as caught:
+            read_allocation(f"agents 1\nbundles\n0: {digits}\npool\n")
+        assert len(str(caught.value)) < 100
 
     def test_allocation_round_trip(self):
         alloc = make_allocation([[0, 2], [], [5]], [1, 3])

@@ -16,6 +16,7 @@ from ordfair import (
     normalize_scale,
     shares,
     thresholds,
+    write_instance,
 )
 from ordfair.errors import (
     InvariantViolationError,
@@ -42,6 +43,7 @@ from helpers import (
     positive_ordered_instance,
     ref_cover,
     ref_cover_ceiling,
+    ref_normalize_order_preserving,
     seeded_instance,
 )
 
@@ -715,7 +717,74 @@ class TestNormalizeScale:
             normalize_scale(EX51, 3, {0: [{0, 1}, {2, 3}]})
 
 
+def both_normalizations(inst, d, witnesses=None):
+    """``normalize_order_preserving``'s and the simulation's output rows, each
+    replaced by its ``ZeroMaximinError`` message when it raises one."""
+    out = []
+    for normalize in (normalize_order_preserving, ref_normalize_order_preserving):
+        try:
+            out.append(normalize(inst, d, witnesses).values)
+        except ZeroMaximinError as exc:
+            out.append(str(exc))
+    return out
+
+
+def oracle_witnesses(inst, d):
+    return {i: mms_bruteforce(inst, i, d).partition for i in inst.agents}
+
+
+def order_sweep():
+    """Seeded ordered instances, n 1-3, m 1-10, d 1-5: about 30% with each
+    row divided by its own rational, and the oracle's witnesses injected on
+    about 40% of the instances with m <= 9."""
+    rng = random.Random(36)
+    for _ in range(400):
+        n, m, d = rng.randint(1, 3), rng.randint(1, 10), rng.randint(1, 5)
+        max_value = rng.choice([1, 2, 3, 5, 20, 1000])
+        inst = seeded_instance("ordered", n, m, rng.randrange(2**32), max_value)
+        if rng.random() < 0.3:
+            scales = [Fraction(rng.randint(1, 40), rng.randint(1, 40)) for _ in inst.agents]
+            inst = inst.with_values([[v / c for v in row] for row, c in zip(inst.values, scales)])
+        witnesses = oracle_witnesses(inst, d) if m <= 9 and rng.random() < 0.4 else None
+        yield inst, d, witnesses
+
+
 class TestNormalizeOrderPreserving:
+    def test_matches_the_simulation_on_sweep(self):
+        zero = 0
+        for inst, d, witnesses in order_sweep():
+            fast, ref = both_normalizations(inst, d, witnesses)
+            assert fast == ref, (inst.values, d, witnesses)
+            zero += isinstance(fast, str)
+        # Both outcomes are exercised.
+        assert 0 < zero < 400
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_the_simulation(self, data):
+        n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 8))
+        d = data.draw(st.integers(1, 5))
+        value = st.fractions(min_value=0, max_value=20, max_denominator=6)
+        rows = [sorted(data.draw(st.lists(value, min_size=m, max_size=m)), reverse=True)
+                for _ in range(n)]
+        # One permutation of every sorted row keeps a common order.
+        perm = data.draw(st.permutations(range(m)))
+        inst = Instance.from_rows([[row[p] for p in perm] for row in rows])
+        witnesses = oracle_witnesses(inst, d) if m <= 7 and data.draw(st.booleans()) else None
+        fast, ref = both_normalizations(inst, d, witnesses)
+        assert fast == ref
+
+    def test_wide_cell_matches_the_simulation(self):
+        """The ordered n=12, m=36 draw that CI normalizes at d=16; the digest
+        is CI's for the written file."""
+        inst = seeded_instance("ordered", 12, 36, 1, max_value=1000)
+        fast, ref = both_normalizations(inst, 16)
+        assert fast == ref
+        text = write_instance(inst.with_values(fast))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "400e9d6efbce08d87b174ef0daea3cd4a3615f33d4930b3f1171951fbc4f3155"
+        )
+
     def test_hand_trace_all_ones(self):
         inst = Instance.from_rows([[1, 1, 1, 1, 1]])
         out = normalize_order_preserving(inst, 3, {0: [{0, 1}, {2, 3}, {4}]})
