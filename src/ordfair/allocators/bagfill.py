@@ -5,7 +5,9 @@ agent's values are non-increasing by index.  Bags are initialized as
 {j, 2n-1-j} pairs, optionally after a singleton phase; leftover goods are
 then appended one at a time, in value order, to an open bag, while agents
 claim bags meeting their own share threshold and already-served agents may
-swap to an open bag they strictly prefer.
+swap to an open bag they strictly prefer.  The engine records only which
+bag each served agent holds; every iteration derives the unserved agents
+and the open bags, by ascending id, from that record.
 
 The paper pads to at least 2n goods with zero-valued dummies; the engine
 takes positions m..2n-1 as those dummies and leaves them out of the bags.
@@ -38,15 +40,15 @@ def run_bag_fill(
     levels: Sequence[int],
     singleton_phase: bool,
     trace: AllocatorTrace,
-) -> tuple[dict[int, set[int]], dict[int, int]]:
+) -> list[set[int]]:
     """The shared engine, on good positions 0..m-1.
 
     ``rows`` holds per agent an integer row over the positions and its
     scale, shaped like ``Instance.int_rows``: each row must be
     non-increasing.  ``levels`` are the agents' thresholds on their own
     rows (``Instance.level``).  Positions m..2n-1, when m < 2n, are the
-    paper's zero-valued dummy goods: bags leave them out.  Returns the bags
-    by id and each served agent's bag id.
+    paper's zero-valued dummy goods: bags leave them out.  Returns each
+    agent's bag, by agent.
     """
     n = len(rows)
     m = len(rows[0][0]) if rows else 0
@@ -55,37 +57,39 @@ def run_bag_fill(
         row = rows[agent][0]
         return sum(row[p] for p in bag)
 
-    unsatisfied = set(range(n))
     bags: dict[int, set[int]] = {}
     owner: dict[int, int] = {}
     k = 0
     while singleton_phase and k < m:
-        claimant = next((i for i in sorted(unsatisfied) if rows[i][0][k] >= levels[i]), None)
+        claimant = next(
+            (i for i in range(n) if i not in owner and rows[i][0][k] >= levels[i]), None
+        )
         if claimant is None:
             break
         bags[k] = {k}
         owner[claimant] = k
-        unsatisfied.remove(claimant)
         trace.emit(0, "singleton_claim", agent=claimant, good=k, bag=k)
         k += 1
     for j in range(k, n):
         bags[j] = {p for p in (j, 2 * n - 1 - j) if p < m}
         trace.emit(0, "bag_init", bag=j, goods=frozenset(bags[j]))
-    open_bags = set(range(k, n))
     next_fill = 2 * n - k
 
     iteration = 0
     event_cap = 10_000 + 100 * n * m
-    while unsatisfied:
+    while len(owner) < n:
         iteration += 1
         if iteration > event_cap:
             raise InvariantViolationError("bag filling exceeded its event cap")
+        unserved = [i for i in range(n) if i not in owner]
+        held = set(owner.values())
+        open_bags = [b for b in bags if b not in held]
 
         claim = next(
             (
                 (i, b)
-                for i in sorted(unsatisfied)
-                for b in sorted(open_bags)
+                for i in unserved
+                for b in open_bags
                 if bag_value(i, bags[b]) >= levels[i]
             ),
             None,
@@ -93,8 +97,6 @@ def run_bag_fill(
         if claim is not None:
             i, b = claim
             owner[i] = b
-            unsatisfied.remove(i)
-            open_bags.remove(b)
             trace.emit(iteration, "claim", agent=i, bag=b)
             continue
 
@@ -106,29 +108,25 @@ def run_bag_fill(
         for i in sorted(owner):
             scale = rows[i][1]
             current = bag_value(i, bags[owner[i]])
-            for b in sorted(open_bags):
+            for b in open_bags:
                 gain = bag_value(i, bags[b]) - current
                 if gain > 0 and (best is None or gain * best[1] > best[0] * scale):
                     best = (gain, scale, i, b)
         if best is not None:
             _, _, i, b = best
-            old = owner[i]
+            trace.emit(iteration, "swap", agent=i, frm=owner[i], to=b)
             owner[i] = b
-            open_bags.remove(b)
-            open_bags.add(old)
-            trace.emit(iteration, "swap", agent=i, frm=old, to=b)
             continue
 
         if next_fill >= m:
             raise InvariantViolationError(
                 "bag filling exhausted the goods with unserved agents left"
             )
-        target = min(open_bags)
-        bags[target].add(next_fill)
-        trace.emit(iteration, "fill", good=next_fill, bag=target)
+        bags[open_bags[0]].add(next_fill)
+        trace.emit(iteration, "fill", good=next_fill, bag=open_bags[0])
         next_fill += 1
 
-    return bags, owner
+    return [bags[owner[i]] for i in range(n)]
 
 
 def alloc_ordered_efx_3n2(
@@ -180,11 +178,11 @@ def _alloc_bag_fill(
     if copies:
         rows += (rows[0],) * copies
         levels += [levels[0]] * copies
-    bags, owner = run_bag_fill(rows, levels, singleton_phase, trace)
+    held = run_bag_fill(rows, levels, singleton_phase, trace)
     for i, (row, _) in enumerate(rows):
-        if sum(map(row.__getitem__, bags[owner[i]])) < levels[i]:
+        if sum(map(row.__getitem__, held[i])) < levels[i]:
             raise InvariantViolationError(f"agent {i} ended below their threshold")
     if copies:
         trace.events = [ev for ev in trace.events if ev.args.get("agent", 0) < inst.n]
-    bundles = tuple(frozenset(bags[owner[i]]) for i in inst.agents)
+    bundles = tuple(frozenset(held[i]) for i in inst.agents)
     return Allocation(bundles, frozenset(inst.goods).difference(*bundles)), trace

@@ -4,7 +4,10 @@ One unserved agent repeatedly partitions the remaining goods into bags worth
 at least their own share, one designated top good per bag.  Bags are shrunk
 to inclusion-minimal sets still acceptable to some unserved agent; if a
 served agent strongly envies a shrunk bag they steal a minimal envied core
-of it, otherwise an envy-free matching hands bags out.
+of it, otherwise an envy-free matching hands bags out.  The served agents'
+bundles are the one record: each round derives the unserved agents and the
+pool from them, and the pool holds one top good per unserved agent, since
+every bundle holds one.
 
 Both shrinks are single passes: a removal test that fails once fails for
 every smaller bag, so restarting after each removal would only re-test
@@ -39,38 +42,32 @@ def lone_divider_partition(
     inst: Instance,
     divider: int,
     pool: Iterable[int],
-    bag_count: int,
     top_goods: Iterable[int],
     level: int,
 ) -> list[frozenset[int]]:
-    """Partition `pool` into `bag_count` bags, each worth at least `level`
-    on the divider's integer row (their threshold's ``Instance.level``) and
-    each holding exactly one good from `top_goods`.
+    """Partition `pool` into one bag per good of `top_goods` in it, each
+    worth at least `level` on the divider's integer row (their threshold's
+    ``Instance.level``) and each holding exactly one of those goods.
 
-    Runs the singleton-phase bag filler with `bag_count` copies of the
-    divider (ordering the pool by the divider's values, top goods winning
+    Runs the singleton-phase bag filler with one copy of the divider per
+    bag (ordering the pool by the divider's values, top goods winning
     ties), then spreads leftover goods round-robin across the bags.
     """
-    if bag_count < 1:
-        raise PreconditionError("need at least one bag")
     pool = sorted(set(pool))
     top = frozenset(top_goods)
-    if len(top & set(pool)) != bag_count:
-        raise PreconditionError("need exactly one top good per requested bag")
+    bag_count = len(top.intersection(pool))
+    if bag_count < 1:
+        raise PreconditionError("need at least one bag")
     row, scale = inst.int_rows[divider]
     order = sorted(pool, key=lambda g: (-row[g], g not in top, g))
     ordered_row = [row[g] for g in order]
 
     scratch = AllocatorTrace("lone_divider_partition")
-    filled, owner = run_bag_fill(
+    held = run_bag_fill(
         [(ordered_row, scale)] * bag_count, [level] * bag_count, True, scratch
     )
-    used: set[int] = set()
-    bags: list[set[int]] = []
-    for copy in range(bag_count):
-        goods = {order[p] for p in filled[owner[copy]]}
-        bags.append(goods)
-        used |= goods
+    bags = [{order[p] for p in bag} for bag in held]
+    used = set().union(*bags)
     leftovers = [g for g in order if g not in used]
     for idx, g in enumerate(leftovers):
         bags[idx % bag_count].add(g)
@@ -172,34 +169,32 @@ def alloc_topn_lone_divider(
     trace = AllocatorTrace("alloc_topn_lone_divider")
     levels = inst.levels(taus)
     bundles: dict[int, frozenset[int]] = {}
-    unserved = set(range(n))
-    pool = set(inst.goods)
     prev_measure: tuple[Fraction, int] | None = None
     iteration = 0
 
-    while unserved:
+    while len(bundles) < n:
         iteration += 1
+        unserved = [i for i in range(n) if i not in bundles]
+        pool = frozenset(inst.goods).difference(*bundles.values())
         measure = (
             sum((inst.value(i, b) for i, b in bundles.items()), Fraction(0)),
-            n - len(unserved),
+            len(bundles),
         )
         if prev_measure is not None and measure <= prev_measure:
             raise InvariantViolationError("progress measure failed to increase")
         prev_measure = measure
         _assert_loop_invariants(inst, bundles, unserved, levels)
 
-        divider = min(unserved)
+        divider = unserved[0]
         top_in_pool = top & pool
         if len(top_in_pool) != len(unserved):
             raise InvariantViolationError("top goods out of sync with unserved agents")
         trace.emit(iteration, "lone_divider", agent=divider)
-        bags = lone_divider_partition(
-            inst, divider, pool, len(unserved), top_in_pool, levels[divider]
-        )
+        bags = lone_divider_partition(inst, divider, pool, top_in_pool, levels[divider])
         for j, bag in enumerate(bags):
             trace.emit(iteration, "bag_init", bag=j, goods=bag)
 
-        unserved_levels = [(i, levels[i]) for i in sorted(unserved)]
+        unserved_levels = [(i, levels[i]) for i in unserved]
         shrunk: list[frozenset[int]] = []
         for j, bag in enumerate(bags):
             shrunk.append(shrink_minimal(inst, bag, next(iter(bag & top)), unserved_levels))
@@ -215,8 +210,6 @@ def alloc_topn_lone_divider(
         )
         if envied is not None:
             winner, core = most_envious_shrink(inst, envied, next(iter(envied & top)), bundles)
-            pool |= bundles[winner]
-            pool -= core
             bundles[winner] = core
             trace.emit(iteration, "steal", agent=winner, goods=core)
             continue
@@ -225,15 +218,12 @@ def alloc_topn_lone_divider(
         pairs = envy_free_matching(graph)
         for agent, j in pairs:
             bundles[agent] = shrunk[j]
-            unserved.remove(agent)
-            pool -= shrunk[j]
         trace.emit(
             iteration, "matching", pairs=tuple((agent, shrunk[j]) for agent, j in pairs)
         )
 
-    alloc = Allocation(
-        tuple(bundles.get(i, frozenset()) for i in range(n)), frozenset(pool)
-    )
+    served = tuple(bundles[i] for i in range(n))
+    alloc = Allocation(served, frozenset(inst.goods).difference(*served))
     for i in inst.agents:
         if inst.int_value(i, alloc.bundles[i]) < levels[i]:
             raise InvariantViolationError(f"agent {i} ended below their threshold")
@@ -243,7 +233,7 @@ def alloc_topn_lone_divider(
 def _assert_loop_invariants(
     inst: Instance,
     bundles: Mapping[int, frozenset[int]],
-    unserved: set[int],
+    unserved: Iterable[int],
     levels: Sequence[int],
 ) -> None:
     """Served agents form an EFX sub-allocation; no unserved agent accepts

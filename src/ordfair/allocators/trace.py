@@ -2,8 +2,10 @@
 
 Every allocator emits an ordered event list; replaying the events against the
 instance the allocator ran on rebuilds its output allocation exactly, which
-the tests assert.  a1 and a3 run on the goods permuted to the common order,
-so ``solve_complete`` renames their trace's goods back with
+the tests assert.  Bag filling fills only open bags, so a held bag never
+changes: replay hands an agent their bag's goods at the ``claim``, ``swap``
+or ``singleton_claim``.  a1 and a3 run on the goods permuted to the common
+order, so ``solve_complete`` renames their trace's goods back with
 ``AllocatorTrace.rename_goods``: a solve's trace names the caller's agents
 and goods, as every other field of its result does.
 
@@ -158,37 +160,31 @@ def replay(trace: AllocatorTrace, n: int, m: int, start: Allocation | None = Non
 
 def _replay(trace: AllocatorTrace, n: int, m: int, start: Allocation | None) -> Allocation:
     bags: dict[int, set[int]] = {}
-    owner: dict[int, int] = {}
     bundles: list[set[int]] = (
         [set(b) for b in start.bundles] if start is not None else [set() for _ in range(n)]
     )
-
-    def materialize() -> None:
-        # Convert bag ownership into explicit bundles once the bag-filling
-        # phase is over (completion events mutate bundles directly).
-        for agent, bag in owner.items():
-            bundles[agent] = set(bags[bag])
-        owner.clear()
 
     def agent_of(a: int) -> int:
         if not 0 <= a < len(bundles):
             raise ParseError(f"trace names agent {a} of {len(bundles)}")
         return a
 
+    def take(agent: int, bag: int) -> None:
+        bundles[agent_of(agent)] = set(bags[bag])
+
     for ev in trace.events:
         kind = ev.kind
         if kind == "singleton_claim":
-            bag = ev.get("bag")
-            bags[bag] = {ev.get("good")}
-            owner[agent_of(ev.get("agent"))] = bag
+            bags[ev.get("bag")] = {ev.get("good")}
+            take(ev.get("agent"), ev.get("bag"))
         elif kind == "bag_init":
             bags[ev.get("bag")] = set(ev.get("goods"))
         elif kind == "fill":
             bags[ev.get("bag")].add(ev.get("good"))
         elif kind == "claim":
-            owner[agent_of(ev.get("agent"))] = ev.get("bag")
+            take(ev.get("agent"), ev.get("bag"))
         elif kind == "swap":
-            owner[agent_of(ev.get("agent"))] = ev.get("to")
+            take(ev.get("agent"), ev.get("to"))
         elif kind == "steal":
             bundles[agent_of(ev.get("agent"))] = set(ev.get("goods"))
         elif kind == "lone_divider":
@@ -199,19 +195,16 @@ def _replay(trace: AllocatorTrace, n: int, m: int, start: Allocation | None) -> 
             for a, goods in ev.get("pairs"):
                 bundles[agent_of(a)] = set(goods)
         elif kind == "cycle_rotation":
-            materialize()
             cycle = [agent_of(a) for a in ev.get("cycle")]
             saved = [set(bundles[a]) for a in cycle]
             for idx, a in enumerate(cycle):
                 bundles[a] = saved[(idx + 1) % len(cycle)]
         elif kind == "source_gift":
-            materialize()
             agent = agent_of(ev.get("agent"))
             bundles[agent].add(ev.get("good"))
         else:
             raise ParseError(f"unknown trace event kind {kind!r}")
 
-    materialize()
     owned: set[int] = set()
     for b in bundles:
         for g in b:

@@ -21,11 +21,13 @@ from .errors import (
     InvalidConfigError,
     InvariantViolationError,
     OrdfairError,
+    ParseError,
     StructuralMismatchError,
 )
 from .model import (
     GENERATOR_FAMILIES,
     GeneratorConfig,
+    _parse_int,
     detect_structure,
     format_rational,
     generate,
@@ -69,13 +71,17 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = _read_instance_file(args.instance)
     result = solve_complete(inst, args.algorithm)
-    _write(args.out, write_allocation(result.allocation))
+    # Every text is built before the first file is written, so a value too
+    # long to print leaves no output behind.
+    alloc_text = write_allocation(result.allocation)
     report_text = verification.write_report(result.report)
+    trace_text = result.trace.to_text() if args.trace else ""
+    _write(args.out, alloc_text)
     if args.report:
         Path(args.report).write_text(report_text)
     print(report_text, end="")
     if args.trace:
-        Path(args.trace).write_text(result.trace.to_text())
+        Path(args.trace).write_text(trace_text)
     return EXIT_OK if result.certified else EXIT_NOT_CERTIFIED
 
 
@@ -214,9 +220,20 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return EXIT_OK if all(row[5] == "certified" for row in rows) else EXIT_NOT_CERTIFIED
 
 
+def _int_flag(text: str) -> int:
+    """An integer flag, read as the file formats read integers: past the
+    digit limit or malformed, the usage error echoes only a prefix.
+    argparse reports an ``ArgumentTypeError`` as a usage error; a
+    ``ParseError`` would escape as a traceback."""
+    try:
+        return _parse_int(text, "integer")
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _range_pair(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition(":")
-    return (int(lo), int(hi or lo))
+    return (_int_flag(lo), _int_flag(hi or lo))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -238,10 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a seeded random instance")
     p.add_argument("--family", choices=GENERATOR_FAMILIES, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--max-value", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_int_flag, required=True)
+    p.add_argument("--m", type=_int_flag, required=True)
+    p.add_argument("--max-value", type=_int_flag, default=20)
+    p.add_argument("--seed", type=_int_flag, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_generate)
 
@@ -256,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check an allocation file")
     p.add_argument("instance")
     p.add_argument("allocation")
-    p.add_argument("--d", type=int, action="append", default=[])
+    p.add_argument("--d", type=_int_flag, action="append", default=[])
     p.add_argument(
         "--require",
         default="complete,ef1,mms",
@@ -267,15 +284,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mms", help="exact 1-out-of-d share of one agent")
     p.add_argument("instance")
-    p.add_argument("--agent", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--agent", type=_int_flag, required=True)
+    p.add_argument("--d", type=_int_flag, required=True)
     p.add_argument("--oracle", action="store_true", help="use the brute-force oracle")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_mms)
 
     p = sub.add_parser("normalize", help="write a d-normalized instance")
     p.add_argument("instance")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_int_flag, required=True)
     p.add_argument("--method", choices=("scale", "order"), default="scale")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_normalize)
@@ -284,13 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=GENERATOR_FAMILIES, required=True)
     p.add_argument("--n-range", type=_range_pair, required=True, metavar="LO:HI")
     p.add_argument("--m-range", type=_range_pair, required=True, metavar="LO:HI")
-    p.add_argument("--count", type=int, default=10, help="instances per (n, m) cell")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-value", type=int, default=20)
+    p.add_argument("--count", type=_int_flag, default=10, help="instances per (n, m) cell")
+    p.add_argument("--seed", type=_int_flag, default=0)
+    p.add_argument("--max-value", type=_int_flag, default=20)
     p.add_argument("--algorithms", default="a1", help="comma list from a1,a2,a3")
     p.add_argument(
         "--oracle-limit",
-        type=int,
+        type=_int_flag,
         default=0,
         help="cross-check shares against the oracle for m up to this size",
     )

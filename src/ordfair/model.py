@@ -521,7 +521,16 @@ def generate(cfg: GeneratorConfig) -> Instance:
 
 
 def format_rational(x: Fraction) -> str:
-    return str(x)
+    """``x`` as text.  A numerator or denominator longer than Python prints
+    (``sys.get_int_max_str_digits``) raises ``PreconditionError`` naming
+    that limit, where ``str`` would raise ``ValueError``."""
+    try:
+        return str(x)
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        raise PreconditionError(
+            f"a rational to print is past Python's {limit}-digit limit"
+        ) from exc
 
 
 def write_instance(inst: Instance) -> str:

@@ -249,6 +249,21 @@ class TestMms:
             assert err.startswith("error: --d must be at most max(m, 1) = 2:")
             assert len(err.splitlines()) == 1
 
+    def test_share_too_long_to_print_is_one_line_error(self, workdir, capsys):
+        """Each value's denominator has 2,501 digits, within the reader's
+        limit, but the share sums them past the limit for printing; that
+        once ended in a ValueError traceback."""
+        zeros = "0" * 2499
+        inst_file = workdir / "long.txt"
+        inst_file.write_text(f"n 2\nm 2\nvaluations\n1/7{zeros}1 1/3{zeros}1\n1 1\n")
+        code = run_cli(["mms", str(inst_file), "--agent", "0", "--d", "1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ") and "digit limit" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestNormalize:
     def test_scale_output_is_normalized(self, workdir, capsys):
@@ -405,6 +420,27 @@ class TestUsageErrors:
                 run_cli(argv)
             assert exc.value.code == EXIT_CONFIG, argv
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mms", "x.txt", "--agent", "0", "--d", "{}"],
+            ["generate", "--family", "ordered", "--n", "{}", "--m", "3"],
+            ["experiment", "--family", "ordered", "--n-range", "1:{}", "--m-range", "2"],
+        ],
+        ids=["mms-d", "generate-n", "experiment-n-range"],
+    )
+    def test_long_integer_flag_echoes_a_prefix(self, capsys, argv):
+        """A 5,000-digit flag value once came back whole in the usage error.
+        The experiment usage text alone is about 300 bytes, so the bound is
+        on the error line, and on the whole message at twice that."""
+        with pytest.raises(SystemExit) as exc:
+            run_cli([arg.format("1" * 5000) for arg in argv])
+        err = capsys.readouterr().err
+        assert exc.value.code == EXIT_CONFIG
+        assert len(err.splitlines()[-1].encode()) < 300
+        assert len(err.encode()) < 600
+        assert "digit limit" in err and "1" * 25 not in err
 
     def test_help_exits_zero(self, capsys):
         for argv in (["--help"], ["solve", "--help"]):

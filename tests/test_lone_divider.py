@@ -57,7 +57,7 @@ def levels_of(inst, agents, taus):
 class TestLoneDividerPartition:
     def test_unit_goods_three_bags(self):
         inst = Instance.from_rows([[1] * 6])
-        bags = lone_divider_partition(inst, 0, range(6), 3, {0, 1, 2}, inst.level(0, Fraction(1)))
+        bags = lone_divider_partition(inst, 0, range(6), {0, 1, 2}, inst.level(0, Fraction(1)))
         assert len(bags) == 3
         for bag in bags:
             assert inst.value(0, bag) >= 1
@@ -67,11 +67,11 @@ class TestLoneDividerPartition:
     def test_zero_bags_is_precondition_error(self):
         inst = Instance.from_rows([[4, 2, 1]])
         with pytest.raises(PreconditionError, match="at least one bag"):
-            lone_divider_partition(inst, 0, range(3), 0, set(), inst.level(0, Fraction(1)))
+            lone_divider_partition(inst, 0, range(3), set(), inst.level(0, Fraction(1)))
 
     def test_single_bag_gets_whole_pool(self):
         inst = Instance.from_rows([[4, 2, 1]])
-        bags = lone_divider_partition(inst, 0, range(3), 1, {0}, inst.level(0, Fraction(4)))
+        bags = lone_divider_partition(inst, 0, range(3), {0}, inst.level(0, Fraction(4)))
         assert bags == [frozenset({0, 1, 2})]
 
     def test_random_pools_postconditions(self):
@@ -84,7 +84,7 @@ class TestLoneDividerPartition:
             divider = rng.randrange(n)
             tau = thresholds(inst, ceil_3n_over_2(n))[divider]
             level = inst.level(divider, tau)
-            bags = lone_divider_partition(inst, divider, inst.goods, n, top, level)
+            bags = lone_divider_partition(inst, divider, inst.goods, top, level)
             assert set().union(*bags) == set(inst.goods)
             for bag in bags:
                 assert inst.value(divider, bag) >= tau

@@ -362,6 +362,15 @@ class TestTraceSerialization:
         with pytest.raises(ParseError):
             replay(AllocatorTrace.from_text("# trace a1\n" + events), 2, 1)
 
+    def test_replay_hands_out_a_bag_at_its_claim(self):
+        """Bag filling fills only open bags, so replay gives a claimant the
+        bag's goods at the claim: a later fill of that bag, which the engine
+        never emits, leaves the claimant's bundle as it was."""
+        events = "0\tbag_init\tbag=0\tgoods=0\n1\tclaim\tagent=0\tbag=0\n2\tfill\tgood=1\tbag=0"
+        alloc = replay(AllocatorTrace.from_text("# trace a1\n" + events), 1, 2)
+        assert alloc.bundles == (frozenset({0}),)
+        assert alloc.pool == frozenset({1})
+
     def test_pipeline_trace_includes_completion_and_replays(self):
         """A solve's trace holds completion's gifts and replays on the
         caller's instance to the returned allocation.  Where the common
