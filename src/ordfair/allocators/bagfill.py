@@ -35,6 +35,13 @@ def ceil_3n_over_2(n: int) -> int:
     return (3 * n + 1) // 2
 
 
+def event_cap(n: int, m: int) -> int:
+    """The most iterations ``run_bag_fill`` can take after its opening bags:
+    n claims, m fills and n(n-1) swaps in each run between them, as its
+    docstring proves."""
+    return n + m + n * (n - 1) * (n + m + 1)
+
+
 def run_bag_fill(
     rows: Sequence[tuple[Sequence[int], int]],
     levels: Sequence[int],
@@ -49,6 +56,14 @@ def run_bag_fill(
     rows (``Instance.level``).  Positions m..2n-1, when m < 2n, are the
     paper's zero-valued dummy goods: bags leave them out.  Returns each
     agent's bag, by agent.
+
+    Each iteration is one claim, swap or fill, and ``event_cap(n, m)``
+    bounds their number.  There are at most n claims, since ``owner`` only
+    grows, and at most m fills, since ``next_fill`` only grows.  Between two
+    of those events the bags are fixed, so each swap strictly raises its
+    agent's value of the bag held and the agent holds each of the n bags at
+    most once: at most n(n-1) swaps in each of the at most n + m + 1 runs.
+    An iteration past the bound is an ``InvariantViolationError``.
     """
     n = len(rows)
     m = len(rows[0][0]) if rows else 0
@@ -76,10 +91,10 @@ def run_bag_fill(
     next_fill = 2 * n - k
 
     iteration = 0
-    event_cap = 10_000 + 100 * n * m
+    cap = event_cap(n, m)
     while len(owner) < n:
         iteration += 1
-        if iteration > event_cap:
+        if iteration > cap:
             raise InvariantViolationError("bag filling exceeded its event cap")
         unserved = [i for i in range(n) if i not in owner]
         held = set(owner.values())

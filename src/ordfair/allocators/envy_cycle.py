@@ -9,21 +9,21 @@ keeping EFX; ``solve_complete`` certifies EFX independently.
 
 Bundles live in slots that never move: ``held[a]`` is agent a's slot, and
 each agent's values of all slots live in one integer matrix on the agents'
-integer-scaled rows (``Instance.int_rows``), built once by the verifier's
-``_worth`` (the model's column kernel, which the output's EF1 check runs
-again) and updated in place: a gift adds one value to the receiver's slot
-column, and a rotation only reassigns ``held`` for the cycle members.  Scaling a row keeps every
-comparison that agent makes, so the envy graph is exact.  The input's EF1
-check reads the matrix; a gift updates only the graph's edges into and out
-of the receiver's slot, and a rotation keeps each slot's enviers and
-recomputes the members' own edges.
+integer-scaled rows (``Instance.int_rows``), built once by the model's
+column kernel (``_bundle_sums``) and updated in place: a gift adds one value
+to the receiver's slot column, and a rotation only reassigns ``held`` for
+the cycle members.  Scaling a row keeps every comparison that agent makes,
+so the envy graph is exact.  The verifier's ``_ef1`` checks the input on
+that matrix and the output on a fresh one; a gift updates only the graph's
+edges into and out of the receiver's slot, and a rotation keeps each slot's
+enviers and recomputes the members' own edges.
 """
 
 from __future__ import annotations
 
 from ..errors import InvariantViolationError, PreconditionError
-from ..model import Allocation, Instance, check_allocation
-from ..verification import _ef1, _worth
+from ..model import Allocation, Instance, _bundle_sums, check_allocation
+from ..verification import _ef1
 from .trace import AllocatorTrace
 
 
@@ -64,7 +64,7 @@ def envy_cycle_elimination(
     """Hand pool goods to unenvied agents, rotating bundles along envy
     cycles when no such agent exists."""
     check_allocation(inst, alloc)
-    worth = _worth(inst, alloc)
+    worth = _bundle_sums(inst, alloc.bundles)
     ok, pair = _ef1(inst, alloc, worth)
     if not ok:
         raise PreconditionError(f"envy-cycle completion needs an EF1 input, witness {pair}")
@@ -125,7 +125,7 @@ def envy_cycle_elimination(
     for i in agents:
         if worth[i][held[i]] < start_values[i]:
             raise InvariantViolationError(f"agent {i} lost value during completion")
-    ok, pair = _ef1(inst, result, _worth(inst, result))
+    ok, pair = _ef1(inst, result, _bundle_sums(inst, result.bundles))
     if not ok:
         raise InvariantViolationError(f"EF1 lost during completion: {pair}")
     return result, trace

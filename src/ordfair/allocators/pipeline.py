@@ -105,9 +105,8 @@ def solve_complete(inst: Instance, algorithm: str) -> SolveResult:
         complete = partial if unchanged else _to_caller(complete, order)
         trace.rename_goods(order)
 
-    cache = {d: taus}
-    partial_report = report(inst, partial, [d], cache)
-    final_report = partial_report if unchanged else report(inst, complete, [d], cache)
+    partial_report = report(inst, partial, {d: taus})
+    final_report = partial_report if unchanged else report(inst, complete, {d: taus})
     certified = (
         final_report.complete
         and (final_report.efx if algorithm == "a1" else final_report.ef1)

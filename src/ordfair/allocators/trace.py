@@ -15,7 +15,10 @@ matching's ``pairs`` as (agent, goods) tuples; emitters pass values that do
 not change later.  Only ``TraceEvent.to_line`` formats them, one event per
 line: iteration, kind and key=value arguments, tab-separated, with goods
 ascending and comma-separated and pairs as ``agent:goods`` joined by ``;``.
-``TraceEvent.from_line`` parses each argument back by its key.
+``TraceEvent.from_line`` parses each argument back by its key, and reads
+every integer as the file formats do (``model._parse_int``): past Python's
+digit limit or malformed, it is a ``ParseError`` that, like every trace
+error, echoes only a short prefix of the line, token or number.
 """
 
 from __future__ import annotations
@@ -24,44 +27,46 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 from ..errors import ParseError
-from ..model import Allocation
+from ..model import Allocation, _echo, _parse_int
 
 
 def _fmt_ints(ints: Iterable[int]) -> str:
     return ",".join(map(str, ints))
 
 
+def _int(text: str) -> int:
+    return _parse_int(text, "trace integer")
+
+
 def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(map(int, text.split(","))) if text else ()
+    return tuple(map(_int, text.split(","))) if text else ()
 
 
 def _parse_pairs(text: str) -> tuple[tuple[int, frozenset[int]], ...]:
     pairs = (p.partition(":") for p in text.split(";") if p)
-    return tuple((int(a), frozenset(_parse_ints(goods))) for a, _, goods in pairs)
+    return tuple((_int(a), frozenset(_parse_ints(goods))) for a, _, goods in pairs)
 
 
-# Argument key -> (format, parse); every other key holds an int.
-_GOODS = (lambda goods: _fmt_ints(sorted(goods)), lambda text: frozenset(_parse_ints(text)))
+# Argument key -> (format, parse, rename); rename(name, value) is the
+# argument with each good g it names renamed to name(g), None for a key that
+# names no good.  Every other key holds an int that names no good.
+_GOODS = (
+    lambda goods: _fmt_ints(sorted(goods)),
+    lambda text: frozenset(_parse_ints(text)),
+    lambda name, goods: frozenset(map(name, goods)),
+)
 _CODECS = {
+    "good": (str, _int, lambda name, good: name(good)),
     "goods": _GOODS,
     "kept": _GOODS,
-    "cycle": (_fmt_ints, _parse_ints),
+    "cycle": (_fmt_ints, _parse_ints, None),
     "pairs": (
         lambda pairs: ";".join(f"{a}:{_fmt_ints(sorted(goods))}" for a, goods in pairs),
         _parse_pairs,
+        lambda name, pairs: tuple((a, frozenset(map(name, goods))) for a, goods in pairs),
     ),
 }
-_INT = (str, int)
-
-
-# Argument key -> the argument with each good g it names renamed to name(g);
-# no other key names a good.
-_GOOD_ARGS = {
-    "good": lambda name, good: name(good),
-    "goods": lambda name, goods: frozenset(map(name, goods)),
-    "kept": lambda name, goods: frozenset(map(name, goods)),
-    "pairs": lambda name, pairs: tuple((a, frozenset(map(name, goods))) for a, goods in pairs),
-}
+_INT = (str, _int, None)
 
 
 @dataclass(slots=True)
@@ -82,18 +87,14 @@ class TraceEvent:
     def from_line(cls, line: str) -> "TraceEvent":
         parts = line.split("\t")
         if len(parts) < 2:
-            raise ParseError(f"bad trace line {line!r}")
+            raise ParseError(f"bad trace line {_echo(line)}")
         args = {}
-        try:
-            for tok in parts[2:]:
-                k, eq, v = tok.partition("=")
-                if not eq or k in args:
-                    raise ParseError(f"bad trace argument {tok!r}")
-                args[k] = _CODECS.get(k, _INT)[1](v)
-            iteration = int(parts[0])
-        except ValueError as exc:
-            raise ParseError(f"bad number in trace line {line!r}") from exc
-        return cls(iteration, parts[1], args)
+        for tok in parts[2:]:
+            k, eq, v = tok.partition("=")
+            if not eq or k in args:
+                raise ParseError(f"bad trace argument {_echo(tok)}")
+            args[k] = _CODECS.get(k, _INT)[1](v)
+        return cls(_int(parts[0]), parts[1], args)
 
 
 @dataclass
@@ -119,7 +120,7 @@ class AllocatorTrace:
         for ev in self.events:
             args = ev.args
             for key, value in args.items():
-                rename = _GOOD_ARGS.get(key)
+                rename = _CODECS.get(key, _INT)[2]
                 if rename is not None:
                     args[key] = rename(name, value)
 
@@ -155,7 +156,7 @@ def replay(trace: AllocatorTrace, n: int, m: int, start: Allocation | None = Non
     try:
         return _replay(trace, n, m, start)
     except KeyError as exc:
-        raise ParseError(f"bad trace event: {exc!r}") from exc
+        raise ParseError(f"bad trace event: missing {_echo(str(exc.args[0]))}") from exc
 
 
 def _replay(trace: AllocatorTrace, n: int, m: int, start: Allocation | None) -> Allocation:
@@ -166,7 +167,7 @@ def _replay(trace: AllocatorTrace, n: int, m: int, start: Allocation | None) -> 
 
     def agent_of(a: int) -> int:
         if not 0 <= a < len(bundles):
-            raise ParseError(f"trace names agent {a} of {len(bundles)}")
+            raise ParseError(f"trace names agent {_echo(str(a))} of {len(bundles)}")
         return a
 
     def take(agent: int, bag: int) -> None:
@@ -203,13 +204,13 @@ def _replay(trace: AllocatorTrace, n: int, m: int, start: Allocation | None) -> 
             agent = agent_of(ev.get("agent"))
             bundles[agent].add(ev.get("good"))
         else:
-            raise ParseError(f"unknown trace event kind {kind!r}")
+            raise ParseError(f"unknown trace event kind {_echo(kind)}")
 
     owned: set[int] = set()
     for b in bundles:
         for g in b:
             if not 0 <= g < m:
-                raise ParseError(f"trace gives out good {g} of {m}")
+                raise ParseError(f"trace gives out good {_echo(str(g))} of {m}")
             if g in owned:
                 raise ParseError(f"trace gives out good {g} twice")
             owned.add(g)

@@ -88,7 +88,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     inst = _read_instance_file(args.instance)
     alloc = read_allocation(Path(args.allocation).read_text())
-    rep = verification.report(inst, alloc, args.d)
+    thresholds = {d: shares.thresholds(inst, d) for d in set(args.d)}
+    rep = verification.report(inst, alloc, thresholds)
     verdicts = {"complete": rep.complete, "efx": rep.efx, "ef1": rep.ef1}
     if rep.mms:
         verdicts["mms"] = all(v.ok for v in rep.mms)

@@ -2,7 +2,8 @@
 
 These are the source of truth used to certify allocator outputs; they never
 share state with the allocators.  The MMS verdict checks every agent of the
-instance it is given.
+instance it is given against the thresholds the caller hands ``report``, one
+tuple per divisor: this module imports only the model and computes no share.
 
 EFX and EF1 compare bundles within one agent's valuation, so they read one
 integer matrix: ``worth[i][j]`` is agent i's value of bundle j on i's row of
@@ -32,7 +33,6 @@ from .model import (
     check_allocation,
     format_rational,
 )
-from . import shares
 
 
 def strongly_envies(
@@ -64,12 +64,6 @@ def _strong_envy_drop(
     return min(g for g in bundle if value(g) == low) if total - low > own else None
 
 
-def _worth(inst: Instance, alloc: Allocation) -> list[list[int]]:
-    """worth[i][j]: agent i's value of bundle j on i's integer row, from the
-    model's column kernel (``model._bundle_sums``)."""
-    return _bundle_sums(inst, alloc.bundles)
-
-
 def _efx(inst: Instance, alloc: Allocation, worth: list[list[int]]):
     multi = [j for j, b in enumerate(alloc.bundles) if len(b) > 1]
     for i, (row, _) in enumerate(inst.int_rows):
@@ -96,13 +90,13 @@ def _ef1(inst: Instance, alloc: Allocation, worth: list[list[int]]):
 def is_efx(inst: Instance, alloc: Allocation) -> tuple[bool, tuple[int, int, int] | None]:
     """No agent strongly envies another; first violating triple as witness."""
     check_allocation(inst, alloc)
-    return _efx(inst, alloc, _worth(inst, alloc))
+    return _efx(inst, alloc, _bundle_sums(inst, alloc.bundles))
 
 
 def is_ef1(inst: Instance, alloc: Allocation) -> tuple[bool, tuple[int, int] | None]:
     """Every envy is removable by dropping one good from the envied bundle."""
     check_allocation(inst, alloc)
-    return _ef1(inst, alloc, _worth(inst, alloc))
+    return _ef1(inst, alloc, _bundle_sums(inst, alloc.bundles))
 
 
 def is_ordinal_mms(
@@ -159,16 +153,12 @@ class FairnessReport:
 
 
 def report(
-    inst: Instance,
-    alloc: Allocation,
-    divisors: Sequence[int] = (),
-    thresholds_by_divisor: Mapping[int, Sequence[Fraction]] | None = None,
+    inst: Instance, alloc: Allocation, thresholds: Mapping[int, Sequence[Fraction]]
 ) -> FairnessReport:
-    """Aggregate verdicts, one per distinct divisor in ascending order, as
-    ``read_report`` reads them back; thresholds are computed unless
-    supplied."""
+    """Aggregate verdicts, one MMS verdict per divisor of ``thresholds``
+    in ascending order, as ``read_report`` reads them back."""
     check_allocation(inst, alloc)
-    worth = _worth(inst, alloc)
+    worth = _bundle_sums(inst, alloc.bundles)
     efx, efx_wit = _efx(inst, alloc, worth)
     ef1, ef1_wit = (True, None) if efx else _ef1(inst, alloc, worth)
     values = tuple(
@@ -176,11 +166,8 @@ def report(
         for i, (row, (_, lcm)) in enumerate(zip(worth, inst.int_rows))
     )
     verdicts = []
-    for d in sorted(set(divisors)):
-        if thresholds_by_divisor is not None and d in thresholds_by_divisor:
-            taus = tuple(thresholds_by_divisor[d])
-        else:
-            taus = shares.thresholds(inst, d)
+    for d in sorted(thresholds):
+        taus = tuple(thresholds[d])
         ok, wit = _mms(inst, values, taus)
         verdicts.append(MmsVerdict(divisor=d, ok=ok, thresholds=taus, witness=wit))
     return FairnessReport(

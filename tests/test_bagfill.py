@@ -17,8 +17,8 @@ from ordfair import (
     strip_dummies,
     thresholds,
 )
-from ordfair.allocators import replay
-from ordfair.allocators.bagfill import ceil_3n_over_2
+from ordfair.allocators import bagfill, replay
+from ordfair.allocators.bagfill import ceil_3n_over_2, event_cap
 from ordfair.errors import InvariantViolationError, OrdfairError, StructuralMismatchError
 
 from helpers import I_A, seeded_instance
@@ -235,3 +235,29 @@ def test_bag_init_holds_the_opening_goods():
                     inits += 1
                     grown += j in filled
     assert inits > 200 and grown > 40, (inits, grown)
+
+
+@pytest.mark.parametrize(
+    "n, m", [(1, 0), (2, 0), (10_000, 0), (10_001, 0), (20_000, 0), (1, 1), (3, 9), (200, 600)]
+)
+def test_event_cap_covers_the_proven_bound(n, m):
+    """``run_bag_fill``'s docstring bounds its iterations by n claims, m
+    fills and n(n-1) swaps in each of n + m + 1 runs between them.  A valid
+    instance with no goods and more than 10,000 agents needs its n claims."""
+    assert event_cap(n, m) >= n + m + n * (n - 1) * (n + m + 1)
+
+
+def test_run_past_its_event_cap_is_an_invariant_violation(monkeypatch):
+    """The cap is checked: a run that takes k iterations, swaps and fills
+    among them, passes with a cap of k and raises with a cap of k - 1."""
+    inst = seeded_instance("ordered", 2, 12, 3214989422730734574, max_value=3)
+    inst = inst.permute_goods(_witness(inst))
+    taus = thresholds(inst, ceil_3n_over_2(inst.n))
+    _, trace = alloc_ordered_efx_3n2(inst, taus)
+    assert {"swap", "fill"} <= {ev.kind for ev in trace.events}
+    k = max(ev.iteration for ev in trace.events)
+    monkeypatch.setattr(bagfill, "event_cap", lambda n, m: k)
+    alloc_ordered_efx_3n2(inst, taus)
+    monkeypatch.setattr(bagfill, "event_cap", lambda n, m: k - 1)
+    with pytest.raises(InvariantViolationError, match="event cap"):
+        alloc_ordered_efx_3n2(inst, taus)

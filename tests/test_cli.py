@@ -144,6 +144,23 @@ class TestVerify:
         capsys.readouterr()
         assert code == 3
 
+    def test_repeated_divisors_report_digest(self, workdir, capsys):
+        """``--d 3 --d 2 --d 3`` reports d=2 then d=3, once each, on rational
+        rows; the stdout bytes are pinned."""
+        inst_file = workdir / "inst.txt"
+        inst_file.write_text(
+            "n 3\nm 6\nvaluations\n7/3 2 3 1/6 5/2 3/4\n3/4 2/3 1 1/9 5/6 1/3\n"
+            "13/2 6 15/2 1/5 7 5/2\n"
+        )
+        alloc_file = workdir / "alloc.txt"
+        alloc_file.write_text("agents 3\nbundles\n0: 0 3\n1: 1 4 5\n2: 2\npool\n")
+        argv = ["verify", str(inst_file), str(alloc_file), "--d", "3", "--d", "2", "--d", "3"]
+        assert run_cli(argv + ["--require", "complete"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == (
+            "494be4be133fed9ba1f7b69e0beaebdd7fc74375a9814b413ec06cb1adf46713"
+        )
+
     def test_malformed_bundle_is_parse_error(self, workdir, capsys):
         inst_file = workdir / "ex51.txt"
         inst_file.write_text(write_instance(EX51))

@@ -38,8 +38,7 @@ from ordfair import (
 )
 from ordfair.allocators.bagfill import ceil_3n_over_2
 from ordfair.errors import InvalidInstanceError, PreconditionError
-from ordfair.model import is_identity_ordered
-from ordfair.verification import _worth
+from ordfair.model import _bundle_sums, is_identity_ordered
 
 from helpers import (
     I_A,
@@ -155,7 +154,7 @@ def test_worth_matches_per_pair_sums(case):
     bundle, including empty bundles; pool goods are in no column.  Its rows
     are fresh lists, which envy-cycle completion updates in place."""
     inst, alloc = case
-    worth = _worth(inst, alloc)
+    worth = _bundle_sums(inst, alloc.bundles)
     assert worth == [[inst.int_value(i, b) for b in alloc.bundles] for i in inst.agents]
     assert all(type(row) is list for row in worth)
     assert len({id(row) for row in worth}) == inst.n

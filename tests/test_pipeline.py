@@ -362,6 +362,18 @@ class TestTraceSerialization:
         with pytest.raises(ParseError):
             replay(AllocatorTrace.from_text("# trace a1\n" + events), 2, 1)
 
+    @pytest.mark.parametrize(
+        "line",
+        ["1\tclaim\tagent=" + "7" * 5000 + "\tbag=0", "1\tclaim\t" + "x" * 5000],
+        ids=["5000-digit agent", "5000-character token"],
+    )
+    def test_long_input_is_a_short_parse_error(self, line):
+        """A number past Python's digit limit and a malformed token are
+        ``ParseError``s that echo a prefix, not the whole input."""
+        with pytest.raises(ParseError) as info:
+            AllocatorTrace.from_text("# trace a1\n" + line)
+        assert len(str(info.value).encode()) < 200
+
     def test_replay_hands_out_a_bag_at_its_claim(self):
         """Bag filling fills only open bags, so replay gives a claimant the
         bag's goods at the claim: a later fill of that bag, which the engine
@@ -485,9 +497,9 @@ class TestReportsOnBothPaths:
             except StructuralMismatchError:
                 continue
             counts["unchanged" if result.allocation == result.partial else "changed"] += 1
-            d = [result.divisor]
-            assert result.partial_report == report(inst, result.partial, d)
-            assert result.report == report(inst, result.allocation, d)
+            taus = {result.divisor: thresholds(inst, result.divisor)}
+            assert result.partial_report == report(inst, result.partial, taus)
+            assert result.report == report(inst, result.allocation, taus)
         assert counts["unchanged"] > 0 and counts["changed"] > 0, counts
 
 
@@ -649,8 +661,9 @@ class TestPipelineProperties:
         result = solve_complete(inst, algorithm)
         assert result.certified
         d = result.divisor
-        assert result.partial_report == report(inst, result.partial, [d])
-        assert result.report == report(inst, result.allocation, [d])
+        taus = {d: thresholds(inst, d)}
+        assert result.partial_report == report(inst, result.partial, taus)
+        assert result.report == report(inst, result.allocation, taus)
         assert result.thresholds == tuple(
             mms_bruteforce(inst, i, d).value for i in inst.agents
         )

@@ -17,7 +17,9 @@ from ordfair import (
     thresholds,
     write_report,
 )
+from ordfair import verification
 from ordfair.errors import InvalidInstanceError, ParseError, PreconditionError
+from ordfair.verification import MmsVerdict
 
 from helpers import (
     EX51,
@@ -167,7 +169,7 @@ class TestOrdinalMms:
         alloc = make_allocation([[0], [1], [2], [3], []], [4])
         taus = tuple(map(Fraction, (2, 5, 6, 4, 99)))
         assert is_ordinal_mms(inst, alloc, 2, taus) == (False, (4, 99))
-        assert report(inst, alloc, [2], {2: taus}).mms[0].witness == (4, 99)
+        assert report(inst, alloc, {2: taus}).mms[0].witness == (4, 99)
         gaps = tuple(map(Fraction, (2, 5, 6, 4, 3)))
         assert is_ordinal_mms(inst, alloc, 2, gaps) == (False, (1, 3))
         met = (Fraction(1), Fraction(2), Fraction(3), Fraction(4), Fraction(0))
@@ -208,7 +210,7 @@ class TestMalformedAllocations:
 
 class TestReport:
     def test_aggregates_individual_verdicts(self):
-        rep = report(EX51, EX51_ALLOC, [3])
+        rep = report(EX51, EX51_ALLOC, {3: thresholds(EX51, 3)})
         assert rep.complete
         assert not rep.efx and rep.efx_witness[:2] == (0, 1)
         # the envy here is three goods deep, so EF1 fails too
@@ -223,7 +225,7 @@ class TestReport:
             alloc = random_partial_allocation(inst, rng)
             # Unsorted and repeated divisors, as ``verify --d 3 --d 2`` passes.
             for divisors in ([2, 3], [3, 2], [2, 2]):
-                rep = report(inst, alloc, divisors)
+                rep = report(inst, alloc, {d: thresholds(inst, d) for d in divisors})
                 assert read_report(write_report(rep)) == rep
 
     @pytest.mark.parametrize(
@@ -231,16 +233,32 @@ class TestReport:
         ["mms foo", "mms d=x ok=true witness=none", "thresholds d", "values 1/0"],
     )
     def test_malformed_report_is_parse_error(self, line):
-        text = write_report(report(EX51, EX51_ALLOC, [3])) + line + "\n"
+        text = write_report(report(EX51, EX51_ALLOC, {3: thresholds(EX51, 3)})) + line + "\n"
         with pytest.raises(ParseError):
             read_report(text)
+
+    def test_mms_verdicts_follow_the_thresholds_handed_over(self):
+        """``report`` checks each divisor against the thresholds it is given,
+        not against shares it computes: EX51's bundles (1, 3, 2) meet its
+        1-out-of-3 shares (1, 1, 2), but not (2, 1, 5/2), where agent 0
+        falls 1 short and agent 2 only 1/2.  Verdicts come in ascending
+        order of divisor, whatever the map's order."""
+        taus = (Fraction(2), Fraction(1), Fraction(5, 2))
+        rep = report(EX51, EX51_ALLOC, {3: taus, 2: thresholds(EX51, 2)})
+        assert [v.divisor for v in rep.mms] == [2, 3]
+        assert rep.mms[1] == MmsVerdict(divisor=3, ok=False, thresholds=taus, witness=(0, 1))
+        assert thresholds(EX51, 3) == (1, 1, 2)
+        assert report(EX51, EX51_ALLOC, {3: thresholds(EX51, 3)}).mms_ok(3)
+
+    def test_verifier_does_not_import_the_share_solver(self):
+        assert not hasattr(verification, "shares")
 
     def test_efx_report_implies_ef1_report(self):
         rng = random.Random(37)
         for _ in range(40):
             inst = seeded_instance("general", 2, 5, rng.randrange(2**32))
             alloc = random_partial_allocation(inst, rng)
-            rep = report(inst, alloc)
+            rep = report(inst, alloc, {})
             if rep.efx:
                 assert rep.ef1
 
@@ -265,7 +283,7 @@ class TestReport:
                 2: thresholds(inst, 2),
                 3: tuple(Fraction(rng.randint(0, 60), rng.randint(1, 12)) for _ in inst.agents),
             }
-            rep = report(inst, alloc, [2, 3], {3: taus[3]})
+            rep = report(inst, alloc, taus)
             assert rep == reference_report(inst, alloc, taus), (inst, alloc)
             seen["efx" if rep.efx else "ef1 only" if rep.ef1 else "neither"] += 1
         assert min(seen.values()) >= 10, seen
