@@ -8,18 +8,21 @@ good taken is the next one in the common order, the paper's rule for
 keeping EFX; ``solve_complete`` certifies EFX independently.
 
 Bundles live in slots that never move: ``held[a]`` is agent a's slot, and
-each agent's values of all slots live in one integer matrix on the agents'
-integer-scaled rows (``Instance.int_rows``), built once by the model's
-column kernel (``_bundle_sums``) and updated in place: a gift adds one value
-to the receiver's slot column, and a rotation only reassigns ``held`` for
-the cycle members.  Scaling a row keeps every comparison that agent makes,
-so the envy graph is exact.  The verifier's ``_ef1`` checks the input on
-that matrix and the output on a fresh one; a gift updates only the graph's
+``worth[s][i]`` is agent i's value of slot s on i's integer-scaled row
+(``Instance.int_rows``), one column per slot from the model's column kernel
+(``_bundle_sums``).  A gift rebinds the receiver's slot to that column plus
+the good's column, and a rotation only reassigns ``held`` for the cycle
+members.  Scaling a row keeps every comparison that agent makes, so the
+envy graph is exact.  The verifier's ``_ef1`` checks the input on that
+matrix and the output on a fresh one; a gift updates only the graph's
 edges into and out of the receiver's slot, and a rotation keeps each slot's
 enviers and recomputes the members' own edges.
 """
 
 from __future__ import annotations
+
+from operator import add
+from typing import Sequence
 
 from ..errors import InvariantViolationError, PreconditionError
 from ..model import Allocation, Instance, _bundle_sums, check_allocation
@@ -27,17 +30,22 @@ from ..verification import _ef1
 from .trace import AllocatorTrace
 
 
-def _envy_edges(worth: list[list[int]]) -> list[set[int]]:
-    """incoming[s] = agents that envy slot s; worth[i][s] is i's value of
+def event_cap(n: int, m: int) -> int:
+    """The most iterations ``envy_cycle_elimination`` can take, each one gift
+    or one rotation.  There are at most m gifts, since the pool only
+    shrinks, and between two gifts the bundles are fixed.  A rotation
+    strictly raises each cycle member's value of the bundle held, so each
+    member envies at least one slot fewer and no one else's envy changes;
+    with at most n(n-1) (agent, slot) envy pairs and two or more members per
+    cycle, a run of rotations has at most n(n-1)/2 of them."""
+    return m * (1 + n * (n - 1) // 2)
+
+
+def _envy_edges(worth: list[Sequence[int]]) -> list[set[int]]:
+    """incoming[s] = agents that envy slot s; worth[s][i] is i's value of
     slot s, and agent i holds slot i."""
-    agents = range(len(worth))
-    incoming: list[set[int]] = [set() for _ in agents]
-    for i, row in enumerate(worth):
-        own = row[i]
-        for j in agents:
-            if row[j] > own:
-                incoming[j].add(i)
-    return incoming
+    own = [col[i] for i, col in enumerate(worth)]
+    return [{i for i, w in enumerate(col) if w > own[i]} for col in worth]
 
 
 def _find_cycle(incoming: list[set[int]]) -> list[int]:
@@ -62,7 +70,8 @@ def envy_cycle_elimination(
     inst: Instance, alloc: Allocation
 ) -> tuple[Allocation, AllocatorTrace]:
     """Hand pool goods to unenvied agents, rotating bundles along envy
-    cycles when no such agent exists."""
+    cycles when no such agent exists; an iteration past ``event_cap(n, m)``
+    is an ``InvariantViolationError``."""
     check_allocation(inst, alloc)
     worth = _bundle_sums(inst, alloc.bundles)
     ok, pair = _ef1(inst, alloc, worth)
@@ -74,8 +83,9 @@ def envy_cycle_elimination(
         return alloc, trace
 
     rows = [row for row, _ in inst.int_rows]
+    cols = inst._int_columns
     agents = inst.agents
-    # Slot s starts as agent s's bundle; worth[i][s] and incoming[s] (the
+    # Slot s starts as agent s's bundle; worth[s] and incoming[s] (the
     # agents that envy slot s) stay with the slot, whoever holds it.
     held = list(agents)
     bundles = [set(b) for b in alloc.bundles]
@@ -83,7 +93,7 @@ def envy_cycle_elimination(
     start_values = [worth[i][i] for i in agents]
     incoming = _envy_edges(worth)
     iteration = 0
-    cap = 10_000 + 100 * inst.n * inst.m
+    cap = event_cap(inst.n, inst.m)
 
     while pool:
         iteration += 1
@@ -97,12 +107,12 @@ def envy_cycle_elimination(
             # strict gain also proves that total utility rises.  Only the
             # members' own values change, so only their edges.
             for a, slot in zip(cycle, gained):
-                own = worth[a][slot]
-                if own <= worth[a][held[a]]:
+                own = worth[slot][a]
+                if own <= worth[held[a]][a]:
                     raise InvariantViolationError("cycle member did not gain")
                 held[a] = slot
-                for s, w in enumerate(worth[a]):
-                    if w > own:
+                for s, col in enumerate(worth):
+                    if col[a] > own:
                         incoming[s].add(a)
                     else:
                         incoming[s].discard(a)
@@ -112,18 +122,17 @@ def envy_cycle_elimination(
         good = max(pool, key=rows[source].__getitem__)
         bundles[slot].add(good)
         pool.remove(good)
-        for agent_row, agent_worth in zip(rows, worth):
-            agent_worth[slot] += agent_row[good]
-        incoming[slot] = {i for i, w in enumerate(worth) if w[slot] > w[held[i]]}
-        own = worth[source][slot]
-        for s, w in enumerate(worth[source]):
-            if w <= own:
+        worth[slot] = grown = [*map(add, worth[slot], cols[good])]
+        incoming[slot] = {i for i, w in enumerate(grown) if w > worth[held[i]][i]}
+        own = grown[source]
+        for s, col in enumerate(worth):
+            if col[source] <= own:
                 incoming[s].discard(source)
         trace.emit(iteration, "source_gift", agent=source, good=good)
 
     result = Allocation(tuple(frozenset(bundles[s]) for s in held), frozenset())
     for i in agents:
-        if worth[i][held[i]] < start_values[i]:
+        if worth[held[i]][i] < start_values[i]:
             raise InvariantViolationError(f"agent {i} lost value during completion")
     ok, pair = _ef1(inst, result, _bundle_sums(inst, result.bundles))
     if not ok:

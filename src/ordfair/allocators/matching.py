@@ -17,11 +17,10 @@ reached.
 ``ThresholdGraph.build`` takes each agent's threshold as its level
 (``Instance.level``), which the lone divider maps once, and decides each edge
 on the agent's integer row: the bag's sum on that row (what
-``Instance.int_value`` gives), at or above that level.  Every agent's bag
-sums come from one call of the model's column kernel (``_bundle_sums``);
-then, agent by agent in ascending order, each bag the agent accepts
-appends the agent to its list.  The graph is the eligible agents and these
-adjacency lists, each bag's agents in ascending order: what the maximum
+``Instance.int_value`` gives), at or above that level.  One call of the
+model's column kernel (``_bundle_sums``) gives each bag's column of sums,
+and each bag's neighbours are read from its column.  The graph is the
+eligible agents and each bag's agents in ascending order: what the maximum
 matching, the alternating-path walk and the envy-freeness check read.
 """
 
@@ -49,14 +48,12 @@ class ThresholdGraph:
     ) -> "ThresholdGraph":
         """The graph of (agent, ``Instance.level``) pairs.  ``agents`` keeps
         the pairs' order; each bag's list is ascending whatever that order."""
-        frozen = tuple(frozenset(b) for b in bags)
-        worth = _bundle_sums(inst, frozen)
-        adjacent: list[list[int]] = [[] for _ in frozen]
-        for i, level in sorted(levels):
-            for j, total in enumerate(worth[i]):
-                if total >= level:
-                    adjacent[j].append(i)
-        return cls(tuple(i for i, _ in levels), tuple(map(tuple, adjacent)))
+        ranked = sorted(levels)
+        neighbors = (
+            tuple(i for i, level in ranked if col[i] >= level)
+            for col in _bundle_sums(inst, tuple(map(frozenset, bags)))
+        )
+        return cls(tuple(i for i, _ in levels), tuple(neighbors))
 
 
 def _max_matching(neighbors: Sequence[tuple[int, ...]]) -> dict[int, int]:

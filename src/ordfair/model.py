@@ -286,14 +286,13 @@ class Allocation:
         return not self.pool and self.allocated() == frozenset(range(m))
 
 
-def _bundle_sums(inst: Instance, bundles: Sequence[frozenset[int]]) -> list[list[int]]:
-    """worth[i][j]: agent i's value of bundle j on i's ``int_rows`` scale.
+def _bundle_sums(inst: Instance, bundles: Sequence[frozenset[int]]) -> list[Sequence[int]]:
+    """worth[j][i]: agent i's value of bundle j on i's ``int_rows`` scale.
 
-    Each bundle's goods' columns (``Instance._int_columns``) are added
-    element-wise with ``map(add, ...)``, starting from the first good's
-    column, and the per-bundle sums are transposed once.  The sums are
-    exact integers, so the order of addition does not matter.  Each row is
-    a new list, which callers may update in place."""
+    Each entry adds its bundle's goods' columns (``Instance._int_columns``)
+    with ``map(add, ...)``; the sums are exact integers, so the order does
+    not matter.  A one-good bundle's entry is the cached column and empty
+    bundles share one zero tuple, so no caller may write into an entry."""
     cols = inst._int_columns
     zero = (0,) * inst.n
     sums = []
@@ -303,9 +302,7 @@ def _bundle_sums(inst: Instance, bundles: Sequence[frozenset[int]]) -> list[list
         for g in goods:
             acc = [*map(add, acc, cols[g])]
         sums.append(acc)
-    if not sums:
-        return [[] for _ in inst.agents]
-    return [*map(list, zip(*sums))]
+    return sums
 
 
 def check_allocation(inst: Instance, alloc: Allocation) -> None:

@@ -6,22 +6,23 @@ instance it is given against the thresholds the caller hands ``report``, one
 tuple per divisor: this module imports only the model and computes no share.
 
 EFX and EF1 compare bundles within one agent's valuation, so they read one
-integer matrix: ``worth[i][j]`` is agent i's value of bundle j on i's row of
-``Instance.int_rows``, which the model's column kernel (``_bundle_sums``)
-adds up from the instance's cached per-good columns; the scans walk its
-rows and open a bundle only where i envies it and it holds two or more
-goods (a lone good dropped leaves 0).  ``report`` builds it once, takes
-bundle values as ``Fraction(worth[i][i], lcm_i)`` (one-argument
-``Fraction`` when the lcm is 1, which needs no gcd), and skips EF1's pass
-when EFX holds: then ``worth[i][j] - min <= worth[i][i]`` for every envied
-pair, and max >= min.  The public checkers validate the allocation against
-the instance first (``check_allocation``), as ``report`` does.
+integer matrix: ``worth[j][i]`` is agent i's value of bundle j on i's row of
+``Instance.int_rows``, one column per bundle from the model's kernel
+(``_bundle_sums``); the scans open a bundle only where i envies it and it
+holds two or more goods (a lone good dropped leaves 0).  ``report`` builds
+it once, takes bundle values as ``Fraction(worth[i][i], lcm_i)``
+(one-argument ``Fraction`` when the lcm is 1, which needs no gcd), and skips
+EF1's pass when EFX holds: then ``worth[j][i] - min <= worth[i][i]`` for
+every envied pair, and max >= min.  The public checkers validate the
+allocation against the instance first (``check_allocation``), as ``report``
+does.  ``read_report`` reads back only what ``write_report`` writes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 from .errors import ParseError, PreconditionError
@@ -29,6 +30,8 @@ from .model import (
     Allocation,
     Instance,
     _bundle_sums,
+    _echo,
+    _parse_int,
     as_rational,
     check_allocation,
     format_rational,
@@ -64,24 +67,24 @@ def _strong_envy_drop(
     return min(g for g in bundle if value(g) == low) if total - low > own else None
 
 
-def _efx(inst: Instance, alloc: Allocation, worth: list[list[int]]):
+def _efx(inst: Instance, alloc: Allocation, worth: Sequence[Sequence[int]]):
     multi = [j for j, b in enumerate(alloc.bundles) if len(b) > 1]
     for i, (row, _) in enumerate(inst.int_rows):
         own = worth[i][i]
         for j in multi:
-            if worth[i][j] > own:
-                drop = _strong_envy_drop(row.__getitem__, own, worth[i][j], alloc.bundles[j])
+            if worth[j][i] > own:
+                drop = _strong_envy_drop(row.__getitem__, own, worth[j][i], alloc.bundles[j])
                 if drop is not None:
                     return False, (i, j, drop)
     return True, None
 
 
-def _ef1(inst: Instance, alloc: Allocation, worth: list[list[int]]):
+def _ef1(inst: Instance, alloc: Allocation, worth: Sequence[Sequence[int]]):
     multi = [j for j, b in enumerate(alloc.bundles) if len(b) > 1]
     for i, (row, _) in enumerate(inst.int_rows):
         own = worth[i][i]
         for j in multi:
-            total = worth[i][j]
+            total = worth[j][i]
             if total > own and own < total - max(map(row.__getitem__, alloc.bundles[j])):
                 return False, (i, j)
     return True, None
@@ -162,8 +165,8 @@ def report(
     efx, efx_wit = _efx(inst, alloc, worth)
     ef1, ef1_wit = (True, None) if efx else _ef1(inst, alloc, worth)
     values = tuple(
-        Fraction(row[i]) if lcm == 1 else Fraction(row[i], lcm)
-        for i, (row, (_, lcm)) in enumerate(zip(worth, inst.int_rows))
+        Fraction(col[i]) if lcm == 1 else Fraction(col[i], lcm)
+        for i, (col, (_, lcm)) in enumerate(zip(worth, inst.int_rows))
     )
     verdicts = []
     for d in sorted(thresholds):
@@ -215,57 +218,76 @@ def write_report(rep: FairnessReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+_FIELDS = ("complete", "values", "efx", "efx_witness", "ef1", "ef1_witness")
+
+
+def _read_bool(token: str) -> bool:
+    if token not in ("true", "false"):
+        raise ParseError(f"bad report boolean {_echo(token)}")
+    return token == "true"
+
+
+_index = partial(_parse_int, what="report index")
+
+
+def _read_witness(text: str, parsers: Sequence[Callable[[str], object]]) -> tuple | None:
+    if text == "none":
+        return None
+    tokens = text.split()
+    if len(tokens) != len(parsers):
+        raise ParseError(f"witness {_echo(text)} needs {len(parsers)} entries")
+    return tuple(parse(t) for parse, t in zip(parsers, tokens))
+
+
+def _tag(token: str, name: str) -> str:
+    """The value of a ``name=value`` token."""
+    if not token.startswith(name + "="):
+        raise ParseError(f"expected {name}=..., got {_echo(token)}")
+    return token[len(name) + 1:]
+
+
 def read_report(text: str) -> FairnessReport:
+    """What ``write_report`` writes: each line once, booleans as ``true`` or
+    ``false``, witnesses of their own length; anything else is a
+    ``ParseError``."""
     fields: dict[str, str] = {}
-    mms_parts: dict[int, dict[str, str]] = {}
-    try:
-        for ln in text.splitlines():
-            ln = ln.strip()
-            if not ln or ln.startswith("#"):
-                continue
-            key, _, rest = ln.partition(" ")
-            if key == "mms":
-                toks = dict(t.split("=", 1) for t in rest.split(" ", 2))
-                d = int(toks["d"])
-                entry = mms_parts.setdefault(d, {})
-                entry["ok"] = toks["ok"]
-                entry["witness"] = rest.split("witness=", 1)[1]
-            elif key == "thresholds":
-                dpart, _, vals = rest.partition(" ")
-                d = int(dpart.split("=", 1)[1])
-                mms_parts.setdefault(d, {})["thresholds"] = vals
-            else:
-                fields[key] = rest
-        efx_wit = fields["efx_witness"]
-        ef1_wit = fields["ef1_witness"]
-        verdicts = []
-        for d in sorted(mms_parts):
-            entry = mms_parts[d]
-            wit = entry["witness"]
-            witness = None
-            if wit != "none":
-                a, gap = wit.split()
-                witness = (int(a), as_rational(gap))
-            verdicts.append(
-                MmsVerdict(
-                    divisor=d,
-                    ok=entry["ok"] == "true",
-                    thresholds=tuple(map(as_rational, entry["thresholds"].split())),
-                    witness=witness,
-                )
+    per_divisor: dict[int, dict[str, str]] = {}
+    for ln in text.splitlines():
+        ln = ln.strip()
+        if not ln or ln.startswith("#"):
+            continue
+        key, _, rest = ln.partition(" ")
+        entry = fields
+        if key in ("mms", "thresholds"):
+            head, _, rest = rest.partition(" ")
+            entry = per_divisor.setdefault(_parse_int(_tag(head, "d"), "report divisor"), {})
+        elif key not in _FIELDS:
+            raise ParseError(f"unknown report field {_echo(key)}")
+        if key in entry:
+            raise ParseError(f"repeated report line {_echo(ln)}")
+        entry[key] = rest
+    missing = [k for k in _FIELDS if k not in fields]
+    for d, entry in sorted(per_divisor.items()):
+        missing += [f"{k} d={d}" for k in ("mms", "thresholds") if k not in entry]
+    if missing:
+        raise ParseError(f"report has no {missing[0]} line")
+    verdicts = []
+    for d, entry in sorted(per_divisor.items()):
+        ok, _, witness = entry["mms"].partition(" ")
+        verdicts.append(
+            MmsVerdict(
+                divisor=d,
+                ok=_read_bool(_tag(ok, "ok")),
+                thresholds=tuple(map(as_rational, entry["thresholds"].split())),
+                witness=_read_witness(_tag(witness, "witness"), (_index, as_rational)),
             )
-        return FairnessReport(
-            complete=fields["complete"] == "true",
-            bundle_values=tuple(map(as_rational, fields["values"].split())),
-            efx=fields["efx"] == "true",
-            efx_witness=None
-            if efx_wit == "none"
-            else tuple(int(t) for t in efx_wit.split()),  # type: ignore[arg-type]
-            ef1=fields["ef1"] == "true",
-            ef1_witness=None
-            if ef1_wit == "none"
-            else tuple(int(t) for t in ef1_wit.split()),  # type: ignore[arg-type]
-            mms=tuple(verdicts),
         )
-    except (KeyError, ValueError, IndexError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad report file: {exc}") from exc
+    return FairnessReport(
+        complete=_read_bool(fields["complete"]),
+        bundle_values=tuple(map(as_rational, fields["values"].split())),
+        efx=_read_bool(fields["efx"]),
+        efx_witness=_read_witness(fields["efx_witness"], (_index,) * 3),  # type: ignore[arg-type]
+        ef1=_read_bool(fields["ef1"]),
+        ef1_witness=_read_witness(fields["ef1_witness"], (_index,) * 2),  # type: ignore[arg-type]
+        mms=tuple(verdicts),
+    )

@@ -11,9 +11,10 @@ from ordfair import (
     is_efx,
     thresholds,
 )
-from ordfair.allocators import replay
+from ordfair.allocators import envy_cycle, replay
 from ordfair.allocators.bagfill import ceil_3n_over_2
-from ordfair.errors import PreconditionError
+from ordfair.allocators.envy_cycle import event_cap
+from ordfair.errors import InvariantViolationError, PreconditionError
 
 from helpers import I_A, make_allocation, random_partial_allocation, seeded_instance
 
@@ -130,3 +131,45 @@ class TestEf1Mode:
                     i, start.bundles[i]
                 )
             assert replay(trace, inst.n, inst.m, start) == final
+
+
+def _rotation_then_valued_gifts():
+    """Each agent envies the other, so the bundles rotate first; then agent
+    0 is the lowest source and takes goods 2 and 3, which both agents
+    value, into the slot that held good 1 alone."""
+    inst = Instance.from_rows([[1, 2, 1, 1], [2, 1, 1, 1]])
+    return inst, make_allocation([[0], [1]], [2, 3])
+
+
+def test_completion_leaves_the_instance_columns_alone():
+    """A one-good slot's sums are the instance's cached column: a gift to it
+    makes a new entry and never writes into the column."""
+    inst, start = _rotation_then_valued_gifts()
+    before = [list(col) for col in inst._int_columns]
+    final, trace = envy_cycle_elimination(inst, start)
+    assert [ev.kind for ev in trace.events] == ["cycle_rotation", "source_gift", "source_gift"]
+    assert final.bundles == (frozenset({1, 2, 3}), frozenset({0}))
+    assert [list(col) for col in inst._int_columns] == before
+
+
+@pytest.mark.parametrize(
+    "n, m", [(1, 0), (1, 5), (2, 1), (3, 9), (24, 24), (300, 1), (300, 900)]
+)
+def test_event_cap_covers_the_proven_bound(n, m):
+    """``event_cap``'s docstring bounds completion's iterations by m
+    gifts, each after at most n(n-1)/2 rotations.  At (300, 1) a fixed
+    10,000 + 100nm (40,000) falls below that bound (44,851)."""
+    assert event_cap(n, m) >= m * (1 + n * (n - 1) // 2)
+
+
+def test_run_past_its_event_cap_is_an_invariant_violation(monkeypatch):
+    """The cap is checked: a run of k iterations, a rotation and gifts among
+    them, passes with a cap of k and raises with a cap of k - 1."""
+    inst, start = _rotation_then_valued_gifts()
+    _, trace = envy_cycle_elimination(inst, start)
+    k = max(ev.iteration for ev in trace.events)
+    monkeypatch.setattr(envy_cycle, "event_cap", lambda n, m: k)
+    envy_cycle_elimination(inst, start)
+    monkeypatch.setattr(envy_cycle, "event_cap", lambda n, m: k - 1)
+    with pytest.raises(InvariantViolationError, match="event cap"):
+        envy_cycle_elimination(inst, start)

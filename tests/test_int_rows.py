@@ -10,6 +10,7 @@ at thresholds between two levels and under per-agent row scaling.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -19,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ordfair import (
+    Allocation,
     Instance,
     alloc_ordered_ef1_4n3,
     alloc_ordered_efx_3n2,
@@ -31,6 +33,7 @@ from ordfair import (
     normalize_scale,
     pad_agents_to_multiple_of_three,
     pad_goods,
+    report,
     strip_dummies,
     strongly_envies,
     thresholds,
@@ -150,14 +153,37 @@ def _permuted_after_parent_columns():
 @example((_ONE_GOOD, make_allocation([[], [], []], [0])))
 @example((_permuted_after_parent_columns(), make_allocation([[0, 1], [2]], [3])))
 def test_worth_matches_per_pair_sums(case):
-    """The column kernel's worth matrix equals each agent's sum over each
-    bundle, including empty bundles; pool goods are in no column.  Its rows
-    are fresh lists, which envy-cycle completion updates in place."""
+    """The column kernel gives one entry per bundle, each agent's sum over
+    that bundle, including empty bundles; pool goods are in no entry."""
     inst, alloc = case
     worth = _bundle_sums(inst, alloc.bundles)
-    assert worth == [[inst.int_value(i, b) for b in alloc.bundles] for i in inst.agents]
-    assert all(type(row) is list for row in worth)
-    assert len({id(row) for row in worth}) == inst.n
+    assert [list(col) for col in worth] == [
+        [inst.int_value(i, b) for i in inst.agents] for b in alloc.bundles
+    ]
+
+
+def test_empty_bundles_share_one_entry():
+    """Empty bundles cost one zero tuple between them, not one per bundle."""
+    inst = Instance.from_rows([[]] * 5)
+    worth = _bundle_sums(inst, [frozenset()] * inst.n)
+    assert worth == [(0,) * 5] * 5
+    assert len({id(col) for col in worth}) == 1
+
+
+def test_many_agents_without_goods_build_no_square_matrix():
+    """A report and completion on 3,000 agents with empty bundles hold one
+    zero entry for all bundles, not a 3,000 x 3,000 matrix (about 72 MB)."""
+    inst = Instance.from_rows([[]] * 3000)
+    alloc = Allocation((frozenset(),) * inst.n)
+    assert inst._int_columns == ()
+    for run in (lambda: report(inst, alloc, {}), lambda: envy_cycle_elimination(inst, alloc)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000, peak
 
 
 # --- derived instances carry int_rows -------------------------------------

@@ -237,6 +237,25 @@ class TestReport:
         with pytest.raises(ParseError):
             read_report(text)
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("efx false", "efx banana"),
+            ("ok=true", "ok=yes"),
+            ("complete true", "complete true\ncolour blue"),
+            ("efx false", "efx false\nefx true"),
+            ("efx_witness 0 1 0", "efx_witness 1 0"),
+            ("ef1_witness 0 1", "ef1_witness 1 0 4 5"),
+        ],
+    )
+    def test_report_the_writer_cannot_write_is_parse_error(self, old, new):
+        """Booleans other than true and false, unknown and repeated lines,
+        and witnesses of the wrong length are refused, not read leniently."""
+        text = write_report(report(EX51, EX51_ALLOC, {3: thresholds(EX51, 3)}))
+        assert old in text
+        with pytest.raises(ParseError):
+            read_report(text.replace(old, new, 1))
+
     def test_mms_verdicts_follow_the_thresholds_handed_over(self):
         """``report`` checks each divisor against the thresholds it is given,
         not against shares it computes: EX51's bundles (1, 3, 2) meet its
