@@ -4,7 +4,6 @@ and envy-based guarantees, exact rational arithmetic throughout."""
 from .allocators import (
     AllocatorTrace,
     SolveResult,
-    ThresholdGraph,
     alloc_ordered_ef1_4n3,
     alloc_ordered_efx_3n2,
     alloc_topn_lone_divider,

@@ -14,7 +14,7 @@ from .lone_divider import (
     shrink_minimal,
     strongly_envies_bundle,
 )
-from .matching import ThresholdGraph, envy_free_matching
+from .matching import envy_free_matching
 from .pipeline import ALGORITHMS, SolveResult, solve_complete
 from .trace import AllocatorTrace, TraceEvent, replay
 
@@ -22,7 +22,6 @@ __all__ = [
     "ALGORITHMS",
     "AllocatorTrace",
     "SolveResult",
-    "ThresholdGraph",
     "TraceEvent",
     "alloc_ordered_ef1_4n3",
     "alloc_ordered_efx_3n2",

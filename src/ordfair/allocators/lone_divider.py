@@ -17,9 +17,9 @@ strongly envies and keeps its one top good, the good it was shrunk around.
 Every decision compares one agent's sums on their integer row
 (``Instance.int_value``) with their threshold on the same scale
 (``Instance.level``).  ``alloc_topn_lone_divider`` takes thresholds in value
-units and maps them once; the partition, the shrink and the threshold graph
-below it take those levels.  Only the progress measure, a total across
-agents whose scales differ, stays in ``Fraction``.
+units and maps them once; the partition, the shrink and the matching's
+edges (``_acceptors``) take those levels.  Only the progress measure, a
+total across agents whose scales differ, stays in ``Fraction``.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from ..errors import (
     PreconditionError,
     StructuralMismatchError,
 )
-from ..model import Allocation, Instance, top_k_set
+from ..model import Allocation, Instance, _bundle_sums, top_k_set
 from .bagfill import run_bag_fill
-from .matching import ThresholdGraph, envy_free_matching
+from .matching import envy_free_matching
 from .trace import AllocatorTrace
 
 
@@ -99,6 +99,18 @@ def shrink_minimal(
         if any(inst.int_value(i, trial) >= level for i, level in levels):
             current = trial
     return frozenset(current)
+
+
+def _acceptors(
+    inst: Instance, bags: Sequence[frozenset[int]], levels: Sequence[tuple[int, int]]
+) -> tuple[tuple[int, ...], ...]:
+    """Per bag, the agents of the (agent, ``Instance.level``) pairs `levels`
+    whose sum in the bag's column is at or above their level, ascending."""
+    ranked = sorted(levels)
+    return tuple(
+        tuple(i for i, level in ranked if col[i] >= level)
+        for col in _bundle_sums(inst, bags)
+    )
 
 
 def _envies(inst: Instance, agent: int, own: Iterable[int], target: Iterable[int]) -> bool:
@@ -214,8 +226,7 @@ def alloc_topn_lone_divider(
             trace.emit(iteration, "steal", agent=winner, goods=core)
             continue
 
-        graph = ThresholdGraph.build(inst, shrunk, unserved_levels)
-        pairs = envy_free_matching(graph)
+        pairs = envy_free_matching(_acceptors(inst, shrunk, unserved_levels))
         for agent, j in pairs:
             bundles[agent] = shrunk[j]
         trace.emit(

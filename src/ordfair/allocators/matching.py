@@ -1,4 +1,4 @@
-"""Envy-free matchings in bipartite agent/bag threshold graphs.
+"""Envy-free matchings in bipartite agent/bag graphs.
 
 A matching is envy-free when no unmatched agent has an edge to a matched
 bag.  ``envy_free_matching`` follows Aigner-Horev and Segal-Halevi
@@ -14,46 +14,16 @@ reached, every bag would have a reached neighbour and so be matched (else M
 would have an augmenting path), M would be perfect, and no agent would be
 reached.
 
-``ThresholdGraph.build`` takes each agent's threshold as its level
-(``Instance.level``), which the lone divider maps once, and decides each edge
-on the agent's integer row: the bag's sum on that row (what
-``Instance.int_value`` gives), at or above that level.  One call of the
-model's column kernel (``_bundle_sums``) gives each bag's column of sums,
-and each bag's neighbours are read from its column.  The graph is the
-eligible agents and each bag's agents in ascending order: what the maximum
-matching, the alternating-path walk and the envy-freeness check read.
+The graph is ``neighbors[j]``, bag j's accepting agents in ascending order;
+the caller decides who accepts a bag.  An agent no bag lists is never
+matched and reaches nothing, so the eligible agents are those listed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..errors import InvariantViolationError, PreconditionError
-from ..model import Instance, _bundle_sums
-
-
-@dataclass(frozen=True)
-class ThresholdGraph:
-    """Bags vs. eligible agents; agent i is adjacent to bag j iff i values
-    bag j at or above i's threshold.  ``neighbors[j]`` lists bag j's agents
-    in ascending order."""
-
-    agents: tuple[int, ...]
-    neighbors: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def build(
-        cls, inst: Instance, bags: Sequence[Iterable[int]], levels: Sequence[tuple[int, int]]
-    ) -> "ThresholdGraph":
-        """The graph of (agent, ``Instance.level``) pairs.  ``agents`` keeps
-        the pairs' order; each bag's list is ascending whatever that order."""
-        ranked = sorted(levels)
-        neighbors = (
-            tuple(i for i, level in ranked if col[i] >= level)
-            for col in _bundle_sums(inst, tuple(map(frozenset, bags)))
-        )
-        return cls(tuple(i for i, _ in levels), tuple(neighbors))
 
 
 def _max_matching(neighbors: Sequence[tuple[int, ...]]) -> dict[int, int]:
@@ -78,22 +48,20 @@ def _max_matching(neighbors: Sequence[tuple[int, ...]]) -> dict[int, int]:
     return match_bag
 
 
-def envy_free_matching(graph: ThresholdGraph) -> tuple[tuple[int, int], ...]:
+def envy_free_matching(neighbors: Sequence[tuple[int, ...]]) -> tuple[tuple[int, int], ...]:
     """Maximum-cardinality envy-free matching as (agent, bag_index) pairs,
-    in bag order.
+    in bag order, where ``neighbors[j]`` lists bag j's agents ascending.
 
     Precondition: every bag has at least one incident edge, and the maximum
     envy-free matching is nonempty (always so when there are no more agents
     than bags); otherwise ``PreconditionError``.
     """
-    neighbors = graph.neighbors
     for j, agents in enumerate(neighbors):
         if not agents:
             raise PreconditionError(f"bag {j} has no incident edge")
 
     match_bag = _max_matching(neighbors)
-    matched = set(match_bag.values())
-    frontier = [i for i in graph.agents if i not in matched]
+    frontier = sorted(set().union(*neighbors).difference(match_bag.values()))
     reached = set(frontier)
     if frontier:
         # Alternating paths from the unmatched agents: agent -> a bag it
@@ -104,7 +72,7 @@ def envy_free_matching(graph: ThresholdGraph) -> tuple[tuple[int, int], ...]:
                 accepts.setdefault(i, []).append(j)
         while frontier:
             i = frontier.pop()
-            for j in accepts.get(i, ()):
+            for j in accepts[i]:
                 partner = match_bag.get(j)
                 if partner is None:
                     raise InvariantViolationError(
@@ -119,18 +87,18 @@ def envy_free_matching(graph: ThresholdGraph) -> tuple[tuple[int, int], ...]:
     )
     if not pairs:
         raise PreconditionError("the maximum envy-free matching is empty")
-    _verify_envy_free(graph, pairs)
+    _verify_envy_free(neighbors, pairs)
     return pairs
 
 
 def _verify_envy_free(
-    graph: ThresholdGraph, pairs: tuple[tuple[int, int], ...]
+    neighbors: Sequence[tuple[int, ...]], pairs: tuple[tuple[int, int], ...]
 ) -> None:
     if not pairs:
         raise InvariantViolationError("empty matching")
     matched_agents = {a for a, _ in pairs}
     for _, j in pairs:
-        for i in graph.neighbors[j]:
+        for i in neighbors[j]:
             if i not in matched_agents:
                 raise InvariantViolationError(
                     f"unmatched agent {i} has an edge to matched bag {j}"

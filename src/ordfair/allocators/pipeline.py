@@ -48,7 +48,6 @@ class SolveResult:
     agents and goods: the trace replays on the caller's instance to
     ``allocation``."""
 
-    algorithm: str
     divisor: int
     thresholds: tuple[Fraction, ...]
     partial: Allocation
@@ -114,7 +113,6 @@ def solve_complete(inst: Instance, algorithm: str) -> SolveResult:
         and (algorithm == "a3" or (partial_report.efx and partial_report.mms_ok(d)))
     )
     return SolveResult(
-        algorithm=algorithm,
         divisor=d,
         thresholds=taus,
         partial=partial,

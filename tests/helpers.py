@@ -390,7 +390,7 @@ def ref_top_k_set(inst: Instance, k: int):
 
 
 def ref_threshold_edges(inst: Instance, bags, levels) -> frozenset[tuple[int, int]]:
-    """``ThresholdGraph.build``'s edges as it found them with one
+    """The lone divider's matching edges (``_acceptors``) with one
     ``Instance.int_value`` call per (agent, bag) pair: (i, j) iff agent i's
     integer sum of bag j is at least i's level."""
     frozen = tuple(frozenset(b) for b in bags)

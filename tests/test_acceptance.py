@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from ordfair import (
     Instance,
-    ThresholdGraph,
     alloc_ordered_efx_3n2,
     detect_structure,
     envy_cycle_elimination,
@@ -159,11 +158,8 @@ def _assert_envy_free(edges, pairs):
 
 
 def _square_graph(size, edges):
-    return ThresholdGraph(
-        agents=tuple(range(size)),
-        neighbors=tuple(
-            tuple(i for i in range(size) if (i, j) in edges) for j in range(size)
-        ),
+    return tuple(
+        tuple(i for i in range(size) if (i, j) in edges) for j in range(size)
     )
 
 

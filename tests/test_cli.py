@@ -1,7 +1,10 @@
 import hashlib
+import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -465,3 +468,41 @@ class TestUsageErrors:
                 run_cli(argv)
             assert exc.value.code == 0
         assert "--algorithm" in capsys.readouterr().out
+
+
+class TestSizeLimits:
+    """Inputs whose size only a header or a flag states, each run as its own
+    process under a 2 GB address-space limit (``ulimit -v 2000000``) and a
+    timeout.  The 25-byte file once ended in a traceback from inside the
+    solve, and ``generate --n 10**9`` ran on past 20 s."""
+
+    @staticmethod
+    def _limit_memory():
+        limit = 2_000_000 * 1024
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "{header}", "--algorithm", "a1"],
+            ["generate", "--family", "ordered", "--n", str(10**9), "--m", "3"],
+        ],
+        ids=["oversized-header", "generate-n-1e9"],
+    )
+    def test_exits_one_with_one_line(self, workdir, argv):
+        header = workdir / "many_agents.txt"
+        header.write_text("n 3000000\nm 0\nvaluations\n")
+        paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ordfair.cli", *(a.format(header=header) for a in argv)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=30,
+            preexec_fn=self._limit_memory,
+        )
+        assert proc.returncode == EXIT_CONFIG, proc.stderr[-500:]
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert "may have at most" in proc.stderr

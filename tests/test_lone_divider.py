@@ -21,6 +21,7 @@ from ordfair import (
 )
 from ordfair.allocators import strongly_envies_bundle
 from ordfair.allocators.bagfill import ceil_3n_over_2
+from ordfair.allocators.lone_divider import _acceptors
 from ordfair.cli import _instance_seed
 from ordfair.errors import InvariantViolationError, PreconditionError, StructuralMismatchError
 
@@ -29,6 +30,7 @@ from helpers import (
     naive_strong_envy,
     ref_most_envious_shrink,
     ref_shrink_minimal,
+    ref_threshold_edges,
     seeded_instance,
 )
 
@@ -47,6 +49,35 @@ def shrink_cases(draw):
     holdings = draw(st.dictionaries(st.integers(0, n - 1), goods))
     taus = [Fraction(draw(st.integers(0, 20))) for _ in range(n)]
     return inst, bag, protected, holdings, taus
+
+
+@st.composite
+def acceptor_cases(draw):
+    """An instance on small rows, each divided by its own integer, bags (some
+    empty, some sharing goods), eligible agents and, per agent, a threshold
+    of 0, exactly a bag's sum, above every sum or any small rational."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 7))
+    row = st.tuples(st.lists(st.integers(0, 12), min_size=m, max_size=m), st.integers(1, 6))
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    inst = Instance.from_rows([[Fraction(v, k) for v in ints] for ints, k in rows])
+    bags = draw(st.lists(st.frozensets(st.integers(0, m - 1)), max_size=5))
+    agents = draw(st.lists(st.integers(0, n - 1), unique=True))
+    taus = [
+        draw(
+            st.sampled_from(
+                [Fraction(0), sum(inst.values[i]) + 1] + [inst.value(i, b) for b in bags]
+            )
+            | st.fractions(min_value=0, max_value=30, max_denominator=6)
+        )
+        for i in range(n)
+    ]
+    return inst, bags, agents, taus
+
+
+def edges_of(neighbors) -> frozenset[tuple[int, int]]:
+    """Every (agent, bag index) pair of the neighbour tuples."""
+    return frozenset((i, j) for j, agents in enumerate(neighbors) for i in agents)
 
 
 def levels_of(inst, agents, taus):
@@ -125,6 +156,48 @@ class TestShrinkMinimal:
             for x in kept - {protected}:
                 trial = kept - {x}
                 assert not any(inst.value(i, trial) >= taus[i] for i in agents)
+
+
+class TestAcceptors:
+    """The matching's edges: agent i accepts bag j iff i's integer sum of
+    bag j is at least i's level."""
+
+    def test_edges_recomputable_from_graph_inputs(self):
+        inst = Instance.from_rows([[3, 1, 2], [1, 1, 1]])
+        bags = [frozenset({0}), frozenset({1, 2})]
+        taus = (Fraction(2), Fraction(2))
+        neighbors = _acceptors(inst, bags, levels_of(inst, range(2), taus))
+        expected = {
+            (i, j)
+            for i in range(2)
+            for j, bag in enumerate(bags)
+            if inst.value(i, bag) >= taus[i]
+        }
+        assert edges_of(neighbors) == frozenset(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(acceptor_cases())
+    def test_matches_per_pair_reference(self, case):
+        """One column of sums per bag gives the edges of one
+        ``Instance.int_value`` call per (agent, bag) pair."""
+        inst, bags, agents, taus = case
+        levels = levels_of(inst, agents, taus)
+        neighbors = _acceptors(inst, bags, levels)
+        assert edges_of(neighbors) == ref_threshold_edges(inst, bags, levels)
+        assert len(neighbors) == len(bags)
+
+    @settings(max_examples=200, deadline=None)
+    @given(acceptor_cases())
+    def test_adjacency_is_ascending_whatever_the_agent_order(self, case):
+        """Agents passed in descending order: the neighbour tuples hold the
+        per-pair reference's edges, each bag's agents ascending."""
+        inst, bags, agents, taus = case
+        levels = levels_of(inst, sorted(agents, reverse=True), taus)
+        neighbors = _acceptors(inst, bags, levels)
+        assert len(neighbors) == len(bags)
+        assert edges_of(neighbors) == ref_threshold_edges(inst, bags, levels)
+        for adj in neighbors:
+            assert list(adj) == sorted(set(adj))
 
 
 class TestSinglePassShrinks:

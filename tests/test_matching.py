@@ -1,68 +1,38 @@
 import hashlib
 import random
-from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from ordfair import Instance, ThresholdGraph, envy_free_matching
+from ordfair import envy_free_matching
 from ordfair.allocators import matching
 from ordfair.errors import InvariantViolationError, PreconditionError
 
-from helpers import ref_max_envy_free_matching, ref_threshold_edges
+from helpers import ref_max_envy_free_matching
 
 
-def graph_from_edges(nbags: int, nagents: int, edges) -> ThresholdGraph:
-    """The graph on (agent, bag index) edges, each bag's agents ascending."""
+def graph_from_edges(nbags: int, nagents: int, edges) -> tuple[tuple[int, ...], ...]:
+    """Each bag's agents on (agent, bag index) edges, ascending."""
     edges = set(edges)
-    return ThresholdGraph(
-        agents=tuple(range(nagents)),
-        neighbors=tuple(
-            tuple(i for i in range(nagents) if (i, j) in edges) for j in range(nbags)
-        ),
+    return tuple(
+        tuple(i for i in range(nagents) if (i, j) in edges) for j in range(nbags)
     )
 
 
-def edges_of(graph: ThresholdGraph) -> frozenset[tuple[int, int]]:
-    """Every (agent, bag index) pair of the adjacency lists."""
-    return frozenset((i, j) for j, agents in enumerate(graph.neighbors) for i in agents)
+def edges_of(neighbors) -> frozenset[tuple[int, int]]:
+    """Every (agent, bag index) pair of the neighbour tuples."""
+    return frozenset((i, j) for j, agents in enumerate(neighbors) for i in agents)
 
 
-def assert_envy_free(graph: ThresholdGraph, pairs) -> None:
+def assert_envy_free(neighbors, pairs) -> None:
     assert pairs
     matched_agents = {a for a, _ in pairs}
     matched_bags = {j for _, j in pairs}
     assert len(matched_agents) == len(pairs) and len(matched_bags) == len(pairs)
-    edges = edges_of(graph)
+    edges = edges_of(neighbors)
     for a, j in pairs:
         assert (a, j) in edges
     for i, j in edges:
         assert not (i not in matched_agents and j in matched_bags)
-
-
-@st.composite
-def graph_inputs(draw):
-    """An instance on small rows, each divided by its own integer, bags (some
-    empty, some sharing goods), eligible agents and, per agent, a threshold
-    of 0, exactly a bag's sum, above every sum or any small rational."""
-    n = draw(st.integers(1, 4))
-    m = draw(st.integers(1, 7))
-    row = st.tuples(st.lists(st.integers(0, 12), min_size=m, max_size=m), st.integers(1, 6))
-    rows = draw(st.lists(row, min_size=n, max_size=n))
-    inst = Instance.from_rows([[Fraction(v, k) for v in ints] for ints, k in rows])
-    bags = draw(st.lists(st.frozensets(st.integers(0, m - 1)), max_size=5))
-    agents = draw(st.lists(st.integers(0, n - 1), unique=True))
-    taus = [
-        draw(
-            st.sampled_from(
-                [Fraction(0), sum(inst.values[i]) + 1] + [inst.value(i, b) for b in bags]
-            )
-            | st.fractions(min_value=0, max_value=30, max_denominator=6)
-        )
-        for i in range(n)
-    ]
-    return inst, bags, agents, taus
 
 
 class TestEnvyFreeMatching:
@@ -87,8 +57,8 @@ class TestEnvyFreeMatching:
                 (i, j) for i in range(nagents) for j in range(nbags) if rng.random() < p
             )
             g = graph_from_edges(nbags, nagents, edges)
-            best = ref_max_envy_free_matching(g.agents, edges)
-            unservable = best == 0 or any(not adj for adj in g.neighbors)
+            best = ref_max_envy_free_matching(range(nagents), edges)
+            unservable = best == 0 or any(not adj for adj in g)
             try:
                 out = envy_free_matching(g)
             except PreconditionError as err:
@@ -122,7 +92,7 @@ class TestEnvyFreeMatching:
             g = graph_from_edges(size, size, edges)
             pairs = envy_free_matching(g)
             assert pairs == expected
-            assert len(pairs) == ref_max_envy_free_matching(g.agents, edges)
+            assert len(pairs) == ref_max_envy_free_matching(range(size), edges)
 
     def test_bag_without_edge_rejected(self):
         g = graph_from_edges(2, 2, [(0, 0), (1, 0)])
@@ -185,7 +155,7 @@ class TestEnvyFreeMatching:
         # envies it; agent 2 alone accepts bag 1.
         edges = [(0, 0), (1, 0), (2, 1)]
         g = graph_from_edges(2, 3, edges)
-        assert ref_max_envy_free_matching(g.agents, edges) == 1
+        assert ref_max_envy_free_matching(range(3), edges) == 1
         assert envy_free_matching(g) == ((2, 1),)
 
     def test_matching_short_of_maximum_is_invariant_violation(self, monkeypatch):
@@ -195,47 +165,6 @@ class TestEnvyFreeMatching:
         with pytest.raises(InvariantViolationError):
             envy_free_matching(graph_from_edges(2, 2, [(0, 0), (1, 1)]))
 
-    def test_edges_recomputable_from_graph_inputs(self):
-        inst = Instance.from_rows([[3, 1, 2], [1, 1, 1]])
-        bags = [{0}, {1, 2}]
-        taus = (Fraction(2), Fraction(2))
-        g = ThresholdGraph.build(inst, bags, [(i, inst.level(i, taus[i])) for i in range(2)])
-        expected = {
-            (i, j)
-            for i in range(2)
-            for j, bag in enumerate(bags)
-            if inst.value(i, bag) >= taus[i]
-        }
-        assert edges_of(g) == frozenset(expected)
-
-    @settings(max_examples=200, deadline=None)
-    @given(graph_inputs())
-    def test_build_matches_per_pair_reference(self, case):
-        """One pass per agent over the bags' goods gives the edges of one
-        ``Instance.int_value`` call per (agent, bag) pair."""
-        inst, bags, agents, taus = case
-        levels = [(i, inst.level(i, taus[i])) for i in agents]
-        graph = ThresholdGraph.build(inst, bags, levels)
-        assert edges_of(graph) == ref_threshold_edges(inst, bags, levels)
-        assert graph.agents == tuple(agents)
-        assert len(graph.neighbors) == len(bags)
-
-    @settings(max_examples=200, deadline=None)
-    @given(graph_inputs())
-    def test_adjacency_is_ascending_whatever_the_agent_order(self, case):
-        """Agents passed in descending order: the adjacency lists hold the
-        per-pair reference's edges, each bag's agents ascending, and
-        ``agents`` keeps the order given."""
-        inst, bags, agents, taus = case
-        agents = sorted(agents, reverse=True)
-        levels = [(i, inst.level(i, taus[i])) for i in agents]
-        graph = ThresholdGraph.build(inst, bags, levels)
-        assert graph.agents == tuple(agents)
-        assert len(graph.neighbors) == len(bags)
-        assert edges_of(graph) == ref_threshold_edges(inst, bags, levels)
-        for adj in graph.neighbors:
-            assert list(adj) == sorted(set(adj))
-
     def test_complete_graph_matches_in_kuhn_order(self):
         # Bags in order, each trying its agents in ascending order: bag k's
         # augmenting path moves every earlier bag one agent up, so on the
@@ -244,9 +173,9 @@ class TestEnvyFreeMatching:
         assert envy_free_matching(g) == tuple((23 - j, j) for j in range(24))
 
     def test_bag_neighbors_are_the_ascending_edge_scan(self):
-        # The helper's adjacency lists keep the scan's order, as ``build``'s
-        # do, so augmenting paths and matchings here are those of the
-        # allocator's graphs.
+        # The helper's neighbour tuples keep the scan's order, as the lone
+        # divider's ``_acceptors`` do, so augmenting paths and matchings here
+        # are those of the allocator's graphs.
         rng = random.Random(17)
         for _ in range(100):
             nbags, nagents = rng.randrange(1, 7), rng.randrange(1, 7)
@@ -258,4 +187,4 @@ class TestEnvyFreeMatching:
             }
             g = graph_from_edges(nbags, nagents, edges)
             for j in range(nbags):
-                assert list(g.neighbors[j]) == sorted(i for i, b in edges if b == j)
+                assert list(g[j]) == sorted(i for i, b in edges if b == j)

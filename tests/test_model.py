@@ -28,7 +28,7 @@ from ordfair.errors import (
     ParseError,
     PreconditionError,
 )
-from ordfair.model import check_allocation
+from ordfair.model import MAX_AGENTS, MAX_VALUES, check_allocation
 
 from helpers import (
     EX51,
@@ -296,6 +296,15 @@ class TestGenerate:
         with pytest.raises(InvalidConfigError):
             GeneratorConfig("top_n", 5, 3, 20, 1)
 
+    def test_size_limits(self):
+        """The generators take what the file reader takes: at most
+        ``MAX_AGENTS`` agents and ``MAX_VALUES`` values."""
+        GeneratorConfig("general", MAX_AGENTS, MAX_VALUES // MAX_AGENTS, 20, 1)
+        GeneratorConfig("general", 1, MAX_VALUES, 20, 1)
+        for n, m in ((MAX_AGENTS + 1, 1), (10**9, 3), (2, MAX_VALUES // 2 + 1)):
+            with pytest.raises(InvalidConfigError, match="may have at most"):
+                GeneratorConfig("general", n, m, 20, 1)
+
 
 class TestFileFormats:
     def test_instance_round_trip(self):
@@ -378,6 +387,15 @@ class TestFileFormats:
     def test_malformed_instance_integer_is_parse_error(self, text):
         with pytest.raises(ParseError):
             read_instance(text)
+
+    def test_header_past_the_size_limits_is_parse_error(self):
+        """n and m are checked before any row is built: a no-goods file
+        states n in its header alone, and ``n 3000000`` once ran out of
+        memory in the solve that followed."""
+        assert read_instance(f"n {MAX_AGENTS}\nm 0\nvaluations\n").n == MAX_AGENTS
+        for n, m in ((MAX_AGENTS + 1, 0), (3_000_000, 0), (1, MAX_VALUES + 1), (2, 10**40)):
+            with pytest.raises(ParseError, match="may have at most"):
+                read_instance(f"n {n}\nm {m}\nvaluations\n")
 
     @pytest.mark.parametrize(
         "text",
