@@ -7,7 +7,8 @@ then appended one at a time, in value order, to an open bag, while agents
 claim bags meeting their own share threshold and already-served agents may
 swap to an open bag they strictly prefer.  The engine records only which
 bag each served agent holds; every iteration derives the unserved agents
-and the open bags, by ascending id, from that record.
+and the open bags, by ascending id, from that record with two set
+differences and ``sorted``.
 
 The paper pads to at least 2n goods with zero-valued dummies; the engine
 takes positions m..2n-1 as those dummies and leaves them out of the bags.
@@ -90,15 +91,15 @@ def run_bag_fill(
         trace.emit(0, "bag_init", bag=j, goods=frozenset(bags[j]))
     next_fill = 2 * n - k
 
+    agents = frozenset(range(n))
     iteration = 0
     cap = event_cap(n, m)
     while len(owner) < n:
         iteration += 1
         if iteration > cap:
             raise InvariantViolationError("bag filling exceeded its event cap")
-        unserved = [i for i in range(n) if i not in owner]
-        held = set(owner.values())
-        open_bags = [b for b in bags if b not in held]
+        unserved = sorted(agents.difference(owner))
+        open_bags = sorted(bags.keys() - owner.values())
 
         claim = next(
             (

@@ -13,6 +13,7 @@ import time
 import zlib
 from collections import Counter
 from pathlib import Path
+from typing import Iterator
 
 from . import shares, verification
 from .allocators import solve_complete
@@ -147,6 +148,19 @@ def _instance_seed(master: int, family: str, n: int, m: int, index: int) -> int:
     ) % 2**64
 
 
+def _experiment_configs(args: argparse.Namespace) -> Iterator[GeneratorConfig]:
+    """The ``experiment`` grid's configs in run order."""
+    n_lo, n_hi = args.n_range
+    m_lo, m_hi = args.m_range
+    for n in range(n_lo, n_hi + 1):
+        # An instance needs a good, and a top-n instance at least n goods.
+        m_min = max(m_lo, 1, n if args.family == "top_n" else 1)
+        for m in range(m_min, m_hi + 1):
+            for index in range(args.count):
+                seed = _instance_seed(args.seed, args.family, n, m, index)
+                yield GeneratorConfig(args.family, n, m, args.max_value, seed)
+
+
 def cmd_experiment(args: argparse.Namespace) -> int:
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     for a in algorithms:
@@ -156,42 +170,47 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     m_lo, m_hi = args.m_range
     if n_lo > n_hi or m_lo > m_hi or args.count < 1:
         raise InvalidConfigError("empty experiment ranges")
+    if args.oracle_limit > shares.DEFAULT_ORACLE_LIMIT:
+        raise InvalidConfigError(
+            f"--oracle-limit must be at most {shares.DEFAULT_ORACLE_LIMIT}: "
+            "the oracle enumerates every partition of the goods"
+        )
+    # Building a config validates it, so a grid with any config past the
+    # size caps is refused before the first solve.
+    for _ in _experiment_configs(args):
+        pass
 
     # One row per solve and one per oracle mismatch: the summary, the
     # solve count and the exit code are all read off the rows.
     rows: list[tuple] = []
     started = time.perf_counter()
-    for n in range(n_lo, n_hi + 1):
-        # An instance needs a good, and a top-n instance at least n goods.
-        m_min = max(m_lo, 1, n if args.family == "top_n" else 1)
-        for m in range(m_min, m_hi + 1):
-            for index in range(args.count):
-                seed = _instance_seed(args.seed, args.family, n, m, index)
-                inst = generate(GeneratorConfig(args.family, n, m, args.max_value, seed))
-                cell = (seed, args.family, n, m)
-                for algo in algorithms:
-                    try:
-                        result = solve_complete(inst, algo)
-                    except OrdfairError as exc:
-                        verdict = f"error:{type(exc).__name__}"
-                        rows.append((*cell, algo, verdict, "", ""))
-                        continue
-                    verdict = "certified" if result.certified else "uncertified"
-                    values = " ".join(map(format_rational, result.report.bundle_values))
-                    taus = " ".join(map(format_rational, result.thresholds))
-                    rows.append((*cell, algo, verdict, values, taus))
-                    if not args.oracle_limit or m > args.oracle_limit:
-                        continue
-                    # The allocator and the verifier took these thresholds,
-                    # at this algorithm's divisor, so they are what is
-                    # cross-checked.
-                    for i, tau in enumerate(result.thresholds):
-                        share = shares.mms_bruteforce(
-                            inst, i, result.divisor, oracle_limit=args.oracle_limit
-                        ).value
-                        if tau != share:
-                            mismatch = f"mismatch:{algo}:agent{i}"
-                            rows.append((*cell, "mms-oracle", mismatch, "", ""))
+    for cfg in _experiment_configs(args):
+        inst = generate(cfg)
+        m = cfg.m
+        cell = (cfg.seed, args.family, cfg.n, m)
+        for algo in algorithms:
+            try:
+                result = solve_complete(inst, algo)
+            except OrdfairError as exc:
+                verdict = f"error:{type(exc).__name__}"
+                rows.append((*cell, algo, verdict, "", ""))
+                continue
+            verdict = "certified" if result.certified else "uncertified"
+            values = " ".join(map(format_rational, result.report.bundle_values))
+            taus = " ".join(map(format_rational, result.thresholds))
+            rows.append((*cell, algo, verdict, values, taus))
+            if not args.oracle_limit or m > args.oracle_limit:
+                continue
+            # The allocator and the verifier took these thresholds,
+            # at this algorithm's divisor, so they are what is
+            # cross-checked.
+            for i, tau in enumerate(result.thresholds):
+                share = shares.mms_bruteforce(
+                    inst, i, result.divisor, oracle_limit=args.oracle_limit
+                ).value
+                if tau != share:
+                    mismatch = f"mismatch:{algo}:agent{i}"
+                    rows.append((*cell, "mms-oracle", mismatch, "", ""))
     total_elapsed = time.perf_counter() - started
 
     # Rows and summary are a pure function of the flags; timing goes to

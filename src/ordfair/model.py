@@ -18,10 +18,12 @@ goods are zero, so no row's lcm changes.  Padding is appended, so
 The per-row passes run in C-implemented builtins: a permutation gathers each
 int row, Fraction row and label tuple, and the tuple of columns, with one
 ``operator.itemgetter`` call (``_gather``), a strip slices them, an order
-check compares a row with itself shifted by one
-(``all(map(ge, row, row[1:]))``), the top-k check gathers each row once in
-the column-sum ranking, and ``int_rows`` scales a row from one
-``map(Fraction.as_integer_ratio, row)`` pass.
+check compares each column with the next (``_columns_ordered``), the top-k
+check compares each row's minimum over the first k goods of the column-sum
+ranking with its maximum over the rest, and ``int_rows`` reads the whole
+matrix's numerators and denominators in one ``map`` each over the
+``Fraction`` slots (``_num``, ``_den``) and scales only a row whose lcm is
+above 1.  ``level`` and ``levels`` read thresholds through the same slots.
 
 Good and agent indices are 0-based everywhere, including the file formats.
 """
@@ -34,9 +36,9 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from math import lcm
-from operator import add, floordiv, ge, itemgetter, mul
+from operator import add, attrgetter, floordiv, ge, itemgetter, mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -123,9 +125,28 @@ def _gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
     return lambda seq: ()
 
 
-def _ordered(row: Sequence) -> bool:
-    """True iff ``row`` is non-increasing."""
-    return all(map(ge, row, row[1:]))
+def _columns_ordered(cols: Sequence[Sequence[int]]) -> bool:
+    """True iff every entry of each column is at least that of the next
+    column: every agent's values, with goods as columns, are non-increasing."""
+    return all(map(all, map(map, repeat(ge), cols, cols[1:])))
+
+
+# A Fraction's numerator and denominator, read from its slots in C.  CPython
+# 3.10-3.13 declare ``Fraction.__slots__ = ('_numerator', '_denominator')``,
+# and a subclass inherits them; there ``numerator``, ``denominator`` and
+# ``as_integer_ratio`` are Python-level, a frame per value.  One getter per
+# slot: a getter of both builds a pair per value and costs as much as
+# ``as_integer_ratio``.
+_num, _den = attrgetter("_numerator"), attrgetter("_denominator")
+
+
+def _levels(taus: Sequence[Fraction], scales: Iterable[int]) -> list[int]:
+    """ceil(tau * scale) for each threshold and scale, on integers."""
+    try:
+        ratios = zip(tuple(map(_num, taus)), tuple(map(_den, taus)))
+    except AttributeError:  # an exact number other than a Fraction
+        ratios = [tau.as_integer_ratio() for tau in taus]
+    return [-(-num * scale // den) for (num, den), scale in zip(ratios, scales)]
 
 
 def _default_agent_labels(n: int) -> tuple[str, ...]:
@@ -210,12 +231,13 @@ class Instance:
         comparison within that agent's valuation, so envy, EFX/EF1 and order
         checks run on these integers and stay exact.
         """
+        m = self.m
+        if not m:
+            return (((), 1),) * self.n
+        flat = tuple(chain.from_iterable(self.values))
+        rows = zip(*[iter(map(_num, flat))] * m)
         out = []
-        for row in self.values:
-            if not row:
-                out.append(((), 1))
-                continue
-            nums, dens = zip(*map(Fraction.as_integer_ratio, row))
+        for nums, dens in zip(rows, zip(*[iter(map(_den, flat))] * m)):
             denom = lcm(*dens)
             if denom != 1:
                 nums = tuple(map(mul, nums, map(floordiv, repeat(denom), dens)))
@@ -226,7 +248,8 @@ class Instance:
     def _int_columns(self) -> tuple[tuple[int, ...], ...]:
         """``int_rows`` transposed: per good, every agent's value of it on
         their own scale.  ``_bundle_sums`` adds these columns."""
-        return tuple(zip(*(ints for ints, _ in self.int_rows)))
+        rows, _ = zip(*self.int_rows)
+        return tuple(zip(*rows))
 
     def value(self, agent: int, goods: Iterable[int]) -> Fraction:
         row = self.values[agent]
@@ -242,15 +265,14 @@ class Instance:
         least this level, so comparing ``int_value`` with it is exact for
         any rational tau.  A share from ``shares.thresholds`` is a bundle
         sum, so for it the level is exactly tau * lcm."""
-        num, den = tau.as_integer_ratio()
-        return -(-num * self.int_rows[agent][1] // den)
+        return _levels((tau,), (self.int_rows[agent][1],))[0]
 
     def levels(self, taus: Sequence[Fraction]) -> list[int]:
         """Each agent's ``level`` of their threshold in ``taus``, which the
-        allocators take indexed by agent."""
+        allocators and the MMS verdict take indexed by agent."""
         if len(taus) != self.n:
             raise PreconditionError("one threshold per agent required")
-        return [self.level(i, tau) for i, tau in enumerate(taus)]
+        return _levels(taus, map(itemgetter(1), self.int_rows))
 
     def _derive(self, int_rows, **changes) -> "Instance":
         """``replace`` without ``__post_init__``; callers keep its checks and
@@ -362,10 +384,9 @@ def detect_structure(inst: Instance) -> tuple[int, ...] | None:
     sum is larger unless the two columns are identical, and the sort places
     g and h as the common order does, ties by index.  So it finds a common order whenever one exists, the
     identity when that is one; when none exists, no candidate passes."""
-    rows = [row for row, _ in inst.int_rows]
     candidate = _by_column_sum(inst)
-    gather = _gather(candidate)
-    return tuple(candidate) if all(map(_ordered, map(gather, rows))) else None
+    ordered = _columns_ordered(_gather(candidate)(inst._int_columns))
+    return tuple(candidate) if ordered else None
 
 
 def top_k_set(inst: Instance, k: int) -> frozenset[int] | None:
@@ -395,17 +416,17 @@ def top_k_set(inst: Instance, k: int) -> frozenset[int] | None:
         return None
     ranked = _by_column_sum(inst)
     if k < m:
-        gather = _gather(ranked)
-        for row, _ in inst.int_rows:
-            vals = gather(row)
-            if min(vals[:k]) < max(vals[k:]):
-                return None
+        rows, _ = zip(*inst.int_rows)
+        lows = map(min, map(_gather(ranked[:k]), rows))
+        highs = map(max, map(_gather(ranked[k:]), rows))
+        if not all(map(ge, lows, highs)):
+            return None
     return frozenset(ranked[:k])
 
 
 def is_identity_ordered(inst: Instance) -> bool:
     """True iff every agent's values are non-increasing by good index."""
-    return all(_ordered(row) for row, _ in inst.int_rows)
+    return _columns_ordered(inst._int_columns)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,10 @@ These are the source of truth used to certify allocator outputs; they never
 share state with the allocators.  The MMS verdict checks every agent of the
 instance it is given against the thresholds the caller hands ``report``, one
 tuple per divisor: this module imports only the model and computes no share.
+It is decided on integers: agent i, whose bundle is worth w_i on its row of
+``Instance.int_rows`` (scale lcm_i), meets the threshold tau_i iff
+w_i >= ceil(tau_i * lcm_i), its ``Instance.levels`` entry; a ``Fraction``
+shortfall is built only for an agent that misses.
 
 EFX and EF1 compare bundles within one agent's valuation, so they read one
 integer matrix: ``worth[j][i]`` is agent i's value of bundle j on i's row of
@@ -23,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from operator import ge, getitem
 from typing import Callable, Mapping, Sequence
 
 from .errors import ParseError, PreconditionError
@@ -113,20 +118,22 @@ def is_ordinal_mms(
     Witness: the agent with the worst shortfall (lowest index on ties).
     """
     check_allocation(inst, alloc)
-    return _mms(inst, [inst.value(i, b) for i, b in enumerate(alloc.bundles)], agent_thresholds)
+    own = [inst.int_value(i, b) for i, b in enumerate(alloc.bundles)]
+    return _mms(inst, own, agent_thresholds)
 
 
-def _mms(inst: Instance, own: Sequence[Fraction], agent_thresholds: Sequence[Fraction]):
-    if len(agent_thresholds) != inst.n:
-        raise PreconditionError("one threshold per agent required")
+def _mms(inst: Instance, own: Sequence[int], agent_thresholds: Sequence[Fraction]):
+    """The MMS verdict on integers (module docstring), where ``own[i]`` is
+    agent i's value of its bundle on its ``int_rows`` scale."""
+    levels = inst.levels(agent_thresholds)
+    if all(map(ge, own, levels)):
+        return True, None
     worst: tuple[int, Fraction] | None = None
-    for i in inst.agents:
-        if agent_thresholds[i] > own[i]:
-            gap = agent_thresholds[i] - own[i]
+    for i, (w, level, (_, scale)) in enumerate(zip(own, levels, inst.int_rows)):
+        if w < level:
+            gap = agent_thresholds[i] - Fraction(w, scale)
             if worst is None or gap > worst[1]:
                 worst = (i, gap)
-    if worst is None:
-        return True, None
     return False, worst
 
 
@@ -164,14 +171,14 @@ def report(
     worth = _bundle_sums(inst, alloc.bundles)
     efx, efx_wit = _efx(inst, alloc, worth)
     ef1, ef1_wit = (True, None) if efx else _ef1(inst, alloc, worth)
+    own = list(map(getitem, worth, inst.agents))
     values = tuple(
-        Fraction(col[i]) if lcm == 1 else Fraction(col[i], lcm)
-        for i, (col, (_, lcm)) in enumerate(zip(worth, inst.int_rows))
+        Fraction(w) if lcm == 1 else Fraction(w, lcm) for w, (_, lcm) in zip(own, inst.int_rows)
     )
     verdicts = []
     for d in sorted(thresholds):
         taus = tuple(thresholds[d])
-        ok, wit = _mms(inst, values, taus)
+        ok, wit = _mms(inst, own, taus)
         verdicts.append(MmsVerdict(divisor=d, ok=ok, thresholds=taus, witness=wit))
     return FairnessReport(
         complete=alloc.is_complete(inst.m),

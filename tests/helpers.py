@@ -7,6 +7,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from ordfair import (
@@ -359,6 +360,50 @@ def frac_common_order(inst: Instance):
         for p in range(inst.m - 1)
     )
     return order, ordered
+
+
+# 20-digit primes: pairwise coprime denominators, so a row over several of
+# them has an lcm of up to 120 digits.
+LARGE_PRIMES = (
+    10000000000000000051,
+    10000000000000000087,
+    30000000000000000041,
+    30000000000000000059,
+    70000000000000000013,
+    70000000000000000039,
+)
+
+
+def ref_int_rows(inst: Instance):
+    """``Instance.int_rows`` as it was built before it read ``Fraction``
+    slots: one ``as_integer_ratio`` call per value, each row scaled by the
+    lcm of its own denominators."""
+    out = []
+    for row in inst.values:
+        ratios = [v.as_integer_ratio() for v in row]
+        denom = lcm(*(den for _, den in ratios)) if ratios else 1
+        out.append((tuple(num * (denom // den) for num, den in ratios), denom))
+    return tuple(out)
+
+
+def ref_identity_ordered(inst: Instance) -> bool:
+    """``model.is_identity_ordered`` one row at a time, on the Fractions."""
+    return all(
+        row[g] >= row[g + 1] for row in inst.values for g in range(inst.m - 1)
+    )
+
+
+def ref_mms(own: Sequence[Fraction], taus: Sequence[Fraction]):
+    """The ordinal MMS verdict as it was decided on ``Fraction`` bundle
+    values: every agent below its threshold is a candidate, and the witness
+    is the worst shortfall, lowest index on ties."""
+    worst = None
+    for i, (value, tau) in enumerate(zip(own, taus)):
+        if tau > value:
+            gap = tau - value
+            if worst is None or gap > worst[1]:
+                worst = (i, gap)
+    return (True, None) if worst is None else (False, worst)
 
 
 def ref_detect_structure(inst: Instance):

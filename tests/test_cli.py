@@ -474,7 +474,10 @@ class TestSizeLimits:
     """Inputs whose size only a header or a flag states, each run as its own
     process under a 2 GB address-space limit (``ulimit -v 2000000``) and a
     timeout.  The 25-byte file once ended in a traceback from inside the
-    solve, and ``generate --n 10**9`` ran on past 20 s."""
+    solve, and ``generate --n 10**9`` ran on past 20 s.  ``experiment``
+    once solved every config below the caps before it reached one past
+    them, and an ``--oracle-limit`` of 30 let the oracle enumerate the set
+    partitions of 30 goods; both ran on past the timeout."""
 
     @staticmethod
     def _limit_memory():
@@ -482,14 +485,34 @@ class TestSizeLimits:
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["solve", "{header}", "--algorithm", "a1"],
-            ["generate", "--family", "ordered", "--n", str(10**9), "--m", "3"],
+            (["solve", "{header}", "--algorithm", "a1"], "may have at most"),
+            (
+                ["generate", "--family", "ordered", "--n", str(10**9), "--m", "3"],
+                "may have at most",
+            ),
+            (
+                ["experiment", "--family", "ordered", "--n-range", "1:30000", "--m-range", "3:3"],
+                "may have at most 20000 agents",
+            ),
+            (
+                ["experiment", "--family", "top_n", "--n-range", "2:3",
+                 "--m-range", "400000:500000", "--count", "1"],
+                "may have at most 1000000 values",
+            ),
+            (
+                ["experiment", "--family", "ordered", "--n-range", "2:2", "--m-range", "30:30",
+                 "--count", "1", "--oracle-limit", "30"],
+                "--oracle-limit must be at most 12",
+            ),
         ],
-        ids=["oversized-header", "generate-n-1e9"],
+        ids=[
+            "oversized-header", "generate-n-1e9", "experiment-n-range",
+            "experiment-m-range", "experiment-oracle-limit",
+        ],
     )
-    def test_exits_one_with_one_line(self, workdir, argv):
+    def test_exits_one_with_one_line(self, workdir, argv, message):
         header = workdir / "many_agents.txt"
         header.write_text("n 3000000\nm 0\nvaluations\n")
         paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
@@ -505,4 +528,4 @@ class TestSizeLimits:
         assert proc.returncode == EXIT_CONFIG, proc.stderr[-500:]
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
-        assert "may have at most" in proc.stderr
+        assert message in proc.stderr

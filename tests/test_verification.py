@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordfair import (
     Allocation,
@@ -24,12 +26,14 @@ from ordfair.verification import MmsVerdict
 from helpers import (
     EX51,
     EX51_WITNESSES,
+    LARGE_PRIMES,
     make_allocation,
     naive_is_ef1,
     naive_is_efx,
     naive_strong_envy,
     random_partial_allocation,
     rational_rows_instance,
+    ref_mms,
     reference_report,
     seeded_instance,
 )
@@ -178,6 +182,74 @@ class TestOrdinalMms:
     def test_threshold_count_checked(self):
         with pytest.raises(PreconditionError):
             is_ordinal_mms(EX51, EX51_ALLOC, 3, (Fraction(1),))
+
+    def test_tie_and_threshold_off_the_row_scale(self):
+        """Agent 0's row has lcm 6 and its bundle is worth 5/6: a threshold
+        of exactly 5/6 is met, 6/7 (denominator 7, which does not divide 6)
+        misses by 1/42, and 4/7 is met; agent 1 is over a 20-digit prime."""
+        p = LARGE_PRIMES[0]
+        inst = Instance.from_rows([["1/2", "1/3", 0], [0, Fraction(3, p), 1]])
+        alloc = make_allocation([[0, 1], [2]], [])
+        tie = (Fraction(5, 6), Fraction(1))
+        assert is_ordinal_mms(inst, alloc, 2, tie) == (True, None)
+        assert is_ordinal_mms(inst, alloc, 2, (Fraction(6, 7), Fraction(1))) == (
+            False,
+            (0, Fraction(1, 42)),
+        )
+        assert is_ordinal_mms(inst, alloc, 2, (Fraction(4, 7), Fraction(1, p))) == (True, None)
+        over = (Fraction(0), Fraction(p + 1, p))
+        assert is_ordinal_mms(inst, alloc, 2, over) == (False, (1, Fraction(1, p)))
+
+    def test_int_thresholds_decide_as_fractions(self):
+        """Thresholds that are ints have no ``Fraction`` slots; the verdict,
+        the report and the levels read them as the equal Fractions."""
+        inst = Instance.from_rows([["1/2", "1/3", 0], [0, 3, 1]])
+        alloc = make_allocation([[0, 1], [2]], [])
+        for taus in ((1, 1), (0, 2), (0, 1)):
+            fractions = tuple(map(Fraction, taus))
+            assert is_ordinal_mms(inst, alloc, 2, taus) == is_ordinal_mms(inst, alloc, 2, fractions)
+            assert write_report(report(inst, alloc, {2: taus})) == write_report(
+                report(inst, alloc, {2: fractions})
+            )
+            assert inst.levels(taus) == inst.levels(fractions)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_integer_verdict_matches_fraction_rule(self, data):
+        """The verdict on integers equals the old rule on ``Fraction``
+        bundle values, verdict and witness, in ``is_ordinal_mms`` and
+        ``report``.  Each threshold is the bundle's value exactly (a tie),
+        just above or below it by 1/q with q a small or a 20-digit prime
+        that need not divide the row's lcm, or free."""
+        n = data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(0, 5))
+        cell = st.one_of(
+            st.integers(0, 6).map(Fraction),
+            st.fractions(min_value=0, max_value=6, max_denominator=12),
+            st.builds(Fraction, st.integers(0, 10**21), st.sampled_from(LARGE_PRIMES)),
+        )
+        inst = Instance.from_rows(
+            data.draw(st.lists(st.lists(cell, min_size=m, max_size=m), min_size=n, max_size=n))
+        )
+        alloc = random_partial_allocation(inst, data.draw(st.randoms(use_true_random=False)))
+        own = [inst.value(i, b) for i, b in enumerate(alloc.bundles)]
+        step = st.sampled_from((7, 11, 12) + LARGE_PRIMES).map(lambda q: Fraction(1, q))
+        taus = []
+        for value in own:
+            kind = data.draw(st.sampled_from(("tie", "above", "below", "free")))
+            if kind == "tie":
+                taus.append(value)
+            elif kind == "above":
+                taus.append(value + data.draw(step))
+            elif kind == "below":
+                taus.append(max(Fraction(0), value - data.draw(step)))
+            else:
+                taus.append(data.draw(st.fractions(min_value=0, max_value=12, max_denominator=30)))
+        taus = tuple(taus)
+        expected = ref_mms(own, taus)
+        assert is_ordinal_mms(inst, alloc, 2, taus) == expected
+        verdict = MmsVerdict(divisor=2, ok=expected[0], thresholds=taus, witness=expected[1])
+        assert report(inst, alloc, {2: taus}).mms == (verdict,)
 
 
 class TestMalformedAllocations:
