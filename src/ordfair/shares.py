@@ -10,14 +10,17 @@ share value in ``_share_value``:
   most k bundles;
 - zero-valued goods are dropped first: they change no bundle's value;
 - each probe is decided by ``_find_covering``, a bin-completion search
-  that fills one whole bundle at a time.  It splits the row once into the
-  goods that reach the probe alone, the zeros and the small positive goods
-  between them; only the small goods enter the search (``_complete``).  At
-  each node it applies the ceiling and a counting bound
-  (``_pairing_refutes``) that proves many levels infeasible from how many
-  goods the bundles need, and it skips (goods left, bundles left) states
-  that failed before.  A covering found lifts the lower end to its lowest
-  bundle sum.
+  that fills one whole bundle at a time.  It splits the row once, by
+  bisecting it, into the goods that reach the probe alone, the zeros and
+  the small positive goods between them; only the small goods enter the
+  search (``_complete``).  At each node it applies the ceiling and a
+  counting bound (``_pairing_refutes``: s goods with p pairs that reach the
+  probe cover at most (s + p) // 3 bundles) that proves many levels
+  infeasible from how many goods the bundles need, and it skips (goods
+  left, bundles left) states that failed before.  Each node tries the
+  single good that completes its bundle first, found by bisection, and only
+  then opens the generator of the other completions.  A covering found
+  lifts the lower end to its lowest bundle sum.
 
 Both directions of the value are sound.  Every covering used is checked on
 the integer row (``_covering_floor``: each good in one of the d bundles,
@@ -41,10 +44,12 @@ solvers use that cached row, the oracle only when its query takes every good.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapreplace
 from math import inf
+from operator import neg
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -144,12 +149,15 @@ def _cover_ceiling(vals: list[int], d: int) -> int:
     again; as floor is monotone, r_k // (d - k) at the last k before the
     first that fails is the minimum over all k < d."""
     rest = sum(vals)
-    best = rest // d
-    for k, v in enumerate(vals[: d - 1], 1):
-        if v * (d - k + 1) <= rest:
+    best, left = rest // d, d
+    for v in vals:
+        # left = d - k + 1 bundles share rest before v = vals[k-1] is set
+        # aside.
+        if left == 1 or v * left <= rest:
             break
         rest -= v
-        best = rest // (d - k)
+        left -= 1
+        best = rest // left
     return best
 
 
@@ -171,15 +179,17 @@ def _covering_floor(vals: list[int], d: int, target: int, assign: list[int]) -> 
     return floor
 
 
-def _max_pairs(small: Sequence[int], target: int) -> int:
+def _max_pairs(small: Sequence[int], target: int, stop: float = inf) -> int:
     """The most disjoint pairs of `small` (sorted desc) that each sum to at
-    least `target`.  Greedy, and exact: pair the largest good left with the
-    smallest one that closes the gap, and drop a smallest good that not even
-    the largest left closes."""
+    least `target`, or `stop` once that many are found.  Greedy, and exact:
+    pair the largest good left with the smallest one that closes the gap,
+    and drop a smallest good that not even the largest left closes."""
     pairs, top, bottom = 0, 0, len(small) - 1
     while top < bottom:
         if small[top] + small[bottom] >= target:
             pairs += 1
+            if pairs == stop:
+                break
             top += 1
         bottom -= 1
     return pairs
@@ -192,11 +202,14 @@ def _pairing_refutes(goods: tuple[int, ...], bundles: int, target: int) -> bool:
     No good reaches target alone, so every bundle holds two or more.  A
     bundle of exactly two is one of at most p disjoint pairs that reach
     `target`; the others take three or more.  So with s goods, at most
-    p + (s - 2p) // 3 bundles can be covered.  These are exactly the goods
-    ``_complete`` receives, so it applies the bound to them directly.
+    p + (s - 2p) // 3 = (s + p) // 3 bundles can be covered, and the bound
+    refutes exactly when p < 3 * bundles - s.  That never holds when
+    3 * bundles <= s, and pairs past 3 * bundles - s change nothing, so the
+    pairing stops there.  These are exactly the goods ``_complete``
+    receives, so it applies the bound to them directly.
     """
-    pairs = _max_pairs(goods, target)
-    return pairs + (len(goods) - 2 * pairs) // 3 < bundles
+    short = 3 * bundles - len(goods)
+    return short > 0 and _max_pairs(goods, target, short) < short
 
 
 def _minimal_completions(
@@ -254,6 +267,13 @@ def _complete(
     bundle.  The goods left after a completion are a sub-multiset of goods,
     so every node keeps the contract, and each node applies the ceiling and
     the counting bound (``_pairing_refutes``) to its goods directly.
+
+    The generator's first completion, when there is one, is the single good
+    b: the smallest that makes up target - a alone.  The node finds it by
+    bisection and tries it before it opens the generator, which it then
+    resumes past b with b as its limit.  So the children and their order
+    are the generator's, and a node whose first child succeeds builds no
+    generator at all.
     """
     if len(goods) < 2 * bundles:
         return False
@@ -270,7 +290,17 @@ def _complete(
     ):
         return False
     a, rest = goods[0], goods[1:]
-    for picked in _minimal_completions(rest, target - a):
+    gap = target - a
+    # rest[:first] are the goods that make up the gap alone.
+    first = bisect_right(rest, -gap, key=neg)
+    limit = inf
+    if first:
+        b = limit = rest[first - 1]
+        filled.append((a, b))
+        if _complete(rest[: first - 1] + rest[first:], bundles - 1, target, dead, filled):
+            return True
+        filled.pop()
+    for picked in _minimal_completions(rest, gap, limit, first):
         bundle, left, prev = (a,), (), 0
         for i in picked:
             bundle += (rest[i],)
@@ -290,20 +320,17 @@ def _find_covering(vals: list[int], d: int, target: int) -> list[int] | None:
     packing", AAAI 2002).  Returns the bundle index per good, or None when no
     such partition exists.
 
-    The row splits, scanning in from each end, into the big goods that
-    reach target alone, the zeros, and the small positive goods between.
+    The row splits, by bisection, into the big goods that reach target
+    alone, the zeros, and the small positive goods between.
     While fewer than d goods are big, some covering gives each of them a
     bundle of its own: whatever shares a bundle with one of them can move to
     a bundle that holds none.  So ``_complete`` cuts the other bundles from
     the small goods, which are exactly the goods its contract admits.  Zeros
     and any surplus go to bundle 0."""
-    big, end = 0, len(vals)
-    while big < end and vals[big] >= target:
-        big += 1
+    big = bisect_right(vals, -target, key=neg)
     filled = [(v,) for v in vals[: min(big, d)]]
     if big < d:
-        while end > big and vals[end - 1] == 0:
-            end -= 1
+        end = bisect_left(vals, 0, big, key=neg)
         if not _complete(tuple(vals[big:end]), d - big, target, set(), filled):
             return None
     slots: dict[int, list[int]] = {}

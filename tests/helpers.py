@@ -7,7 +7,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 from typing import Iterable, Mapping, Sequence
 
 from ordfair import (
@@ -26,7 +26,7 @@ from ordfair.errors import (
     StructuralMismatchError,
     ZeroMaximinError,
 )
-from ordfair.shares import _witness_for
+from ordfair.shares import _max_pairs, _witness_for
 from ordfair.verification import MmsVerdict
 
 # The two worked instances used throughout the suite (0-based goods).
@@ -230,6 +230,104 @@ def ref_cover(vals: list[int], d: int, target: int) -> list[int] | None:
     # it frees them now instead of at the cyclic collector's next run.
     del dfs
     return assign if found else None
+
+
+# The share search written plainly: each node scans where ``shares``
+# bisects, takes every completion from the generator and pairs every good it
+# can.  It visits the same tree in the same order, and the differential
+# tests hold the library to it node for node.
+
+
+def ref_pairing_refutes(goods: tuple[int, ...], bundles: int, target: int) -> bool:
+    """``shares._pairing_refutes`` as p + (s - 2p) // 3 < bundles over the
+    full pairing."""
+    pairs = _max_pairs(goods, target)
+    return pairs + (len(goods) - 2 * pairs) // 3 < bundles
+
+
+def ref_minimal_completions(
+    goods: tuple[int, ...], gap: int, limit: float = inf, start: int = 0, total: int = 0
+):
+    """``shares._minimal_completions``, the single good found by a scan."""
+    need = gap - total
+    first = start
+    while first < len(goods) and goods[first] >= need:
+        first += 1
+    if first > start:
+        b = goods[first - 1]
+        if total + b < limit:
+            yield (first - 1,)
+        limit = min(limit, total + b)
+    room = sum(goods[first:])
+    for i in range(first, len(goods)):
+        if total + room < gap:
+            return
+        v = goods[i]
+        room -= v
+        if (i > first and v == goods[i - 1]) or total + v >= limit:
+            continue
+        for more in ref_minimal_completions(goods, gap, limit, i + 1, total + v):
+            yield (i,) + more
+
+
+def ref_complete(
+    goods: tuple[int, ...],
+    bundles: int,
+    target: int,
+    dead: set[tuple[tuple[int, ...], int]],
+    filled: list[tuple[int, ...]],
+) -> bool:
+    """``shares._complete`` with every completion, the single good's too,
+    taken from ``ref_minimal_completions``."""
+    if len(goods) < 2 * bundles:
+        return False
+    if bundles == 1:
+        if sum(goods) < target:
+            return False
+        filled.append(goods)
+        return True
+    key = (goods, bundles)
+    if (
+        key in dead
+        or ref_cover_ceiling(list(goods), bundles) < target
+        or ref_pairing_refutes(goods, bundles, target)
+    ):
+        return False
+    a, rest = goods[0], goods[1:]
+    for picked in ref_minimal_completions(rest, target - a):
+        bundle, left, prev = (a,), (), 0
+        for i in picked:
+            bundle += (rest[i],)
+            left += rest[prev:i]
+            prev = i + 1
+        filled.append(bundle)
+        if ref_complete(left + rest[prev:], bundles - 1, target, dead, filled):
+            return True
+        filled.pop()
+    dead.add(key)
+    return False
+
+
+def ref_find_covering(vals: list[int], d: int, target: int) -> list[int] | None:
+    """``shares._find_covering`` with the row split by scanning in from each
+    end, searched by ``ref_complete``."""
+    big, end = 0, len(vals)
+    while big < end and vals[big] >= target:
+        big += 1
+    filled = [(v,) for v in vals[: min(big, d)]]
+    if big < d:
+        while end > big and vals[end - 1] == 0:
+            end -= 1
+        if not ref_complete(tuple(vals[big:end]), d - big, target, set(), filled):
+            return None
+    slots: dict[int, list[int]] = {}
+    for i in range(len(vals) - 1, -1, -1):
+        slots.setdefault(vals[i], []).append(i)
+    assign = [0] * len(vals)
+    for b, bundle in enumerate(filled):
+        for v in bundle:
+            assign[slots[v].pop()] = b
+    return assign
 
 
 def ref_normalize_order_preserving(

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import os
 import resource
@@ -17,7 +18,13 @@ from ordfair import (
     write_instance,
 )
 from ordfair import shares
-from ordfair.cli import EXIT_CONFIG, EXIT_NOT_CERTIFIED, main
+from ordfair.cli import (
+    EXIT_CONFIG,
+    EXIT_NOT_CERTIFIED,
+    MAX_EXPERIMENT_CONFIGS,
+    _experiment_cells,
+    main,
+)
 from ordfair.shares import mms_exact
 
 from helpers import EX51, I_A, I_B
@@ -410,6 +417,36 @@ class TestExperiment:
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    def test_grid_ends_at_its_last_cell(self):
+        # A top-n grid has no cell with n above m, so an n range far past
+        # the m range ends at its last cell instead of running through it.
+        grid = argparse.Namespace(family="top_n", n_range=(1, 10**12), m_range=(3, 4))
+        cells = [(1, 3), (1, 4), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4)]
+        assert list(_experiment_cells(grid)) == cells
+        grid.family = "ordered"
+        grid.m_range = (0, 0)
+        assert list(_experiment_cells(grid)) == []
+
+    @pytest.mark.parametrize(
+        "ranges",
+        [
+            ["--family", "ordered", "--n-range", "2:2", "--m-range", "3:2"],
+            ["--family", "ordered", "--n-range", "2:2", "--m-range", "0:0"],
+            ["--family", "top_n", "--n-range", "5:6", "--m-range", "3:4"],
+            ["--family", "ordered", "--n-range", "2:2", "--m-range", "3:3", "--count", "0"],
+        ],
+        ids=["m-range-reversed", "m-range-no-goods", "top-n-n-above-m", "count-0"],
+    )
+    def test_grid_with_no_config_is_config_error(self, workdir, capsys, ranges):
+        # A grid whose every cell lacks a good once exited 0 with an empty
+        # report, where a reversed range is refused.
+        out = workdir / "exp.csv"
+        code = run_cli(["experiment", *ranges, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err == "error: empty experiment ranges\n"
+        assert not out.exists()
+
     def test_console_entrypoint(self):
         proc = subprocess.run(
             [sys.executable, "-m", "ordfair.cli", "generate", "--family",
@@ -477,7 +514,8 @@ class TestSizeLimits:
     solve, and ``generate --n 10**9`` ran on past 20 s.  ``experiment``
     once solved every config below the caps before it reached one past
     them, and an ``--oracle-limit`` of 30 let the oracle enumerate the set
-    partitions of 30 goods; both ran on past the timeout."""
+    partitions of 30 goods; both ran on past the timeout, as did a
+    ``--count`` of 10**11 inside the check of each config."""
 
     @staticmethod
     def _limit_memory():
@@ -506,10 +544,15 @@ class TestSizeLimits:
                  "--count", "1", "--oracle-limit", "30"],
                 "--oracle-limit must be at most 12",
             ),
+            (
+                ["experiment", "--family", "ordered", "--n-range", "2:2", "--m-range", "3:3",
+                 "--count", str(10**11)],
+                f"may have at most {MAX_EXPERIMENT_CONFIGS} configs",
+            ),
         ],
         ids=[
             "oversized-header", "generate-n-1e9", "experiment-n-range",
-            "experiment-m-range", "experiment-oracle-limit",
+            "experiment-m-range", "experiment-oracle-limit", "experiment-count",
         ],
     )
     def test_exits_one_with_one_line(self, workdir, argv, message):

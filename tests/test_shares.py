@@ -2,6 +2,7 @@ import gc
 import hashlib
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -30,12 +31,14 @@ from ordfair.shares import (
     _cover_ceiling,
     _covering_floor,
     _find_covering,
+    _greedy_cover,
     _max_pairs,
     _minimal_completions,
     _pairing_refutes,
     _share_value,
 )
 
+import helpers
 from helpers import (
     EX51,
     EX51_WITNESSES,
@@ -43,7 +46,9 @@ from helpers import (
     positive_ordered_instance,
     ref_cover,
     ref_cover_ceiling,
+    ref_find_covering,
     ref_normalize_order_preserving,
+    ref_pairing_refutes,
     seeded_instance,
 )
 
@@ -487,9 +492,9 @@ class TestFindCovering:
         assert min(map(sum, filled)) >= target
 
     def test_search_takes_the_goods_between_big_and_zero(self, monkeypatch):
-        # _find_covering splits the row by scanning in from each end; the
-        # search must receive exactly the filtered reduction, and none runs
-        # once d goods reach the target.
+        # _find_covering splits the row by bisecting for the big goods and
+        # the zeros; the search must receive exactly the filtered reduction,
+        # and none runs once d goods reach the target.
         searched = []
 
         def first_node(goods, bundles, target, dead, filled):
@@ -553,6 +558,71 @@ class TestSearchWork:
             self.SWEEP_PROBES,
             self.SWEEP_NODES,
         )
+
+
+@st.composite
+def search_probes(draw):
+    """A probe (vals sorted desc, d, target) on a row of values up to 1000
+    drawn from a few distinct ones, so ties are many, with zeros mixed in.
+    Targets run from the greedy cover to one above the ceiling, where the
+    search goes deep, and on rows with a few large values some goods reach
+    the target alone."""
+    pool = draw(st.lists(st.integers(1, 1000), min_size=1, max_size=6))
+    vals = draw(st.lists(st.sampled_from([0, *pool]), min_size=4, max_size=16))
+    vals.sort(reverse=True)
+    d = draw(st.integers(2, len(vals) // 2))
+    low = max(1, _greedy_cover(vals, d))
+    return vals, d, draw(st.integers(low, max(low, _cover_ceiling(vals, d) + 1)))
+
+
+class TestSearchAgainstReference:
+    """The share search bisects, tries each node's single completion before
+    it opens the generator and stops pairing once the bound cannot refute.
+    helpers keeps the plain search (ref_complete, ref_minimal_completions,
+    ref_pairing_refutes, ref_find_covering), which scans and counts in
+    full; the two must agree node for node: the same children in the same
+    order, the same failed states, refutations and coverings."""
+
+    @staticmethod
+    def _nodes(module, name, *args):
+        """The (goods, bundles) of each node a search visits in order, the
+        search's verdict, the bundles it filled and the states it failed."""
+        nodes, dead, filled, search = [], set(), [], getattr(module, name)
+
+        def visit(goods, bundles, target, dead, filled):
+            nodes.append((goods, bundles))
+            return search(goods, bundles, target, dead, filled)
+
+        with mock.patch.object(module, name, visit):
+            found = visit(*args, dead, filled)
+        return nodes, found, filled, dead
+
+    @settings(max_examples=400, deadline=None)
+    @given(probe=search_probes())
+    def test_coverings_equal_the_reference(self, probe):
+        assert _find_covering(*probe) == ref_find_covering(*probe)
+
+    @settings(max_examples=400, deadline=None)
+    @given(probe=search_probes())
+    def test_completion_sequences_equal_the_reference(self, probe):
+        vals, d, target = probe
+        searched = search_goods(vals, d, target)
+        if searched is None:
+            return
+        goods, bundles = searched
+        assert self._nodes(shares, "_complete", goods, bundles, target) == self._nodes(
+            helpers, "ref_complete", goods, bundles, target
+        )
+
+    @settings(max_examples=400, deadline=None)
+    @given(probe=search_probes())
+    def test_refutations_equal_the_reference(self, probe):
+        vals, d, target = probe
+        goods = tuple(v for v in vals if 0 < v < target)
+        for bundles in range(1, len(goods) + 2):
+            assert _pairing_refutes(goods, bundles, target) == ref_pairing_refutes(
+                goods, bundles, target
+            ), (goods, bundles, target)
 
 
 class TestShareAgainstCover:
