@@ -21,30 +21,60 @@ matched and reaches nothing, so the eligible agents are those listed.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from ..errors import InvariantViolationError, PreconditionError
 
 
 def _max_matching(neighbors: Sequence[tuple[int, ...]]) -> dict[int, int]:
     """Augmenting-path maximum matching, bag position -> agent
-    (deterministic), on each bag's agents in ascending order."""
+    (deterministic), on each bag's agents in ascending order.
+
+    Each bag in turn starts a depth-first search: a bag tries its unvisited
+    agents in order, taking a free one or moving on to a matched one's bag.
+    A path may pass every bag, past Python's recursion limit, so the search
+    keeps its path in lists indexed by bag, not on the call stack.  One
+    slot per bag is enough: the root is unmatched, and a search enters a
+    matched bag only through its partner, which it then has visited, so it
+    enters no bag twice."""
     match_bag: dict[int, int] = {}
     match_agent: dict[int, int] = {}
-
-    def augment(j: int, visited: set[int]) -> bool:
-        for i in neighbors[j]:
-            if i in visited:
+    # Per bag on the path: the bag it was entered from, its agents still to
+    # try, and the agent it is trying.
+    parent = [0] * len(neighbors)
+    resume: list[Iterator[int] | None] = [None] * len(neighbors)
+    tried = [0] * len(neighbors)
+    for root, agents in enumerate(neighbors):
+        visited: set[int] = set()
+        bag, agents = root, iter(agents)
+        while True:
+            for i in agents:
+                if i not in visited:
+                    break
+            else:
+                if bag == root:
+                    break
+                bag = parent[bag]
+                agents = resume[bag]
                 continue
             visited.add(i)
-            if i not in match_agent or augment(match_agent[i], visited):
-                match_bag[j] = i
-                match_agent[i] = j
-                return True
-        return False
-
-    for j in range(len(neighbors)):
-        augment(j, set())
+            partner = match_agent.get(i)
+            if partner is not None:
+                resume[bag] = agents
+                tried[bag] = i
+                parent[partner] = bag
+                bag = partner
+                agents = iter(neighbors[partner])
+                continue
+            # A free agent: each bag on the path takes the agent it tried.
+            match_bag[bag] = i
+            match_agent[i] = bag
+            while bag != root:
+                bag = parent[bag]
+                i = tried[bag]
+                match_bag[bag] = i
+                match_agent[i] = bag
+            break
     return match_bag
 
 

@@ -5,25 +5,26 @@ threshold comparisons downstream are exact, so floats are rejected at the
 boundary.  Comparisons within one agent's valuation run on that agent's row
 scaled to integers (``Instance.int_rows``), which keeps them exact.  The
 allocators decide on these rows: ``Instance.int_value`` sums a set of goods
-on one and ``Instance.level`` maps a threshold onto the same scale.
-``_bundle_sums`` gives every agent's value of every bundle at once, from
-per-good columns of those rows cached next to them.
-Instances and allocations are immutable and safe to share.  Permuted, padded
-and stripped instances skip checks that hold by construction and carry
-``int_rows`` over; a permuted copy also takes its parent's columns in the
-new order, and no copy keeps anything else its parent cached.  Padding
-goods are zero, so no row's lcm changes.  Padding is appended, so
-``strip_dummies`` undoes it from the caller's n and m alone.
+on one and ``Instance.levels`` maps each agent's threshold onto the same
+scale.  ``_bundle_sums`` gives every agent's value of every bundle at once,
+from per-good columns of those rows cached next to them.
+Instances and allocations are immutable and safe to share.  The constructor
+builds and checks every instance but ``permute_goods``'s copy, made once per
+a1 or a3 solve: its checks hold by construction, and it carries its
+parent's ``int_rows`` and columns in the new order, nothing else cached.
+The padding helpers, which no solve calls, build through the constructor.
+Padding is appended, so ``strip_dummies`` undoes it from the caller's n and
+m alone.
 
 The per-row passes run in C-implemented builtins: a permutation gathers each
 int row, Fraction row and label tuple, and the tuple of columns, with one
-``operator.itemgetter`` call (``_gather``), a strip slices them, an order
-check compares each column with the next (``_columns_ordered``), the top-k
-check compares each row's minimum over the first k goods of the column-sum
-ranking with its maximum over the rest, and ``int_rows`` reads the whole
-matrix's numerators and denominators in one ``map`` each over the
-``Fraction`` slots (``_num``, ``_den``) and scales only a row whose lcm is
-above 1.  ``level`` and ``levels`` read thresholds through the same slots.
+``operator.itemgetter`` call (``_gather``), an order check compares each
+column with the next (``_columns_ordered``), the top-k check compares each
+row's minimum over the first k goods of the column-sum ranking with its
+maximum over the rest, and ``int_rows`` reads the whole matrix's numerators
+and denominators in one ``map`` each over the ``Fraction`` slots (``_num``,
+``_den``) and scales only a row whose lcm is above 1.  ``level`` and
+``levels`` read thresholds through the same slots.
 
 Good and agent indices are 0-based everywhere, including the file formats.
 """
@@ -51,12 +52,15 @@ from .errors import (
 
 GENERATOR_FAMILIES = ("ordered", "top_n", "general")
 
-# The largest instance the file reader and the generators take.  A no-goods
-# file states n in its header alone; an a1 solve of one at MAX_AGENTS took
-# 36 s and 47 MB (Python 3.11, 2-core VM).  MAX_VALUES (n * m) random values
-# took 1.8 s to generate and 4.7 s to read back, at a 114 MB peak.
+# The largest instance the file reader and the generators take, and the
+# largest value the generators draw.  A no-goods file states n in its header
+# alone; an a1 solve of one at MAX_AGENTS took 36 s and 47 MB (Python 3.11,
+# 2-core VM).  MAX_VALUES (n * m) random values took 1.8 s to generate and
+# 4.7 s to read back, at a 114 MB peak; below MAX_VALUE they took 2.1 s to
+# generate, at a 169 MB peak (436 MB below 10**100).
 MAX_AGENTS = 20_000
 MAX_VALUES = 1_000_000
+MAX_VALUE = 10**18
 
 
 def _check_size(n: int, m: int, error: type[OrdfairError]) -> None:
@@ -274,36 +278,29 @@ class Instance:
             raise PreconditionError("one threshold per agent required")
         return _levels(taus, map(itemgetter(1), self.int_rows))
 
-    def _derive(self, int_rows, **changes) -> "Instance":
-        """``replace`` without ``__post_init__``; callers keep its checks and
-        ``int_rows`` exact.  The copy holds the three fields, ``changes`` and
-        ``int_rows`` only, so no other cached property of ``self`` (such as
-        ``_int_columns``) carries over to values it does not describe."""
-        new = object.__new__(type(self))
-        state = vars(new)
-        state.update(
-            values=self.values, agent_labels=self.agent_labels, good_labels=self.good_labels
-        )
-        state.update(changes, int_rows=int_rows)
-        return new
-
     def with_values(self, values: Sequence[Sequence[Fraction]]) -> "Instance":
         """Same shape and labels, different valuation matrix."""
         return replace(self, values=tuple(tuple(row) for row in values))
 
     def permute_goods(self, order: Sequence[int]) -> "Instance":
-        """Reindex goods so new position p holds old good order[p].  The
-        copy's columns are this instance's, gathered in the new order."""
+        """Reindex goods so new position p holds old good order[p].
+
+        The copy skips ``__post_init__``, whose checks hold by construction,
+        and carries this instance's ``int_rows`` and columns gathered in the
+        new order; no other cached property of this instance carries over."""
         if sorted(order) != list(range(self.m)):
             raise InvalidInstanceError("not a permutation of goods")
         gather = _gather(order)
         ints, denoms = zip(*self.int_rows)
-        return self._derive(
-            tuple(zip(map(gather, ints), denoms)),
+        new = object.__new__(type(self))
+        vars(new).update(
             values=tuple(map(gather, self.values)),
+            agent_labels=self.agent_labels,
             good_labels=gather(self.good_labels),
+            int_rows=tuple(zip(map(gather, ints), denoms)),
             _int_columns=gather(self._int_columns),
         )
+        return new
 
 
 @dataclass(frozen=True)
@@ -441,11 +438,11 @@ def pad_goods(inst: Instance, target: int) -> Instance:
     if target == inst.m:
         return inst
     extra = target - inst.m
-    int_zeros, zeros = (0,) * extra, (Fraction(0),) * extra
-    return inst._derive(
-        tuple((ints + int_zeros, denom) for ints, denom in inst.int_rows),
-        values=tuple(row + zeros for row in inst.values),
-        good_labels=inst.good_labels + tuple(f"g{inst.m + j}" for j in range(extra)),
+    zeros = (Fraction(0),) * extra
+    return Instance(
+        tuple(row + zeros for row in inst.values),
+        inst.agent_labels,
+        inst.good_labels + tuple(f"g{inst.m + j}" for j in range(extra)),
     )
 
 
@@ -456,10 +453,10 @@ def pad_agents_to_multiple_of_three(inst: Instance) -> Instance:
     if target == n:
         return inst
     extra = target - n
-    return inst._derive(
-        inst.int_rows + (inst.int_rows[0],) * extra,
-        values=inst.values + (inst.values[0],) * extra,
-        agent_labels=inst.agent_labels + tuple(f"a{n + i}" for i in range(extra)),
+    return Instance(
+        inst.values + (inst.values[0],) * extra,
+        inst.agent_labels + tuple(f"a{n + i}" for i in range(extra)),
+        inst.good_labels,
     )
 
 
@@ -472,11 +469,10 @@ def strip_dummies(
     if not 1 <= n <= inst.n or not 0 <= m <= inst.m:
         raise PreconditionError(f"cannot strip {inst.n} agents, {inst.m} goods to {n}, {m}")
     check_allocation(inst, alloc)
-    new_inst = inst._derive(
-        tuple((ints[:m], denom) for ints, denom in inst.int_rows[:n]),
-        values=tuple(row[:m] for row in inst.values[:n]),
-        agent_labels=inst.agent_labels[:n],
-        good_labels=inst.good_labels[:m],
+    new_inst = Instance(
+        tuple(row[:m] for row in inst.values[:n]),
+        inst.agent_labels[:n],
+        inst.good_labels[:m],
     )
     bundles = tuple(frozenset(g for g in b if g < m) for b in alloc.bundles[:n])
     pool = frozenset(g for g in alloc.pool.union(*alloc.bundles[n:]) if g < m)
@@ -504,6 +500,8 @@ class GeneratorConfig:
         _check_size(self.n, self.m, InvalidConfigError)
         if self.max_value < 1:
             raise InvalidConfigError("max_value must be positive")
+        if self.max_value > MAX_VALUE:
+            raise InvalidConfigError(f"max_value must be at most {MAX_VALUE}")
         if not 0 <= self.seed < 2**64:
             raise InvalidConfigError("seed must fit in 64 bits")
         if self.family == "top_n" and self.m < self.n:

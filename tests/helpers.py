@@ -570,6 +570,29 @@ def ref_max_envy_free_matching(agents, edges) -> int:
     return best
 
 
+def ref_max_matching(neighbors) -> dict[int, int]:
+    """``matching._max_matching`` as the recursive search it was: each bag
+    in turn tries its agents in order, taking a free one or recursing into
+    a matched one's bag.  Its depth is the augmenting path's length."""
+    match_bag: dict[int, int] = {}
+    match_agent: dict[int, int] = {}
+
+    def augment(j: int, visited: set[int]) -> bool:
+        for i in neighbors[j]:
+            if i in visited:
+                continue
+            visited.add(i)
+            if i not in match_agent or augment(match_agent[i], visited):
+                match_bag[j] = i
+                match_agent[i] = j
+                return True
+        return False
+
+    for j in range(len(neighbors)):
+        augment(j, set())
+    return match_bag
+
+
 def ref_shrink_minimal(inst: Instance, bag, protected, agents, taus) -> frozenset[int]:
     """``shrink_minimal`` as the restart loop it was: remove the lowest good
     whose removal leaves the bag acceptable to some agent, then start over

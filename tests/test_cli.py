@@ -25,6 +25,7 @@ from ordfair.cli import (
     _experiment_cells,
     main,
 )
+from ordfair.model import MAX_VALUE
 from ordfair.shares import mms_exact
 
 from helpers import EX51, I_A, I_B
@@ -515,7 +516,8 @@ class TestSizeLimits:
     once solved every config below the caps before it reached one past
     them, and an ``--oracle-limit`` of 30 let the oracle enumerate the set
     partitions of 30 goods; both ran on past the timeout, as did a
-    ``--count`` of 10**11 inside the check of each config."""
+    ``--count`` of 10**11 inside the check of each config.  A 4,000-digit
+    ``--max-value`` ended ``generate`` in a ``MemoryError`` traceback."""
 
     @staticmethod
     def _limit_memory():
@@ -549,10 +551,21 @@ class TestSizeLimits:
                  "--count", str(10**11)],
                 f"may have at most {MAX_EXPERIMENT_CONFIGS} configs",
             ),
+            (
+                ["generate", "--family", "general", "--n", "1000", "--m", "1000",
+                 "--max-value", "9" * 4000],
+                f"max_value must be at most {MAX_VALUE}",
+            ),
+            (
+                ["experiment", "--family", "general", "--n-range", "2:2", "--m-range", "3:3",
+                 "--count", "1", "--max-value", str(MAX_VALUE + 1)],
+                f"max_value must be at most {MAX_VALUE}",
+            ),
         ],
         ids=[
             "oversized-header", "generate-n-1e9", "experiment-n-range",
             "experiment-m-range", "experiment-oracle-limit", "experiment-count",
+            "generate-max-value", "experiment-max-value",
         ],
     )
     def test_exits_one_with_one_line(self, workdir, argv, message):

@@ -238,11 +238,10 @@ def _warm(inst):
 
 def _same_as_fresh(derived, expected):
     """``derived`` equals the instance built through ``Instance(...)``, its
-    carried ``int_rows`` and every other cached property equal that
-    instance's fresh ones, and so do those of an instance rebuilt from its
-    own fields."""
+    ``int_rows`` and every other cached property equal that instance's
+    fresh ones, and so do those of an instance rebuilt from its own
+    fields."""
     assert derived == expected
-    assert "int_rows" in vars(derived)
     rebuilt = _fresh(derived.values, derived.agent_labels, derived.good_labels)
     for name in _CACHED:
         assert getattr(derived, name) == getattr(expected, name), name
@@ -260,8 +259,11 @@ def test_derived_instances_equal_fresh_ones(inst, rng):
     assert {"int_rows", "_int_columns"} <= set(_CACHED)
     order = list(inst.goods)
     rng.shuffle(order)
+    permuted = _warm(inst).permute_goods(order)
+    # The permuted copy carries its parent's rows instead of computing them.
+    assert "int_rows" in vars(permuted)
     _same_as_fresh(
-        _warm(inst).permute_goods(order),
+        permuted,
         _fresh(
             [[row[g] for g in order] for row in inst.values],
             inst.agent_labels,
@@ -343,10 +345,8 @@ def test_model_transforms_match_per_element_references(inst, extra, rng):
     assert stripped.values == tuple(
         tuple(grown.values[i][g] for g in range(m)) for i in range(n)
     )
-    assert stripped.int_rows == tuple(
-        (tuple(grown.int_rows[i][0][g] for g in range(m)), grown.int_rows[i][1])
-        for i in range(n)
-    )
+    # A strip builds fresh rows: cutting goods may lower a row's lcm.
+    assert stripped.int_rows == tuple(_ref_int_row(row) for row in stripped.values)
     assert stripped.agent_labels == tuple(grown.agent_labels[i] for i in range(n))
     assert stripped.good_labels == tuple(grown.good_labels[g] for g in range(m))
 
@@ -388,6 +388,15 @@ def test_derived_instances_keep_their_error_paths():
     for n, m in ((0, 3), (3, 3), (2, 4), (2, -1)):
         with pytest.raises(PreconditionError, match="cannot strip"):
             strip_dummies(inst, alloc, n, m)
+
+
+def test_stripped_rows_are_fresh_rows():
+    """Cutting the good of denominator 2 lowers agent 0's lcm to 1: the
+    stripped copy's rows are a fresh instance's, not its parent's cut."""
+    inst = Instance.from_rows([[1, "1/2"], [3, 2]])
+    stripped, _ = strip_dummies(inst, make_allocation([[0], [1]]), 2, 1)
+    assert stripped == Instance.from_rows([[1], [3]])
+    assert stripped.int_rows == (((1,), 1), ((3,), 1))
 
 
 def _rational_instances():

@@ -2,12 +2,14 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordfair import envy_free_matching
 from ordfair.allocators import matching
 from ordfair.errors import InvariantViolationError, PreconditionError
 
-from helpers import ref_max_envy_free_matching
+from helpers import ref_max_envy_free_matching, ref_max_matching
 
 
 def graph_from_edges(nbags: int, nagents: int, edges) -> tuple[tuple[int, ...], ...]:
@@ -188,3 +190,31 @@ class TestEnvyFreeMatching:
             g = graph_from_edges(nbags, nagents, edges)
             for j in range(nbags):
                 assert list(g[j]) == sorted(i for i, b in edges if b == j)
+
+
+@st.composite
+def bag_graphs(draw):
+    """Neighbour tuples of up to 9 bags over up to 9 agents, empty bags
+    included, each bag's agents ascending."""
+    nagents = draw(st.integers(1, 9))
+    agent_sets = st.frozensets(st.integers(0, nagents - 1))
+    return tuple(tuple(sorted(s)) for s in draw(st.lists(agent_sets, min_size=1, max_size=9)))
+
+
+class TestMaxMatching:
+    @settings(max_examples=400, deadline=None)
+    @given(bag_graphs())
+    def test_same_matching_as_the_recursive_search(self, neighbors):
+        """The iterative search returns the recursive one's matching, in
+        the same insertion order."""
+        got = matching._max_matching(neighbors)
+        assert list(got.items()) == list(ref_max_matching(neighbors).items())
+
+    def test_staircase_past_the_recursion_limit(self):
+        """Bag j accepts agents j - 1 and j, so bag j's search walks a path
+        through every earlier bag before it takes agent j: on 1,100 bags the
+        recursive search raised ``RecursionError``."""
+        size = 1_100
+        neighbors = ((0,),) + tuple((j - 1, j) for j in range(1, size))
+        assert matching._max_matching(neighbors) == {j: j for j in range(size)}
+        assert envy_free_matching(neighbors) == tuple((j, j) for j in range(size))

@@ -28,7 +28,7 @@ from ordfair.errors import (
     ParseError,
     PreconditionError,
 )
-from ordfair.model import MAX_AGENTS, MAX_VALUES, check_allocation
+from ordfair.model import MAX_AGENTS, MAX_VALUE, MAX_VALUES, check_allocation
 
 from helpers import (
     EX51,
@@ -298,12 +298,19 @@ class TestGenerate:
 
     def test_size_limits(self):
         """The generators take what the file reader takes: at most
-        ``MAX_AGENTS`` agents and ``MAX_VALUES`` values."""
+        ``MAX_AGENTS`` agents and ``MAX_VALUES`` values.  They draw values
+        up to ``MAX_VALUE``, which admits the 10**6 that checks elsewhere
+        use."""
         GeneratorConfig("general", MAX_AGENTS, MAX_VALUES // MAX_AGENTS, 20, 1)
         GeneratorConfig("general", 1, MAX_VALUES, 20, 1)
         for n, m in ((MAX_AGENTS + 1, 1), (10**9, 3), (2, MAX_VALUES // 2 + 1)):
             with pytest.raises(InvalidConfigError, match="may have at most"):
                 GeneratorConfig("general", n, m, 20, 1)
+        assert 10**6 <= MAX_VALUE
+        GeneratorConfig("general", 2, 3, MAX_VALUE, 1)
+        for max_value in (MAX_VALUE + 1, int("9" * 4000)):
+            with pytest.raises(InvalidConfigError, match=f"max_value must be at most {MAX_VALUE}$"):
+                GeneratorConfig("general", 2, 3, max_value, 1)
 
 
 class TestFileFormats:
