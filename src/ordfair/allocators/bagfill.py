@@ -1,25 +1,28 @@
-"""Bag-filling allocators for identity-ordered instances.
+"""Bag-filling allocators for ordered instances.
 
-Both allocators share one engine.  Goods must be pre-permuted so that every
-agent's values are non-increasing by index.  Bags are initialized as
-{j, 2n-1-j} pairs, optionally after a singleton phase; leftover goods are
-then appended one at a time, in value order, to an open bag, while agents
-claim bags meeting their own share threshold and already-served agents may
-swap to an open bag they strictly prefer.  The engine records only which
-bag each served agent holds; every iteration derives the unserved agents
-and the open bags, by ascending id, from that record with two set
-differences and ``sorted``.
+Both allocators share one engine, which takes the instance's common order:
+a sequence of the goods along which every agent's values are
+non-increasing, position p holding the good order[p].  Bags are
+initialized as {order[j], order[2n-1-j]} pairs, optionally after a
+singleton phase; leftover goods are then appended one at a time, along the
+order, to an open bag, while agents claim bags meeting their own share
+threshold and already-served agents may swap to an open bag they strictly
+prefer.  Bags hold the caller's goods, and events name them.  The engine
+records only which bag each served agent holds; every iteration derives
+the unserved agents and the open bags, by ascending id, from that record
+with two set differences and ``sorted``.
 
 The paper pads to at least 2n goods with zero-valued dummies; the engine
-takes positions m..2n-1 as those dummies and leaves them out of the bags.
-A zero good changes no claim and no swap, so no fill ever needs one.  The
-4n/3 allocator adds the paper's copies of agent 0, up to a multiple of three
-agents, inside its own run and returns the caller's agents' bundles only.
+takes positions m..2n-1 of the order as those dummies and leaves them out
+of the bags.  A zero good changes no claim and no swap, so no fill ever
+needs one.  The 4n/3 allocator adds the paper's copies of agent 0, up to a
+multiple of three agents, inside its own run and returns the caller's
+agents' bundles only.
 
 The engine decides on integer rows: each agent's values and threshold on
-their own ``Instance.int_rows`` scale (``Instance.level``), which keeps every
-comparison exact.  The public allocators take thresholds in value units and
-map them once.
+their own ``Instance.int_rows`` scale (``Instance.levels``), which keeps
+every comparison exact.  The public allocators take thresholds in value
+units and map them once.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from ..errors import InvariantViolationError, StructuralMismatchError
-from ..model import Allocation, Instance, is_identity_ordered
+from ..errors import InvalidInstanceError, InvariantViolationError, StructuralMismatchError
+from ..model import Allocation, Instance, is_ordered_along
 from .trace import AllocatorTrace
 
 
@@ -46,17 +49,18 @@ def event_cap(n: int, m: int) -> int:
 def run_bag_fill(
     rows: Sequence[tuple[Sequence[int], int]],
     levels: Sequence[int],
+    order: Sequence[int],
     singleton_phase: bool,
     trace: AllocatorTrace,
 ) -> list[set[int]]:
-    """The shared engine, on good positions 0..m-1.
+    """The shared engine, on the m = len(order) goods of ``order``.
 
-    ``rows`` holds per agent an integer row over the positions and its
-    scale, shaped like ``Instance.int_rows``: each row must be
-    non-increasing.  ``levels`` are the agents' thresholds on their own
-    rows (``Instance.level``).  Positions m..2n-1, when m < 2n, are the
-    paper's zero-valued dummy goods: bags leave them out.  Returns each
-    agent's bag, by agent.
+    ``rows`` holds per agent an integer row over the goods and its scale,
+    shaped like ``Instance.int_rows``: each row must be non-increasing along
+    ``order``.  ``levels`` are the agents' thresholds on their own rows
+    (``Instance.levels``).  Positions m..2n-1 of the order, when m < 2n,
+    are the paper's zero-valued dummy goods: bags leave them out.  Returns
+    each agent's bag of goods, by agent.
 
     Each iteration is one claim, swap or fill, and ``event_cap(n, m)``
     bounds their number.  There are at most n claims, since ``owner`` only
@@ -67,27 +71,28 @@ def run_bag_fill(
     An iteration past the bound is an ``InvariantViolationError``.
     """
     n = len(rows)
-    m = len(rows[0][0]) if rows else 0
+    m = len(order)
 
     def bag_value(agent: int, bag: set[int]) -> int:
         row = rows[agent][0]
-        return sum(row[p] for p in bag)
+        return sum(row[g] for g in bag)
 
     bags: dict[int, set[int]] = {}
     owner: dict[int, int] = {}
     k = 0
     while singleton_phase and k < m:
+        good = order[k]
         claimant = next(
-            (i for i in range(n) if i not in owner and rows[i][0][k] >= levels[i]), None
+            (i for i in range(n) if i not in owner and rows[i][0][good] >= levels[i]), None
         )
         if claimant is None:
             break
-        bags[k] = {k}
+        bags[k] = {good}
         owner[claimant] = k
-        trace.emit(0, "singleton_claim", agent=claimant, good=k, bag=k)
+        trace.emit(0, "singleton_claim", agent=claimant, good=good, bag=k)
         k += 1
     for j in range(k, n):
-        bags[j] = {p for p in (j, 2 * n - 1 - j) if p < m}
+        bags[j] = {order[p] for p in (j, 2 * n - 1 - j) if p < m}
         trace.emit(0, "bag_init", bag=j, goods=frozenset(bags[j]))
     next_fill = 2 * n - k
 
@@ -138,54 +143,66 @@ def run_bag_fill(
             raise InvariantViolationError(
                 "bag filling exhausted the goods with unserved agents left"
             )
-        bags[open_bags[0]].add(next_fill)
-        trace.emit(iteration, "fill", good=next_fill, bag=open_bags[0])
+        good = order[next_fill]
+        bags[open_bags[0]].add(good)
+        trace.emit(iteration, "fill", good=good, bag=open_bags[0])
         next_fill += 1
 
     return [bags[owner[i]] for i in range(n)]
 
 
 def alloc_ordered_efx_3n2(
-    inst: Instance, taus: Sequence[Fraction]
+    inst: Instance, taus: Sequence[Fraction], order: Sequence[int] | None = None
 ) -> tuple[Allocation, AllocatorTrace]:
     """Bag filling with a singleton phase: EFX and 1-out-of-ceil(3n/2) MMS.
 
     ``taus`` are the agents' thresholds, their 1-out-of-ceil(3n/2) shares
-    for the guarantee.  Returns a partial allocation in which every agent's
-    bundle meets their own threshold and nobody strongly envies anybody.
+    for the guarantee, and ``order`` is a common order of the goods (by
+    default the goods by index).  Returns a partial allocation in which
+    every agent's bundle meets their own threshold and nobody strongly
+    envies anybody.
     """
-    return _alloc_bag_fill(inst, taus, singleton_phase=True)
+    return _alloc_bag_fill(inst, taus, order, singleton_phase=True)
 
 
 def alloc_ordered_ef1_4n3(
-    inst: Instance, taus: Sequence[Fraction]
+    inst: Instance, taus: Sequence[Fraction], order: Sequence[int] | None = None
 ) -> tuple[Allocation, AllocatorTrace]:
     """Bag filling without singletons: EF1 and 1-out-of-4*ceil(n/3) MMS.
 
     ``taus`` are the agents' thresholds, their 1-out-of-4*ceil(n/3) shares
-    for the guarantee.  When n is not a multiple of three, the run adds
-    copies of agent 0 until it is, as the paper does; their bundles go back
-    to the pool.  Returns a partial EF1 allocation in which every agent's
-    bundle meets their own threshold.
+    for the guarantee, and ``order`` is a common order of the goods (by
+    default the goods by index).  When n is not a multiple of three, the
+    run adds copies of agent 0 until it is, as the paper does; their
+    bundles go back to the pool.  Returns a partial EF1 allocation in which
+    every agent's bundle meets their own threshold.
     """
-    return _alloc_bag_fill(inst, taus, singleton_phase=False)
+    return _alloc_bag_fill(inst, taus, order, singleton_phase=False)
 
 
 def _alloc_bag_fill(
-    inst: Instance, taus: Sequence[Fraction], singleton_phase: bool
+    inst: Instance,
+    taus: Sequence[Fraction],
+    order: Sequence[int] | None,
+    singleton_phase: bool,
 ) -> tuple[Allocation, AllocatorTrace]:
     """Check the input, run the engine and check that every agent it served
     meets their threshold.
 
-    Without the singleton phase the engine also serves the paper's copies of
-    agent 0, up to a multiple of three agents.  Their bags are not returned
-    and their claims and swaps leave the trace, so the trace replays to the
-    returned allocation: every good no caller's agent holds is in the pool.
+    An ``order`` that is not a permutation of the goods is an
+    ``InvalidInstanceError``; an instance that is not non-increasing along
+    it for every agent is a ``StructuralMismatchError``.  Without the
+    singleton phase the engine also serves the paper's copies of agent 0,
+    up to a multiple of three agents.  Their bags are not returned and their
+    claims and swaps leave the trace, so the trace replays to the returned
+    allocation: every good no caller's agent holds is in the pool.
     """
-    if not is_identity_ordered(inst):
-        raise StructuralMismatchError(
-            "instance must be pre-permuted to a common non-increasing order"
-        )
+    if order is None:
+        order = inst.goods
+    elif sorted(order) != list(inst.goods):
+        raise InvalidInstanceError("not a permutation of goods")
+    if not is_ordered_along(inst, order):
+        raise StructuralMismatchError("instance is not non-increasing along the common order")
     trace = AllocatorTrace(
         "alloc_ordered_efx_3n2" if singleton_phase else "alloc_ordered_ef1_4n3"
     )
@@ -194,7 +211,7 @@ def _alloc_bag_fill(
     if copies:
         rows += (rows[0],) * copies
         levels += [levels[0]] * copies
-    held = run_bag_fill(rows, levels, singleton_phase, trace)
+    held = run_bag_fill(rows, levels, order, singleton_phase, trace)
     for i, (row, _) in enumerate(rows):
         if sum(map(row.__getitem__, held[i])) < levels[i]:
             raise InvariantViolationError(f"agent {i} ended below their threshold")

@@ -1,9 +1,10 @@
 """Envy-cycle elimination: complete a partial allocation.
 
-An unenvied agent takes their most valuable pool good, the lowest index on
-ties; when every agent is envied, bundles rotate along an envy cycle.  This
-works on any instance and preserves EF1.  On an identity-ordered instance
-whose pool is a suffix of the goods (the output of a1's bag filling), the
+An unenvied agent takes their most valuable pool good, the earliest in a
+given order of the goods on ties (by default the goods by index); when
+every agent is envied, bundles rotate along an envy cycle.  This works on
+any instance and preserves EF1.  Given an ordered instance's common order
+and a pool that is a suffix of it (the output of a1's bag filling), the
 good taken is the next one in the common order, the paper's rule for
 keeping EFX; ``solve_complete`` certifies EFX independently.
 
@@ -67,11 +68,13 @@ def _find_cycle(incoming: list[set[int]]) -> list[int]:
 
 
 def envy_cycle_elimination(
-    inst: Instance, alloc: Allocation
+    inst: Instance, alloc: Allocation, order: Sequence[int] | None = None
 ) -> tuple[Allocation, AllocatorTrace]:
     """Hand pool goods to unenvied agents, rotating bundles along envy
-    cycles when no such agent exists; an iteration past ``event_cap(n, m)``
-    is an ``InvariantViolationError``."""
+    cycles when no such agent exists.  An agent's ties go to the good that
+    comes first in ``order`` (by default the goods by index), which must
+    list every pool good once: otherwise it is a ``PreconditionError``.  An
+    iteration past ``event_cap(n, m)`` is an ``InvariantViolationError``."""
     check_allocation(inst, alloc)
     worth = _bundle_sums(inst, alloc.bundles)
     ok, pair = _ef1(inst, alloc, worth)
@@ -89,7 +92,9 @@ def envy_cycle_elimination(
     # agents that envy slot s) stay with the slot, whoever holds it.
     held = list(agents)
     bundles = [set(b) for b in alloc.bundles]
-    pool = sorted(alloc.pool)
+    pool = [g for g in (inst.goods if order is None else order) if g in alloc.pool]
+    if len(pool) != len(alloc.pool) or alloc.pool.difference(pool):
+        raise PreconditionError("the completion order must list every pool good once")
     start_values = [worth[i][i] for i in agents]
     incoming = _envy_edges(worth)
     iteration = 0

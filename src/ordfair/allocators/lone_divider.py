@@ -16,8 +16,8 @@ strongly envies and keeps its one top good, the good it was shrunk around.
 
 Every decision compares one agent's sums on their integer row
 (``Instance.int_value``) with their threshold on the same scale
-(``Instance.level``).  ``alloc_topn_lone_divider`` takes thresholds in value
-units and maps them once; the partition, the shrink and the matching's
+(``Instance.levels``).  ``alloc_topn_lone_divider`` takes thresholds in
+value units and maps them once; the partition, the shrink and the matching's
 edges (``_acceptors``) take those levels.  Only the progress measure, a
 total across agents whose scales differ, stays in ``Fraction``.
 """
@@ -46,11 +46,11 @@ def lone_divider_partition(
     level: int,
 ) -> list[frozenset[int]]:
     """Partition `pool` into one bag per good of `top_goods` in it, each
-    worth at least `level` on the divider's integer row (their threshold's
-    ``Instance.level``) and each holding exactly one of those goods.
+    worth at least `level` on the divider's integer row (their
+    ``Instance.levels`` entry) and each holding exactly one of those goods.
 
     Runs the singleton-phase bag filler with one copy of the divider per
-    bag (ordering the pool by the divider's values, top goods winning
+    bag, along the pool ordered by the divider's values (top goods winning
     ties), then spreads leftover goods round-robin across the bags.
     """
     pool = sorted(set(pool))
@@ -58,15 +58,13 @@ def lone_divider_partition(
     bag_count = len(top.intersection(pool))
     if bag_count < 1:
         raise PreconditionError("need at least one bag")
-    row, scale = inst.int_rows[divider]
+    row = inst.int_rows[divider][0]
     order = sorted(pool, key=lambda g: (-row[g], g not in top, g))
-    ordered_row = [row[g] for g in order]
 
     scratch = AllocatorTrace("lone_divider_partition")
-    held = run_bag_fill(
-        [(ordered_row, scale)] * bag_count, [level] * bag_count, True, scratch
+    bags = run_bag_fill(
+        [inst.int_rows[divider]] * bag_count, [level] * bag_count, order, True, scratch
     )
-    bags = [{order[p] for p in bag} for bag in held]
     used = set().union(*bags)
     leftovers = [g for g in order if g not in used]
     for idx, g in enumerate(leftovers):
@@ -84,8 +82,8 @@ def shrink_minimal(
     inst: Instance, bag: Iterable[int], protected: int, levels: Sequence[tuple[int, int]]
 ) -> frozenset[int]:
     """Inclusion-minimal subset keeping `protected` that some agent of the
-    (agent, ``Instance.level``) pairs `levels` still values at or above
-    their level."""
+    (agent, ``Instance.levels`` entry) pairs `levels` still values at or
+    above their level."""
     current = set(bag)
     if protected not in current:
         raise PreconditionError("protected good must be in the bag")
@@ -104,8 +102,9 @@ def shrink_minimal(
 def _acceptors(
     inst: Instance, bags: Sequence[frozenset[int]], levels: Sequence[tuple[int, int]]
 ) -> tuple[tuple[int, ...], ...]:
-    """Per bag, the agents of the (agent, ``Instance.level``) pairs `levels`
-    whose sum in the bag's column is at or above their level, ascending."""
+    """Per bag, the agents of the (agent, ``Instance.levels`` entry) pairs
+    `levels` whose sum in the bag's column is at or above their level,
+    ascending."""
     ranked = sorted(levels)
     return tuple(
         tuple(i for i, level in ranked if col[i] >= level)

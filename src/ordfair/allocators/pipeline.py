@@ -2,33 +2,31 @@
 and certification against the independent verifiers.
 
 All three algorithms run one body, which branches only where they differ:
-a2 neither checks for nor applies a common order; a3 divides by
+a2 neither checks for nor uses a common order; a3 divides by
 4*ceil(n/3); each runs its own allocator; and each certifies its own
 guarantee pair.  Only this body decides the divisor; the allocators take
 the thresholds it computes.  The layers are called through their
 module-level names, which the benchmark's traced run rebinds to time them.
 
-Every layer runs on the caller's agents and goods, permuted to the common
-order for a1 and a3: the paper's dummy goods and a3's copies of agent 0
-live inside the allocators' own runs.  Completion, one envy-cycle rule for
-all three, continues from the allocator's partial allocation; a1's EFX
-after completion is checked by the certification, not by the completion
-step.  The body maps both allocations and the trace back to the caller's
-goods, in one place: position p is the p-th good of the common order.
+Every layer runs on the caller's agents and goods.  For a1 and a3 the body
+hands the common order that ``detect_structure`` found to bag filling, as
+it hands the thresholds, and to completion, which breaks its ties along
+it; the paper's dummy goods and a3's copies of agent 0 live inside the
+allocators' own runs.  Completion, one envy-cycle rule for all three,
+continues from the allocator's partial allocation; a1's EFX after
+completion is checked by the certification, not by the completion step.
 
 When the allocator has handed out every good, completion returns the
 allocation it was given (after checking that it is EF1).  The two
-allocations are then equal, so the body maps and certifies once and the
-partial report is also the final one: ``report`` depends only on the
-instance, the allocation, the divisor and the thresholds, so this changes
-no output.
+allocations are then equal, so the body certifies once and the partial
+report is also the final one: ``report`` depends only on the instance, the
+allocation, the divisor and the thresholds, so this changes no output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from ..errors import StructuralMismatchError
 from ..model import Allocation, Instance, detect_structure, top_k_set
@@ -58,17 +56,6 @@ class SolveResult:
     certified: bool
 
 
-def _to_caller(alloc: Allocation, goods: Sequence[int]) -> Allocation:
-    """``alloc`` with position p as ``goods[p]``: an allocation of the
-    instance permuted by ``goods`` mapped back to the caller's goods.  Not
-    checked here: completion checks the allocation it starts from and its
-    output, both reports the caller's."""
-    return Allocation(
-        tuple(frozenset(map(goods.__getitem__, b)) for b in alloc.bundles),
-        frozenset(map(goods.__getitem__, alloc.pool)),
-    )
-
-
 def solve_complete(inst: Instance, algorithm: str) -> SolveResult:
     """Run one of the three pipelines and certify its guarantee pair.
 
@@ -87,25 +74,19 @@ def solve_complete(inst: Instance, algorithm: str) -> SolveResult:
         if order is None:
             raise StructuralMismatchError(f"algorithm {algorithm} needs an ordered instance")
 
-    caller = inst if order is None else inst.permute_goods(order)
     d = 4 * ((inst.n + 2) // 3) if algorithm == "a3" else ceil_3n_over_2(inst.n)
-    taus = shares.thresholds(caller, d)
+    taus = shares.thresholds(inst, d)
     if algorithm == "a1":
-        partial, trace = alloc_ordered_efx_3n2(caller, taus)
+        partial, trace = alloc_ordered_efx_3n2(inst, taus, order)
     elif algorithm == "a2":
-        partial, trace = alloc_topn_lone_divider(caller, taus)
+        partial, trace = alloc_topn_lone_divider(inst, taus)
     else:
-        partial, trace = alloc_ordered_ef1_4n3(caller, taus)
-    complete, completion_trace = envy_cycle_elimination(caller, partial)
+        partial, trace = alloc_ordered_ef1_4n3(inst, taus, order)
+    complete, completion_trace = envy_cycle_elimination(inst, partial, order)
     trace.extend_offset(completion_trace)
-    unchanged = complete == partial
-    if order is not None:
-        partial = _to_caller(partial, order)
-        complete = partial if unchanged else _to_caller(complete, order)
-        trace.rename_goods(order)
 
     partial_report = report(inst, partial, {d: taus})
-    final_report = partial_report if unchanged else report(inst, complete, {d: taus})
+    final_report = partial_report if complete == partial else report(inst, complete, {d: taus})
     certified = (
         final_report.complete
         and (final_report.efx if algorithm == "a1" else final_report.ef1)

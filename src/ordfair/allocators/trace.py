@@ -4,10 +4,9 @@ Every allocator emits an ordered event list; replaying the events against the
 instance the allocator ran on rebuilds its output allocation exactly, which
 the tests assert.  Bag filling fills only open bags, so a held bag never
 changes: replay hands an agent their bag's goods at the ``claim``, ``swap``
-or ``singleton_claim``.  a1 and a3 run on the goods permuted to the common
-order, so ``solve_complete`` renames their trace's goods back with
-``AllocatorTrace.rename_goods``: a solve's trace names the caller's agents
-and goods, as every other field of its result does.
+or ``singleton_claim``.  Every allocator runs on the caller's goods, so a
+solve's trace names the caller's agents and goods, as every other field of
+its result does.
 
 An event keeps its arguments typed, as emitted: ints, frozensets of goods
 (``goods``, ``kept``), a rotation's ``cycle`` as a tuple in order and a
@@ -24,7 +23,7 @@ error, echoes only a short prefix of the line, token or number.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from ..errors import ParseError
 from ..model import Allocation, _echo, _parse_int
@@ -47,26 +46,18 @@ def _parse_pairs(text: str) -> tuple[tuple[int, frozenset[int]], ...]:
     return tuple((_int(a), frozenset(_parse_ints(goods))) for a, _, goods in pairs)
 
 
-# Argument key -> (format, parse, rename); rename(name, value) is the
-# argument with each good g it names renamed to name(g), None for a key that
-# names no good.  Every other key holds an int that names no good.
-_GOODS = (
-    lambda goods: _fmt_ints(sorted(goods)),
-    lambda text: frozenset(_parse_ints(text)),
-    lambda name, goods: frozenset(map(name, goods)),
-)
+# Argument key -> (format, parse).  Every other key holds an int.
+_GOODS = (lambda goods: _fmt_ints(sorted(goods)), lambda text: frozenset(_parse_ints(text)))
 _CODECS = {
-    "good": (str, _int, lambda name, good: name(good)),
     "goods": _GOODS,
     "kept": _GOODS,
-    "cycle": (_fmt_ints, _parse_ints, None),
+    "cycle": (_fmt_ints, _parse_ints),
     "pairs": (
         lambda pairs: ";".join(f"{a}:{_fmt_ints(sorted(goods))}" for a, goods in pairs),
         _parse_pairs,
-        lambda name, pairs: tuple((a, frozenset(map(name, goods))) for a, goods in pairs),
     ),
 }
-_INT = (str, _int, None)
+_INT = (str, _int)
 
 
 @dataclass(slots=True)
@@ -111,18 +102,6 @@ class AllocatorTrace:
         base = max((ev.iteration for ev in self.events), default=0)
         for ev in other.events:
             self.events.append(TraceEvent(ev.iteration + base, ev.kind, ev.args))
-
-    def rename_goods(self, goods: Sequence[int]) -> None:
-        """Rename, in place, every good g that an event names to ``goods[g]``.
-        Only good-valued arguments change; agents, bag ids and cycles keep
-        their numbers."""
-        name = goods.__getitem__
-        for ev in self.events:
-            args = ev.args
-            for key, value in args.items():
-                rename = _CODECS.get(key, _INT)[2]
-                if rename is not None:
-                    args[key] = rename(name, value)
 
     def to_text(self) -> str:
         lines = [f"# trace {self.algorithm}"]

@@ -19,7 +19,8 @@ class ParseError(OrdfairError):
 
 class StructuralMismatchError(OrdfairError):
     """Input does not meet an allocator's structural precondition
-    (not ordered, not top-n, goods not pre-permuted, too few goods)."""
+    (not ordered, not top-n, not non-increasing along the given order, too
+    few goods)."""
 
 
 class PreconditionError(OrdfairError):

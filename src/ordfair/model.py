@@ -8,23 +8,21 @@ allocators decide on these rows: ``Instance.int_value`` sums a set of goods
 on one and ``Instance.levels`` maps each agent's threshold onto the same
 scale.  ``_bundle_sums`` gives every agent's value of every bundle at once,
 from per-good columns of those rows cached next to them.
-Instances and allocations are immutable and safe to share.  The constructor
-builds and checks every instance but ``permute_goods``'s copy, made once per
-a1 or a3 solve: its checks hold by construction, and it carries its
-parent's ``int_rows`` and columns in the new order, nothing else cached.
-The padding helpers, which no solve calls, build through the constructor.
-Padding is appended, so ``strip_dummies`` undoes it from the caller's n and
-m alone.
+Instances and allocations are immutable and safe to share.  Every instance
+is built and checked by the constructor, the padding helpers' too (no solve
+calls them).  No solve reindexes the goods: the allocators that need the
+common order take it as an argument, so every layer runs on the caller's
+goods.  Padding is appended, so ``strip_dummies`` undoes it from the
+caller's n and m alone.
 
-The per-row passes run in C-implemented builtins: a permutation gathers each
-int row, Fraction row and label tuple, and the tuple of columns, with one
-``operator.itemgetter`` call (``_gather``), an order check compares each
-column with the next (``_columns_ordered``), the top-k check compares each
-row's minimum over the first k goods of the column-sum ranking with its
-maximum over the rest, and ``int_rows`` reads the whole matrix's numerators
-and denominators in one ``map`` each over the ``Fraction`` slots (``_num``,
-``_den``) and scales only a row whose lcm is above 1.  ``level`` and
-``levels`` read thresholds through the same slots.
+The per-row passes run in C-implemented builtins: a gather along a list of
+goods takes one ``operator.itemgetter`` call (``_gather``), an order check
+compares each column with the next (``_columns_ordered``), the top-k check
+compares each row's minimum over the first k goods of the column-sum
+ranking with its maximum over the rest, and ``int_rows`` reads the whole
+matrix's numerators and denominators in one ``map`` each over the
+``Fraction`` slots (``_num``, ``_den``) and scales only a row whose lcm is
+above 1.  ``levels`` reads thresholds through the same slots.
 
 Good and agent indices are 0-based everywhere, including the file formats.
 """
@@ -144,15 +142,6 @@ def _columns_ordered(cols: Sequence[Sequence[int]]) -> bool:
 _num, _den = attrgetter("_numerator"), attrgetter("_denominator")
 
 
-def _levels(taus: Sequence[Fraction], scales: Iterable[int]) -> list[int]:
-    """ceil(tau * scale) for each threshold and scale, on integers."""
-    try:
-        ratios = zip(tuple(map(_num, taus)), tuple(map(_den, taus)))
-    except AttributeError:  # an exact number other than a Fraction
-        ratios = [tau.as_integer_ratio() for tau in taus]
-    return [-(-num * scale // den) for (num, den), scale in zip(ratios, scales)]
-
-
 def _default_agent_labels(n: int) -> tuple[str, ...]:
     return tuple(f"a{i}" for i in range(n))
 
@@ -263,44 +252,25 @@ class Instance:
         """``value`` on the agent's ``int_rows`` scale."""
         return sum(map(self.int_rows[agent][0].__getitem__, goods))
 
-    def level(self, agent: int, tau: Fraction) -> int:
-        """``tau`` on the agent's ``int_rows`` scale, rounded up:
-        ceil(tau * lcm).  An integer sum is at least tau * lcm iff it is at
-        least this level, so comparing ``int_value`` with it is exact for
-        any rational tau.  A share from ``shares.thresholds`` is a bundle
-        sum, so for it the level is exactly tau * lcm."""
-        return _levels((tau,), (self.int_rows[agent][1],))[0]
-
     def levels(self, taus: Sequence[Fraction]) -> list[int]:
-        """Each agent's ``level`` of their threshold in ``taus``, which the
-        allocators and the MMS verdict take indexed by agent."""
+        """Each agent's threshold in ``taus`` on their ``int_rows`` scale,
+        rounded up: ceil(tau * lcm), indexed by agent as the allocators and
+        the MMS verdict take them.  An integer sum is at least tau * lcm iff
+        it is at least this level, so comparing ``int_value`` with it is
+        exact for any rational tau.  A share from ``shares.thresholds`` is a
+        bundle sum, so for it the level is exactly tau * lcm."""
         if len(taus) != self.n:
             raise PreconditionError("one threshold per agent required")
-        return _levels(taus, map(itemgetter(1), self.int_rows))
+        try:
+            ratios = zip(tuple(map(_num, taus)), tuple(map(_den, taus)))
+        except AttributeError:  # an exact number other than a Fraction
+            ratios = [tau.as_integer_ratio() for tau in taus]
+        scales = map(itemgetter(1), self.int_rows)
+        return [-(-num * scale // den) for (num, den), scale in zip(ratios, scales)]
 
     def with_values(self, values: Sequence[Sequence[Fraction]]) -> "Instance":
         """Same shape and labels, different valuation matrix."""
         return replace(self, values=tuple(tuple(row) for row in values))
-
-    def permute_goods(self, order: Sequence[int]) -> "Instance":
-        """Reindex goods so new position p holds old good order[p].
-
-        The copy skips ``__post_init__``, whose checks hold by construction,
-        and carries this instance's ``int_rows`` and columns gathered in the
-        new order; no other cached property of this instance carries over."""
-        if sorted(order) != list(range(self.m)):
-            raise InvalidInstanceError("not a permutation of goods")
-        gather = _gather(order)
-        ints, denoms = zip(*self.int_rows)
-        new = object.__new__(type(self))
-        vars(new).update(
-            values=tuple(map(gather, self.values)),
-            agent_labels=self.agent_labels,
-            good_labels=gather(self.good_labels),
-            int_rows=tuple(zip(map(gather, ints), denoms)),
-            _int_columns=gather(self._int_columns),
-        )
-        return new
 
 
 @dataclass(frozen=True)
@@ -382,8 +352,7 @@ def detect_structure(inst: Instance) -> tuple[int, ...] | None:
     g and h as the common order does, ties by index.  So it finds a common order whenever one exists, the
     identity when that is one; when none exists, no candidate passes."""
     candidate = _by_column_sum(inst)
-    ordered = _columns_ordered(_gather(candidate)(inst._int_columns))
-    return tuple(candidate) if ordered else None
+    return tuple(candidate) if is_ordered_along(inst, candidate) else None
 
 
 def top_k_set(inst: Instance, k: int) -> frozenset[int] | None:
@@ -421,9 +390,10 @@ def top_k_set(inst: Instance, k: int) -> frozenset[int] | None:
     return frozenset(ranked[:k])
 
 
-def is_identity_ordered(inst: Instance) -> bool:
-    """True iff every agent's values are non-increasing by good index."""
-    return _columns_ordered(inst._int_columns)
+def is_ordered_along(inst: Instance, order: Sequence[int]) -> bool:
+    """True iff every agent's values are non-increasing along ``order``, a
+    sequence of good indices."""
+    return _columns_ordered(_gather(order)(inst._int_columns))
 
 
 # ---------------------------------------------------------------------------

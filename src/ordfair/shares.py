@@ -326,12 +326,22 @@ def _find_covering(vals: list[int], d: int, target: int) -> list[int] | None:
     bundle of its own: whatever shares a bundle with one of them can move to
     a bundle that holds none.  So ``_complete`` cuts the other bundles from
     the small goods, which are exactly the goods its contract admits.  Zeros
-    and any surplus go to bundle 0."""
+    and any surplus go to bundle 0.
+
+    ``_complete`` recurses once per bundle it fills, so a search for more
+    bundles than Python's recursion limit allows is a ``PreconditionError``
+    naming the bundle count."""
     big = bisect_right(vals, -target, key=neg)
     filled = [(v,) for v in vals[: min(big, d)]]
     if big < d:
         end = bisect_left(vals, 0, big, key=neg)
-        if not _complete(tuple(vals[big:end]), d - big, target, set(), filled):
+        try:
+            found = _complete(tuple(vals[big:end]), d - big, target, set(), filled)
+        except RecursionError:
+            raise PreconditionError(
+                f"the share search for {d} bundles is past Python's recursion limit"
+            ) from None
+        if not found:
             return None
     slots: dict[int, list[int]] = {}
     for i in range(len(vals) - 1, -1, -1):

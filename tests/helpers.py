@@ -51,6 +51,16 @@ def positive_ordered_instance(n: int, m: int, seed: int, max_value: int = 8) -> 
     return inst.with_values([[v + 1 for v in row] for row in inst.values])
 
 
+def permuted(inst: Instance, order: Sequence[int]) -> Instance:
+    """``inst`` with its goods reindexed so that new good p is old good
+    order[p], labels included, built through the ``Instance`` constructor."""
+    return Instance(
+        tuple(tuple(row[g] for g in order) for row in inst.values),
+        inst.agent_labels,
+        tuple(inst.good_labels[g] for g in order),
+    )
+
+
 def make_allocation(bundles, pool=()) -> Allocation:
     return Allocation(tuple(frozenset(b) for b in bundles), frozenset(pool))
 
@@ -484,10 +494,10 @@ def ref_int_rows(inst: Instance):
     return tuple(out)
 
 
-def ref_identity_ordered(inst: Instance) -> bool:
-    """``model.is_identity_ordered`` one row at a time, on the Fractions."""
+def ref_ordered_along(inst: Instance, order: Sequence[int]) -> bool:
+    """``model.is_ordered_along`` one row at a time, on the Fractions."""
     return all(
-        row[g] >= row[g + 1] for row in inst.values for g in range(inst.m - 1)
+        row[g] >= row[h] for row in inst.values for g, h in zip(order, order[1:])
     )
 
 
@@ -681,14 +691,16 @@ def frac_is_ef1(inst: Instance, alloc: Allocation):
     return True, None
 
 
-def frac_envy_cycle_elimination(inst: Instance, alloc: Allocation):
+def frac_envy_cycle_elimination(inst: Instance, alloc: Allocation, order=None):
     """Envy-cycle completion re-summing every bundle in Fraction on every
-    event; returns the completed allocation and the trace text."""
+    event, ties to the good earliest in `order` (by default the goods by
+    index); returns the completed allocation and the trace text."""
     from ordfair.allocators.envy_cycle import _find_cycle
     from ordfair.allocators.trace import AllocatorTrace
 
     bundles = [set(b) for b in alloc.bundles]
     pool = set(alloc.pool)
+    rank = {g: p for p, g in enumerate(inst.goods if order is None else order)}
     trace = AllocatorTrace("envy_cycle_elimination")
     iteration = 0
     while pool:
@@ -704,7 +716,7 @@ def frac_envy_cycle_elimination(inst: Instance, alloc: Allocation):
             continue
         source = min(sources)
         row = inst.values[source]
-        good = min(pool, key=lambda g: (-row[g], g))
+        good = min(pool, key=lambda g: (-row[g], rank[g]))
         bundles[source].add(good)
         pool.remove(good)
         trace.emit(iteration, "source_gift", agent=source, good=good)

@@ -279,10 +279,10 @@ def test_09_envy_cycle_contract():
         n = 2 + idx % 4
         m = 2 * n + idx % 3
         inst = generate(GeneratorConfig("ordered", n, m, 20, _seed(9, idx + 1)))
-        inst = inst.permute_goods(detect_structure(inst))
+        order = detect_structure(inst)
         taus = thresholds(inst, ceil_3n_over_2(n))
-        partial, _ = alloc_ordered_efx_3n2(inst, taus)
-        final, _ = envy_cycle_elimination(inst, partial)
+        partial, _ = alloc_ordered_efx_3n2(inst, taus, order)
+        final, _ = envy_cycle_elimination(inst, partial, order)
         assert final.is_complete(inst.m)
         assert is_efx(inst, final)[0]
         efx_runs += 1

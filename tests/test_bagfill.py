@@ -19,9 +19,14 @@ from ordfair import (
 )
 from ordfair.allocators import bagfill, replay
 from ordfair.allocators.bagfill import ceil_3n_over_2, event_cap
-from ordfair.errors import InvariantViolationError, OrdfairError, StructuralMismatchError
+from ordfair.errors import (
+    InvalidInstanceError,
+    InvariantViolationError,
+    OrdfairError,
+    StructuralMismatchError,
+)
 
-from helpers import I_A, seeded_instance
+from helpers import I_A, permuted, seeded_instance
 
 
 class TestEfxBagFill:
@@ -73,7 +78,7 @@ class TestEfxBagFill:
             n = rng.randrange(2, 6)
             m = rng.randrange(2 * n, 13)
             inst = seeded_instance("ordered", n, m, rng.randrange(2**32))
-            inst = inst.permute_goods(_witness(inst))
+            inst = permuted(inst, _witness(inst))
             d = ceil_3n_over_2(n)
             taus = thresholds(inst, d)
             alloc, trace = alloc_ordered_efx_3n2(inst, taus)
@@ -116,13 +121,71 @@ class TestEf1BagFill:
             n = rng.choice([3, 6])
             m = rng.randrange(2 * n, 2 * n + 5)
             inst = seeded_instance("ordered", n, m, rng.randrange(2**32))
-            inst = inst.permute_goods(_witness(inst))
+            inst = permuted(inst, _witness(inst))
             d = 4 * n // 3
             taus = thresholds(inst, d)
             alloc, trace = alloc_ordered_ef1_4n3(inst, taus)
             assert is_ef1(inst, alloc)[0]
             assert is_ordinal_mms(inst, alloc, d, taus)[0]
             _check_trace_discipline(inst, trace, alloc)
+
+
+@pytest.mark.parametrize("allocate", [alloc_ordered_efx_3n2, alloc_ordered_ef1_4n3])
+def test_rejects_orders_it_cannot_fill_along(allocate):
+    """An order that is not a permutation of the goods is refused as such;
+    so is one some agent's values rise along, the goods by index included
+    when no order is given."""
+    inst = Instance.from_rows([["1/2", 1, 0], ["1/3", 2, 0]])
+    taus = [Fraction(0)] * inst.n
+    for order in ([0, 0, 1], [0, 1], [0, 1, 2, 3], [2, 1, 3], [1, 0, 0]):
+        with pytest.raises(InvalidInstanceError, match="not a permutation"):
+            allocate(inst, taus, order)
+    for order in ([0, 1, 2], [1, 2, 0], None):
+        with pytest.raises(StructuralMismatchError, match="non-increasing"):
+            allocate(inst, taus, order)
+    alloc, trace = allocate(inst, taus, [1, 0, 2])
+    assert replay(trace, inst.n, inst.m) == alloc
+
+
+def _named_goods(positions, order):
+    return frozenset(order[p] for p in positions)
+
+
+def _named(event, order):
+    """A positional run's event with each position p it names as order[p]."""
+    args = dict(event.args)
+    if "good" in args:
+        args["good"] = order[args["good"]]
+    if "goods" in args:
+        args["goods"] = _named_goods(args["goods"], order)
+    return event.iteration, event.kind, args
+
+
+def test_runs_along_the_given_order_on_the_callers_goods():
+    """Bags open and fill along the order, on the caller's goods: the run
+    is the one on the goods reindexed along the order, each position p
+    named as the good order[p], in its allocation and in every event."""
+    rng = random.Random(4901)
+    runs = 0
+    for _ in range(40):
+        n = rng.randrange(1, 6)
+        inst = seeded_instance("ordered", n, rng.randrange(1, 3 * n + 2), rng.randrange(2**32))
+        order = _witness(inst)
+        work = permuted(inst, order)
+        for allocate, d in (
+            (alloc_ordered_efx_3n2, ceil_3n_over_2(n)),
+            (alloc_ordered_ef1_4n3, 4 * ((n + 2) // 3)),
+        ):
+            taus = thresholds(inst, d)
+            alloc, trace = allocate(inst, taus, order)
+            ref, ref_trace = allocate(work, taus)
+            bundles = tuple(_named_goods(b, order) for b in ref.bundles)
+            assert alloc == Allocation(bundles, _named_goods(ref.pool, order))
+            assert [(ev.iteration, ev.kind, ev.args) for ev in trace.events] == [
+                _named(ev, order) for ev in ref_trace.events
+            ]
+            runs += order != tuple(inst.goods)
+    assert runs > 40, runs
 
 
 def _padded_run(allocate, inst, d):
@@ -161,7 +224,7 @@ def test_unpadded_inputs_match_padded_runs():
         if algo == "a2":
             allocate, d, padded = alloc_topn_lone_divider, ceil_3n_over_2(n), inst
         else:
-            inst = inst.permute_goods(_witness(inst))
+            inst = permuted(inst, _witness(inst))
             padded = inst
             if algo == "a1":
                 allocate, d = alloc_ordered_efx_3n2, ceil_3n_over_2(n)
@@ -223,7 +286,7 @@ def test_bag_init_holds_the_opening_goods():
         n = 3 * rng.randrange(1, 3)
         m = rng.randrange(3 * n, 5 * n + 1)
         inst = seeded_instance("ordered", n, m, rng.randrange(2**32))
-        inst = inst.permute_goods(_witness(inst))
+        inst = permuted(inst, _witness(inst))
         runs = ((alloc_ordered_efx_3n2, ceil_3n_over_2(n)), (alloc_ordered_ef1_4n3, 4 * n // 3))
         for allocate, d in runs:
             _, trace = allocate(inst, thresholds(inst, d))
@@ -251,7 +314,7 @@ def test_run_past_its_event_cap_is_an_invariant_violation(monkeypatch):
     """The cap is checked: a run that takes k iterations, swaps and fills
     among them, passes with a cap of k and raises with a cap of k - 1."""
     inst = seeded_instance("ordered", 2, 12, 3214989422730734574, max_value=3)
-    inst = inst.permute_goods(_witness(inst))
+    inst = permuted(inst, _witness(inst))
     taus = thresholds(inst, ceil_3n_over_2(inst.n))
     _, trace = alloc_ordered_efx_3n2(inst, taus)
     assert {"swap", "fill"} <= {ev.kind for ev in trace.events}

@@ -20,8 +20,8 @@ from helpers import I_A, make_allocation, random_partial_allocation, seeded_inst
 
 
 class TestEfxOrderedMode:
-    """Completion of EFX partial allocations on identity-ordered instances,
-    the inputs a1 gives it."""
+    """Completion of EFX partial allocations on ordered instances, along
+    their common order: the inputs a1 gives it."""
 
     def test_i_a_trace(self):
         start = make_allocation([[0], [1]], [2, 3, 4])
@@ -57,10 +57,10 @@ class TestEfxOrderedMode:
             n = rng.randrange(2, 5)
             m = rng.randrange(2 * n, 12)
             inst = seeded_instance("ordered", n, m, rng.randrange(2**32))
-            inst = inst.permute_goods(detect_structure(inst))
+            order = detect_structure(inst)
             taus = thresholds(inst, ceil_3n_over_2(n))
-            partial, _ = alloc_ordered_efx_3n2(inst, taus)
-            final, trace = envy_cycle_elimination(inst, partial)
+            partial, _ = alloc_ordered_efx_3n2(inst, taus, order)
+            final, trace = envy_cycle_elimination(inst, partial, order)
             assert final.is_complete(inst.m)
             assert is_efx(inst, final)[0]
             for i in inst.agents:
@@ -68,13 +68,11 @@ class TestEfxOrderedMode:
                     i, partial.bundles[i]
                 )
             # Every gift is the next good of the common order, the paper's
-            # EFX-preserving rule.
-            pool = set(partial.pool)
+            # EFX-preserving rule, on the caller's goods.
+            pool = [g for g in order if g in partial.pool]
             for ev in trace.events:
                 if ev.kind == "source_gift":
-                    good = int(ev.get("good"))
-                    assert good == min(pool)
-                    pool.remove(good)
+                    assert ev.get("good") == pool.pop(0)
             assert not pool
 
 
@@ -111,6 +109,31 @@ class TestEf1Mode:
         start = make_allocation([[0, 1, 2], []], [])
         with pytest.raises(PreconditionError):
             envy_cycle_elimination(inst, start)
+
+    def test_ties_go_to_the_earliest_good_in_the_order(self):
+        """Agent 0 values the three goods alike and is the first source.
+        The common order puts good 2 first, since agent 1 values it most, so
+        agent 0 takes it; by default agent 0 takes good 0, the lowest index,
+        and the allocation differs."""
+        inst = Instance.from_rows([[1, 1, 1], [1, 1, 2]])
+        order = detect_structure(inst)
+        assert order == (2, 0, 1)
+        start = make_allocation([[], []], [0, 1, 2])
+        along, trace = envy_cycle_elimination(inst, start, order)
+        assert along.bundles == (frozenset({2}), frozenset({0, 1}))
+        assert trace.events[0].args == {"agent": 0, "good": 2}
+        by_index, trace = envy_cycle_elimination(inst, start)
+        assert by_index.bundles == (frozenset({0, 1}), frozenset({2}))
+        assert trace.events[0].args == {"agent": 0, "good": 0}
+        assert envy_cycle_elimination(inst, start, (0, 1, 2)) == (by_index, trace)
+
+    @pytest.mark.parametrize("order", [(0, 1), (2, 0, 0), (2, 0, 3), ()])
+    def test_order_missing_a_pool_good_is_precondition_error(self, order):
+        """A pool good the order leaves out would leave the allocation."""
+        inst = Instance.from_rows([[1, 1, 1], [1, 1, 2]])
+        start = make_allocation([[], []], [0, 1, 2])
+        with pytest.raises(PreconditionError, match="every pool good once"):
+            envy_cycle_elimination(inst, start, order)
 
     def test_random_partial_ef1_inputs(self):
         rng = random.Random(24)

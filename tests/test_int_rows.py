@@ -5,7 +5,7 @@ The benchmark's instances all have integer values, so they never exercise
 the scaling; these tests use rational rows with mixed denominators and check
 the integer code against the Fraction references in ``helpers``.  The
 allocators compare on the same rows, with each threshold mapped to the
-agent's integer level (``Instance.level``); the last tests pin that mapping
+agent's integer level (``Instance.levels``); the last tests pin that mapping
 at thresholds between two levels and under per-agent row scaling.
 """
 
@@ -40,8 +40,8 @@ from ordfair import (
     top_k_set,
 )
 from ordfair.allocators.bagfill import ceil_3n_over_2
-from ordfair.errors import InvalidInstanceError, PreconditionError
-from ordfair.model import _bundle_sums, is_identity_ordered
+from ordfair.errors import PreconditionError
+from ordfair.model import _bundle_sums, is_ordered_along
 
 from helpers import (
     I_A,
@@ -51,6 +51,7 @@ from helpers import (
     frac_is_efx,
     frac_strongly_envies,
     make_allocation,
+    permuted,
     positive_ordered_instance,
     random_partial_allocation,
     rational_rows_instance,
@@ -136,14 +137,6 @@ _ONE_GOOD = Instance.from_rows([["1/2"], ["2/3"], ["1/2"]])
 _NO_GOODS = Instance.from_rows([[], []])
 
 
-def _permuted_after_parent_columns():
-    """A permuted copy of an instance whose own columns were built first:
-    the copy's columns must follow the new order of the goods."""
-    parent = Instance.from_rows([["1/2", 3, 0, "2/5"], [1, "1/3", 2, 0]])
-    assert parent._int_columns
-    return parent.permute_goods([3, 1, 0, 2])
-
-
 @settings(max_examples=150, deadline=None)
 @given(padded_allocations())
 @example((_ALL_SHAPES, make_allocation([[0], [], [3]], [1, 2, 4])))
@@ -151,7 +144,6 @@ def _permuted_after_parent_columns():
 @example((_NO_GOODS, make_allocation([[], []], [])))
 @example((_ONE_GOOD, make_allocation([[], [0], []], [])))
 @example((_ONE_GOOD, make_allocation([[], [], []], [0])))
-@example((_permuted_after_parent_columns(), make_allocation([[0, 1], [2]], [3])))
 def test_worth_matches_per_pair_sums(case):
     """The column kernel gives one entry per bundle, each agent's sum over
     that bundle, including empty bundles; pool goods are in no entry."""
@@ -186,7 +178,7 @@ def test_many_agents_without_goods_build_no_square_matrix():
         assert peak < 4_000_000, peak
 
 
-# --- derived instances carry int_rows -------------------------------------
+# --- derived instances build their own int_rows ----------------------------
 
 
 @st.composite
@@ -251,28 +243,14 @@ def _same_as_fresh(derived, expected):
 @settings(max_examples=100, deadline=None)
 @given(caller_instances(), st.randoms(use_true_random=False))
 def test_derived_instances_equal_fresh_ones(inst, rng):
-    """Permuted and padded instances equal fresh builds, and stripping both
-    kinds of padding gives back the caller's instance: a padding agent's
-    goods join the pool, and padding goods leave every bundle and the
-    pool.  Each parent has every cached property computed before a copy is
-    derived from it, and no copy keeps one that describes its parent."""
+    """Padded instances equal fresh builds, and stripping both kinds of
+    padding gives back the caller's instance: a padding agent's goods join
+    the pool, and padding goods leave every bundle and the pool.  Each
+    parent has every cached property computed before a copy is derived from
+    it, and no copy keeps one that describes its parent."""
     assert {"int_rows", "_int_columns"} <= set(_CACHED)
-    order = list(inst.goods)
-    rng.shuffle(order)
-    permuted = _warm(inst).permute_goods(order)
-    # The permuted copy carries its parent's rows instead of computing them.
-    assert "int_rows" in vars(permuted)
-    _same_as_fresh(
-        permuted,
-        _fresh(
-            [[row[g] for g in order] for row in inst.values],
-            inst.agent_labels,
-            [inst.good_labels[g] for g in order],
-        ),
-    )
-
     extra = rng.randint(1, 4)
-    padded = pad_goods(inst, inst.m + extra)
+    padded = pad_goods(_warm(inst), inst.m + extra)
     _same_as_fresh(
         _warm(padded),
         _fresh(
@@ -307,8 +285,9 @@ def _ref_int_row(row):
     return tuple(v.numerator * (denom // v.denominator) for v in row), denom
 
 
-def _ref_identity_ordered(inst):
-    return all(row[g] >= row[g + 1] for row, _ in inst.int_rows for g in range(inst.m - 1))
+def _ref_ordered_along(inst, order):
+    pairs = list(zip(order, order[1:]))
+    return all(row[g] >= row[h] for row, _ in inst.int_rows for g, h in pairs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -320,15 +299,6 @@ def test_model_transforms_match_per_element_references(inst, extra, rng):
     """The model's gathers and scans, run in ``itemgetter`` and ``map``
     calls, give what one generator step per element gives."""
     assert inst.int_rows == tuple(_ref_int_row(row) for row in inst.values)
-
-    order = list(inst.goods)
-    rng.shuffle(order)
-    permuted = inst.permute_goods(order)
-    assert permuted.values == tuple(tuple(row[g] for g in order) for row in inst.values)
-    assert permuted.int_rows == tuple(
-        (tuple(ints[g] for g in order), denom) for ints, denom in inst.int_rows
-    )
-    assert permuted.good_labels == tuple(inst.good_labels[g] for g in order)
 
     padded = pad_goods(inst, inst.m + extra)
     assert padded.values == tuple(tuple(row) + (Fraction(0),) * extra for row in inst.values)
@@ -350,9 +320,12 @@ def test_model_transforms_match_per_element_references(inst, extra, rng):
     assert stripped.agent_labels == tuple(grown.agent_labels[i] for i in range(n))
     assert stripped.good_labels == tuple(grown.good_labels[g] for g in range(m))
 
-    for x in (inst, permuted, padded, grown, stripped):
+    for x in (inst, padded, grown, stripped):
+        order = list(x.goods)
         assert detect_structure(x) == ref_detect_structure(x)
-        assert is_identity_ordered(x) == _ref_identity_ordered(x)
+        assert is_ordered_along(x, order) == _ref_ordered_along(x, order)
+        rng.shuffle(order)
+        assert is_ordered_along(x, order) == _ref_ordered_along(x, order)
 
 
 @settings(max_examples=100, deadline=None)
@@ -379,9 +352,6 @@ def test_unpadded_allocation_is_strip_dummies(inst):
 
 def test_derived_instances_keep_their_error_paths():
     inst = Instance.from_rows([["1/2", 1, 0], ["1/3", 2, 0]])
-    for order in ([0, 0, 1], [0, 1], [0, 1, 2, 3], [2, 1, 3]):
-        with pytest.raises(InvalidInstanceError, match="not a permutation"):
-            inst.permute_goods(order)
     with pytest.raises(PreconditionError, match="below good count"):
         pad_goods(inst, 2)
     alloc = make_allocation([[0], [1]], [2])
@@ -471,12 +441,13 @@ def test_completion_matches_fraction_reference():
         if ordered:
             starts += [_efx_start(inst, rng, order) for _ in range(3)]
         for start in starts:
-            final, trace = envy_cycle_elimination(inst, start)
-            ref_final, ref_text = frac_envy_cycle_elimination(inst, start)
-            assert final == ref_final, (inst, start)
-            assert trace.to_text() == ref_text
-            runs += 1
-            rotations += sum(ev.kind == "cycle_rotation" for ev in trace.events)
+            for along in (None, order) if ordered else (None,):
+                final, trace = envy_cycle_elimination(inst, start, along)
+                ref_final, ref_text = frac_envy_cycle_elimination(inst, start, along)
+                assert final == ref_final, (inst, start, along)
+                assert trace.to_text() == ref_text
+                runs += 1
+                rotations += sum(ev.kind == "cycle_rotation" for ev in trace.events)
     # The sweep must reach the rotation path, not only gifts.
     assert runs > 300 and rotations > 20
 
@@ -501,7 +472,7 @@ def _benchmark_shaped_starts():
             padded = pad_goods(inst, 2 * n)
             partial, _ = alloc_topn_lone_divider(padded, thresholds(padded, ceil_3n_over_2(n)))
         else:
-            work = inst.permute_goods(detect_structure(inst))
+            work = permuted(inst, detect_structure(inst))
             if algorithm == "a1":
                 padded = pad_goods(work, 2 * n)
                 partial, _ = alloc_ordered_efx_3n2(padded, thresholds(padded, ceil_3n_over_2(n)))
@@ -630,11 +601,12 @@ def test_missing_thresholds_are_precondition_errors(run, short):
 
 def _allocator_inputs(inst):
     """(allocator, instance, thresholds) for each allocator whose structure
-    the instance has, prepared as ``solve_complete`` prepares them."""
+    the instance has, with the goods padded to 2n explicitly and, for the
+    bag fillers, reindexed along the common order."""
     n = inst.n
     order = detect_structure(inst)
     if order is not None:
-        work = inst.permute_goods(order)
+        work = permuted(inst, order)
         padded = pad_goods(work, max(work.m, 2 * n))
         yield alloc_ordered_efx_3n2, padded, thresholds(padded, ceil_3n_over_2(n))
         work = pad_agents_to_multiple_of_three(work)

@@ -82,13 +82,14 @@ def edges_of(neighbors) -> frozenset[tuple[int, int]]:
 
 def levels_of(inst, agents, taus):
     """(agent, level) pairs of the thresholds ``taus``, indexed by agent."""
-    return [(i, inst.level(i, taus[i])) for i in agents]
+    levels = inst.levels(taus)
+    return [(i, levels[i]) for i in agents]
 
 
 class TestLoneDividerPartition:
     def test_unit_goods_three_bags(self):
         inst = Instance.from_rows([[1] * 6])
-        bags = lone_divider_partition(inst, 0, range(6), {0, 1, 2}, inst.level(0, Fraction(1)))
+        bags = lone_divider_partition(inst, 0, range(6), {0, 1, 2}, inst.levels([Fraction(1)])[0])
         assert len(bags) == 3
         for bag in bags:
             assert inst.value(0, bag) >= 1
@@ -98,11 +99,11 @@ class TestLoneDividerPartition:
     def test_zero_bags_is_precondition_error(self):
         inst = Instance.from_rows([[4, 2, 1]])
         with pytest.raises(PreconditionError, match="at least one bag"):
-            lone_divider_partition(inst, 0, range(3), set(), inst.level(0, Fraction(1)))
+            lone_divider_partition(inst, 0, range(3), set(), inst.levels([Fraction(1)])[0])
 
     def test_single_bag_gets_whole_pool(self):
         inst = Instance.from_rows([[4, 2, 1]])
-        bags = lone_divider_partition(inst, 0, range(3), {0}, inst.level(0, Fraction(4)))
+        bags = lone_divider_partition(inst, 0, range(3), {0}, inst.levels([Fraction(4)])[0])
         assert bags == [frozenset({0, 1, 2})]
 
     def test_random_pools_postconditions(self):
@@ -113,8 +114,8 @@ class TestLoneDividerPartition:
             inst = seeded_instance("top_n", n, m, rng.randrange(2**32))
             top = top_k_set(inst, n)
             divider = rng.randrange(n)
-            tau = thresholds(inst, ceil_3n_over_2(n))[divider]
-            level = inst.level(divider, tau)
+            taus = thresholds(inst, ceil_3n_over_2(n))
+            tau, level = taus[divider], inst.levels(taus)[divider]
             bags = lone_divider_partition(inst, divider, inst.goods, top, level)
             assert set().union(*bags) == set(inst.goods)
             for bag in bags:

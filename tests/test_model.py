@@ -35,6 +35,7 @@ from helpers import (
     I_A,
     I_B,
     make_allocation,
+    permuted,
     random_partial_allocation,
     ref_detect_structure,
     ref_top_k_set,
@@ -122,7 +123,7 @@ class TestDetectStructure:
             order = list(inst.goods)
             rng.shuffle(order)
             scales = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in inst.agents]
-            inst = inst.permute_goods(order).with_values(
+            inst = permuted(inst, order).with_values(
                 [[v / c for v in row] for row, c in zip(inst.values, scales)]
             )
             common = detect_structure(inst)
@@ -428,11 +429,3 @@ class TestFileFormats:
         """A frozenset drops the repeat, so check_allocation could not see it."""
         with pytest.raises(ParseError, match="listed twice"):
             read_allocation(text)
-
-    def test_permute_goods_round_trip(self):
-        inst = seeded_instance("general", 2, 5, 77)
-        order = (3, 0, 4, 1, 2)
-        back = inst.permute_goods(order).permute_goods(
-            tuple(sorted(range(5), key=lambda p: order[p]))
-        )
-        assert back.values == inst.values

@@ -36,6 +36,7 @@ from helpers import (
     I_A,
     I_B,
     make_allocation,
+    permuted,
     rational_rows_instance,
     seeded_instance,
 )
@@ -101,15 +102,30 @@ class TestSolveComplete:
             for algo in ("a1", "a2", "a3"):
                 assert solve_complete(inst, algo).certified
 
+    def test_a1_completion_takes_the_next_good_of_the_common_order(self):
+        """Agent 0 values pool goods 1 and 3 alike, at 0, and gets the first
+        gift.  Along the common order (2, 0, 3, 1) it takes good 3, so agent
+        1 envies it and takes good 1: EFX.  Taking the lower index instead,
+        agent 0 ends with both, and agent 1 strongly envies it."""
+        inst = Instance.from_rows([[2, 0, 3, 0], [1, 0, 1, 1]])
+        assert detect_structure(inst) == (2, 0, 3, 1)
+        result = solve_complete(inst, "a1")
+        assert result.partial == make_allocation([[2], [0]], [1, 3])
+        assert result.allocation == make_allocation([[2, 3], [0, 1]])
+        assert result.certified
+        by_index, _ = envy_cycle_elimination(inst, result.partial)
+        assert by_index == make_allocation([[1, 2, 3], [0]])
+        assert not is_efx(inst, by_index)[0]
+
     def test_completion_runs_on_the_callers_agents_and_goods(self, monkeypatch):
         """Every algorithm completes on the caller's n agents and m goods,
         from a partial that holds no padding good, also where the allocators
         pad: below m = 2n and, for a3, at n not a multiple of three."""
         calls = []
 
-        def completing(inst, partial):
+        def completing(inst, partial, order):
             calls.append((inst.n, inst.m, partial.allocated() | partial.pool))
-            return envy_cycle_elimination(inst, partial)
+            return envy_cycle_elimination(inst, partial, order)
 
         monkeypatch.setattr(pipeline, "envy_cycle_elimination", completing)
         rng = random.Random(45)
@@ -189,13 +205,12 @@ class TestBruteForceExistence:
 
 def _allocator_run(algorithm, inst, d):
     """The allocator of `algorithm` on `inst` as ``solve_complete`` runs it,
-    on the caller's goods (permuted to the common order for a1 and a3) at
-    divisor `d`: the partial allocation and the trace."""
+    on the caller's goods, handed the common order for a1 and a3, at divisor
+    `d`: the partial allocation and the trace."""
     if algorithm == "a2":
         return alloc_topn_lone_divider(inst, thresholds(inst, d))
-    work = inst.permute_goods(detect_structure(inst))
     allocate = alloc_ordered_efx_3n2 if algorithm == "a1" else alloc_ordered_ef1_4n3
-    return allocate(work, thresholds(work, d))
+    return allocate(inst, thresholds(inst, d), detect_structure(inst))
 
 
 _KINDS = (
@@ -387,8 +402,9 @@ class TestTraceSerialization:
         """A solve's trace holds completion's gifts and replays on the
         caller's instance to the returned allocation.  Where the common
         order is not the identity, each good that a1's or a3's trace puts in
-        a bag is the caller's good at the position that the allocator's own
-        run on the permuted goods names, and bag ids keep their numbers."""
+        a bag is the caller's good at the position that the allocator's run
+        on the goods reindexed along that order names, and bag ids keep
+        their numbers."""
         result = solve_complete(I_A, "a1")
         assert "source_gift" in {e.kind for e in result.trace.events}
         assert replay(result.trace, I_A.n, I_A.m) == result.allocation
@@ -398,7 +414,7 @@ class TestTraceSerialization:
         for algorithm in ("a1", "a3"):
             result = solve_complete(inst, algorithm)
             assert replay(result.trace, inst.n, inst.m) == result.allocation
-            _, positional = _allocator_run(algorithm, inst, result.divisor)
+            _, positional = _allocator_run(algorithm, permuted(inst, order), result.divisor)
             moved = 0
             for ev, pos in zip(result.trace.events, positional.events):
                 assert (ev.kind, ev.args.get("bag")) == (pos.kind, pos.args.get("bag"))

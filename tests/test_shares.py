@@ -144,6 +144,14 @@ class TestExact:
         with pytest.raises(PreconditionError):
             mms_exact(I_A, 0, 0)
 
+    def test_search_past_the_recursion_limit_is_a_precondition_error(self):
+        """``_complete`` recurses once per bundle it fills.  On the one-agent
+        3,000-good draw at d = 1200 that passes Python's recursion limit,
+        which ends as a typed error naming the bundle count."""
+        inst = seeded_instance("general", 1, 3000, 1)
+        with pytest.raises(PreconditionError, match="for 1200 bundles"):
+            mms_exact(inst, 0, 1200)
+
     def test_larger_instances_stay_tractable(self):
         # Shapes that once thrashed the search: identical values (symmetric
         # branching), a long descending run (surplus absorption) and agent 1

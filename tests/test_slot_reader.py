@@ -2,8 +2,8 @@
 checks that read the valuation matrix through it or through its columns.
 
 ``Instance.int_rows`` reads numerators and denominators from each
-``Fraction``'s slots, ``Instance.level`` reads a threshold the same way, and
-``detect_structure``, ``is_identity_ordered`` and ``top_k_set`` compare
+``Fraction``'s slots, ``Instance.levels`` reads thresholds the same way, and
+``detect_structure``, ``is_ordered_along`` and ``top_k_set`` compare
 columns of the integer rows.  Each is checked here against a reference that
 calls ``as_integer_ratio`` or scans one row at a time (``helpers``).  No
 instance is built at import, so a broken reader fails these tests by name.
@@ -15,13 +15,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ordfair import Instance, detect_structure, top_k_set
-from ordfair.model import _den, _num, is_identity_ordered
+from ordfair.model import _den, _num, is_ordered_along
 
 from helpers import (
     LARGE_PRIMES,
+    permuted,
     ref_detect_structure,
-    ref_identity_ordered,
     ref_int_rows,
+    ref_ordered_along,
     ref_top_k_set,
 )
 
@@ -83,7 +84,7 @@ def test_slot_reader_equals_as_integer_ratio(num, den):
 @settings(max_examples=200, deadline=None)
 @given(_reader_instances(), st.data())
 def test_level_is_the_ceiling_on_the_row_scale(inst, data):
-    """``Instance.level`` reads a threshold through the slot reader: the
+    """``Instance.levels`` reads a threshold through the slot reader: the
     ceiling of tau times the row's lcm, with tau over a small or a 20-digit
     prime denominator."""
     i = data.draw(st.integers(0, inst.n - 1))
@@ -94,7 +95,7 @@ def test_level_is_the_ceiling_on_the_row_scale(inst, data):
         )
     )
     num, den = tau.as_integer_ratio()
-    assert inst.level(i, tau) == -(-num * ref_int_rows(inst)[i][1] // den)
+    assert inst.levels([tau] * inst.n)[i] == -(-num * ref_int_rows(inst)[i][1] // den)
 
 
 @st.composite
@@ -127,7 +128,7 @@ def _structured_instances(draw):
     )
     inst = Instance.from_rows([[v * c for v in row] for row, c in zip(rows, scales)])
     if draw(st.booleans()):
-        inst = inst.permute_goods(draw(st.permutations(range(m))))
+        inst = permuted(inst, draw(st.permutations(range(m))))
     return inst
 
 
@@ -137,13 +138,14 @@ def _structured_instances(draw):
 @example(Instance.from_rows([[2], [0]]))
 @example(Instance.from_rows([[2, 3], [3, 2]]))
 def test_column_checks_match_references(inst):
-    """``detect_structure``, ``is_identity_ordered`` and ``top_k_set`` check
-    columns; the references check each row.  A permuted copy carries its
-    columns, and the copy along a common order is identity-ordered."""
+    """``detect_structure``, ``is_ordered_along`` and ``top_k_set`` check
+    columns; the references check each row.  The instance is ordered along
+    the common order that ``detect_structure`` finds."""
     order = detect_structure(inst)
     assert order == ref_detect_structure(inst)
-    assert is_identity_ordered(inst) == ref_identity_ordered(inst)
+    for along in (list(inst.goods), list(reversed(inst.goods))):
+        assert is_ordered_along(inst, along) == ref_ordered_along(inst, along)
     for k in range(inst.m + 2):
         assert top_k_set(inst, k) == ref_top_k_set(inst, k), k
     if order is not None:
-        assert is_identity_ordered(inst.permute_goods(order))
+        assert is_ordered_along(inst, order)
