@@ -8,9 +8,10 @@ singleton phase; leftover goods are then appended one at a time, along the
 order, to an open bag, while agents claim bags meeting their own share
 threshold and already-served agents may swap to an open bag they strictly
 prefer.  Bags hold the caller's goods, and events name them.  The engine
-records only which bag each served agent holds; every iteration derives
-the unserved agents and the open bags, by ascending id, from that record
-with two set differences and ``sorted``.
+records which bag each served agent holds and keeps the unserved agents
+and the open bags as lists by ascending id, changed only where ownership
+changes: a claim takes its agent and bag out, and a swap takes out the
+bag it moves to and puts the one it leaves back in order.
 
 The paper pads to at least 2n goods with zero-valued dummies; the engine
 takes positions m..2n-1 of the order as those dummies and leaves them out
@@ -27,6 +28,7 @@ units and map them once.
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from typing import Sequence
 
@@ -62,6 +64,11 @@ def run_bag_fill(
     are the paper's zero-valued dummy goods: bags leave them out.  Returns
     each agent's bag of goods, by agent.
 
+    ``unserved`` and ``open_bags`` stay ascending, so every scan meets the
+    agents and bags in id order, as the tie-breaks need: a singleton or
+    bag claim removes its agent (and bag), and a swap removes the bag taken
+    and ``insort``s the bag left.  A fill changes neither list.
+
     Each iteration is one claim, swap or fill, and ``event_cap(n, m)``
     bounds their number.  There are at most n claims, since ``owner`` only
     grows, and at most m fills, since ``next_fill`` only grows.  Between two
@@ -74,19 +81,18 @@ def run_bag_fill(
     m = len(order)
 
     def bag_value(agent: int, bag: set[int]) -> int:
-        row = rows[agent][0]
-        return sum(row[g] for g in bag)
+        return sum(map(rows[agent][0].__getitem__, bag))
 
     bags: dict[int, set[int]] = {}
     owner: dict[int, int] = {}
+    unserved = list(range(n))
     k = 0
     while singleton_phase and k < m:
         good = order[k]
-        claimant = next(
-            (i for i in range(n) if i not in owner and rows[i][0][good] >= levels[i]), None
-        )
+        claimant = next((i for i in unserved if rows[i][0][good] >= levels[i]), None)
         if claimant is None:
             break
+        unserved.remove(claimant)
         bags[k] = {good}
         owner[claimant] = k
         trace.emit(0, "singleton_claim", agent=claimant, good=good, bag=k)
@@ -94,17 +100,15 @@ def run_bag_fill(
     for j in range(k, n):
         bags[j] = {order[p] for p in (j, 2 * n - 1 - j) if p < m}
         trace.emit(0, "bag_init", bag=j, goods=frozenset(bags[j]))
+    open_bags = list(range(k, n))
     next_fill = 2 * n - k
 
-    agents = frozenset(range(n))
     iteration = 0
     cap = event_cap(n, m)
-    while len(owner) < n:
+    while unserved:
         iteration += 1
         if iteration > cap:
             raise InvariantViolationError("bag filling exceeded its event cap")
-        unserved = sorted(agents.difference(owner))
-        open_bags = sorted(bags.keys() - owner.values())
 
         claim = next(
             (
@@ -118,6 +122,8 @@ def run_bag_fill(
         if claim is not None:
             i, b = claim
             owner[i] = b
+            unserved.remove(i)
+            open_bags.remove(b)
             trace.emit(iteration, "claim", agent=i, bag=b)
             continue
 
@@ -136,6 +142,8 @@ def run_bag_fill(
         if best is not None:
             _, _, i, b = best
             trace.emit(iteration, "swap", agent=i, frm=owner[i], to=b)
+            open_bags.remove(b)
+            insort(open_bags, owner[i])
             owner[i] = b
             continue
 

@@ -413,10 +413,13 @@ def thresholds(inst: Instance, d: int) -> tuple[Fraction, ...]:
     solve: rows are keyed by their integer scalings and lcms, which are
     equal iff the rows are.  A row with fewer than d positive goods leaves
     some bundle without one, so its share is 0 with no sort or search
-    (``_share_value`` applies the same rule).
+    (``_share_value`` applies the same rule).  With fewer goods than d, that
+    holds for every row, so every share is 0 and no row is read.
     """
     if d < 1:
         raise PreconditionError("d must be >= 1")
+    if inst.m < d:
+        return (_ZERO,) * inst.n
     solved: dict[tuple[tuple[int, ...], int], Fraction] = {}
     out: list[Fraction] = []
     for row in inst.int_rows:

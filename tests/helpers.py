@@ -20,7 +20,10 @@ from ordfair import (
     is_ef1,
     is_efx,
     is_ordinal_mms,
+    thresholds,
 )
+from ordfair.allocators.bagfill import ceil_3n_over_2, event_cap
+from ordfair.allocators.trace import AllocatorTrace
 from ordfair.errors import (
     InvariantViolationError,
     StructuralMismatchError,
@@ -540,6 +543,141 @@ def ref_top_k_set(inst: Instance, k: int):
     if not must <= may or len(must) > k or len(may) < k:
         return None
     return frozenset(must | set(sorted(may - must)[: k - len(must)]))
+
+
+def ref_run_bag_fill(
+    rows: Sequence[tuple[Sequence[int], int]],
+    levels: Sequence[int],
+    order: Sequence[int],
+    singleton_phase: bool,
+    trace: AllocatorTrace,
+) -> list[set[int]]:
+    """``bagfill.run_bag_fill`` as it was when every iteration derived the
+    unserved agents and the open bags from ``owner`` with two set
+    differences and ``sorted``, kept verbatim as the reference the engine's
+    differential test compares bags and events against."""
+    n = len(rows)
+    m = len(order)
+
+    def bag_value(agent: int, bag: set[int]) -> int:
+        row = rows[agent][0]
+        return sum(row[g] for g in bag)
+
+    bags: dict[int, set[int]] = {}
+    owner: dict[int, int] = {}
+    k = 0
+    while singleton_phase and k < m:
+        good = order[k]
+        claimant = next(
+            (i for i in range(n) if i not in owner and rows[i][0][good] >= levels[i]), None
+        )
+        if claimant is None:
+            break
+        bags[k] = {good}
+        owner[claimant] = k
+        trace.emit(0, "singleton_claim", agent=claimant, good=good, bag=k)
+        k += 1
+    for j in range(k, n):
+        bags[j] = {order[p] for p in (j, 2 * n - 1 - j) if p < m}
+        trace.emit(0, "bag_init", bag=j, goods=frozenset(bags[j]))
+    next_fill = 2 * n - k
+
+    agents = frozenset(range(n))
+    iteration = 0
+    cap = event_cap(n, m)
+    while len(owner) < n:
+        iteration += 1
+        if iteration > cap:
+            raise InvariantViolationError("bag filling exceeded its event cap")
+        unserved = sorted(agents.difference(owner))
+        open_bags = sorted(bags.keys() - owner.values())
+
+        claim = next(
+            (
+                (i, b)
+                for i in unserved
+                for b in open_bags
+                if bag_value(i, bags[b]) >= levels[i]
+            ),
+            None,
+        )
+        if claim is not None:
+            i, b = claim
+            owner[i] = b
+            trace.emit(iteration, "claim", agent=i, bag=b)
+            continue
+
+        # Swap branch: a served agent strictly prefers an open bag.  The pair
+        # with the largest gain in value wins, ties to the lowest agent then
+        # bag.  Gains of different agents are on different scales, so they
+        # are compared as gain / scale, cross-multiplied.
+        best = None
+        for i in sorted(owner):
+            scale = rows[i][1]
+            current = bag_value(i, bags[owner[i]])
+            for b in open_bags:
+                gain = bag_value(i, bags[b]) - current
+                if gain > 0 and (best is None or gain * best[1] > best[0] * scale):
+                    best = (gain, scale, i, b)
+        if best is not None:
+            _, _, i, b = best
+            trace.emit(iteration, "swap", agent=i, frm=owner[i], to=b)
+            owner[i] = b
+            continue
+
+        if next_fill >= m:
+            raise InvariantViolationError(
+                "bag filling exhausted the goods with unserved agents left"
+            )
+        good = order[next_fill]
+        bags[open_bags[0]].add(good)
+        trace.emit(iteration, "fill", good=good, bag=open_bags[0])
+        next_fill += 1
+
+    return [bags[owner[i]] for i in range(n)]
+
+
+def bag_fill_calls(rng: random.Random, draws: int, n_range: range):
+    """Seeded calls of the bag-filling engine as (rows, levels, order,
+    singleton_phase), three per draw of an ordered instance with n in
+    ``n_range``, m from n to 3n and max_value 3 or 20, its goods permuted
+    so that the common order is not the goods by index:
+    - a1's shape: the agents' rows, singleton phase on;
+    - a3's shape: phase off, copies of agent 0 up to a multiple of three;
+    - the lone divider's shape: one agent's row once per bag, phase on.
+    At the paper's divisors the opening bags served every agent of 9,000
+    such calls, with no fill or swap, so a1's and a3's levels are the
+    shares at a d drawn from n up to the paper's divisor, and the
+    divider's at its bag count or at a1's divisor.  Some calls run out of
+    goods."""
+    for _ in range(draws):
+        n = rng.choice(n_range)
+        m = rng.randrange(n, 3 * n + 1)
+        inst = seeded_instance("ordered", n, m, rng.randrange(2**32), rng.choice((3, 20)))
+        inst = permuted(inst, rng.sample(range(m), m))
+        order = detect_structure(inst)
+        rows = inst.int_rows
+        a1 = inst.levels(thresholds(inst, rng.randrange(n, ceil_3n_over_2(n) + 1)))
+        yield rows, a1, order, True
+        copies = -n % 3
+        a3 = inst.levels(thresholds(inst, rng.randrange(n, 4 * ((n + 2) // 3) + 1)))
+        yield rows + (rows[0],) * copies, a3 + [a3[0]] * copies, order, False
+        divider, bags = rng.randrange(n), rng.randrange(1, n + 1)
+        if rng.random() < 0.5:
+            level = inst.levels(thresholds(inst, bags))[divider]
+        else:
+            level = inst.levels(thresholds(inst, ceil_3n_over_2(n)))[divider]
+        yield [rows[divider]] * bags, [level] * bags, order, True
+
+
+def bag_fill_outcome(engine, call):
+    """The engine's bags, or its ``InvariantViolationError`` message, and
+    the events it emitted."""
+    trace = AllocatorTrace("bag_fill")
+    try:
+        return engine(*call, trace), trace.events
+    except InvariantViolationError as err:
+        return str(err), trace.events
 
 
 def ref_threshold_edges(inst: Instance, bags, levels) -> frozenset[tuple[int, int]]:
