@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ..errors import InvalidInstanceError, InvariantViolationError, StructuralMismatchError
-from ..model import Allocation, Instance, is_ordered_along
+from ..model import Allocation, Instance, is_derived_order, is_ordered_along
 from .trace import AllocatorTrace
 
 
@@ -199,18 +199,23 @@ def _alloc_bag_fill(
 
     An ``order`` that is not a permutation of the goods is an
     ``InvalidInstanceError``; an instance that is not non-increasing along
-    it for every agent is a ``StructuralMismatchError``.  Without the
+    it for every agent is a ``StructuralMismatchError``.  Both checks are
+    skipped only for the instance's own derived order, the tuple
+    ``detect_structure(inst)`` returned (``is_derived_order``), which passed
+    them when it was derived; ``None`` (the goods by index) and every other
+    order, even one equal to it, are checked in full.  Without the
     singleton phase the engine also serves the paper's copies of agent 0,
     up to a multiple of three agents.  Their bags are not returned and their
     claims and swaps leave the trace, so the trace replays to the returned
     allocation: every good no caller's agent holds is in the pool.
     """
-    if order is None:
-        order = inst.goods
-    elif sorted(order) != list(inst.goods):
-        raise InvalidInstanceError("not a permutation of goods")
-    if not is_ordered_along(inst, order):
-        raise StructuralMismatchError("instance is not non-increasing along the common order")
+    if not is_derived_order(inst, order):
+        if order is None:
+            order = inst.goods
+        elif sorted(order) != list(inst.goods):
+            raise InvalidInstanceError("not a permutation of goods")
+        if not is_ordered_along(inst, order):
+            raise StructuralMismatchError("instance is not non-increasing along the common order")
     trace = AllocatorTrace(
         "alloc_ordered_efx_3n2" if singleton_phase else "alloc_ordered_ef1_4n3"
     )

@@ -7,7 +7,8 @@ served agent strongly envies a shrunk bag they steal a minimal envied core
 of it, otherwise an envy-free matching hands bags out.  The served agents'
 bundles are the one record: each round derives the unserved agents and the
 pool from them, and the pool holds one top good per unserved agent, since
-every bundle holds one.
+every bundle holds one.  The top goods are the instance's cached top-n set
+(``Instance.top_n_set``), which the pipeline's structure check derived.
 
 Both shrinks are single passes: a removal test that fails once fails for
 every smaller bag, so restarting after each removal would only re-test
@@ -32,10 +33,22 @@ from ..errors import (
     PreconditionError,
     StructuralMismatchError,
 )
-from ..model import Allocation, Instance, _bundle_sums, top_k_set
+from ..model import Allocation, Instance, _bundle_sums
 from .bagfill import run_bag_fill
 from .matching import envy_free_matching
 from .trace import AllocatorTrace
+
+
+class _Discard:
+    """A trace that keeps no events: the partition's bag-filling runs are
+    not part of a2's trace, which records the bags they make instead."""
+
+    @staticmethod
+    def emit(iteration: int, kind: str, **args: object) -> None:
+        pass
+
+
+_DISCARD = _Discard()
 
 
 def lone_divider_partition(
@@ -51,19 +64,21 @@ def lone_divider_partition(
 
     Runs the singleton-phase bag filler with one copy of the divider per
     bag, along the pool ordered by the divider's values (top goods winning
-    ties), then spreads leftover goods round-robin across the bags.
+    ties, then lower indices), then spreads leftover goods round-robin
+    across the bags.  The filler's events go to a sink that keeps none.
     """
     pool = sorted(set(pool))
     top = frozenset(top_goods)
     bag_count = len(top.intersection(pool))
     if bag_count < 1:
         raise PreconditionError("need at least one bag")
-    row = inst.int_rows[divider][0]
-    order = sorted(pool, key=lambda g: (-row[g], g not in top, g))
+    # Two stable sorts of the ascending pool: top goods first, then by the
+    # divider's value, descending, so ties keep top goods first by index.
+    order = sorted(pool, key=top.__contains__, reverse=True)
+    order.sort(key=inst.int_rows[divider][0].__getitem__, reverse=True)
 
-    scratch = AllocatorTrace("lone_divider_partition")
     bags = run_bag_fill(
-        [inst.int_rows[divider]] * bag_count, [level] * bag_count, order, True, scratch
+        [inst.int_rows[divider]] * bag_count, [level] * bag_count, order, True, _DISCARD
     )
     used = set().union(*bags)
     leftovers = [g for g in order if g not in used]
@@ -170,10 +185,12 @@ def alloc_topn_lone_divider(
 
     ``taus`` are the agents' thresholds, their 1-out-of-ceil(3n/2) shares
     for the guarantee.  Returns a partial allocation that is EFX with every
-    agent's bundle at or above their threshold.
+    agent's bundle at or above their threshold.  The top goods are
+    ``top_k_set(inst, n)``, read from the instance's cache, so a solve
+    derives them once.
     """
     n = inst.n
-    top = top_k_set(inst, n)
+    top = inst.top_n_set
     if top is None:
         raise StructuralMismatchError("instance is not top-n")
 

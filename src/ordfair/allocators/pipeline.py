@@ -12,7 +12,11 @@ Every layer runs on the caller's agents and goods.  For a1 and a3 the body
 hands the common order that ``detect_structure`` found to bag filling, as
 it hands the thresholds, and to completion, which breaks its ties along
 it; the paper's dummy goods and a3's copies of agent 0 live inside the
-allocators' own runs.  Completion, one envy-cycle rule for all three,
+allocators' own runs.  The structure is derived once per instance and
+cached on it: bag filling recognizes the order ``detect_structure``
+returned and does not check it again, and the lone divider reads the top-n
+set that ``top_k_set`` derived here.  Both are derived lazily, inside the
+first solve of the instance.  Completion, one envy-cycle rule for all three,
 continues from the allocator's partial allocation; a1's EFX after
 completion is checked by the certification, not by the completion step.
 

@@ -59,7 +59,7 @@ from .errors import (
     StructuralMismatchError,
     ZeroMaximinError,
 )
-from .model import Instance, detect_structure
+from .model import Instance, _fraction, detect_structure
 
 DEFAULT_ORACLE_LIMIT = 12
 _ZERO = Fraction(0)
@@ -429,7 +429,7 @@ def thresholds(inst: Instance, d: int) -> tuple[Fraction, ...]:
             if len(ints) - ints.count(0) < d:
                 share = _ZERO
             else:
-                share = Fraction(_share_value(sorted(ints, reverse=True), d), denom)
+                share = _fraction(_share_value(sorted(ints, reverse=True), d), denom)
             solved[row] = share
         out.append(share)
     return tuple(out)

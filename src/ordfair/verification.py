@@ -14,10 +14,11 @@ integer matrix: ``worth[j][i]`` is agent i's value of bundle j on i's row of
 ``Instance.int_rows``, one column per bundle from the model's kernel
 (``_bundle_sums``); the scans open a bundle only where i envies it and it
 holds two or more goods (a lone good dropped leaves 0).  ``report`` builds
-it once, takes bundle values as ``Fraction(worth[i][i], lcm_i)``
-(one-argument ``Fraction`` when the lcm is 1, which needs no gcd), and skips
-EF1's pass when EFX holds: then ``worth[j][i] - min <= worth[i][i]`` for
-every envied pair, and max >= min.  The public checkers validate the
+it once, takes bundle values as ``Fraction(worth[i][i], lcm_i)``, built
+by the model's ``_fraction`` from that integer pair without
+``Fraction.__new__``'s Python-level checks, and skips EF1's pass when EFX
+holds: then ``worth[j][i] - min <= worth[i][i]`` for every envied pair,
+and max >= min.  The public checkers validate the
 allocation against the instance first (``check_allocation``), as ``report``
 does.  ``read_report`` reads back only what ``write_report`` writes.
 """
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from operator import ge, getitem
+from operator import ge, getitem, itemgetter
 from typing import Callable, Mapping, Sequence
 
 from .errors import ParseError, PreconditionError
@@ -36,6 +37,7 @@ from .model import (
     Instance,
     _bundle_sums,
     _echo,
+    _fraction,
     _parse_int,
     as_rational,
     check_allocation,
@@ -172,9 +174,7 @@ def report(
     efx, efx_wit = _efx(inst, alloc, worth)
     ef1, ef1_wit = (True, None) if efx else _ef1(inst, alloc, worth)
     own = list(map(getitem, worth, inst.agents))
-    values = tuple(
-        Fraction(w) if lcm == 1 else Fraction(w, lcm) for w, (_, lcm) in zip(own, inst.int_rows)
-    )
+    values = tuple(map(_fraction, own, map(itemgetter(1), inst.int_rows)))
     verdicts = []
     for d in sorted(thresholds):
         taus = tuple(thresholds[d])

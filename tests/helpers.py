@@ -22,10 +22,11 @@ from ordfair import (
     is_ordinal_mms,
     thresholds,
 )
-from ordfair.allocators.bagfill import ceil_3n_over_2, event_cap
+from ordfair.allocators.bagfill import ceil_3n_over_2, event_cap, run_bag_fill
 from ordfair.allocators.trace import AllocatorTrace
 from ordfair.errors import (
     InvariantViolationError,
+    PreconditionError,
     StructuralMismatchError,
     ZeroMaximinError,
 )
@@ -635,6 +636,38 @@ def ref_run_bag_fill(
         next_fill += 1
 
     return [bags[owner[i]] for i in range(n)]
+
+
+def ref_lone_divider_partition(
+    inst: Instance, divider: int, pool, top_goods, level: int
+) -> list[frozenset[int]]:
+    """``lone_divider.lone_divider_partition`` as it was when it sorted the
+    pool with one tuple key per good and gave the engine a scratch
+    ``AllocatorTrace``, kept verbatim as the reference its differential
+    test compares bags against."""
+    pool = sorted(set(pool))
+    top = frozenset(top_goods)
+    bag_count = len(top.intersection(pool))
+    if bag_count < 1:
+        raise PreconditionError("need at least one bag")
+    row = inst.int_rows[divider][0]
+    order = sorted(pool, key=lambda g: (-row[g], g not in top, g))
+
+    scratch = AllocatorTrace("lone_divider_partition")
+    bags = run_bag_fill(
+        [inst.int_rows[divider]] * bag_count, [level] * bag_count, order, True, scratch
+    )
+    used = set().union(*bags)
+    leftovers = [g for g in order if g not in used]
+    for idx, g in enumerate(leftovers):
+        bags[idx % bag_count].add(g)
+
+    for bag in bags:
+        if len(bag & top) != 1:
+            raise InvariantViolationError("bag lost its top good")
+        if inst.int_value(divider, bag) < level:
+            raise InvariantViolationError("divider bag fell below the share")
+    return [frozenset(b) for b in bags]
 
 
 def bag_fill_calls(rng: random.Random, draws: int, n_range: range):

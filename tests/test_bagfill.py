@@ -10,6 +10,7 @@ from ordfair import (
     alloc_ordered_ef1_4n3,
     alloc_ordered_efx_3n2,
     alloc_topn_lone_divider,
+    detect_structure,
     is_ef1,
     is_efx,
     is_ordinal_mms,
@@ -153,6 +154,36 @@ def test_rejects_orders_it_cannot_fill_along(allocate):
             allocate(inst, taus, order)
     alloc, trace = allocate(inst, taus, [1, 0, 2])
     assert replay(trace, inst.n, inst.m) == alloc
+
+
+@pytest.mark.parametrize("allocate", [alloc_ordered_efx_3n2, alloc_ordered_ef1_4n3])
+def test_checks_every_order_but_the_derived_one(allocate, monkeypatch):
+    """Once the instance's order is derived, every other order is still
+    checked in full: wrong orders of the right length, an equal copy of the
+    derived one, and None, also on an instance whose derived answer is None.
+    Only the tuple ``detect_structure`` returned skips both checks."""
+    inst = Instance.from_rows([["1/2", 1, 0], ["1/3", 2, 0]])
+    taus = [Fraction(0)] * inst.n
+    order = detect_structure(inst)
+    assert order == (1, 0, 2)
+    for wrong in ([0, 0, 1], (2, 2, 2), [1, 0, 0]):
+        with pytest.raises(InvalidInstanceError, match="not a permutation"):
+            allocate(inst, taus, wrong)
+    for wrong in ([0, 1, 2], (1, 2, 0), (2, 1, 0), None):
+        with pytest.raises(StructuralMismatchError, match="non-increasing"):
+            allocate(inst, taus, wrong)
+    unordered = Instance.from_rows([[1, 2, 3, 4], [4, 3, 2, 1]])
+    assert detect_structure(unordered) is None
+    with pytest.raises(StructuralMismatchError, match="non-increasing"):
+        allocate(unordered, [Fraction(0)] * unordered.n)
+
+    checked = []
+    monkeypatch.setattr(bagfill, "is_ordered_along", lambda *a: checked.append(a) or True)
+    want, want_trace = allocate(inst, taus, tuple(list(order)))
+    assert len(checked) == 1
+    got, trace = allocate(inst, taus, order)
+    assert len(checked) == 1
+    assert (got, trace.to_text()) == (want, want_trace.to_text())
 
 
 def _named_goods(positions, order):

@@ -40,6 +40,7 @@ from ordfair import (
     top_k_set,
 )
 from ordfair.allocators.bagfill import ceil_3n_over_2
+from ordfair import model
 from ordfair.errors import PreconditionError
 from ordfair.model import _bundle_sums, is_ordered_along
 
@@ -74,8 +75,17 @@ def instances(draw):
     return Instance.from_rows(rows)
 
 
+# Integer rows, which take the all-integer path of ``int_rows``, and the
+# same rows with a single fractional value, which sends every row through
+# the per-row lcm.
+_ALL_INTEGER = Instance.from_rows([[3, 0, 2, 2], [1, 1, 4, 0], [3, 0, 2, 2]])
+_ONE_FRACTION = Instance.from_rows([[3, 0, 2, 2], [1, "1/2", 4, 0], [3, 0, 2, 2]])
+
+
 @settings(max_examples=100, deadline=None)
 @given(instances())
+@example(_ALL_INTEGER)
+@example(_ONE_FRACTION)
 def test_int_rows_scale_each_row_by_a_positive_constant(inst):
     assert len(inst.int_rows) == inst.n
     for row, (ints, denom) in zip(inst.values, inst.int_rows):
@@ -295,6 +305,8 @@ def _ref_ordered_along(inst, order):
 @example(_ONE_GOOD, 0, random.Random(0))
 @example(_ONE_GOOD, 2, random.Random(0))
 @example(_NO_GOODS, 2, random.Random(0))
+@example(_ALL_INTEGER, 1, random.Random(0))
+@example(_ONE_FRACTION, 1, random.Random(0))
 def test_model_transforms_match_per_element_references(inst, extra, rng):
     """The model's gathers and scans, run in ``itemgetter`` and ``map``
     calls, give what one generator step per element gives."""
@@ -348,6 +360,21 @@ def test_unpadded_allocation_is_strip_dummies(inst):
         alloc, _ = allocate(work, thresholds(work, d))
         want, _ = allocate(padded, thresholds(padded, d))
         assert alloc == strip_dummies(padded, want, n, work.m)[1]
+
+
+def test_all_integer_rows_take_no_lcm(monkeypatch):
+    """When every denominator is 1 the integer rows are the numerator rows
+    at scale 1, with no lcm taken.  One fractional value anywhere sends
+    every row through its own lcm: the other rows keep scale 1, and the
+    fractional one is scaled by 2."""
+    taken = []
+    monkeypatch.setattr(model, "lcm", lambda *dens: taken.append(dens) or lcm(*dens))
+    # Fresh instances: the module's ones may have cached their rows already.
+    integer, fractional = Instance(_ALL_INTEGER.values), Instance(_ONE_FRACTION.values)
+    assert integer.int_rows == (((3, 0, 2, 2), 1), ((1, 1, 4, 0), 1), ((3, 0, 2, 2), 1))
+    assert taken == []
+    assert fractional.int_rows == (((3, 0, 2, 2), 1), ((2, 1, 8, 0), 2), ((3, 0, 2, 2), 1))
+    assert len(taken) == 3
 
 
 def test_derived_instances_keep_their_error_paths():

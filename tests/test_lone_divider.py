@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from ordfair.errors import InvariantViolationError, PreconditionError, Structura
 from helpers import (
     I_A,
     naive_strong_envy,
+    ref_lone_divider_partition,
     ref_most_envious_shrink,
     ref_shrink_minimal,
     ref_threshold_edges,
@@ -121,6 +123,46 @@ class TestLoneDividerPartition:
             for bag in bags:
                 assert inst.value(divider, bag) >= tau
                 assert len(bag & top) == 1
+
+
+def _partition_outcome(partition, *args):
+    """The partition's bags, or the type and message of the error it
+    raised."""
+    try:
+        return partition(*args)
+    except (InvariantViolationError, PreconditionError) as err:
+        return type(err), str(err)
+
+
+def test_partition_matches_its_reference():
+    """On seeded top-n instances the partition gives the bags, or raises
+    the error, of the reference that sorted with one tuple key per good and
+    kept a scratch trace.  Values up to 3 make ties; random pools and top
+    sets beside the instance's own make top goods tie with other goods in
+    the divider's row; levels run from 0 past what the pool can fill."""
+    rng = random.Random(5103)
+    outcomes = Counter()
+    ties = 0
+    for _ in range(600):
+        n = rng.randint(1, 8)
+        m = rng.randint(n, 3 * n + 2)
+        inst = seeded_instance("top_n", n, m, rng.randrange(2**32), rng.choice((3, 20)))
+        pool = [g for g in inst.goods if rng.random() < 0.85]
+        if rng.random() < 0.5:
+            top = top_k_set(inst, n)
+        else:
+            top = frozenset(rng.sample(range(m), rng.randint(0, n)))
+        divider = rng.randrange(n)
+        row = inst.int_rows[divider][0]
+        bags = max(1, len(top.intersection(pool)))
+        level = rng.randint(0, sum(row[g] for g in pool) // bags + 1)
+        want = _partition_outcome(ref_lone_divider_partition, inst, divider, pool, top, level)
+        assert _partition_outcome(lone_divider_partition, inst, divider, pool, top, level) == want
+        outcomes[want[0].__name__ if isinstance(want, tuple) else "bags"] += 1
+        inside = {row[g] for g in top.intersection(pool)}
+        ties += any(row[g] in inside for g in set(pool) - top)
+    assert outcomes["bags"] > 300 and outcomes["InvariantViolationError"] > 20, outcomes
+    assert outcomes["PreconditionError"] > 20 and ties > 50, (outcomes, ties)
 
 
 class TestShrinkMinimal:

@@ -3,7 +3,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ordfair import (
@@ -28,12 +28,22 @@ from ordfair.errors import (
     ParseError,
     PreconditionError,
 )
-from ordfair.model import MAX_AGENTS, MAX_VALUE, MAX_VALUES, check_allocation
+from ordfair.model import (
+    MAX_AGENTS,
+    MAX_VALUE,
+    MAX_VALUES,
+    _den,
+    _fraction,
+    _num,
+    check_allocation,
+    is_derived_order,
+)
 
 from helpers import (
     EX51,
     I_A,
     I_B,
+    LARGE_PRIMES,
     make_allocation,
     permuted,
     random_partial_allocation,
@@ -170,6 +180,50 @@ class TestDetectStructure:
         for k in range(m + 2):
             assert top_k_set(inst, k) == ref_top_k_set(inst, k), k
 
+    def test_structure_is_derived_once(self):
+        """An instance's common order and top-n set are derived on first use
+        and cached: later calls return the very same object, equal to the
+        reference's.  Other k are not cached and still match theirs."""
+        rng = random.Random(5111)
+        cases = [I_A, I_B, EX51]
+        for t in range(30):
+            family = ("ordered", "top_n", "general")[t % 3]
+            n = rng.randint(1, 6)
+            cases.append(seeded_instance(family, n, rng.randint(n, 12), t, max_value=3))
+        ordered = top_n = 0
+        for case in cases:
+            inst = Instance(case.values)
+            assert {"common_order", "top_n_set"}.isdisjoint(vars(inst))
+            order = detect_structure(inst)
+            assert detect_structure(inst) is order
+            assert order == ref_detect_structure(inst)
+            top = top_k_set(inst, inst.n)
+            assert top_k_set(inst, inst.n) is top
+            assert top == ref_top_k_set(inst, inst.n)
+            for k in range(inst.m + 2):
+                assert top_k_set(inst, k) == ref_top_k_set(inst, k)
+            ordered += order is not None
+            top_n += top is not None
+        assert ordered > 10 and top_n > 20
+
+    def test_only_the_derived_order_is_recognized(self):
+        """``is_derived_order`` holds for the tuple ``detect_structure``
+        returned and for nothing else: not before the order is derived, not
+        for an equal copy or another instance's equal order, and never for
+        None, also on an instance whose derived answer is None."""
+        inst = Instance.from_rows([[1, 3, 2], [1, 4, 2]])
+        assert not is_derived_order(inst, (1, 2, 0))
+        order = detect_structure(inst)
+        assert order == (1, 2, 0)
+        assert is_derived_order(inst, order)
+        assert not is_derived_order(inst, tuple(list(order)))
+        assert not is_derived_order(inst, list(order))
+        assert not is_derived_order(inst, detect_structure(Instance(inst.values)))
+        assert not is_derived_order(inst, None)
+        unordered = Instance.from_rows([[1, 2], [2, 1]])
+        assert detect_structure(unordered) is None
+        assert not is_derived_order(unordered, None)
+
     def test_ordered_implies_top_k_for_all_k(self):
         rng = random.Random(11)
         for _ in range(25):
@@ -177,6 +231,35 @@ class TestDetectStructure:
             assert detect_structure(inst) is not None
             for k in range(1, inst.m + 1):
                 assert top_k_set(inst, k) is not None
+
+
+# Zero, ones, pairs with common factors and large coprime pairs: products
+# of 20-digit primes over another, so the reduced pair stays that large.
+_P = LARGE_PRIMES
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-(10**40), 10**40), st.integers(1, 10**40))
+@example(0, 1)
+@example(0, 7)
+@example(0, _P[0] * _P[1])
+@example(1, 1)
+@example(12, 8)
+@example(-6, 4)
+@example(_P[0] * _P[1], _P[2])
+@example(_P[3], _P[4] * _P[5])
+@example(_P[0] * _P[2] * 6, _P[2] * 4)
+def test_fraction_from_an_integer_pair_is_fraction(num, den):
+    """``_fraction`` builds what ``Fraction(num, den)`` builds: the same
+    type, value, hash and text, and the reduced pair in the slots that
+    ``_num`` and ``_den`` read.  It writes those slots itself, so the tier-1
+    matrix holds it to each Python version's ``Fraction``."""
+    got, want = _fraction(num, den), Fraction(num, den)
+    assert type(got) is Fraction
+    assert got == want and hash(got) == hash(want)
+    assert repr(got) == repr(want) and str(got) == str(want)
+    assert (_num(got), _den(got)) == (want.numerator, want.denominator)
+    assert got + 1 == want + 1 and got * den == num
 
 
 class TestPadding:
