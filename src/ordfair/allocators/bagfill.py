@@ -1,8 +1,11 @@
 """Bag-filling allocators for ordered instances.
 
-Both allocators share one engine, which takes the instance's common order:
-a sequence of the goods along which every agent's values are
-non-increasing, position p holding the good order[p].  Bags are
+Both allocators share one engine, which takes a common order: a sequence
+of the goods along which every agent's values are non-increasing, position
+p holding the good order[p].  Each allocator hands it the instance's own
+common order (``Instance.common_order``), derived once and cached, so in a
+solve it is the tuple the structure check derived; an instance without
+one is refused.  Bags are
 initialized as {order[j], order[2n-1-j]} pairs, optionally after a
 singleton phase; leftover goods are then appended one at a time, along the
 order, to an open bag, while agents claim bags meeting their own share
@@ -32,8 +35,8 @@ from bisect import insort
 from fractions import Fraction
 from typing import Sequence
 
-from ..errors import InvalidInstanceError, InvariantViolationError, StructuralMismatchError
-from ..model import Allocation, Instance, is_derived_order, is_ordered_along
+from ..errors import InvariantViolationError, StructuralMismatchError
+from ..model import Allocation, Instance
 from .trace import AllocatorTrace
 
 
@@ -160,62 +163,51 @@ def run_bag_fill(
 
 
 def alloc_ordered_efx_3n2(
-    inst: Instance, taus: Sequence[Fraction], order: Sequence[int] | None = None
+    inst: Instance, taus: Sequence[Fraction]
 ) -> tuple[Allocation, AllocatorTrace]:
     """Bag filling with a singleton phase: EFX and 1-out-of-ceil(3n/2) MMS.
 
     ``taus`` are the agents' thresholds, their 1-out-of-ceil(3n/2) shares
-    for the guarantee, and ``order`` is a common order of the goods (by
-    default the goods by index).  Returns a partial allocation in which
+    for the guarantee.  The bags fill along the instance's common order
+    (``Instance.common_order``).  Returns a partial allocation in which
     every agent's bundle meets their own threshold and nobody strongly
     envies anybody.
     """
-    return _alloc_bag_fill(inst, taus, order, singleton_phase=True)
+    return _alloc_bag_fill(inst, taus, singleton_phase=True)
 
 
 def alloc_ordered_ef1_4n3(
-    inst: Instance, taus: Sequence[Fraction], order: Sequence[int] | None = None
+    inst: Instance, taus: Sequence[Fraction]
 ) -> tuple[Allocation, AllocatorTrace]:
     """Bag filling without singletons: EF1 and 1-out-of-4*ceil(n/3) MMS.
 
     ``taus`` are the agents' thresholds, their 1-out-of-4*ceil(n/3) shares
-    for the guarantee, and ``order`` is a common order of the goods (by
-    default the goods by index).  When n is not a multiple of three, the
+    for the guarantee.  The bags fill along the instance's common order
+    (``Instance.common_order``).  When n is not a multiple of three, the
     run adds copies of agent 0 until it is, as the paper does; their
     bundles go back to the pool.  Returns a partial EF1 allocation in which
     every agent's bundle meets their own threshold.
     """
-    return _alloc_bag_fill(inst, taus, order, singleton_phase=False)
+    return _alloc_bag_fill(inst, taus, singleton_phase=False)
 
 
 def _alloc_bag_fill(
-    inst: Instance,
-    taus: Sequence[Fraction],
-    order: Sequence[int] | None,
-    singleton_phase: bool,
+    inst: Instance, taus: Sequence[Fraction], singleton_phase: bool
 ) -> tuple[Allocation, AllocatorTrace]:
-    """Check the input, run the engine and check that every agent it served
-    meets their threshold.
+    """Run the engine along the instance's common order and check that
+    every agent it served meets their threshold.
 
-    An ``order`` that is not a permutation of the goods is an
-    ``InvalidInstanceError``; an instance that is not non-increasing along
-    it for every agent is a ``StructuralMismatchError``.  Both checks are
-    skipped only for the instance's own derived order, the tuple
-    ``detect_structure(inst)`` returned (``is_derived_order``), which passed
-    them when it was derived; ``None`` (the goods by index) and every other
-    order, even one equal to it, are checked in full.  Without the
-    singleton phase the engine also serves the paper's copies of agent 0,
-    up to a multiple of three agents.  Their bags are not returned and their
-    claims and swaps leave the trace, so the trace replays to the returned
-    allocation: every good no caller's agent holds is in the pool.
+    The order is ``Instance.common_order``, the tuple ``detect_structure``
+    returns, derived once per instance and cached; an instance without one
+    is a ``StructuralMismatchError``.  Without the singleton phase the
+    engine also serves the paper's copies of agent 0, up to a multiple of
+    three agents.  Their bags are not returned and their claims and swaps
+    leave the trace, so the trace replays to the returned allocation: every
+    good no caller's agent holds is in the pool.
     """
-    if not is_derived_order(inst, order):
-        if order is None:
-            order = inst.goods
-        elif sorted(order) != list(inst.goods):
-            raise InvalidInstanceError("not a permutation of goods")
-        if not is_ordered_along(inst, order):
-            raise StructuralMismatchError("instance is not non-increasing along the common order")
+    order = inst.common_order
+    if order is None:
+        raise StructuralMismatchError("instance is not ordered")
     trace = AllocatorTrace(
         "alloc_ordered_efx_3n2" if singleton_phase else "alloc_ordered_ef1_4n3"
     )

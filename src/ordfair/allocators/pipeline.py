@@ -9,15 +9,15 @@ the thresholds it computes.  The layers are called through their
 module-level names, which the benchmark's traced run rebinds to time them.
 
 Every layer runs on the caller's agents and goods.  For a1 and a3 the body
-hands the common order that ``detect_structure`` found to bag filling, as
-it hands the thresholds, and to completion, which breaks its ties along
-it; the paper's dummy goods and a3's copies of agent 0 live inside the
-allocators' own runs.  The structure is derived once per instance and
-cached on it: bag filling recognizes the order ``detect_structure``
-returned and does not check it again, and the lone divider reads the top-n
-set that ``top_k_set`` derived here.  Both are derived lazily, inside the
-first solve of the instance.  Completion, one envy-cycle rule for all three,
-continues from the allocator's partial allocation; a1's EFX after
+hands the common order that ``detect_structure`` found to completion,
+which breaks its ties along it; the paper's dummy goods and a3's copies of
+agent 0 live inside the allocators' own runs.  The structure is derived
+once per instance and cached on it (``Instance.common_order``,
+``Instance.top_n_set``): bag filling reads the order ``detect_structure``
+derived here and the lone divider the top-n set ``top_k_set`` derived, so
+neither is derived or checked twice.  Both are derived lazily, inside the
+first solve of the instance.  Completion, one envy-cycle rule for all
+three, continues from the allocator's partial allocation; a1's EFX after
 completion is checked by the certification, not by the completion step.
 
 When the allocator has handed out every good, completion returns the
@@ -81,11 +81,11 @@ def solve_complete(inst: Instance, algorithm: str) -> SolveResult:
     d = 4 * ((inst.n + 2) // 3) if algorithm == "a3" else ceil_3n_over_2(inst.n)
     taus = shares.thresholds(inst, d)
     if algorithm == "a1":
-        partial, trace = alloc_ordered_efx_3n2(inst, taus, order)
+        partial, trace = alloc_ordered_efx_3n2(inst, taus)
     elif algorithm == "a2":
         partial, trace = alloc_topn_lone_divider(inst, taus)
     else:
-        partial, trace = alloc_ordered_ef1_4n3(inst, taus, order)
+        partial, trace = alloc_ordered_ef1_4n3(inst, taus)
     complete, completion_trace = envy_cycle_elimination(inst, partial, order)
     trace.extend_offset(completion_trace)
 

@@ -19,8 +19,7 @@ class ParseError(OrdfairError):
 
 class StructuralMismatchError(OrdfairError):
     """Input does not meet an allocator's structural precondition
-    (not ordered, not top-n, not non-increasing along the given order, too
-    few goods)."""
+    (not ordered, not top-n)."""
 
 
 class PreconditionError(OrdfairError):

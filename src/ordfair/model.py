@@ -11,7 +11,7 @@ from per-good columns of those rows cached next to them.
 Instances and allocations are immutable and safe to share.  Every instance
 is built and checked by the constructor, the padding helpers' too (no solve
 calls them).  No solve reindexes the goods: the allocators that need the
-common order take it as an argument, so every layer runs on the caller's
+common order read the instance's own, so every layer runs on the caller's
 goods.  Padding is appended, so ``strip_dummies`` undoes it from the
 caller's n and m alone.
 
@@ -24,14 +24,16 @@ matrix's numerators and denominators in one ``map`` each over the
 ``Fraction`` slots (``_num``, ``_den``).  When every denominator is 1, as
 in every generated instance, the numerator rows are the integer rows, with
 no lcm taken; otherwise it scales only a row whose lcm is above 1.
-``levels`` reads thresholds through the same slots, and ``_fraction``
-writes a bundle value or share back into them from its integer pair.
+``levels`` reads thresholds, which must be exact too, through the same
+slots, and ``_fraction`` writes a bundle value or share back into them
+from its integer pair.
 
 An instance's facts are derived once, lazily, and cached beside
 ``int_rows``: its common order (``detect_structure``) and its common set of
 the n most valuable goods (``top_k_set(inst, inst.n)``).  Every call
-returns the cached object, so bag filling recognizes the order a solve
-derived (``is_derived_order``) and checks any other order in full.
+returns the cached object; bag filling and the lone divider read these
+facts from the instance, so a solve that checked the structure derives
+neither again.
 
 Good and agent indices are 0-based everywhere, including the file formats.
 """
@@ -108,10 +110,6 @@ def as_rational(x: int | str | Fraction) -> Fraction:
     ``Fraction`` would expand in full, and within ``int``'s digit limit, so
     its cost is bounded by its length.
     """
-    if isinstance(x, bool):
-        raise InvalidInstanceError(f"not an exact rational: {x!r}")
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
     if isinstance(x, str):
         if _EXPONENT.search(x):
             raise ParseError(f"bad rational literal {_echo(x)}: exponents are not accepted")
@@ -120,6 +118,15 @@ def as_rational(x: int | str | Fraction) -> Fraction:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational literal {_echo(x)}") from exc
+    return Fraction(_exact(x))
+
+
+def _exact(x: object) -> int | Fraction:
+    """``x`` if it is an exact number: an ``int`` that is not a ``bool``, or
+    a ``Fraction``.  Anything else, a float included, is an
+    ``InvalidInstanceError``."""
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return x
     raise InvalidInstanceError(f"not an exact rational: {x!r}")
 
 
@@ -191,7 +198,7 @@ class Instance:
                 if not isinstance(v, Fraction):
                     raise InvalidInstanceError(f"non-rational valuation {v!r}")
                 # A Fraction has the sign of its numerator.
-                if v.numerator < 0:
+                if _num(v) < 0:
                     raise InvalidInstanceError(f"negative valuation {v}")
         if not self.agent_labels:
             object.__setattr__(self, "agent_labels", _default_agent_labels(n))
@@ -297,13 +304,15 @@ class Instance:
         the MMS verdict take them.  An integer sum is at least tau * lcm iff
         it is at least this level, so comparing ``int_value`` with it is
         exact for any rational tau.  A share from ``shares.thresholds`` is a
-        bundle sum, so for it the level is exactly tau * lcm."""
+        bundle sum, so for it the level is exactly tau * lcm.  A threshold
+        must be a ``Fraction`` or an ``int``; any other, a float or a bool
+        included, is an ``InvalidInstanceError`` (``as_rational``'s)."""
         if len(taus) != self.n:
             raise PreconditionError("one threshold per agent required")
         try:
             ratios = zip(tuple(map(_num, taus)), tuple(map(_den, taus)))
-        except AttributeError:  # an exact number other than a Fraction
-            ratios = [tau.as_integer_ratio() for tau in taus]
+        except AttributeError:  # an int, or a threshold that is not exact
+            ratios = [_exact(tau).as_integer_ratio() for tau in taus]
         scales = map(itemgetter(1), self.int_rows)
         return [-(-num * scale // den) for (num, den), scale in zip(ratios, scales)]
 
@@ -346,6 +355,13 @@ def _bundle_sums(inst: Instance, bundles: Sequence[frozenset[int]]) -> list[Sequ
             acc = [*map(add, acc, cols[g])]
         sums.append(acc)
     return sums
+
+
+def _check_agent(inst: Instance, agent: int) -> None:
+    """Refuse an agent index outside ``inst.agents``: a negative one would
+    otherwise count from the end."""
+    if not 0 <= agent < inst.n:
+        raise PreconditionError(f"agent {agent} out of range")
 
 
 def check_allocation(inst: Instance, alloc: Allocation) -> None:
@@ -393,17 +409,9 @@ def detect_structure(inst: Instance) -> tuple[int, ...] | None:
     exists, no candidate passes.
 
     The instance is immutable, so the answer is derived once and cached
-    (``Instance.common_order``): every call returns the same tuple, which
-    ``is_derived_order`` recognizes."""
+    (``Instance.common_order``): every call returns the same tuple, the
+    one bag filling fills along."""
     return inst.common_order
-
-
-def is_derived_order(inst: Instance, order: object) -> bool:
-    """True iff ``order`` is the very tuple ``detect_structure(inst)``
-    returned, so it is already known to be a common order of ``inst``.
-    Reads the cache only: an instance whose order was never derived, or any
-    other sequence, even an equal one, gives False."""
-    return order is not None and order is vars(inst).get("common_order")
 
 
 def top_k_set(inst: Instance, k: int) -> frozenset[int] | None:

@@ -59,7 +59,7 @@ from .errors import (
     StructuralMismatchError,
     ZeroMaximinError,
 )
-from .model import Instance, _fraction, detect_structure
+from .model import Instance, _check_agent, _fraction, detect_structure
 
 DEFAULT_ORACLE_LIMIT = 12
 _ZERO = Fraction(0)
@@ -92,6 +92,7 @@ def mms_bruteforce(
     """
     if d < 1:
         raise PreconditionError("d must be >= 1")
+    _check_agent(inst, agent)
     k = inst.m
     if k > oracle_limit:
         raise OracleLimitError(f"{k} goods exceed the oracle limit {oracle_limit}")
@@ -384,6 +385,7 @@ def mms_exact(inst: Instance, agent: int, d: int) -> MaximinResult:
     ``_covering_floor`` to reach exactly the value."""
     if d < 1:
         raise PreconditionError("d must be >= 1")
+    _check_agent(inst, agent)
     vals, denom = inst.int_rows[agent]
     order = sorted(inst.goods, key=lambda g: (-vals[g], g))
     sorted_vals = [vals[g] for g in order]

@@ -36,6 +36,7 @@ from .model import (
     Allocation,
     Instance,
     _bundle_sums,
+    _check_agent,
     _echo,
     _fraction,
     _parse_int,
@@ -51,8 +52,11 @@ def strongly_envies(
     """Does i still envy j after the best single removal from j's bundle?
 
     The witness is the removal that leaves the most value behind (the good i
-    values least, lowest index on ties).
+    values least, lowest index on ties).  Both agents must be in
+    ``inst.agents``.
     """
+    _check_agent(inst, i)
+    _check_agent(inst, j)
     if i == j:
         raise PreconditionError("strong envy needs distinct agents")
     check_allocation(inst, alloc)

@@ -281,7 +281,7 @@ def test_09_envy_cycle_contract():
         inst = generate(GeneratorConfig("ordered", n, m, 20, _seed(9, idx + 1)))
         order = detect_structure(inst)
         taus = thresholds(inst, ceil_3n_over_2(n))
-        partial, _ = alloc_ordered_efx_3n2(inst, taus, order)
+        partial, _ = alloc_ordered_efx_3n2(inst, taus)
         final, _ = envy_cycle_elimination(inst, partial, order)
         assert final.is_complete(inst.m)
         assert is_efx(inst, final)[0]

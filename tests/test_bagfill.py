@@ -16,13 +16,13 @@ from ordfair import (
     is_ordinal_mms,
     pad_agents_to_multiple_of_three,
     pad_goods,
+    solve_complete,
     strip_dummies,
     thresholds,
 )
 from ordfair.allocators import bagfill, replay
 from ordfair.allocators.bagfill import ceil_3n_over_2, event_cap, run_bag_fill
 from ordfair.errors import (
-    InvalidInstanceError,
     InvariantViolationError,
     OrdfairError,
     StructuralMismatchError,
@@ -33,6 +33,7 @@ from helpers import (
     bag_fill_calls,
     bag_fill_outcome,
     permuted,
+    rational_rows_instance,
     ref_run_bag_fill,
     seeded_instance,
 )
@@ -139,53 +140,6 @@ class TestEf1BagFill:
             _check_trace_discipline(inst, trace, alloc)
 
 
-@pytest.mark.parametrize("allocate", [alloc_ordered_efx_3n2, alloc_ordered_ef1_4n3])
-def test_rejects_orders_it_cannot_fill_along(allocate):
-    """An order that is not a permutation of the goods is refused as such;
-    so is one some agent's values rise along, the goods by index included
-    when no order is given."""
-    inst = Instance.from_rows([["1/2", 1, 0], ["1/3", 2, 0]])
-    taus = [Fraction(0)] * inst.n
-    for order in ([0, 0, 1], [0, 1], [0, 1, 2, 3], [2, 1, 3], [1, 0, 0]):
-        with pytest.raises(InvalidInstanceError, match="not a permutation"):
-            allocate(inst, taus, order)
-    for order in ([0, 1, 2], [1, 2, 0], None):
-        with pytest.raises(StructuralMismatchError, match="non-increasing"):
-            allocate(inst, taus, order)
-    alloc, trace = allocate(inst, taus, [1, 0, 2])
-    assert replay(trace, inst.n, inst.m) == alloc
-
-
-@pytest.mark.parametrize("allocate", [alloc_ordered_efx_3n2, alloc_ordered_ef1_4n3])
-def test_checks_every_order_but_the_derived_one(allocate, monkeypatch):
-    """Once the instance's order is derived, every other order is still
-    checked in full: wrong orders of the right length, an equal copy of the
-    derived one, and None, also on an instance whose derived answer is None.
-    Only the tuple ``detect_structure`` returned skips both checks."""
-    inst = Instance.from_rows([["1/2", 1, 0], ["1/3", 2, 0]])
-    taus = [Fraction(0)] * inst.n
-    order = detect_structure(inst)
-    assert order == (1, 0, 2)
-    for wrong in ([0, 0, 1], (2, 2, 2), [1, 0, 0]):
-        with pytest.raises(InvalidInstanceError, match="not a permutation"):
-            allocate(inst, taus, wrong)
-    for wrong in ([0, 1, 2], (1, 2, 0), (2, 1, 0), None):
-        with pytest.raises(StructuralMismatchError, match="non-increasing"):
-            allocate(inst, taus, wrong)
-    unordered = Instance.from_rows([[1, 2, 3, 4], [4, 3, 2, 1]])
-    assert detect_structure(unordered) is None
-    with pytest.raises(StructuralMismatchError, match="non-increasing"):
-        allocate(unordered, [Fraction(0)] * unordered.n)
-
-    checked = []
-    monkeypatch.setattr(bagfill, "is_ordered_along", lambda *a: checked.append(a) or True)
-    want, want_trace = allocate(inst, taus, tuple(list(order)))
-    assert len(checked) == 1
-    got, trace = allocate(inst, taus, order)
-    assert len(checked) == 1
-    assert (got, trace.to_text()) == (want, want_trace.to_text())
-
-
 def _named_goods(positions, order):
     return frozenset(order[p] for p in positions)
 
@@ -201,9 +155,10 @@ def _named(event, order):
 
 
 def test_runs_along_the_given_order_on_the_callers_goods():
-    """Bags open and fill along the order, on the caller's goods: the run
-    is the one on the goods reindexed along the order, each position p
-    named as the good order[p], in its allocation and in every event."""
+    """Bags open and fill along the instance's common order, on the caller's
+    goods: the run is the one on the goods reindexed along the order, each
+    position p named as the good order[p], in its allocation and in every
+    event."""
     rng = random.Random(4901)
     runs = 0
     for _ in range(40):
@@ -216,7 +171,7 @@ def test_runs_along_the_given_order_on_the_callers_goods():
             (alloc_ordered_ef1_4n3, 4 * ((n + 2) // 3)),
         ):
             taus = thresholds(inst, d)
-            alloc, trace = allocate(inst, taus, order)
+            alloc, trace = allocate(inst, taus)
             ref, ref_trace = allocate(work, taus)
             bundles = tuple(_named_goods(b, order) for b in ref.bundles)
             assert alloc == Allocation(bundles, _named_goods(ref.pool, order))
@@ -225,6 +180,38 @@ def test_runs_along_the_given_order_on_the_callers_goods():
             ]
             runs += order != tuple(inst.goods)
     assert runs > 40, runs
+
+
+def test_direct_calls_equal_the_solves_allocator_step():
+    """Called directly on a fresh instance, each bag filler fills along the
+    order it derives itself, the instance's own common order.  On seeded
+    ordered instances with their goods shuffled, a third of them with
+    rational rows, it returns ``solve_complete``'s partial allocation, and
+    its events are the solve's trace up to completion's first event."""
+    rng = random.Random(5207)
+    runs = rational = 0
+    for t in range(60):
+        n = rng.randrange(1, 7)
+        m = rng.randrange(1, 3 * n + 3)
+        if t % 3:
+            base = seeded_instance("ordered", n, m, rng.randrange(2**32), rng.choice((3, 20)))
+        else:
+            base = rational_rows_instance(rng, n, m, "ordered")
+            rational += any(scale > 1 for _, scale in base.int_rows)
+        goods = list(base.goods)
+        rng.shuffle(goods)
+        values = permuted(base, goods).values
+        for algorithm, allocate in (("a1", alloc_ordered_efx_3n2), ("a3", alloc_ordered_ef1_4n3)):
+            result = solve_complete(Instance(values), algorithm)
+            assert result.certified
+            inst = Instance(values)
+            alloc, trace = allocate(inst, thresholds(inst, result.divisor))
+            assert alloc == result.partial
+            k = len(trace.events)
+            assert trace.events == result.trace.events[:k]
+            assert {ev.kind for ev in result.trace.events[k:]} <= {"cycle_rotation", "source_gift"}
+            runs += detect_structure(inst) != tuple(inst.goods)
+    assert runs > 90 and rational > 10, (runs, rational)
 
 
 def _padded_run(allocate, inst, d):
@@ -283,8 +270,6 @@ def test_unpadded_inputs_match_padded_runs():
 
 
 def _witness(inst):
-    from ordfair import detect_structure
-
     return detect_structure(inst)
 
 

@@ -59,7 +59,7 @@ class TestEfxOrderedMode:
             inst = seeded_instance("ordered", n, m, rng.randrange(2**32))
             order = detect_structure(inst)
             taus = thresholds(inst, ceil_3n_over_2(n))
-            partial, _ = alloc_ordered_efx_3n2(inst, taus, order)
+            partial, _ = alloc_ordered_efx_3n2(inst, taus)
             final, trace = envy_cycle_elimination(inst, partial, order)
             assert final.is_complete(inst.m)
             assert is_efx(inst, final)[0]

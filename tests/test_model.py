@@ -36,7 +36,6 @@ from ordfair.model import (
     _fraction,
     _num,
     check_allocation,
-    is_derived_order,
 )
 
 from helpers import (
@@ -59,8 +58,14 @@ class TestInstanceValidation:
             Instance.from_rows([[1, 2], [1]])
 
     def test_rejects_negative_values(self):
-        with pytest.raises(InvalidInstanceError):
+        """The sign is read from each Fraction's numerator, after its type:
+        a negative value that is not a Fraction is refused as non-rational."""
+        with pytest.raises(InvalidInstanceError, match="negative valuation -1$"):
             Instance.from_rows([[1, -1]])
+        with pytest.raises(InvalidInstanceError, match="negative valuation -1/3$"):
+            Instance(((Fraction(0), Fraction(-2, 6)),))
+        with pytest.raises(InvalidInstanceError, match="non-rational valuation -1$"):
+            Instance(((Fraction(1), -1),))
 
     def test_rejects_floats(self):
         with pytest.raises(InvalidInstanceError):
@@ -205,24 +210,6 @@ class TestDetectStructure:
             ordered += order is not None
             top_n += top is not None
         assert ordered > 10 and top_n > 20
-
-    def test_only_the_derived_order_is_recognized(self):
-        """``is_derived_order`` holds for the tuple ``detect_structure``
-        returned and for nothing else: not before the order is derived, not
-        for an equal copy or another instance's equal order, and never for
-        None, also on an instance whose derived answer is None."""
-        inst = Instance.from_rows([[1, 3, 2], [1, 4, 2]])
-        assert not is_derived_order(inst, (1, 2, 0))
-        order = detect_structure(inst)
-        assert order == (1, 2, 0)
-        assert is_derived_order(inst, order)
-        assert not is_derived_order(inst, tuple(list(order)))
-        assert not is_derived_order(inst, list(order))
-        assert not is_derived_order(inst, detect_structure(Instance(inst.values)))
-        assert not is_derived_order(inst, None)
-        unordered = Instance.from_rows([[1, 2], [2, 1]])
-        assert detect_structure(unordered) is None
-        assert not is_derived_order(unordered, None)
 
     def test_ordered_implies_top_k_for_all_k(self):
         rng = random.Random(11)

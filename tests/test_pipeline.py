@@ -205,12 +205,12 @@ class TestBruteForceExistence:
 
 def _allocator_run(algorithm, inst, d):
     """The allocator of `algorithm` on `inst` as ``solve_complete`` runs it,
-    on the caller's goods, handed the common order for a1 and a3, at divisor
-    `d`: the partial allocation and the trace."""
+    on the caller's goods, at divisor `d`: the partial allocation and the
+    trace."""
     if algorithm == "a2":
         return alloc_topn_lone_divider(inst, thresholds(inst, d))
     allocate = alloc_ordered_efx_3n2 if algorithm == "a1" else alloc_ordered_ef1_4n3
-    return allocate(inst, thresholds(inst, d), detect_structure(inst))
+    return allocate(inst, thresholds(inst, d))
 
 
 _KINDS = (

@@ -82,6 +82,14 @@ class TestBruteforce:
         with pytest.raises(OracleLimitError):
             mms_bruteforce(inst, 0, 2, oracle_limit=5)
 
+    def test_rejects_agents_out_of_range(self):
+        """An index outside range(n) is refused, a negative one too, which
+        would otherwise be read from the end and reported under its own
+        label."""
+        for agent in (-1, -2, -EX51.n - 1, EX51.n, 7):
+            with pytest.raises(PreconditionError, match=f"agent {agent} out of range"):
+                mms_bruteforce(EX51, agent, 2)
+
 
 class TestExact:
     def test_i_a_values(self):
@@ -143,6 +151,11 @@ class TestExact:
     def test_rejects_bad_divisor(self):
         with pytest.raises(PreconditionError):
             mms_exact(I_A, 0, 0)
+
+    def test_rejects_agents_out_of_range(self):
+        for agent in (-1, -I_A.n, I_A.n, 5):
+            with pytest.raises(PreconditionError, match=f"agent {agent} out of range"):
+                mms_exact(I_A, agent, 2)
 
     def test_search_past_the_recursion_limit_is_a_precondition_error(self):
         """``_complete`` recurses once per bundle it fills.  On the one-agent

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from ordfair import (
     Allocation,
     Instance,
+    alloc_ordered_efx_3n2,
+    alloc_topn_lone_divider,
     is_ef1,
     is_efx,
     is_ordinal_mms,
@@ -56,6 +59,14 @@ class TestStrongEnvy:
     def test_same_agent_rejected(self):
         with pytest.raises(PreconditionError):
             strongly_envies(EX51, EX51_ALLOC, 1, 1)
+
+    def test_agents_out_of_range_rejected(self):
+        """Agent -1 is not agent n - 1: it would get past the distinct-agents
+        check and compare with the last agent."""
+        n = EX51.n
+        for i, j in ((0, -1), (-1, 0), (n - 1, -1), (0, n), (n, 0), (n, n)):
+            with pytest.raises(PreconditionError, match="out of range"):
+                strongly_envies(EX51, EX51_ALLOC, i, j)
 
     def test_agrees_with_naive_subset_check(self):
         rng = random.Random(31)
@@ -212,6 +223,27 @@ class TestOrdinalMms:
                 report(inst, alloc, {2: fractions})
             )
             assert inst.levels(taus) == inst.levels(fractions)
+
+    @pytest.mark.parametrize(
+        "bad", [0.1, 3.0000000000000004, 2.9999999999999996, 1.0, True, False, "1/2", None]
+    )
+    def test_inexact_thresholds_rejected(self, bad):
+        """A threshold must be a ``Fraction`` or an int: a float, even one
+        equal to an int, a bool or a string is refused by the verdict, the
+        report and the allocators, with ``as_rational``'s message, before
+        any of them decides or writes a thing."""
+        inst = Instance.from_rows([[3, 2, 1], [3, 2, 1]])
+        alloc = make_allocation([[0], [1, 2]], [])
+        taus = [Fraction(1), bad]
+        message = f"not an exact rational: {bad!r}"
+        with pytest.raises(InvalidInstanceError, match=re.escape(message)):
+            is_ordinal_mms(inst, alloc, 3, taus)
+        with pytest.raises(InvalidInstanceError, match=re.escape(message)):
+            report(inst, alloc, {3: taus})
+        with pytest.raises(InvalidInstanceError, match=re.escape(message)):
+            alloc_ordered_efx_3n2(inst, taus)
+        with pytest.raises(InvalidInstanceError, match=re.escape(message)):
+            alloc_topn_lone_divider(inst, taus)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
