@@ -15,14 +15,24 @@ Bundles live in slots that never move: ``held[a]`` is agent a's slot, and
 the good's column, and a rotation only reassigns ``held`` for the cycle
 members.  Scaling a row keeps every comparison that agent makes, so the
 envy graph is exact.  The verifier's ``_ef1`` checks the input on that
-matrix and the output on a fresh one; a gift updates only the graph's
-edges into and out of the receiver's slot, and a rotation keeps each slot's
-enviers and recomputes the members' own edges.
+matrix and the output on a fresh one.
+
+The envy graph is kept as two lists: ``own[a]``, agent a's value of the
+slot it holds, and ``low[s]``, the lowest agent that envies slot s (n when
+none does).  Own values only rise (a gift adds a good, a rotation gives
+each member a bundle it values more), and only a gift changes a slot, so
+no agent starts to envy a slot that did not change: the agents below
+``low[s]`` never envy s while s stays as it is.  So ``low[s]`` is checked
+when it is read and, once its agent no longer envies s, found again by
+scanning on from it; only the slot a gift grows is scanned from agent 0.
+The source is the lowest agent whose slot has no envier, and the cycle is
+found by walking from agent 0 to the lowest envier of each agent's slot.
 """
 
 from __future__ import annotations
 
-from operator import add
+from itertools import compress
+from operator import add, gt
 from typing import Sequence
 
 from ..errors import InvariantViolationError, PreconditionError
@@ -42,27 +52,16 @@ def event_cap(n: int, m: int) -> int:
     return m * (1 + n * (n - 1) // 2)
 
 
-def _envy_edges(worth: list[Sequence[int]]) -> list[set[int]]:
-    """incoming[s] = agents that envy slot s; worth[s][i] is i's value of
-    slot s, and agent i holds slot i."""
-    own = [col[i] for i, col in enumerate(worth)]
-    return [{i for i, w in enumerate(col) if w > own[i]} for col in worth]
-
-
-def _find_cycle(incoming: list[set[int]]) -> list[int]:
-    """A directed envy cycle, found by walking predecessors from the lowest
-    agent; returned in forward (envier -> envied) direction."""
-    start = 0
-    walk = [start]
-    seen = {start: 0}
+def _find_cycle(low: list[int], held: list[int]) -> list[int]:
+    """A directed envy cycle when every slot has an envier, found by walking
+    from agent 0 to the lowest agent that envies each agent's slot;
+    returned in forward (envier -> envied) direction."""
+    walk = [0]
+    seen = {0: 0}
     while True:
-        preds = incoming[walk[-1]]
-        if not preds:
-            raise InvariantViolationError("predecessor walk left the graph")
-        nxt = min(preds)
+        nxt = low[held[walk[-1]]]
         if nxt in seen:
-            tail = walk[seen[nxt]:]
-            return list(reversed(tail))
+            return walk[seen[nxt]:][::-1]
         seen[nxt] = len(walk)
         walk.append(nxt)
 
@@ -88,51 +87,56 @@ def envy_cycle_elimination(
     rows = [row for row, _ in inst.int_rows]
     cols = inst._int_columns
     agents = inst.agents
-    # Slot s starts as agent s's bundle; worth[s] and incoming[s] (the
-    # agents that envy slot s) stay with the slot, whoever holds it.
+    n = inst.n
+    # Slot s starts as agent s's bundle; worth[s] and low[s] (the lowest
+    # agent that envies slot s) stay with the slot, whoever holds it.
     held = list(agents)
     bundles = [set(b) for b in alloc.bundles]
-    pool = [g for g in (inst.goods if order is None else order) if g in alloc.pool]
+    pool = [*filter(alloc.pool.__contains__, inst.goods if order is None else order)]
     if len(pool) != len(alloc.pool) or alloc.pool.difference(pool):
         raise PreconditionError("the completion order must list every pool good once")
-    start_values = [worth[i][i] for i in agents]
-    incoming = _envy_edges(worth)
+    own = [worth[i][i] for i in agents]
+    start_values = own[:]
+    low = [next(compress(agents, map(gt, col, own)), n) for col in worth]
     iteration = 0
-    cap = event_cap(inst.n, inst.m)
+    cap = event_cap(n, inst.m)
 
     while pool:
         iteration += 1
         if iteration > cap:
             raise InvariantViolationError("envy-cycle run exceeded its event cap")
-        source = next((a for a in agents if not incoming[held[a]]), None)
-        if source is None:
-            cycle = _find_cycle([incoming[held[a]] for a in agents])
+        for source, slot in enumerate(held):
+            envier = low[slot]
+            if envier == n:
+                break
+            col = worth[slot]
+            if col[envier] <= own[envier]:
+                # Scan on from the old lowest envier, who no longer envies.
+                envier = low[slot] = next(
+                    compress(range(envier, n), map(gt, col[envier:], own[envier:])), n
+                )
+                if envier == n:
+                    break
+        else:
+            cycle = _find_cycle(low, held)
             gained = [held[b] for b in cycle[1:] + cycle[:1]]
             # Agents off the cycle keep their bundles, so each member's
-            # strict gain also proves that total utility rises.  Only the
-            # members' own values change, so only their edges.
+            # strict gain also proves that total utility rises.
             for a, slot in zip(cycle, gained):
-                own = worth[slot][a]
-                if own <= worth[held[a]][a]:
+                value = worth[slot][a]
+                if value <= own[a]:
                     raise InvariantViolationError("cycle member did not gain")
                 held[a] = slot
-                for s, col in enumerate(worth):
-                    if col[a] > own:
-                        incoming[s].add(a)
-                    else:
-                        incoming[s].discard(a)
+                own[a] = value
             trace.emit(iteration, "cycle_rotation", cycle=tuple(cycle))
             continue
-        slot = held[source]
+        # The source holds `slot`, whose lowest envier the scan found to be n.
         good = max(pool, key=rows[source].__getitem__)
         bundles[slot].add(good)
         pool.remove(good)
         worth[slot] = grown = [*map(add, worth[slot], cols[good])]
-        incoming[slot] = {i for i, w in enumerate(grown) if w > worth[held[i]][i]}
-        own = grown[source]
-        for s, col in enumerate(worth):
-            if col[source] <= own:
-                incoming[s].discard(source)
+        own[source] = grown[source]
+        low[slot] = next(compress(agents, map(gt, grown, own)), n)
         trace.emit(iteration, "source_gift", agent=source, good=good)
 
     result = Allocation(tuple(frozenset(bundles[s]) for s in held), frozenset())

@@ -16,7 +16,7 @@ goods that fail again.  The steal takes the first shrunk bag a served agent
 strongly envies and keeps its one top good, the good it was shrunk around.
 
 Every decision compares one agent's sums on their integer row
-(``Instance.int_value``) with their threshold on the same scale
+(``Instance.int_rows``) with their threshold on the same scale
 (``Instance.levels``).  ``alloc_topn_lone_divider`` takes thresholds in
 value units and maps them once; the partition, the shrink and the matching's
 edges (``_acceptors``) take those levels.  Only the progress measure, a
@@ -33,7 +33,7 @@ from ..errors import (
     PreconditionError,
     StructuralMismatchError,
 )
-from ..model import Allocation, Instance, _bundle_sums
+from ..model import Allocation, Instance, _bundle_sums, _fraction
 from .bagfill import run_bag_fill
 from .matching import envy_free_matching
 from .trace import AllocatorTrace
@@ -49,6 +49,12 @@ class _Discard:
 
 
 _DISCARD = _Discard()
+
+
+def _int_value(inst: Instance, agent: int, goods: Iterable[int]) -> int:
+    """``Instance.int_value`` without its range checks: the lone divider's
+    agents and goods all come from the instance."""
+    return sum(map(inst.int_rows[agent][0].__getitem__, goods))
 
 
 def lone_divider_partition(
@@ -88,7 +94,7 @@ def lone_divider_partition(
     for bag in bags:
         if len(bag & top) != 1:
             raise InvariantViolationError("bag lost its top good")
-        if inst.int_value(divider, bag) < level:
+        if _int_value(inst, divider, bag) < level:
             raise InvariantViolationError("divider bag fell below the share")
     return [frozenset(b) for b in bags]
 
@@ -102,14 +108,14 @@ def shrink_minimal(
     current = set(bag)
     if protected not in current:
         raise PreconditionError("protected good must be in the bag")
-    if not any(inst.int_value(i, current) >= level for i, level in levels):
+    if not any(_int_value(inst, i, current) >= level for i, level in levels):
         raise PreconditionError("no agent accepts the bag to begin with")
     # Values are non-negative, so a good that cannot leave the bag now cannot
     # leave any smaller bag either: one ascending pass removes what removing
     # the lowest removable good and restarting would.
     for x in sorted(current - {protected}):
         trial = current - {x}
-        if any(inst.int_value(i, trial) >= level for i, level in levels):
+        if any(_int_value(inst, i, trial) >= level for i, level in levels):
             current = trial
     return frozenset(current)
 
@@ -128,7 +134,7 @@ def _acceptors(
 
 
 def _envies(inst: Instance, agent: int, own: Iterable[int], target: Iterable[int]) -> bool:
-    return inst.int_value(agent, target) > inst.int_value(agent, own)
+    return _int_value(inst, agent, target) > _int_value(inst, agent, own)
 
 
 def strongly_envies_bundle(
@@ -138,7 +144,7 @@ def strongly_envies_bundle(
     target without its least valued good is worth more than ``own``."""
     row = inst.int_rows[agent][0]
     values = [row[g] for g in set(target)]
-    return bool(values) and sum(values) - min(values) > inst.int_value(agent, own)
+    return bool(values) and sum(values) - min(values) > _int_value(inst, agent, own)
 
 
 def most_envious_shrink(
@@ -204,10 +210,8 @@ def alloc_topn_lone_divider(
         iteration += 1
         unserved = [i for i in range(n) if i not in bundles]
         pool = frozenset(inst.goods).difference(*bundles.values())
-        measure = (
-            sum((inst.value(i, b) for i, b in bundles.items()), Fraction(0)),
-            len(bundles),
-        )
+        values = (_fraction(_int_value(inst, i, b), inst.int_rows[i][1]) for i, b in bundles.items())
+        measure = (sum(values, Fraction(0)), len(bundles))
         if prev_measure is not None and measure <= prev_measure:
             raise InvariantViolationError("progress measure failed to increase")
         prev_measure = measure
@@ -252,7 +256,7 @@ def alloc_topn_lone_divider(
     served = tuple(bundles[i] for i in range(n))
     alloc = Allocation(served, frozenset(inst.goods).difference(*served))
     for i in inst.agents:
-        if inst.int_value(i, alloc.bundles[i]) < levels[i]:
+        if _int_value(inst, i, alloc.bundles[i]) < levels[i]:
             raise InvariantViolationError(f"agent {i} ended below their threshold")
     return alloc, trace
 
@@ -276,7 +280,7 @@ def _assert_loop_invariants(
                 )
     for i in unserved:
         for a in served:
-            if inst.int_value(i, bundles[a]) >= levels[i]:
+            if _int_value(inst, i, bundles[a]) >= levels[i]:
                 raise InvariantViolationError(
                     f"unserved agent {i} accepts an assigned bag"
                 )

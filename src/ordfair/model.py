@@ -4,10 +4,13 @@ Valuations are exact non-negative rationals (``fractions.Fraction``).  All
 threshold comparisons downstream are exact, so floats are rejected at the
 boundary.  Comparisons within one agent's valuation run on that agent's row
 scaled to integers (``Instance.int_rows``), which keeps them exact.  The
-allocators decide on these rows: ``Instance.int_value`` sums a set of goods
-on one and ``Instance.levels`` maps each agent's threshold onto the same
-scale.  ``_bundle_sums`` gives every agent's value of every bundle at once,
-from per-good columns of those rows cached next to them.
+allocators decide on these rows, summing a set of goods on one, and
+``Instance.levels`` maps each agent's threshold onto the same scale.
+``_bundle_sums`` gives every agent's value of every bundle at once, from
+per-good columns of those rows cached next to them.  The public
+``value`` and ``int_value`` refuse an agent or a good out of range; the
+allocators and the verifier read the rows directly, so no solve pays for
+those checks.
 Instances and allocations are immutable and safe to share.  Every instance
 is built and checked by the constructor, the padding helpers' too (no solve
 calls them).  No solve reindexes the goods: the allocators that need the
@@ -291,12 +294,27 @@ class Instance:
         return tuple(zip(*rows))
 
     def value(self, agent: int, goods: Iterable[int]) -> Fraction:
-        row = self.values[agent]
-        return sum((row[g] for g in goods), Fraction(0))
+        """The agent's value of the goods.  An agent outside ``agents`` or a
+        good outside ``goods``, a negative one included, is a
+        ``PreconditionError``."""
+        goods = self._checked_goods(agent, goods)
+        return sum(map(self.values[agent].__getitem__, goods), Fraction(0))
 
     def int_value(self, agent: int, goods: Iterable[int]) -> int:
-        """``value`` on the agent's ``int_rows`` scale."""
+        """``value`` on the agent's ``int_rows`` scale, with its checks."""
+        goods = self._checked_goods(agent, goods)
         return sum(map(self.int_rows[agent][0].__getitem__, goods))
+
+    def _checked_goods(self, agent: int, goods: Iterable[int]) -> tuple[int, ...]:
+        """``goods`` as a tuple, once the agent and every good are in range:
+        a negative index would otherwise count from the end."""
+        _check_agent(self, agent)
+        goods = tuple(goods)
+        m = self.m
+        if goods and not (0 <= min(goods) and max(goods) < m):
+            bad = next(g for g in goods if not 0 <= g < m)
+            raise PreconditionError(f"good {bad} out of range")
+        return goods
 
     def levels(self, taus: Sequence[Fraction]) -> list[int]:
         """Each agent's threshold in ``taus`` on their ``int_rows`` scale,
@@ -365,14 +383,23 @@ def _check_agent(inst: Instance, agent: int) -> None:
 
 
 def check_allocation(inst: Instance, alloc: Allocation) -> None:
-    """Validate an allocation against an instance; raise on violation."""
+    """Validate an allocation against an instance; raise on violation.
+
+    One pass decides it: the goods are distinct when their union is as
+    large as the parts' sizes summed, and in range when its least and
+    greatest are.  Only an allocation that fails walks the parts to name
+    the first offending good."""
     if len(alloc.bundles) != inst.n:
         raise InvalidInstanceError(
             f"allocation has {len(alloc.bundles)} bundles for {inst.n} agents"
         )
     m = inst.m
+    parts = (*alloc.bundles, alloc.pool)
+    goods = frozenset().union(*parts)
+    if len(goods) == sum(map(len, parts)) and (not goods or 0 <= min(goods) and max(goods) < m):
+        return
     seen: set[int] = set()
-    for part in (*alloc.bundles, alloc.pool):
+    for part in parts:
         for g in part:
             if not 0 <= g < m:
                 raise InvalidInstanceError(f"good {g} out of range")

@@ -8,9 +8,11 @@ share value in ``_share_value``:
   joins the least-loaded bundle), which is feasible, and min over k < d of
   (total - k largest goods) // (d - k), since the k largest goods lie in at
   most k bundles;
-- zero-valued goods are dropped first: they change no bundle's value;
-- each probe is decided by ``_find_covering``, a bin-completion search
-  that fills one whole bundle at a time.  It splits the row once, by
+- zero-valued goods, the sorted row's last, are dropped first: they change
+  no bundle's value;
+- each probe is decided by ``_covering_bundles``, a bin-completion search
+  that fills one whole bundle at a time and returns the bundles' values.
+  It splits the row once, by
   bisecting it, into the goods that reach the probe alone, the zeros and
   the small positive goods between them; only the small goods enter the
   search (``_complete``).  At each node it applies the ceiling and a
@@ -23,20 +25,22 @@ share value in ``_share_value``:
   lifts the lower end to its lowest bundle sum.
 
 Both directions of the value are sound.  Every covering used is checked on
-the integer row (``_covering_floor``: each good in one of the d bundles,
-each bundle at least the probe), so the value is never above the share.
-The value is lowered only by ``_find_covering`` finding no covering (its
-docstrings give the bounds and exchange arguments that prove it) or by the
-ceiling, so it is never below it.
+the integer row (``_bundles_floor``: exactly d bundles that hold every
+good once, by value, each at least the probe), so the value is never above
+the share.  The value is lowered only by ``_covering_bundles`` finding no
+covering (its docstrings give the bounds and exchange arguments that prove
+it) or by the ceiling, so it is never below it.
 
 ``thresholds`` takes only these values, once per distinct value row: a
 share depends on nothing else.  ``mms_exact`` adds the witness partition
-from the same search: one more ``_find_covering`` call at the share, which
-the value search has already proved feasible.  That witness is canonical:
-the first covering ``_find_covering`` finds at the share, so it depends on
-nothing but the sorted values, d and the share.  Its bounds and its memo of
-failed states cut only subtrees that hold no covering, so the first
-covering it finds is the same with or without them.
+from the same search: one more call at the share, which the value search
+has already proved feasible, whose bundles ``_find_covering`` turns into
+the bundle index of each good, checked by ``_covering_floor``.  That
+witness is canonical: the first covering the search finds at the share,
+so it depends on nothing but the sorted values, d and the share.  Its
+bounds and its memo of failed states cut only subtrees that hold no
+covering, so the first covering it finds is the same with or without them.
+Only the witness needs the index assignment, so no probe builds one.
 
 Values are scaled to integers once per agent (``Instance.int_rows``).  The
 solvers use that cached row, the oracle only when its query takes every good.
@@ -48,6 +52,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapreplace
+from itertools import chain, islice
 from math import inf
 from operator import neg
 from typing import Iterable, Mapping, Sequence
@@ -79,6 +84,14 @@ class MaximinResult:
             raise InvariantViolationError("witness is not a d-partition")
 
 
+def _check_divisor(d: int) -> None:
+    """Refuse a divisor below 1, or a bool, which would count as 0 or 1."""
+    if isinstance(d, bool):
+        raise PreconditionError(f"d must be an int, not {d!r}")
+    if d < 1:
+        raise PreconditionError("d must be >= 1")
+
+
 def mms_bruteforce(
     inst: Instance,
     agent: int,
@@ -90,8 +103,7 @@ def mms_bruteforce(
     Canonical first-occurrence labeling breaks block symmetry.  Intended for
     cross-checks; guarded by `oracle_limit` on the number of goods.
     """
-    if d < 1:
-        raise PreconditionError("d must be >= 1")
+    _check_divisor(d)
     _check_agent(inst, agent)
     k = inst.m
     if k > oracle_limit:
@@ -134,9 +146,13 @@ def mms_bruteforce(
 
 def _greedy_cover(vals: list[int], d: int) -> int:
     """Lowest bundle value when each good (sorted desc) joins the least-loaded
-    bundle: a covering level that is always feasible."""
-    heap = [0] * d
-    for v in vals:
+    bundle: a covering level that is always feasible.  The first d goods
+    each open a bundle of their own, so the heap starts as them, ascending;
+    with fewer than d goods some bundle stays empty."""
+    if len(vals) < d:
+        return 0
+    heap = vals[d - 1 :: -1]
+    for v in islice(vals, d, None):
         heapreplace(heap, heap[0] + v)
     return heap[0]
 
@@ -174,6 +190,28 @@ def _covering_floor(vals: list[int], d: int, target: int, assign: list[int]) -> 
         if not 0 <= b < d:
             raise InvariantViolationError(f"covering names bundle {b} of {d}")
         sums[b] += v
+    floor = min(sums)
+    if floor < target:
+        raise InvariantViolationError(f"covering has a bundle below {target}")
+    return floor
+
+
+def _bundles_floor(
+    vals: list[int], d: int, target: int, bundles: list[tuple[int, ...]]
+) -> int:
+    """``_covering_floor`` for a covering given as its bundles' values, as
+    ``_covering_bundles`` returns it: exactly d bundles whose values, sorted,
+    are the first goods of vals (sorted desc), the goods past them joining
+    bundle 0, and each bundle's sum at least `target`."""
+    if len(bundles) != d:
+        raise InvariantViolationError(f"covering has {len(bundles)} bundles, not {d}")
+    placed = sorted(chain.from_iterable(bundles), reverse=True)
+    k = len(placed)
+    if placed != vals[:k]:
+        raise InvariantViolationError("covering does not hold every good once")
+    sums = [*map(sum, bundles)]
+    if k < len(vals):
+        sums[0] += sum(vals[k:])
     floor = min(sums)
     if floor < target:
         raise InvariantViolationError(f"covering has a bundle below {target}")
@@ -315,11 +353,12 @@ def _complete(
     return False
 
 
-def _find_covering(vals: list[int], d: int, target: int) -> list[int] | None:
+def _covering_bundles(vals: list[int], d: int, target: int) -> list[tuple[int, ...]] | None:
     """Partition all of vals (sorted desc) into d bundles, each at least
     target > 0, by bin completion (Korf, "A new algorithm for optimal bin
-    packing", AAAI 2002).  Returns the bundle index per good, or None when no
-    such partition exists.
+    packing", AAAI 2002).  Returns the d bundles' values, or None when no
+    such partition exists; the goods no bundle lists, the last ones of
+    vals, join bundle 0.
 
     The row splits, by bisection, into the big goods that reach target
     alone, the zeros, and the small positive goods between.
@@ -344,6 +383,16 @@ def _find_covering(vals: list[int], d: int, target: int) -> list[int] | None:
             ) from None
         if not found:
             return None
+    return filled
+
+
+def _find_covering(vals: list[int], d: int, target: int) -> list[int] | None:
+    """``_covering_bundles``' covering as the bundle index of each good of
+    vals, or None: each bundle takes the last goods of its values not yet
+    taken, and every other good is in bundle 0."""
+    filled = _covering_bundles(vals, d, target)
+    if filled is None:
+        return None
     slots: dict[int, list[int]] = {}
     for i in range(len(vals) - 1, -1, -1):
         slots.setdefault(vals[i], []).append(i)
@@ -357,24 +406,25 @@ def _find_covering(vals: list[int], d: int, target: int) -> list[int] | None:
 def _share_value(vals: list[int], d: int) -> int:
     """The 1-out-of-d share of vals (integers, sorted desc), value only.
 
-    Zero-valued goods are dropped first; with fewer than d left, some bundle
-    holds none, and the share is 0.  Binary search between the greedy
-    cover value and the ceiling, each probe decided by ``_find_covering``.
-    A covering it finds, checked by ``_covering_floor``, lifts the lower end
-    to its lowest bundle sum; only its finding none, which its bounds and
-    exchange arguments prove, lowers the upper end.
+    Zero-valued goods, the row's last, are dropped first; with fewer than d
+    left, some bundle holds none, and the share is 0.  Binary search
+    between the greedy cover value and the ceiling, each probe decided by
+    ``_covering_bundles``.  A covering it finds, checked by
+    ``_bundles_floor``, lifts the lower end to its lowest bundle sum; only
+    its finding none, which its bounds and exchange arguments prove, lowers
+    the upper end.
     """
-    vals = [v for v in vals if v > 0]
+    vals = vals[: len(vals) - vals.count(0)]
     if len(vals) < d:
         return 0
     lo, hi = _greedy_cover(vals, d), _cover_ceiling(vals, d)
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        assign = _find_covering(vals, d, mid)
-        if assign is None:
+        bundles = _covering_bundles(vals, d, mid)
+        if bundles is None:
             hi = mid - 1
         else:
-            lo = _covering_floor(vals, d, mid, assign)
+            lo = _bundles_floor(vals, d, mid, bundles)
     return lo
 
 
@@ -383,8 +433,7 @@ def mms_exact(inst: Instance, agent: int, d: int) -> MaximinResult:
     ``_share_value``, then the first covering ``_find_covering`` finds at it
     (every good in bundle 0 when the share is 0), checked by
     ``_covering_floor`` to reach exactly the value."""
-    if d < 1:
-        raise PreconditionError("d must be >= 1")
+    _check_divisor(d)
     _check_agent(inst, agent)
     vals, denom = inst.int_rows[agent]
     order = sorted(inst.goods, key=lambda g: (-vals[g], g))
@@ -418,8 +467,7 @@ def thresholds(inst: Instance, d: int) -> tuple[Fraction, ...]:
     (``_share_value`` applies the same rule).  With fewer goods than d, that
     holds for every row, so every share is 0 and no row is read.
     """
-    if d < 1:
-        raise PreconditionError("d must be >= 1")
+    _check_divisor(d)
     if inst.m < d:
         return (_ZERO,) * inst.n
     solved: dict[tuple[tuple[int, ...], int], Fraction] = {}

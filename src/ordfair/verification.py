@@ -13,7 +13,9 @@ EFX and EF1 compare bundles within one agent's valuation, so they read one
 integer matrix: ``worth[j][i]`` is agent i's value of bundle j on i's row of
 ``Instance.int_rows``, one column per bundle from the model's kernel
 (``_bundle_sums``); the scans open a bundle only where i envies it and it
-holds two or more goods (a lone good dropped leaves 0).  ``report`` builds
+holds two or more goods (a lone good dropped leaves 0), and EF1's only
+where i's envy also exceeds the bundle's average good, a lower bound on
+its most valued one.  ``report`` builds
 it once, takes bundle values as ``Fraction(worth[i][i], lcm_i)``, built
 by the model's ``_fraction`` from that integer pair without
 ``Fraction.__new__``'s Python-level checks, and skips EF1's pass when EFX
@@ -83,20 +85,27 @@ def _efx(inst: Instance, alloc: Allocation, worth: Sequence[Sequence[int]]):
     for i, (row, _) in enumerate(inst.int_rows):
         own = worth[i][i]
         for j in multi:
-            if worth[j][i] > own:
-                drop = _strong_envy_drop(row.__getitem__, own, worth[j][i], alloc.bundles[j])
-                if drop is not None:
-                    return False, (i, j, drop)
+            # i still envies j after dropping the good of j's it values least.
+            total = worth[j][i]
+            if total > own and total - min(map(row.__getitem__, alloc.bundles[j])) > own:
+                drop = _strong_envy_drop(row.__getitem__, own, total, alloc.bundles[j])
+                return False, (i, j, drop)
     return True, None
 
 
 def _ef1(inst: Instance, alloc: Allocation, worth: Sequence[Sequence[int]]):
-    multi = [j for j, b in enumerate(alloc.bundles) if len(b) > 1]
+    multi = [(j, len(b)) for j, b in enumerate(alloc.bundles) if len(b) > 1]
     for i, (row, _) in enumerate(inst.int_rows):
         own = worth[i][i]
-        for j in multi:
+        for j, size in multi:
             total = worth[j][i]
-            if total > own and own < total - max(map(row.__getitem__, alloc.bundles[j])):
+            # j's most valued good is worth at least j's average, total / size,
+            # so i's envy of j can outlast dropping it only when
+            # total - own > total / size; values are non-negative, so that
+            # also means total > own.
+            if (total - own) * size > total and own < total - max(
+                map(row.__getitem__, alloc.bundles[j])
+            ):
                 return False, (i, j)
     return True, None
 
@@ -124,7 +133,7 @@ def is_ordinal_mms(
     Witness: the agent with the worst shortfall (lowest index on ties).
     """
     check_allocation(inst, alloc)
-    own = [inst.int_value(i, b) for i, b in enumerate(alloc.bundles)]
+    own = [sum(map(row.__getitem__, b)) for (row, _), b in zip(inst.int_rows, alloc.bundles)]
     return _mms(inst, own, agent_thresholds)
 
 

@@ -8,6 +8,7 @@ import random
 from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 from math import inf, lcm
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from ordfair import (
@@ -15,6 +16,8 @@ from ordfair import (
     FairnessReport,
     GeneratorConfig,
     Instance,
+    alloc_ordered_ef1_4n3,
+    alloc_ordered_efx_3n2,
     detect_structure,
     generate,
     is_ef1,
@@ -22,16 +25,19 @@ from ordfair import (
     is_ordinal_mms,
     thresholds,
 )
+from ordfair.allocators import envy_cycle
 from ordfair.allocators.bagfill import ceil_3n_over_2, event_cap, run_bag_fill
 from ordfair.allocators.trace import AllocatorTrace
 from ordfair.errors import (
     InvariantViolationError,
+    OrdfairError,
     PreconditionError,
     StructuralMismatchError,
     ZeroMaximinError,
 )
-from ordfair.shares import _max_pairs, _witness_for
-from ordfair.verification import MmsVerdict
+from ordfair.model import _bundle_sums, check_allocation
+from ordfair.shares import _greedy_cover, _max_pairs, _witness_for
+from ordfair.verification import MmsVerdict, _ef1
 
 # The two worked instances used throughout the suite (0-based goods).
 I_A = Instance.from_rows([[3, 2, 2, 1, 1], [4, 3, 1, 1, 1]])
@@ -126,6 +132,15 @@ def naive_is_ef1(inst: Instance, alloc: Allocation) -> bool:
             if not fixable:
                 return False
     return True
+
+
+def ref_greedy_cover(vals: list[int], d: int) -> int:
+    """``shares._greedy_cover`` from d empty bundles: each good of vals
+    (sorted desc) joins the least-loaded one, found by scanning."""
+    sums = [0] * d
+    for v in vals:
+        sums[sums.index(min(sums))] += v
+    return min(sums)
 
 
 def ref_cover_ceiling(vals: list[int], d: int) -> int:
@@ -862,13 +877,170 @@ def frac_is_ef1(inst: Instance, alloc: Allocation):
     return True, None
 
 
+# --- envy-cycle completion references ---------------------------------------
+
+
+def ref_envy_edges(worth: list[Sequence[int]]) -> list[set[int]]:
+    """incoming[s] = agents that envy slot s; worth[s][i] is i's value of
+    slot s, and agent i holds slot i."""
+    own = [col[i] for i, col in enumerate(worth)]
+    return [{i for i, w in enumerate(col) if w > own[i]} for col in worth]
+
+
+def ref_find_cycle(incoming: list[set[int]]) -> list[int]:
+    """A directed envy cycle, found by walking predecessors from the lowest
+    agent; returned in forward (envier -> envied) direction."""
+    start = 0
+    walk = [start]
+    seen = {start: 0}
+    while True:
+        preds = incoming[walk[-1]]
+        if not preds:
+            raise InvariantViolationError("predecessor walk left the graph")
+        nxt = min(preds)
+        if nxt in seen:
+            tail = walk[seen[nxt]:]
+            return list(reversed(tail))
+        seen[nxt] = len(walk)
+        walk.append(nxt)
+
+
+def ref_envy_cycle_elimination(
+    inst: Instance, alloc: Allocation, order: Sequence[int] | None = None
+) -> tuple[Allocation, AllocatorTrace]:
+    """``envy_cycle.envy_cycle_elimination`` as it was when it kept each
+    slot's full set of enviers, rebuilt on every gift and re-scanned on
+    every rotation, kept verbatim as the reference the engine's
+    differential test compares allocations, traces and errors against."""
+    check_allocation(inst, alloc)
+    worth = _bundle_sums(inst, alloc.bundles)
+    ok, pair = _ef1(inst, alloc, worth)
+    if not ok:
+        raise PreconditionError(f"envy-cycle completion needs an EF1 input, witness {pair}")
+
+    trace = AllocatorTrace("envy_cycle_elimination")
+    if not alloc.pool:
+        return alloc, trace
+
+    rows = [row for row, _ in inst.int_rows]
+    cols = inst._int_columns
+    agents = inst.agents
+    # Slot s starts as agent s's bundle; worth[s] and incoming[s] (the
+    # agents that envy slot s) stay with the slot, whoever holds it.
+    held = list(agents)
+    bundles = [set(b) for b in alloc.bundles]
+    pool = [g for g in (inst.goods if order is None else order) if g in alloc.pool]
+    if len(pool) != len(alloc.pool) or alloc.pool.difference(pool):
+        raise PreconditionError("the completion order must list every pool good once")
+    start_values = [worth[i][i] for i in agents]
+    incoming = ref_envy_edges(worth)
+    iteration = 0
+    cap = envy_cycle.event_cap(inst.n, inst.m)
+
+    while pool:
+        iteration += 1
+        if iteration > cap:
+            raise InvariantViolationError("envy-cycle run exceeded its event cap")
+        source = next((a for a in agents if not incoming[held[a]]), None)
+        if source is None:
+            cycle = ref_find_cycle([incoming[held[a]] for a in agents])
+            gained = [held[b] for b in cycle[1:] + cycle[:1]]
+            # Agents off the cycle keep their bundles, so each member's
+            # strict gain also proves that total utility rises.  Only the
+            # members' own values change, so only their edges.
+            for a, slot in zip(cycle, gained):
+                own = worth[slot][a]
+                if own <= worth[held[a]][a]:
+                    raise InvariantViolationError("cycle member did not gain")
+                held[a] = slot
+                for s, col in enumerate(worth):
+                    if col[a] > own:
+                        incoming[s].add(a)
+                    else:
+                        incoming[s].discard(a)
+            trace.emit(iteration, "cycle_rotation", cycle=tuple(cycle))
+            continue
+        slot = held[source]
+        good = max(pool, key=rows[source].__getitem__)
+        bundles[slot].add(good)
+        pool.remove(good)
+        worth[slot] = grown = [*map(add, worth[slot], cols[good])]
+        incoming[slot] = {i for i, w in enumerate(grown) if w > worth[held[i]][i]}
+        own = grown[source]
+        for s, col in enumerate(worth):
+            if col[source] <= own:
+                incoming[s].discard(source)
+        trace.emit(iteration, "source_gift", agent=source, good=good)
+
+    result = Allocation(tuple(frozenset(bundles[s]) for s in held), frozenset())
+    for i in agents:
+        if worth[held[i]][i] < start_values[i]:
+            raise InvariantViolationError(f"agent {i} lost value during completion")
+    ok, pair = _ef1(inst, result, _bundle_sums(inst, result.bundles))
+    if not ok:
+        raise InvariantViolationError(f"EF1 lost during completion: {pair}")
+    return result, trace
+
+
+def completion_calls(rng: random.Random, draws: int, n_range: range, m_is_3n: bool = False):
+    """Seeded calls of envy-cycle completion as (inst, alloc, order), three
+    per draw of an ordered instance with n in ``n_range``, m = 3n or drawn
+    from n to 3n, max_value 3 or 20, its goods permuted so that the common
+    order is not the goods by index, and a third of them with rational rows:
+    - a1's partial (``alloc_ordered_efx_3n2``), completed along the order;
+    - a3's partial (``alloc_ordered_ef1_4n3``), completed along the order;
+    - a singleton start, a2's shape: each agent holds one good drawn at
+      random, the rest is the pool, completed by index or along the order.
+    The allocators' thresholds are the shares when m <= 36 and the greedy
+    cover values, a lower bound on each share, past that, where a3's exact
+    shares take seconds.  Singleton starts on values drawn per agent
+    make most of the rotations."""
+    for _ in range(draws):
+        n = rng.choice(n_range)
+        m = 3 * n if m_is_3n else rng.randrange(n, 3 * n + 1)
+        max_value = rng.choice((3, 20))
+        if rng.random() < 1 / 3:
+            inst = rational_rows_instance(rng, n, m, "ordered")
+        else:
+            inst = seeded_instance("ordered", n, m, rng.randrange(2**32), max_value)
+        inst = permuted(inst, rng.sample(range(m), m))
+        order = detect_structure(inst)
+        for allocate, d in (
+            (alloc_ordered_efx_3n2, ceil_3n_over_2(n)),
+            (alloc_ordered_ef1_4n3, 4 * ((n + 2) // 3)),
+        ):
+            if m <= 36:
+                taus = thresholds(inst, d)
+            else:
+                taus = [
+                    Fraction(_greedy_cover(sorted(ints, reverse=True), d), denom)
+                    for ints, denom in inst.int_rows
+                ]
+            partial, _ = allocate(inst, taus)
+            yield inst, partial, order
+        goods = rng.sample(range(m), n)
+        start = make_allocation([[g] for g in goods], set(range(m)).difference(goods))
+        if rng.random() < 0.5:
+            general = seeded_instance("general", n, m, rng.randrange(2**32), max_value)
+            yield general, start, None
+        else:
+            yield inst, start, order
+
+
+def completion_outcome(engine, call):
+    """The engine's allocation and trace text, or its error's type and
+    message."""
+    try:
+        alloc, trace = engine(*call)
+    except OrdfairError as err:
+        return type(err), str(err)
+    return alloc, trace.to_text()
+
+
 def frac_envy_cycle_elimination(inst: Instance, alloc: Allocation, order=None):
     """Envy-cycle completion re-summing every bundle in Fraction on every
     event, ties to the good earliest in `order` (by default the goods by
     index); returns the completed allocation and the trace text."""
-    from ordfair.allocators.envy_cycle import _find_cycle
-    from ordfair.allocators.trace import AllocatorTrace
-
     bundles = [set(b) for b in alloc.bundles]
     pool = set(alloc.pool)
     rank = {g: p for p, g in enumerate(inst.goods if order is None else order)}
@@ -879,7 +1051,7 @@ def frac_envy_cycle_elimination(inst: Instance, alloc: Allocation, order=None):
         incoming = frac_envy_edges(inst, bundles)
         sources = [i for i in inst.agents if not incoming[i]]
         if not sources:
-            cycle = _find_cycle(incoming)
+            cycle = ref_find_cycle(incoming)
             saved = [set(bundles[a]) for a in cycle]
             for idx, a in enumerate(cycle):
                 bundles[a] = saved[(idx + 1) % len(cycle)]

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,7 +17,16 @@ from ordfair.allocators.bagfill import ceil_3n_over_2
 from ordfair.allocators.envy_cycle import event_cap
 from ordfair.errors import InvariantViolationError, PreconditionError
 
-from helpers import I_A, make_allocation, random_partial_allocation, seeded_instance
+from helpers import (
+    I_A,
+    completion_calls,
+    completion_outcome,
+    make_allocation,
+    random_partial_allocation,
+    rational_rows_instance,
+    ref_envy_cycle_elimination,
+    seeded_instance,
+)
 
 
 class TestEfxOrderedMode:
@@ -196,3 +206,38 @@ def test_run_past_its_event_cap_is_an_invariant_violation(monkeypatch):
     monkeypatch.setattr(envy_cycle, "event_cap", lambda n, m: k - 1)
     with pytest.raises(InvariantViolationError, match="event cap"):
         envy_cycle_elimination(inst, start)
+
+
+def _rotation_pools(rng: random.Random, count: int):
+    """Seeded random partial allocations, integer and rational rows, with
+    no common order, so many completions rotate; some are not EF1, and both
+    engines must refuse those alike.  Half run along a random order."""
+    for _ in range(count):
+        n = rng.randrange(2, 7)
+        m = rng.randrange(2, 3 * n + 1)
+        if rng.random() < 1 / 3:
+            inst = rational_rows_instance(rng, n, m)
+        else:
+            inst = seeded_instance("general", n, m, rng.randrange(2**32), rng.choice((3, 20)))
+        order = rng.sample(range(m), m) if rng.random() < 0.5 else None
+        yield inst, random_partial_allocation(inst, rng), order
+
+
+def test_engine_matches_its_reference():
+    """The engine keeps each slot's lowest envier, not its envier set.  It
+    must return the reference's allocation and trace text, or raise its
+    error, on a1's and a3's partials along the common order, on singleton
+    starts by index and along the order, and on random pools that force
+    rotations; integer and rational rows both."""
+    rng = random.Random(5303)
+    calls = [*completion_calls(rng, 250, range(2, 9)), *_rotation_pools(rng, 500)]
+    kinds = Counter()
+    for call in calls:
+        want = completion_outcome(ref_envy_cycle_elimination, call)
+        assert completion_outcome(envy_cycle_elimination, call) == want, call
+        if isinstance(want[0], type):
+            kinds[want[0].__name__] += 1
+        else:
+            kinds.update(line.split("\t")[1] for line in want[1].splitlines()[1:])
+    assert kinds["cycle_rotation"] >= 350 and kinds["source_gift"] >= 2500, kinds
+    assert kinds["PreconditionError"] >= 200, kinds

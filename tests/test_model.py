@@ -91,6 +91,50 @@ class TestInstanceValidation:
         assert inst.values[0][0] == Fraction(1, 3)
 
 
+class TestBundleValues:
+    INST = Instance.from_rows([[3, 2, 1], [3, 2, 1]])
+
+    @pytest.mark.parametrize(
+        "agent, goods, message",
+        [
+            (0, [-1, 0], "good -1 out of range"),
+            (-1, [0], "agent -1 out of range"),
+            (0, [5], "good 5 out of range"),
+            (2, [0], "agent 2 out of range"),
+            (1, [0, 3, -2], "good 3 out of range"),
+        ],
+    )
+    def test_indices_out_of_range_are_refused(self, agent, goods, message):
+        """A negative index would count from the end and one past the end
+        would be a bare ``IndexError``."""
+        for value in (self.INST.value, self.INST.int_value):
+            with pytest.raises(PreconditionError, match=message):
+                value(agent, goods)
+            with pytest.raises(PreconditionError, match=message):
+                value(agent, iter(goods))
+
+    def test_values_in_range(self):
+        inst = Instance.from_rows([[3, "1/2", 1], [3, 2, 1]])
+        assert inst.value(0, iter([1, 2])) == Fraction(3, 2)
+        assert inst.int_value(0, [0, 1]) == 7
+        assert inst.value(1, []) == 0 and inst.int_value(1, ()) == 0
+
+    def test_allocation_check_names_the_first_offending_good(self):
+        """The one-pass check accepts what the loop accepts; on a failure
+        the loop names the good, in the order of the parts."""
+        inst = Instance.from_rows([[1, 1, 1], [1, 1, 1]])
+        check_allocation(inst, make_allocation([[0], []], [1, 2]))
+        check_allocation(inst, make_allocation([[], []]))
+        for bundles, pool, message in [
+            ([[0], [0, 5]], [], "good 0 assigned twice"),
+            ([[0, 5], [0]], [], "good 5 out of range"),
+            ([[0], [1]], [-1, 2], "good -1 out of range"),
+            ([[2], [1]], [1], "good 1 assigned twice"),
+        ]:
+            with pytest.raises(InvalidInstanceError, match=message):
+                check_allocation(inst, make_allocation(bundles, pool))
+
+
 class TestDetectStructure:
     def test_i_a_is_ordered_identity(self):
         assert detect_structure(I_A) == (0, 1, 2, 3, 4)

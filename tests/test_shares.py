@@ -27,6 +27,7 @@ from ordfair.errors import (
     ZeroMaximinError,
 )
 from ordfair.shares import (
+    _bundles_floor,
     _complete,
     _cover_ceiling,
     _covering_floor,
@@ -47,6 +48,7 @@ from helpers import (
     ref_cover,
     ref_cover_ceiling,
     ref_find_covering,
+    ref_greedy_cover,
     ref_normalize_order_preserving,
     ref_pairing_refutes,
     seeded_instance,
@@ -338,6 +340,75 @@ class TestShareValue:
         with pytest.raises(PreconditionError):
             thresholds(I_A, 0)
 
+    @pytest.mark.parametrize("d", [True, False])
+    def test_rejects_bool_divisors(self, d):
+        """A bool is an int, so True would ask for the 1-out-of-1 shares."""
+        for solve in (
+            lambda: thresholds(I_A, d),
+            lambda: mms_exact(I_A, 0, d),
+            lambda: mms_bruteforce(I_A, 0, d),
+        ):
+            with pytest.raises(PreconditionError, match=f"d must be an int, not {d}"):
+                solve()
+
+    @pytest.mark.parametrize(
+        "target, bundles",
+        [
+            (3, [(3,), (3,)]),  # two bundles for three
+            (3, [(3,), (3,), (3,), ()]),  # four bundles for three
+            (3, [(3,), (3,), (2,)]),  # a value the row does not hold
+            (3, [(3,), (3,), (3, 3)]),  # a good held twice
+            (4, [(3,), (3,), (3,)]),  # every bundle one short
+            (3, [(3,), (3,), ()]),  # an empty bundle
+        ],
+    )
+    def test_bundle_check_rejects_non_coverings(self, target, bundles):
+        with pytest.raises(InvariantViolationError):
+            _bundles_floor([3, 3, 3], 3, target, bundles)
+
+    def test_bundle_check_puts_the_goods_past_the_bundles_in_bundle_0(self):
+        assert _bundles_floor([5, 4, 3, 1, 1], 2, 4, [(5,), (4,)]) == 4
+        assert _bundles_floor([5, 4, 3, 1, 0], 2, 5, [(4, 3), (5,)]) == 5
+        with pytest.raises(InvariantViolationError):
+            _bundles_floor([5, 4, 3, 1], 2, 5, [(5,), (3, 1)])
+
+    def test_every_probe_covering_is_checked(self, monkeypatch):
+        """The value search lifts its lower end only past a covering that
+        passes ``_bundles_floor``: one that holds a good twice is refused."""
+        # Greedy gives 11 and the ceiling 12, which a covering reaches.
+        assert _share_value([8, 7, 6, 5, 4, 3, 2, 1], 3) == 12
+        search = shares._covering_bundles
+
+        def holds_a_good_twice(vals, d, target):
+            bundles = search(vals, d, target)
+            return bundles and [bundles[0] + bundles[0][:1], *bundles[1:]]
+
+        monkeypatch.setattr(shares, "_covering_bundles", holds_a_good_twice)
+        with pytest.raises(InvariantViolationError, match="every good once"):
+            _share_value([8, 7, 6, 5, 4, 3, 2, 1], 3)
+
+    def test_probe_coverings_are_the_search_coverings(self):
+        """``_find_covering``'s assignment is the probe's bundles, by value."""
+        probes = 0
+        for vals, d, target in bound_sweep():
+            bundles = shares._covering_bundles(vals, d, target)
+            assign = _find_covering(vals, d, target)
+            assert (bundles is None) == (assign is None)
+            if bundles is not None:
+                by_index = [sorted(v for v, b in zip(vals, assign) if b == k) for k in range(d)]
+                placed = sum(map(len, bundles))
+                expect = [sorted(bundle) for bundle in bundles]
+                expect[0] = sorted(expect[0] + vals[placed:])
+                assert by_index == expect, (vals, d, target)
+                floor = _bundles_floor(vals, d, target, bundles)
+                assert floor == _covering_floor(vals, d, target, assign)
+                probes += 1
+        assert probes > 1000
+
+    def test_greedy_cover_matches_lpt_from_empty_bundles(self):
+        for vals, d in row_sweep():
+            assert _greedy_cover(vals, d) == ref_greedy_cover(vals, d), (vals, d)
+
 
 def row_sweep():
     """Seeded (vals, d) queries: rows of every family, m up to 20 with small
@@ -559,7 +630,9 @@ class TestSearchWork:
     SWEEP_PROBES, SWEEP_NODES = 50431, 64287
 
     def test_probe_and_node_counts_unchanged(self, monkeypatch):
-        calls = {"_find_covering": 0, "_complete": 0}
+        # A probe is one _covering_bundles call: _share_value calls it, and
+        # _find_covering wraps it.
+        calls = {"_covering_bundles": 0, "_complete": 0}
         for name in calls:
             def counted(*args, _fn=getattr(shares, name), _name=name):
                 calls[_name] += 1
@@ -568,14 +641,14 @@ class TestSearchWork:
             monkeypatch.setattr(shares, name, counted)
         for vals, d in row_sweep():
             _share_value(vals, d)
-        assert (calls["_find_covering"], calls["_complete"]) == (
+        assert (calls["_covering_bundles"], calls["_complete"]) == (
             self.VALUE_PROBES,
             self.VALUE_NODES,
         )
         calls.update(dict.fromkeys(calls, 0))
         for vals, d, target in bound_sweep():
             shares._find_covering(vals, d, target)
-        assert (calls["_find_covering"], calls["_complete"]) == (
+        assert (calls["_covering_bundles"], calls["_complete"]) == (
             self.SWEEP_PROBES,
             self.SWEEP_NODES,
         )

@@ -30,6 +30,7 @@ from helpers import (
     EX51,
     EX51_WITNESSES,
     LARGE_PRIMES,
+    frac_is_ef1,
     make_allocation,
     naive_is_ef1,
     naive_is_efx,
@@ -127,6 +128,27 @@ class TestEfxEf1:
             alloc = random_partial_allocation(inst, rng)
             assert is_efx(inst, alloc)[0] == naive_is_efx(inst, alloc)
             assert is_ef1(inst, alloc)[0] == naive_is_ef1(inst, alloc)
+
+    def test_ef1_witness_at_the_average_bound(self):
+        """EF1's scan opens a bundle only when i's envy of it exceeds its
+        average good; on rows of values 0-2, envy equal to the average is
+        common, and the verdicts and witnesses must still be the Fraction
+        reference's."""
+        rng = random.Random(36)
+        at_bound = verdicts = 0
+        for _ in range(400):
+            inst = seeded_instance("general", rng.randrange(2, 5), rng.randrange(2, 9),
+                                   rng.randrange(2**32), max_value=2)
+            alloc = random_partial_allocation(inst, rng)
+            got = is_ef1(inst, alloc)
+            assert got == frac_is_ef1(inst, alloc)
+            verdicts += got[0]
+            for i in inst.agents:
+                own = inst.value(i, alloc.bundles[i])
+                for bundle in alloc.bundles:
+                    total = inst.value(i, bundle)
+                    at_bound += len(bundle) > 1 and total > own and (total - own) * len(bundle) == total
+        assert at_bound > 40 and 50 < verdicts < 350, (at_bound, verdicts)
 
     def test_verdicts_scale_invariant(self):
         rng = random.Random(35)
